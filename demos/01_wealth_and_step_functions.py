@@ -29,8 +29,9 @@ table = {c: {"gain": "w3" if c != "w1" else "w2", "hold": c}
          for c in ("w1", "w2", "w3")}
 ordinal = OrdinalWealth(["w1", "w2", "w3"], table)
 print("ordinal:    w1 after 'gain' ->", ordinal.accumulate("w1", "gain"))
-print("ordinal:    mid(w1, w3) =", ordinal.mid("w1", "w3"),
-      " prec(w3) =", ordinal.prec("w3"))
+# brackets work on keys; an ordinal key is the class index
+mids = ordinal.mid(ordinal.key("w1"), ordinal.key("w3"))
+print("ordinal:    mid(w1, w3) =", [ordinal.unkey(k) for k in mids])
 
 # Target utilities turn quantile tests into expected utility ----------------
 
@@ -44,19 +45,20 @@ print("\nindicator of [1.9, inf): at 1.9 ->", u_upper(1.9),
 # shift: pull a successor's slice back through the wealth accumulation
 shifted = shift(u_upper, 1.0, 0, additive)
 print("\nafter earning reward 1, the target moves to",
-      shifted.pieces[0][0])
+      shifted.intervals()[1][0])
 
 # combine: mix successor slices with the transition kernel
 mixed = combine([(0.5, target_utility(1.0, False)),
                  (0.5, target_utility(2.0, False))])
-print("0.5/0.5 mix of two indicators:", mixed.pieces)
+print("0.5/0.5 mix of two indicators:", mixed.intervals())
 
-# pointwise max: the greedy action choice, with its argmax structure
+# pointwise max: the greedy action choice; its argmax is the same kind of
+# step function, with integer values (the index of the winning input)
 f_risky = combine([(0.9, target_utility(3.0, False)),
                    (0.1, target_utility(0.5, False))])
 f_safe = target_utility(1.0, False)
 envelope, choice = pointwise_max([f_safe, f_risky])
-print("\nupper envelope pieces:", envelope.pieces)
+print("\nupper envelope pieces:", envelope.intervals())
 print("which input wins on each wealth interval:", choice.intervals())
 
 # sup distance drives the value-iteration stopping rule

@@ -40,6 +40,7 @@ report = solve_quantile(m, space,
                                       epsilon=1e-4))
 print(f"\nsolver: 0.95-quantile estimate {report.quantile:.4f} "
       f"after {report.iterations} iterations")
+# a decision rule is a step function of wealth with integer (action) values
 print("decision rule at step 2 in the start state:")
 for frm, inclusive, action in report.policy.rules[1][0].intervals():
     bracket = "[" if inclusive else "("

@@ -10,10 +10,9 @@ lower or upper tau-quantile criterion.
 __version__ = "0.1.0"
 
 from .dp import (ValueFunction, WealthMarkovPolicy, backward_induction,
-                 extract_policy, value_iteration)
+                 value_iteration)
 from .errors import (ConfigurationError, ConvergenceError, QmdpError,
-                     ResourceLimitError, UnsupportedOperationError,
-                     ValidationError)
+                     ResourceLimitError, ValidationError)
 from .evaluate import (WealthDistribution, brute_force_distributions,
                        brute_force_optimal_quantile, exact_distribution,
                        simulate, standard_backward_induction)
@@ -25,26 +24,24 @@ from .serialize import (load_policy, load_problem, policy_from_payload,
 from .solver import (IterationRecord, QuantileQuery, SolveReport,
                      effective_epsilon, iteration_bound, quantile_certificate,
                      solve_quantile)
-from .stepfun import (ActionMap, StepFunction, combine, pointwise_max, shift,
+from .stepfun import (StepFunction, combine, pointwise_max, shift,
                       sup_distance, target_utility)
 from .wealth import (AdditiveWealth, DiscountedWealth, OrdinalWealth,
                      WealthSpace, WEALTH_TOL)
 
 __all__ = [
-    "AdditiveWealth", "ActionMap", "ConfigurationError", "ConvergenceError",
+    "AdditiveWealth", "ConfigurationError", "ConvergenceError",
     "DataCenterConfig", "DiscountedWealth", "GarnetConfig", "IterationRecord",
     "Mdp", "OrdinalWealth", "QmdpError", "QuantileQuery", "ResourceLimitError",
-    "SolveReport", "StepFunction", "UnsupportedOperationError",
-    "ValidationError", "ValueFunction", "WealthDistribution",
-    "WealthMarkovPolicy", "WealthSpace", "WEALTH_TOL",
+    "SolveReport", "StepFunction", "ValidationError", "ValueFunction",
+    "WealthDistribution", "WealthMarkovPolicy", "WealthSpace", "WEALTH_TOL",
     "backward_induction", "brute_force_distributions",
     "brute_force_optimal_quantile", "combine", "default_branching",
-    "effective_epsilon", "exact_distribution", "extract_policy",
-    "generate_datacenter", "generate_garnet", "iteration_bound",
-    "load_policy", "load_problem", "pointwise_max", "policy_from_payload",
-    "policy_to_payload", "problem_from_dict", "problem_to_dict",
-    "quantile_certificate", "save_policy", "save_problem", "shift",
-    "simulate", "skew_rewards", "solve_quantile",
-    "standard_backward_induction", "sup_distance", "target_utility",
-    "validate", "value_iteration",
+    "effective_epsilon", "exact_distribution", "generate_datacenter",
+    "generate_garnet", "iteration_bound", "load_policy", "load_problem",
+    "pointwise_max", "policy_from_payload", "policy_to_payload",
+    "problem_from_dict", "problem_to_dict", "quantile_certificate",
+    "save_policy", "save_problem", "shift", "simulate", "skew_rewards",
+    "solve_quantile", "standard_backward_induction", "sup_distance",
+    "target_utility", "validate", "value_iteration",
 ]

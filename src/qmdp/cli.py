@@ -113,9 +113,9 @@ def cmd_solve(args):
         rows = []
         for t, layer in enumerate(report.value_function.slices):
             for s, fn in enumerate(layer):
-                rows.append((t, s, "", "", fn.base_value))
-                for threshold, inclusive, value in fn.pieces:
-                    rows.append((t, s, threshold, int(inclusive), value))
+                for frm, inclusive, value in fn.intervals():
+                    rows.append((t, s, "", "", value) if frm is None
+                                else (t, s, frm, int(inclusive), value))
         _write_csv(args.dump_slices, ["t", "s", "threshold", "inclusive", "value"],
                    rows)
     flag = " (quantile at bottom of range)" if report.at_bottom else ""
@@ -128,9 +128,25 @@ def cmd_solve(args):
 
 # -- eval -----------------------------------------------------------------
 
+def _check_policy_fits(policy, m):
+    """Reject a policy with too few steps or an action the problem lacks."""
+    rows = [policy.rules] if policy.stationary else policy.rules
+    if not policy.stationary and m.horizon is not None and len(rows) < m.horizon:
+        raise ConfigurationError(
+            f"policy has {len(rows)} steps, the problem's horizon is {m.horizon}")
+    for row in rows:
+        for rule in row:
+            for _, _, a in rule.intervals():
+                if not 0 <= a < m.n_actions:
+                    raise ConfigurationError(
+                        f"policy action {a} does not fit a problem with "
+                        f"{m.n_actions} actions")
+
+
 def cmd_eval(args):
     m, space = load_problem(args.problem)
     policy = load_policy(args.policy, space, m.n_states)
+    _check_policy_fits(policy, m)
     seed = args.seed if args.seed is not None else _default_seed()
     mode = "exact"
     episodes = None

@@ -5,8 +5,8 @@ wealth: ``V_t(s, .)`` is the best probability of ending with wealth above
 the target, as a function of the wealth accumulated so far.  The backward
 update pulls each successor slice through the wealth accumulation (shift),
 mixes successors with the kernel (combine), and takes the per-action upper
-envelope (pointwise_max); the envelope's argmax structure is exactly the
-greedy wealth-Markovian decision rule.
+envelope (pointwise_max); the envelope's argmax, an integer-valued step
+function of wealth, is exactly the greedy wealth-Markovian decision rule.
 
 Finite horizons run T sweeps (:func:`backward_induction`).  Infinite
 horizons with uniformly signed rewards and undiscounted additive wealth
@@ -17,7 +17,7 @@ a stationary policy.
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
-from .stepfun import (ActionMap, combine, pointwise_max, restrict, shift,
+from .stepfun import (StepFunction, combine, pointwise_max, restrict, shift,
                       sup_distance, target_utility)
 from .wealth import AdditiveWealth
 
@@ -25,27 +25,18 @@ from .wealth import AdditiveWealth
 class ValueFunction:
     """Per-timestep, per-state wealth slices.
 
-    ``slices[t][s]`` for t in 0..T; layer T is the terminal target
-    utility.  A converged infinite-horizon table has a single layer.
+    ``slices[t][s]`` for t in 0..T; layer T is the terminal target utility.
     """
 
-    def __init__(self, slices, stationary=False):
+    def __init__(self, slices):
         self.slices = slices
-        self.stationary = stationary
-
-    @property
-    def horizon(self):
-        return None if self.stationary else len(self.slices) - 1
-
-    def slice(self, t, s):
-        return self.slices[0][s] if self.stationary else self.slices[t][s]
 
 
 class WealthMarkovPolicy:
     """Deterministic policy whose decision rules map (state, wealth) to actions.
 
-    ``rules[t][s]`` is an :class:`ActionMap` over wealth keys; stationary
-    policies store a single per-state list and ignore ``t``.
+    ``rules[t][s]`` is an integer-valued :class:`StepFunction` over wealth
+    keys; stationary policies store a single per-state list and ignore ``t``.
     """
 
     def __init__(self, rules, stationary=False):
@@ -60,21 +51,19 @@ class WealthMarkovPolicy:
         a single per-state list when stationary.
         """
         if stationary:
-            return cls([ActionMap.constant(a) for a in actions], stationary=True)
-        return cls([[ActionMap.constant(a) for a in row] for row in actions])
+            return cls([StepFunction.constant(int(a)) for a in actions],
+                       stationary=True)
+        return cls([[StepFunction.constant(int(a)) for a in row]
+                    for row in actions])
 
     def rule(self, t, s):
         return self.rules[s] if self.stationary else self.rules[t][s]
 
     def action(self, t, s, w_key):
-        return self.rule(t, s).action(w_key)
+        return self.rule(t, s)(w_key)
 
     def action_many(self, t, s, w_keys):
-        return self.rule(t, s).action_many(w_keys)
-
-    @property
-    def horizon(self):
-        return None if self.stationary else len(self.rules)
+        return self.rule(t, s).eval_many(w_keys)
 
     def __repr__(self):
         if self.stationary:
@@ -105,9 +94,9 @@ def _greedy_update(m, space, nxt, t):
                 rs = m.edge_rewards(s, a)
                 qs.append(combine([(prob[i], shift(nxt[succ[i]], rs[i], t, space))
                                    for i in range(len(succ))]))
-        env, amap = pointwise_max(qs)
+        env, rule = pointwise_max(qs)
         slices.append(env)
-        rules.append(amap)
+        rules.append(rule)
     return slices, rules
 
 
@@ -132,20 +121,6 @@ def backward_induction(m, space, w, strict):
         slices[t], rules[t] = _greedy_update(m, space, slices[t + 1], t)
     p = slices[0][m.initial_state](space.key(space.w0))
     return (WealthMarkovPolicy(rules), float(p), ValueFunction(slices))
-
-
-def extract_policy(vf, m, space):
-    """Greedy policy of a completed value table.
-
-    Recomputes the per-(t, s) argmax from the stored slices, so it can be
-    checked against the policy built during the sweep itself.
-    """
-    if vf.stationary:
-        _, rules = _greedy_update(m, space, vf.slices[0], 0)
-        return WealthMarkovPolicy(rules, stationary=True)
-    T = len(vf.slices) - 1
-    rules = [_greedy_update(m, space, vf.slices[t + 1], t)[1] for t in range(T)]
-    return WealthMarkovPolicy(rules)
 
 
 def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):

@@ -23,10 +23,6 @@ class ValidationError(QmdpError, ValueError):
         super().__init__("; ".join(self.violations))
 
 
-class UnsupportedOperationError(QmdpError, TypeError):
-    """The operation is not defined for this wealth-space kind."""
-
-
 class ResourceLimitError(QmdpError, RuntimeError):
     """An exact computation exceeded its configured size cap."""
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dp import WealthMarkovPolicy
 from .errors import ConfigurationError, ResourceLimitError
-from .stepfun import ActionMap
+from .stepfun import StepFunction
 from .wealth import WEALTH_TOL
 
 QUANT_ATOL = 1e-12   # slack when comparing partial sums against tau
@@ -276,12 +276,12 @@ def _assignment_to_policy(m, assignment):
         for s in range(m.n_states):
             atoms = sorted(per_ts.get((t, s), []))
             if not atoms:
-                row.append(ActionMap.constant(0))
+                row.append(StepFunction.constant(0))
                 continue
             base = atoms[0][1]
             cuts = [(wk, True, a) for wk, a in atoms[1:]]
-            row.append(ActionMap(base, [c[0] for c in cuts],
-                                 [c[1] for c in cuts], [c[2] for c in cuts]))
+            row.append(StepFunction(base, [c[0] for c in cuts],
+                                    [c[1] for c in cuts], [c[2] for c in cuts]))
         rules.append(row)
     return WealthMarkovPolicy(rules)
 

@@ -140,12 +140,6 @@ class Mdp:
             return [r] * len(self._succ[s][a])
         return self._rew[s][a]
 
-    def edges(self, s, a):
-        """List of (next_state, probability, reward) triples."""
-        return list(zip(self._succ[s][a].tolist(),
-                        self._prob[s][a].tolist(),
-                        self.edge_rewards(s, a)))
-
     def all_rewards(self):
         """Flat iterator over every reward value in the model."""
         if self.reward_kind == "sa":

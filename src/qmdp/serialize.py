@@ -26,9 +26,9 @@ import os
 import tempfile
 
 from .dp import WealthMarkovPolicy
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ValidationError
 from .mdp import Mdp
-from .stepfun import ActionMap
+from .stepfun import StepFunction
 from .wealth import AdditiveWealth, DiscountedWealth, OrdinalWealth
 
 
@@ -73,7 +73,16 @@ def mdp_to_dict(m):
     }
 
 
+def _require(d, keys, where):
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise ValidationError([f"{where} has no {k!r}" for k in missing])
+
+
 def mdp_from_dict(d):
+    _require(d, ("n_states", "n_actions", "transitions", "rewards",
+                 "initial_state", "horizon"), "problem 'mdp'")
+    _require(d["rewards"], ("kind", "values"), "problem 'rewards'")
     horizon = d["horizon"]
     if horizon in ("infinite", "inf", None):
         horizon = None
@@ -118,6 +127,7 @@ def problem_to_dict(m, space):
 
 
 def problem_from_dict(d):
+    _require(d, ("mdp", "wealth_space"), "problem file")
     m = mdp_from_dict(d["mdp"])
     space = space_from_dict(d["wealth_space"], m)
     return m, space
@@ -135,14 +145,9 @@ def load_problem(path):
 # -- policies ---------------------------------------------------------------
 
 def _rule_to_intervals(rule, space):
-    out = []
-    for frm, inclusive, action in rule.intervals():
-        out.append({
-            "from": None if frm is None else space.unkey(frm),
-            "inclusive_from": bool(inclusive),
-            "action": int(action),
-        })
-    return out
+    return [{"from": None if frm is None else space.unkey(frm),
+             "inclusive_from": inclusive, "action": action}
+            for frm, inclusive, action in rule.intervals()]
 
 
 def policy_to_payload(policy, space):
@@ -167,13 +172,21 @@ def _intervals_to_rule(intervals, space):
         else:
             cuts.append((space.key(item["from"]), bool(item["inclusive_from"]),
                          int(item["action"])))
-    return ActionMap(base, [c[0] for c in cuts], [c[1] for c in cuts],
-                     [c[2] for c in cuts])
+    return StepFunction(base, [c[0] for c in cuts], [c[1] for c in cuts],
+                        [c[2] for c in cuts])
 
 
 def policy_from_payload(payload, space, n_states):
     if not payload:
         raise ConfigurationError("empty policy payload")
+    try:
+        return _policy_from_entries(payload, space, n_states)
+    except KeyError as exc:
+        raise ConfigurationError(
+            f"policy entry without {exc.args[0]!r}") from None
+
+
+def _policy_from_entries(payload, space, n_states):
     for entry in payload:
         if not 0 <= entry["s"] < n_states:
             raise ConfigurationError(
@@ -181,12 +194,12 @@ def policy_from_payload(payload, space, n_states):
                 f"with {n_states} states")
     stationary = "t" not in payload[0]
     if stationary:
-        rules = [ActionMap.constant(0) for _ in range(n_states)]
+        rules = [StepFunction.constant(0) for _ in range(n_states)]
         for entry in payload:
             rules[entry["s"]] = _intervals_to_rule(entry["intervals"], space)
         return WealthMarkovPolicy(rules, stationary=True)
     T = max(entry["t"] for entry in payload) + 1
-    rules = [[ActionMap.constant(0) for _ in range(n_states)] for _ in range(T)]
+    rules = [[StepFunction.constant(0) for _ in range(n_states)] for _ in range(T)]
     for entry in payload:
         rules[entry["t"]][entry["s"]] = _intervals_to_rule(entry["intervals"], space)
     return WealthMarkovPolicy(rules)

@@ -9,12 +9,12 @@ wider than epsilon, at which point the cached policy's quantile is within
 epsilon of the optimum.
 
 Finite ordinal spaces get exact answers: the bracket distance is integer
-valued, so the search runs to adjacency (effective epsilon = 1, fewer
-iterations are impossible) and endpoint probes resolve which bracket end
-is the optimal quantile.  Lower-criterion ordinal queries finish with one
-extra solve at the predecessor of the optimal quantile, which is what
-makes the *returned policy* exactly optimal rather than just its
-quantile.
+valued, so the search runs to adjacency (effective epsilon = 1).  The
+bracket starts one virtual class outside the range, below the bottom for
+the lower criterion and above the top for the upper one, so both of its
+ends have a known test outcome before any test runs.  The optimal
+quantile is then the bracket top for ordinal lower queries and the bracket
+bottom otherwise, and the last accepted solve's policy attains it.
 """
 
 import math
@@ -72,7 +72,7 @@ class SolveReport:
     iterations: int            # binary-search loop iterations
     log: list = field(default_factory=list)
     at_bottom: bool = False    # no test ever succeeded; quantile at range bottom
-    extra_solves: int = 0      # endpoint probes / predecessor extraction
+    extra_solves: int = 0      # solves outside the loop: the at_bottom policy
     sweeps: int = None         # total value-iteration sweeps (infinite mode)
     stationary: bool = False
     criterion: str = "lower"
@@ -159,8 +159,16 @@ def solve_quantile(m, space, query, *, eps_conv=1e-6, max_sweeps=10000,
     strict = query.criterion == "lower"
     thr = 1.0 - query.tau
     eps = effective_epsilon(space, query.epsilon)
+    first_k, last_k = lo_k, hi_k
+    if ordinal:
+        # one virtual class outside the range gives both bracket ends a
+        # known outcome: the top class always fails the lower test (no
+        # wealth exceeds it) and the bottom class always passes the upper one
+        if strict:
+            lo_k -= 1.0
+        else:
+            hi_k += 1.0
     total_sweeps = 0
-    extra_solves = 0
 
     def run(wk):
         nonlocal total_sweeps
@@ -175,98 +183,40 @@ def solve_quantile(m, space, query, *, eps_conv=1e-6, max_sweeps=10000,
         return _Solved(pol, p, vf)
 
     def passes(p):
-        return p > thr if query.criterion == "lower" else p >= thr
-
-    def mids(lo, hi):
-        if ordinal:
-            i, j = int(lo), int(hi)
-            return [float((i + j) // 2), float(-((i + j) // -2))]
-        return [(lo + hi) / 2.0]
+        return p > thr if strict else p >= thr
 
     log = []
-    iterations = 0
     accepted = None
-    any_fail = False
-    w = min(mids(lo_k, hi_k))
+    sol = None
+    w = min(space.mid(lo_k, hi_k))
     while hi_k - lo_k > eps:
-        sol = run(w)
+        sol_k, sol = w, run(w)
         ok = passes(sol.p)
         log.append(IterationRecord(space.unkey(w), sol.p, ok))
-        iterations += 1
         if ok:
             lo_k = w
             accepted = sol
-            w = max(mids(lo_k, hi_k))
+            w = max(space.mid(lo_k, hi_k))
         else:
-            any_fail = True
             hi_k = w
-            w = min(mids(lo_k, hi_k))
+            w = min(space.mid(lo_k, hi_k))
 
-    at_bottom = False
-    if not ordinal:
-        if accepted is None:
-            chosen = run(lo_k)
-            extra_solves += 1
-            at_bottom = True
-        else:
-            chosen = accepted
-        qhat_k = lo_k
-    elif query.criterion == "lower":
-        if accepted is not None:
-            # optimal quantile is the bracket top; extracting the optimal
-            # policy needs one solve at its predecessor (= bracket bottom)
-            qhat_k = hi_k
-            chosen = run(space.key(space.prec(space.unkey(qhat_k))))
-            extra_solves += 1
-        else:
-            probe = run(lo_k)
-            extra_solves += 1
-            ok0 = passes(probe.p)
-            if hi_k > lo_k and ok0:
-                qhat_k = hi_k
-            else:
-                qhat_k = lo_k
-                at_bottom = not ok0
-            chosen = probe   # lo_k is prec(qhat) in every subcase
-    else:
-        if accepted is not None and any_fail:
-            qhat_k = lo_k
-            chosen = accepted
-        elif accepted is not None:
-            # the top of the bracket was never tested: probe it
-            if hi_k > lo_k:
-                probe = run(hi_k)
-                extra_solves += 1
-                if passes(probe.p):
-                    qhat_k, chosen = hi_k, probe
-                else:
-                    qhat_k, chosen = lo_k, accepted
-            else:
-                qhat_k, chosen = lo_k, accepted
-        else:
-            resolved = False
-            if hi_k > lo_k and not any_fail:
-                probe = run(hi_k)
-                extra_solves += 1
-                if passes(probe.p):
-                    qhat_k, chosen = hi_k, probe
-                    lo_k = hi_k
-                    resolved = True
-                else:
-                    any_fail = True
-            if not resolved:
-                chosen = run(lo_k)
-                extra_solves += 1
-                qhat_k = lo_k
-                at_bottom = True
+    lo_k, hi_k = max(lo_k, first_k), min(hi_k, last_k)
+    chosen, extra_solves = accepted, 0
+    if accepted is None:
+        # every test failed: the policy comes from a solve at the bracket
+        # bottom, which the last test already made if it ended there
+        if sol is None or sol_k != lo_k:
+            sol, extra_solves = run(lo_k), 1
+        chosen = sol
 
     return SolveReport(
         policy=chosen.policy,
-        quantile=space.unkey(qhat_k),
+        quantile=space.unkey(hi_k if ordinal and strict else lo_k),
         bracket=(space.unkey(lo_k), space.unkey(hi_k)),
-        iterations=iterations,
+        iterations=len(log),
         log=log,
-        at_bottom=at_bottom,
+        at_bottom=accepted is None,
         extra_solves=extra_solves,
         sweeps=(total_sweeps if infinite else None),
         stationary=infinite,

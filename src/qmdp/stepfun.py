@@ -1,12 +1,16 @@
 """Piecewise-constant functions of wealth and the algebra the functional DP needs.
 
 A :class:`StepFunction` maps wealth keys (floats; class indices for ordinal
-spaces) to reals.  It is encoded as a base value plus an ordered list of
+spaces) to values.  It is encoded as a base value plus an ordered list of
 cuts ``(threshold, inclusive, value)``: the function takes ``value`` from
 the threshold (at it when inclusive, strictly after it otherwise) up to the
 next cut.  Cuts are ordered by the composite key ``(threshold, side)`` with
 the inclusive side sorting first, so an atom — a distinct value at a single
 wealth — is two cuts at the same threshold.
+
+Value slices hold probabilities (float values); decision rules hold action
+indices (integer values).  The value dtype follows the inputs: integer base
+and values give an integer function, anything else a float one.
 
 All target utilities are indicators, and none of the operations below
 (shift, convex combination, upper envelope) introduce slopes, so the
@@ -15,23 +19,15 @@ the whole backward-induction update.
 
 Canonical form: thresholds within ``THRESH_TOL`` of the same side merge
 (first position, last value wins), then cuts whose value matches the
-preceding piece within ``VALUE_TOL`` are dropped.  Two functions that are
-pointwise equal have identical encodings.
+preceding piece are dropped — within ``VALUE_TOL`` for float values,
+exactly for integer ones.  Two functions that are pointwise equal have
+identical encodings.
 """
 
 import numpy as np
 
 THRESH_TOL = 1e-9   # threshold merge, absorbs float noise from discounted shifts
-VALUE_TOL = 1e-12   # adjacent-piece value merge
-
-
-def _as_cut_arrays(x, inclusive, v):
-    x = np.asarray(x, dtype=np.float64).ravel()
-    inc = np.asarray(inclusive).ravel().astype(bool)
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if not (len(x) == len(inc) == len(v)):
-        raise ValueError("threshold/inclusive/value arrays must have equal length")
-    return x, np.where(inc, 0, 1).astype(np.uint8), v
+VALUE_TOL = 1e-12   # adjacent-piece value merge (float values)
 
 
 def _merge_thresholds(x, e, v):
@@ -67,18 +63,26 @@ def _merge_values(base, x, e, v, tol):
 
 
 class StepFunction:
-    """Canonical piecewise-constant map from wealth keys to reals."""
+    """Canonical piecewise-constant map from wealth keys to values."""
 
     __slots__ = ("base", "x", "e", "v")
 
     def __init__(self, base, thresholds=(), inclusive=(), values=()):
-        x, e, v = _as_cut_arrays(thresholds, inclusive, values)
+        x = np.asarray(thresholds, dtype=np.float64).ravel()
+        e = np.where(np.asarray(inclusive).ravel(), 0, 1).astype(np.uint8)
+        v = np.asarray(values).ravel()
+        if not (len(x) == len(e) == len(v)):
+            raise ValueError("threshold/inclusive/value arrays must have equal length")
+        exact = (isinstance(base, (int, np.integer))
+                 and (len(v) == 0 or v.dtype.kind in "iu"))
+        dtype = np.int64 if exact else np.float64
+        v = v.astype(dtype, copy=False)
+        base = dtype(base).item()
         if len(x):
             order = np.lexsort((e, x))
             x, e, v = x[order], e[order], v[order]
         x, e, v = _merge_thresholds(x, e, v)
-        base = float(base)
-        x, e, v = _merge_values(base, x, e, v, VALUE_TOL)
+        x, e, v = _merge_values(base, x, e, v, 0 if exact else VALUE_TOL)
         self.base = base
         self.x = x
         self.e = e
@@ -88,25 +92,13 @@ class StepFunction:
     def constant(cls, value):
         return cls(value)
 
-    @classmethod
-    def from_pieces(cls, base, pieces):
-        """Build from an iterable of (threshold, inclusive, value) tuples."""
-        pieces = list(pieces)
-        if not pieces:
-            return cls(base)
-        x, inc, v = zip(*pieces)
-        return cls(base, x, inc, v)
-
     # -- introspection --------------------------------------------------
 
-    @property
-    def base_value(self):
-        return self.base
-
-    @property
-    def pieces(self):
-        return [(float(x), bool(e == 0), float(v))
-                for x, e, v in zip(self.x, self.e, self.v)]
+    def intervals(self):
+        """[(from_key_or_None, inclusive_from, value)], the bottom piece first."""
+        out = [(None, True, self.base)]
+        out.extend(zip(self.x.tolist(), (self.e == 0).tolist(), self.v.tolist()))
+        return out
 
     def __len__(self):
         return len(self.x)
@@ -122,7 +114,7 @@ class StepFunction:
     __hash__ = None
 
     def __repr__(self):
-        return f"StepFunction(base={self.base}, pieces={self.pieces})"
+        return f"StepFunction({self.intervals()})"
 
     # -- evaluation ------------------------------------------------------
 
@@ -135,7 +127,8 @@ class StepFunction:
         return n_lt + (pinc[n_le] - pinc[n_lt])
 
     def __call__(self, w):
-        return float(self._ext_values()[self._locate(w)])
+        """Value at one wealth key, as a Python int or float."""
+        return self._ext_values()[self._locate(w)].item()
 
     def eval_many(self, w):
         return self._ext_values()[self._locate(w)]
@@ -206,9 +199,9 @@ def combine(terms):
 def pointwise_max(fs):
     """Upper envelope of step functions plus its argmax structure.
 
-    Returns ``(envelope, argmax)`` where argmax is an :class:`ActionMap`
-    recording, on each maximal interval of constancy, the smallest input
-    index attaining the maximum.
+    Returns ``(envelope, argmax)``: the envelope has float values; argmax
+    has integer values, on each maximal interval of constancy the smallest
+    input index attaining the maximum.
     """
     fs = list(fs)
     if not fs:
@@ -217,7 +210,7 @@ def pointwise_max(fs):
     env = vals.max(axis=0)
     arg = vals.argmax(axis=0)   # first (lowest) index on ties
     return (StepFunction(env[0], x, e == 0, env[1:]),
-            ActionMap(arg[0], x, e == 0, arg[1:]))
+            StepFunction(arg[0], x, e == 0, arg[1:]))
 
 
 def sup_distance(f, g):
@@ -263,67 +256,3 @@ def shift(f, r, t, space):
     if delta == 0.0:
         return f
     return StepFunction(f.base, f.x - delta, f.e == 0, f.v)
-
-
-class ActionMap:
-    """Piecewise-constant map from wealth keys to integer action indices.
-
-    Shares the cut conventions of :class:`StepFunction`; adjacent intervals
-    with equal actions are merged exactly.
-    """
-
-    __slots__ = ("base", "x", "e", "a")
-
-    def __init__(self, base, thresholds=(), inclusive=(), actions=()):
-        x, e, a = _as_cut_arrays(thresholds, inclusive, actions)
-        a = a.astype(np.int64)
-        if len(x):
-            order = np.lexsort((e, x))
-            x, e, a = x[order], e[order], a[order]
-        x, e, a = _merge_thresholds(x, e, a)
-        base = int(base)
-        x, e, a = _merge_values(base, x, e, a, 0)
-        self.base = base
-        self.x = x
-        self.e = e
-        self.a = a.astype(np.int64)
-
-    @classmethod
-    def constant(cls, action):
-        return cls(action)
-
-    def _locate(self, w):
-        w = np.asarray(w, dtype=np.float64)
-        n_lt = np.searchsorted(self.x, w, side="left")
-        n_le = np.searchsorted(self.x, w, side="right")
-        pinc = np.concatenate(([0], np.cumsum(self.e == 0)))
-        return n_lt + (pinc[n_le] - pinc[n_lt])
-
-    def action(self, w):
-        return int(self._ext()[self._locate(w)])
-
-    def action_many(self, w):
-        return self._ext()[self._locate(w)]
-
-    def _ext(self):
-        return np.concatenate(([self.base], self.a))
-
-    def intervals(self):
-        """[(from_threshold_or_None, inclusive_from, action)] partition."""
-        out = [(None, True, int(self.base))]
-        out.extend((float(x), bool(e == 0), int(a))
-                   for x, e, a in zip(self.x, self.e, self.a))
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, ActionMap):
-            return NotImplemented
-        return (self.base == other.base
-                and np.array_equal(self.x, other.x)
-                and np.array_equal(self.e, other.e)
-                and np.array_equal(self.a, other.a))
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"ActionMap({self.intervals()})"

@@ -2,8 +2,8 @@
 
 A wealth space fixes the set of values histories can take, the accumulation
 operation that folds a reward into the running wealth, a total order, a
-distance, and bounds for the terminal wealth range.  Three kinds are
-supported:
+distance, mid-elements for bracketing, and bounds for the terminal wealth
+range.  Three kinds are supported:
 
 * ``AdditiveWealth`` — wealth is the running sum of numeric rewards.
 * ``DiscountedWealth`` — wealth is the running gamma-discounted sum; the
@@ -14,15 +14,16 @@ supported:
 
 Internally every wealth value maps to a float *key* (the value itself for
 numeric kinds, the class index for the ordinal kind) so that downstream
-code can compare and sort wealths uniformly.  Public operations accept and
-return public values (class labels for ordinal spaces).
+code can compare and sort wealths uniformly.  ``accumulate``, ``compare``
+and ``distance`` accept and return public values (class labels for ordinal
+spaces); ``mid`` and the key protocol work on keys.
 """
 
 import math
 
 import numpy as np
 
-from .errors import ConfigurationError, UnsupportedOperationError
+from .errors import ConfigurationError
 
 # Absolute tolerance used downstream when merging wealth atoms / step-function
 # thresholds.  Comparisons inside this module are exact.
@@ -49,32 +50,14 @@ class WealthSpace:
         """Order-consistent distance between two wealth values."""
         return abs(self.key(w) - self.key(w2))
 
-    def mid(self, w, w2):
-        """Set (list) of 1-2 mid-elements of the interval [w, w2].
+    def mid(self, k, k2):
+        """Keys of the 1-2 mid-elements of the key interval [k, k2].
 
-        Requires w <= w2 under the space order.
+        Numeric kinds return the midpoint; requires k <= k2.
         """
-        if self.compare(w, w2) > 0:
-            raise ValueError(f"mid() requires w <= w2, got {w!r} > {w2!r}")
-        return self._mid(w, w2)
-
-    def prec(self, w):
-        """Immediate predecessor wealth (ordinal spaces only)."""
-        raise UnsupportedOperationError(
-            f"prec() is not defined on {self.kind} wealth spaces; it is only "
-            "needed to extract exactly-optimal lower-quantile policies in the "
-            "finite ordinal case"
-        )
-
-    # convenience comparisons
-    def lt(self, w, w2):
-        return self.compare(w, w2) < 0
-
-    def le(self, w, w2):
-        return self.compare(w, w2) <= 0
-
-    def eq(self, w, w2):
-        return self.compare(w, w2) == 0
+        if k > k2:
+            raise ValueError(f"mid() requires k <= k2, got {k!r} > {k2!r}")
+        return [(k + k2) / 2.0]
 
     # -- key protocol (internal, used by the DP machinery) -------------
 
@@ -104,9 +87,6 @@ class WealthSpace:
         Returns None for table-based (ordinal) spaces.
         """
         return None
-
-    def _mid(self, w, w2):
-        raise NotImplementedError
 
     def _check_numeric_reward(self, r):
         if not isinstance(r, (int, float)):
@@ -162,9 +142,6 @@ class AdditiveWealth(WealthSpace):
     def shift_delta(self, r, t):
         return self._check_numeric_reward(r)
 
-    def _mid(self, w, w2):
-        return [(float(w) + float(w2)) / 2.0]
-
     def __repr__(self):
         return f"AdditiveWealth(w_min={self.w_min}, w_max={self.w_max})"
 
@@ -217,9 +194,6 @@ class DiscountedWealth(WealthSpace):
     def shift_delta(self, r, t):
         return self.gamma ** t * self._check_numeric_reward(r)
 
-    def _mid(self, w, w2):
-        return [(float(w) + float(w2)) / 2.0]
-
     def __repr__(self):
         return (f"DiscountedWealth(gamma={self.gamma}, w_min={self.w_min}, "
                 f"w_max={self.w_max})")
@@ -231,7 +205,7 @@ class OrdinalWealth(WealthSpace):
     ``classes`` lists the labels from least to most preferred.  The
     transition table maps (current class, reward label) to the next class;
     it must be total over the labels it is ever queried with.  Distance is
-    the index gap, so mid-elements are the one or two middle classes.
+    the index gap, so mid-elements are the one or two middle class indices.
     """
 
     kind = "ordinal"
@@ -262,7 +236,10 @@ class OrdinalWealth(WealthSpace):
             raise ConfigurationError(f"{w!r} is not a wealth class") from None
 
     def label(self, i):
-        return self.classes[int(i)]
+        i = int(i)
+        if not 0 <= i < len(self.classes):
+            raise ConfigurationError(f"class index {i} is outside the space")
+        return self.classes[i]
 
     def move_table(self, r):
         """Index -> index map for reward label ``r`` (cached)."""
@@ -299,16 +276,14 @@ class OrdinalWealth(WealthSpace):
         moves = np.asarray(self.move_table(r), dtype=np.float64)
         return moves[np.asarray(karr, dtype=np.float64).astype(np.int64)]
 
-    def prec(self, w):
-        i = self.index(w)
-        return self.classes[i - 1] if i > 0 else w
+    def mid(self, k, k2):
+        """Index keys of the one or two middle classes of [k, k2].
 
-    def _mid(self, w, w2):
-        i, j = self.index(w), self.index(w2)
-        lo, hi = (i + j) // 2, -((i + j) // -2)
-        if lo == hi:
-            return [self.classes[lo]]
-        return [self.classes[lo], self.classes[hi]]
+        Keys one step outside the class range are accepted, so a bracket
+        may start at a virtual class below the bottom or above the top.
+        """
+        (half,) = super().mid(k, k2)
+        return sorted({float(math.floor(half)), float(math.ceil(half))})
 
     def __repr__(self):
         return f"OrdinalWealth({self.classes!r})"

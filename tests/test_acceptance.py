@@ -103,7 +103,7 @@ def test_criterion_03_prec_extraction():
     assert own == "w2"
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
-    print(f"\nPASS criterion 3: prec-corrected policy attains w2 in {elapsed:.3f}s")
+    print(f"\nPASS criterion 3: ordinal lower policy attains w2 in {elapsed:.3f}s")
 
 
 def test_criterion_04_oracle_equivalence(garnet_oracle_runs):

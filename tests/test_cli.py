@@ -164,6 +164,58 @@ def test_eval_mismatched_policy(tmp_path):
     assert run("eval", "--problem", problem, "--policy", policy) == 2
 
 
+def test_problem_missing_key_exit_code(tmp_path, capsys):
+    problem = tmp_path / "p.json"
+    d = {
+        "mdp": {"n_states": 2, "n_actions": 1,
+                "transitions": [[0, 0, 1, 1.0], [1, 0, 1, 1.0]],
+                "rewards": {"kind": "sa", "values": [[1.0], [0.0]]},
+                "initial_state": 0},
+        "wealth_space": {"kind": "additive"},
+    }
+    problem.write_text(json.dumps(d))
+    assert run("solve", "--problem", problem, "--tau", 0.5) == 3
+    assert "horizon" in capsys.readouterr().err
+    d["mdp"]["horizon"] = 2
+    del d["mdp"]["rewards"]["kind"]
+    problem.write_text(json.dumps(d))
+    assert run("solve", "--problem", problem, "--tau", 0.5) == 3
+    assert "kind" in capsys.readouterr().err
+
+
+def _solved_policy(tmp_path):
+    """A problem with 2 actions and horizon 5, and a policy solved for it."""
+    problem = tmp_path / "p.json"
+    run("generate", "garnet", "--states", 4, "--actions", 2, "--seed", 1,
+        "--out", problem)
+    policy = tmp_path / "pol.json"
+    run("solve", "--problem", problem, "--tau", 0.5, "--out", policy)
+    return problem, policy, json.loads(policy.read_text())
+
+
+def test_eval_policy_without_intervals(tmp_path, capsys):
+    problem, policy, payload = _solved_policy(tmp_path)
+    del payload[3]["intervals"]
+    policy.write_text(json.dumps(payload))
+    assert run("eval", "--problem", problem, "--policy", policy) == 2
+    assert "intervals" in capsys.readouterr().err
+
+
+def test_eval_policy_action_out_of_range(tmp_path, capsys):
+    problem, policy, payload = _solved_policy(tmp_path)
+    payload[0]["intervals"][0]["action"] = 2
+    policy.write_text(json.dumps(payload))
+    assert run("eval", "--problem", problem, "--policy", policy) == 2
+    assert "action 2" in capsys.readouterr().err
+
+
+def test_eval_policy_shorter_than_horizon(tmp_path, capsys):
+    problem, policy, payload = _solved_policy(tmp_path)
+    policy.write_text(json.dumps([e for e in payload if e["t"] < 3]))
+    assert run("eval", "--problem", problem, "--policy", policy) == 2
+    assert "3 steps" in capsys.readouterr().err
+
+
 def test_dist_alias(tmp_path):
     problem = tmp_path / "p.json"
     run("generate", "garnet", "--states", 4, "--actions", 2, "--seed", 1,

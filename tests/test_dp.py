@@ -3,8 +3,7 @@ import pytest
 
 from qmdp import (AdditiveWealth, ConfigurationError, ConvergenceError,
                   DiscountedWealth, GarnetConfig, Mdp, backward_induction,
-                  exact_distribution, extract_policy, generate_garnet,
-                  value_iteration)
+                  exact_distribution, generate_garnet, value_iteration)
 from conftest import random_lattice_mdp, two_state_discounted_mdp
 
 
@@ -42,14 +41,6 @@ def test_target_at_max_strict_gives_zero(paper_mdp):
     half = DiscountedWealth.for_mdp(paper_mdp, 0.5)
     _, p, _ = backward_induction(paper_mdp, half, half.w_max, strict=True)
     assert p == 0.0
-
-
-def test_extract_policy_matches_sweep(paper_mdp, paper_space):
-    policy, _, vf = backward_induction(paper_mdp, paper_space, 1.5, strict=False)
-    again = extract_policy(vf, paper_mdp, paper_space)
-    for t in range(2):
-        for s in range(2):
-            assert policy.rules[t][s] == again.rules[t][s]
 
 
 def test_terminal_layer_is_target(paper_mdp, paper_space):

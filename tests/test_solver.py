@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from qmdp import (AdditiveWealth, ConfigurationError, GarnetConfig, Mdp,
-                  OrdinalWealth, QuantileQuery, WealthMarkovPolicy,
+                  OrdinalWealth, QuantileQuery, StepFunction, WealthMarkovPolicy,
                   brute_force_distributions, brute_force_optimal_quantile,
                   exact_distribution, generate_garnet, iteration_bound,
                   quantile_certificate, solve_quantile, validate)
-from conftest import random_lattice_mdp
+from conftest import random_lattice_mdp, two_policy_ordinal_instance
 
 
 def small_instance(seed):
@@ -151,8 +151,8 @@ def test_ordinal_upper_exact(prec_instance):
         assert report.quantile == oracle_q
 
 
-def test_ordinal_random_instances_exact():
-    # random 2-step ordinal MDPs driven by a monotone transition table
+def random_ordinal_instance(seed):
+    """Random 2-step ordinal MDP driven by a monotone transition table."""
     classes = ["w1", "w2", "w3", "w4", "w5"]
     table = {}
     for i, c in enumerate(classes):
@@ -160,21 +160,26 @@ def test_ordinal_random_instances_exact():
                     "up1": classes[min(i + 1, 4)],
                     "stay": c}
     labels = ["up2", "up1", "stay"]
+    rng = np.random.default_rng(seed)
+    space = OrdinalWealth(classes, table)
+    n_s, n_a = 3, 2
+    transitions, values = [], []
+    for s in range(n_s):
+        trow, vrow = [], []
+        for a in range(n_a):
+            succ = np.sort(rng.choice(n_s, 2, replace=False))
+            p = float(rng.uniform(0.2, 0.8))
+            trow.append([(int(succ[0]), p), (int(succ[1]), 1.0 - p)])
+            vrow.append([labels[rng.integers(0, 3)] for _ in range(2)])
+        transitions.append(trow)
+        values.append(vrow)
+    m = Mdp(n_s, n_a, transitions, {"kind": "sas", "values": values}, 0, 2)
+    return m, space
+
+
+def test_ordinal_random_instances_exact():
     for seed in range(8):
-        rng = np.random.default_rng(seed)
-        space = OrdinalWealth(classes, table)
-        n_s, n_a = 3, 2
-        transitions, values = [], []
-        for s in range(n_s):
-            trow, vrow = [], []
-            for a in range(n_a):
-                succ = np.sort(rng.choice(n_s, 2, replace=False))
-                p = float(rng.uniform(0.2, 0.8))
-                trow.append([(int(succ[0]), p), (int(succ[1]), 1.0 - p)])
-                vrow.append([labels[rng.integers(0, 3)] for _ in range(2)])
-            transitions.append(trow)
-            values.append(vrow)
-        m = Mdp(n_s, n_a, transitions, {"kind": "sas", "values": values}, 0, 2)
+        m, space = random_ordinal_instance(seed)
         assert validate(m) == []
         for tau, criterion in ((0.3, "lower"), (0.7, "lower"),
                                (0.3, "upper"), (0.7, "upper")):
@@ -182,6 +187,33 @@ def test_ordinal_random_instances_exact():
             report = solve_quantile(
                 m, space, QuantileQuery(tau=tau, criterion=criterion, epsilon=1.0))
             assert report.quantile == oracle_q, (seed, tau, criterion)
+
+
+@pytest.mark.parametrize("criterion", ["lower", "upper"])
+def test_ordinal_solve_count(monkeypatch, criterion):
+    # every backward induction the search makes is one distinct threshold;
+    # only a search whose tests all failed may solve outside the loop
+    from qmdp import solver
+    solved = []
+    real = solver.backward_induction
+
+    def counting(m, space, w, strict):
+        solved.append(space.key(w))
+        return real(m, space, w, strict)
+
+    monkeypatch.setattr(solver, "backward_induction", counting)
+    instances = ([two_policy_ordinal_instance()]
+                 + [random_ordinal_instance(seed) for seed in range(8)])
+    for m, space in instances:
+        bound = math.ceil(math.log2(len(space.classes)))
+        for tau in (0.2, 0.3, 0.5, 0.7, 0.8):
+            solved.clear()
+            report = solve_quantile(m, space, QuantileQuery(
+                tau=tau, criterion=criterion, epsilon=1.0))
+            assert report.iterations <= bound
+            assert report.extra_solves == 0 or report.at_bottom
+            assert len(solved) == report.iterations + report.extra_solves
+            assert len(set(solved)) == len(solved), solved
 
 
 # -- degenerate paths -----------------------------------------------------------------
@@ -227,9 +259,8 @@ def test_certificate_rejects_bad_policy():
 
 
 def _flip(rule, n_actions):
-    from qmdp import ActionMap
-    return ActionMap(n_actions - 1 - rule.base, rule.x, rule.e == 0,
-                     n_actions - 1 - rule.a)
+    return StepFunction(n_actions - 1 - rule.base, rule.x, rule.e == 0,
+                        n_actions - 1 - rule.v)
 
 
 # -- infinite horizon ---------------------------------------------------------------

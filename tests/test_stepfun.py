@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmdp import (ActionMap, AdditiveWealth, DiscountedWealth, OrdinalWealth,
+from qmdp import (AdditiveWealth, DiscountedWealth, OrdinalWealth,
                   StepFunction, combine, pointwise_max, shift, sup_distance,
                   target_utility)
 from qmdp.stepfun import restrict
@@ -140,8 +140,8 @@ def test_combine_single_term_identity():
 def test_combine_two_indicators():
     c = combine([(0.5, target_utility(1.0, False)),
                  (0.5, target_utility(2.0, False))])
-    assert c.base_value == 0.0
-    assert c.pieces == [(1.0, True, 0.5), (2.0, True, 1.0)]
+    assert c.intervals() == [(None, True, 0.0), (1.0, True, 0.5),
+                             (2.0, True, 1.0)]
 
 
 def test_combine_weight_validation():
@@ -186,10 +186,9 @@ def test_max_argmax_structure():
     f = StepFunction(0.0, [1.0], [True], [1.0])
     g = StepFunction(0.5)
     env, amap = pointwise_max([f, g])
-    assert env.pieces == [(1.0, True, 1.0)]
-    assert env.base_value == 0.5
-    assert amap.action(0.0) == 1
-    assert amap.action(1.0) == 0
+    assert env.intervals() == [(None, True, 0.5), (1.0, True, 1.0)]
+    assert amap(0.0) == 1
+    assert amap(1.0) == 0
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -202,7 +201,7 @@ def test_max_pointwise_oracle(seed):
     stacked = np.stack([f.eval_many(pts) for f in fs])
     assert np.abs(env.eval_many(pts) - stacked.max(axis=0)).max() < 1e-12
     # argmax value is attained and is the first attaining index
-    picked = amap.action_many(pts)
+    picked = amap.eval_many(pts)
     for j, w in enumerate(pts):
         vals = stacked[:, j]
         assert vals[picked[j]] == vals.max()
@@ -302,18 +301,43 @@ def test_restrict_window():
     assert g(5.0) == f(2.0)
 
 
-# -- action maps -----------------------------------------------------------------------------------
+# -- integer-valued functions (decision rules) -------------------------------------------
 
 def test_action_map_lookup_and_merge():
-    amap = ActionMap(0, [1.0, 2.0, 3.0], [True, True, True], [1, 1, 2])
-    assert amap.action(0.5) == 0
-    assert amap.action(1.0) == 1
-    assert amap.action(2.5) == 1
-    assert amap.action(3.0) == 2
-    assert amap.intervals() == [(None, True, 0), (1.0, True, 1), (3.0, True, 2)]
+    rule = StepFunction(0, [1.0, 2.0, 3.0], [True, True, True], [1, 1, 2])
+    assert rule(0.5) == 0
+    assert rule(1.0) == 1
+    assert rule(2.5) == 1
+    assert rule(3.0) == 2
+    assert rule.intervals() == [(None, True, 0), (1.0, True, 1), (3.0, True, 2)]
 
 
 def test_action_map_exclusive_cut():
-    amap = ActionMap(0, [1.0], [False], [1])
-    assert amap.action(1.0) == 0
-    assert amap.action(1.0 + 1e-12) == 1
+    rule = StepFunction(0, [1.0], [False], [1])
+    assert rule(1.0) == 0
+    assert rule(1.0 + 1e-12) == 1
+
+
+def test_value_dtype_follows_inputs():
+    rule = StepFunction(0, [1.0, 2.0], [True, False], [2, 1])
+    assert rule.v.dtype == np.int64
+    assert type(rule(0.0)) is int and type(rule(1.5)) is int
+    assert all(type(a) is int for _, _, a in rule.intervals())
+    assert type(StepFunction.constant(3)(0.0)) is int
+    # integers merge exactly: a change of 1 survives, no tolerance applies
+    assert len(StepFunction(0, [1.0, 2.0], [True, True], [0, 1])) == 1
+    # whole-number float values stay float
+    whole = [target_utility(1.0, strict=False), target_utility(2.0, strict=True),
+             StepFunction(1.0, [0.0], [True], [0.0])]
+    env, arg = pointwise_max(whole)
+    mixed = combine([(0.5, whole[0]), (0.5, whole[1])])
+    for f in whole + [env, mixed, shift(whole[0], 1.0, 0, AdditiveWealth())]:
+        assert f.v.dtype == np.float64
+        assert type(f(1.0)) is float
+    assert arg.v.dtype == np.int64 and type(arg(1.0)) is int
+    # integer inputs still give a float envelope
+    env_int, _ = pointwise_max([StepFunction(1), StepFunction(0, [0.0], [True], [2])])
+    assert env_int.v.dtype == np.float64 and type(env_int.base) is float
+    # a float anywhere makes the whole function float
+    assert StepFunction(0, [1.0], [True], [0.5]).v.dtype == np.float64
+    assert StepFunction(0.0, [1.0], [True], [1]).v.dtype == np.float64

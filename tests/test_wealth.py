@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qmdp import (AdditiveWealth, ConfigurationError, DiscountedWealth, Mdp,
-                  OrdinalWealth, UnsupportedOperationError)
+                  OrdinalWealth)
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -137,17 +137,20 @@ def test_numeric_mid():
 
 
 def test_ordinal_mid():
+    # keys are class indices: w1..w4 are 0..3
     sp = make_space("ordinal")
-    assert sp.mid("w1", "w4") == ["w2", "w3"]
-    assert sp.mid("w1", "w3") == ["w2"]
-    assert sp.mid("w2", "w2") == ["w2"]
+    assert sp.mid(0.0, 3.0) == [1.0, 2.0]
+    assert sp.mid(0.0, 2.0) == [1.0]
+    assert sp.mid(1.0, 1.0) == [1.0]
+    # one virtual class below the bottom, as the solver's brackets use
+    assert sp.mid(-1.0, 2.0) == [0.0, 1.0]
 
 
 def test_mid_requires_ordered_arguments():
     with pytest.raises(ValueError):
         AdditiveWealth().mid(2.0, 1.0)
     with pytest.raises(ValueError):
-        make_space("ordinal").mid("w3", "w1")
+        make_space("ordinal").mid(2.0, 0.0)
 
 
 def test_mid_minimizes_max_distance_ordinal():
@@ -156,7 +159,7 @@ def test_mid_minimizes_max_distance_ordinal():
     for i, w in enumerate(sp.classes):
         for j in range(i, len(sp.classes)):
             w2 = sp.classes[j]
-            mids = sp.mid(w, w2)
+            mids = [sp.unkey(k) for k in sp.mid(sp.key(w), sp.key(w2))]
             best = min(max(sp.distance(w, c), sp.distance(w2, c))
                        for c in sp.classes)
             for mid in mids:
@@ -170,21 +173,6 @@ def test_mid_minimizes_max_distance_numeric(a, b):
     (mid,) = sp.mid(lo, hi)
     half = sp.distance(lo, hi) / 2
     assert max(sp.distance(lo, mid), sp.distance(hi, mid)) <= half + 1e-9
-
-
-# -- prec -----------------------------------------------------------------------
-
-def test_prec_ordinal():
-    sp = make_space("ordinal")
-    assert sp.prec("w3") == "w2"
-    assert sp.prec("w2") == "w1"
-    assert sp.prec("w1") == "w1"
-
-
-@pytest.mark.parametrize("kind", ["additive", "discounted"])
-def test_prec_unsupported_on_numeric(kind):
-    with pytest.raises(UnsupportedOperationError):
-        make_space(kind).prec(0.0)
 
 
 # -- configuration ---------------------------------------------------------------
@@ -209,6 +197,15 @@ def test_gamma_validation():
 def test_bounds_validation():
     with pytest.raises(ConfigurationError):
         AdditiveWealth(1.0, 0.0)
+
+
+def test_ordinal_unkey_rejects_keys_outside_the_classes():
+    # a negative index must not wrap around to the top class
+    sp = make_space("ordinal")
+    assert sp.unkey(4.0) == "w5"
+    for k in (-1.0, 5.0):
+        with pytest.raises(ConfigurationError):
+            sp.unkey(k)
 
 
 def test_ordinal_w0_default_and_override():

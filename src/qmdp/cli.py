@@ -23,7 +23,7 @@ from .errors import (ConfigurationError, ConvergenceError, QmdpError,
 from .evaluate import (WealthDistribution, brute_force_optimal_quantile,
                        exact_distribution, simulate)
 from .mdp import (DataCenterConfig, GarnetConfig, default_branching,
-                  generate_datacenter, generate_garnet)
+                  generate_datacenter, generate_garnet, validate)
 from .serialize import (atomic_write_text, load_policy, load_problem,
                         save_policy, save_problem, space_from_dict,
                         space_to_dict)
@@ -67,7 +67,6 @@ def cmd_generate_garnet(args):
 
 
 def cmd_generate_datacenter(args):
-    seed = args.seed if args.seed is not None else _default_seed()
     lambdas = _parse_floats(args.lambdas) if args.lambdas else [None] * 3
     thresholds = _parse_ints(args.thresholds) if args.thresholds else [None] * 2
     if len(lambdas) != 3:
@@ -77,8 +76,7 @@ def cmd_generate_datacenter(args):
     cfg = DataCenterConfig(args.servers, *lambdas,
                            threshold_low_mid=thresholds[0],
                            threshold_mid_high=thresholds[1],
-                           alpha=args.alpha, beta=args.beta, kappa=args.kappa,
-                           seed=seed)
+                           alpha=args.alpha, beta=args.beta, kappa=args.kappa)
     m = generate_datacenter(cfg, horizon=args.horizon)
     space = AdditiveWealth.for_mdp(m)
     save_problem(args.out, m, space)
@@ -145,6 +143,9 @@ def _check_policy_fits(policy, m):
 
 def cmd_eval(args):
     m, space = load_problem(args.problem)
+    violations = validate(m)
+    if violations:
+        raise ValidationError(violations)
     policy = load_policy(args.policy, space, m.n_states)
     _check_policy_fits(policy, m)
     seed = args.seed if args.seed is not None else _default_seed()
@@ -156,11 +157,7 @@ def cmd_eval(args):
         mode = "monte-carlo"
         episodes = args.mc_episodes
         samples = simulate(m, space, policy, episodes, seed=seed)
-        atoms = {}
-        weight = 1.0 / episodes
-        for k in samples:
-            atoms[k] = atoms.get(k, 0.0) + weight
-        dist = WealthDistribution.from_atoms(space, atoms)
+        dist = WealthDistribution(space, samples, np.full(episodes, 1.0 / episodes))
     rows = []
     for w, p in dist.support:
         rows.append((w, p, dist.cdf(w), dist.decumulative(w)))
@@ -206,7 +203,7 @@ def cmd_bench(args):
                                    default_branching(point), seed=seed + rep)
                 m = generate_garnet(cfg, horizon=args.horizon)
             else:
-                cfg = DataCenterConfig(args.servers, seed=seed + rep)
+                cfg = DataCenterConfig(args.servers)
                 m = generate_datacenter(cfg, horizon=point)
             space = AdditiveWealth.for_mdp(m)
             w = (space.w_min + space.w_max) / 2.0
@@ -292,7 +289,6 @@ def build_parser():
     gd.add_argument("--alpha", type=float, default=1.0)
     gd.add_argument("--beta", type=float, default=10.0)
     gd.add_argument("--kappa", type=float, default=3.0)
-    gd.add_argument("--seed", type=int, default=None)
     gd.add_argument("--horizon", type=int, default=5)
     gd.add_argument("--out", required=True)
     gd.set_defaults(func=cmd_generate_datacenter)

@@ -1,12 +1,13 @@
 """Exact and simulated policy evaluation, the brute-force oracle, and the
 expectation baseline.
 
-These are the tools the solver is verified against: forward passes compute
-a policy's exact terminal-wealth distribution, from which cumulatives,
-decumulatives and both quantile variants follow by partial sums; the
-brute-force oracle enumerates every deterministic wealth-Markovian policy
-of a small instance; and classic backward induction supplies the
-expectation-optimal baseline policy.
+These are the tools the solver is verified against: an exact forward pass
+over arrays of reachable (state, wealth key, mass) atoms gives a policy's
+terminal-wealth distribution, whose cumulatives and quantiles follow by
+partial sums; the brute-force oracle enumerates every deterministic
+wealth-Markovian policy of a small instance through the same forward step
+(neither uses the functional DP of ``qmdp.dp``, so they check it); and
+classic backward induction supplies the expectation-optimal baseline.
 """
 
 import itertools
@@ -22,18 +23,43 @@ from .wealth import WEALTH_TOL
 QUANT_ATOL = 1e-12   # slack when comparing partial sums against tau
 
 
+def merge_atoms(states, keys, masses):
+    """Collapse (state, wealth key, mass) atom arrays; returns the three arrays.
+
+    Atoms of zero mass are dropped and the rest sorted by (state, key).
+    Within one state, a run of keys each at most ``WEALTH_TOL`` above the
+    one before it becomes one atom at the run's smallest key carrying the
+    run's total mass (``stepfun._merge_thresholds`` merges cuts the same way).
+    """
+    live = masses != 0
+    states, keys, masses = states[live], keys[live], masses[live]
+    if not len(keys):
+        return states, keys, masses
+    order = np.lexsort((keys, states))
+    states, keys, masses = states[order], keys[order], masses[order]
+    first = np.flatnonzero(np.concatenate(
+        ([True], (np.diff(states) != 0) | (np.diff(keys) > WEALTH_TOL))))
+    return states[first], keys[first], np.add.reduceat(masses, first)
+
+
 class WealthDistribution:
     """Finite terminal-wealth distribution of a policy.
 
-    Support is held as sorted wealth keys with positive probabilities;
-    atoms closer than the wealth tolerance are merged onto the smaller
-    representative.
+    Built from wealth keys and nonnegative masses summing to 1, merged by
+    :func:`merge_atoms` into sorted keys with positive probabilities.
     """
 
     def __init__(self, space, keys, probs):
+        probs = np.asarray(probs, dtype=np.float64).ravel()
+        if np.any(probs < 0):
+            raise ValueError(f"negative probability {probs.min()!r}")
+        _, self.keys, self.probs = merge_atoms(
+            np.zeros(len(probs), dtype=np.int64),
+            np.asarray(keys, dtype=np.float64).ravel(), probs)
+        total = float(self.probs.sum())
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"probabilities sum to {total!r}, expected 1")
         self.space = space
-        self.keys = np.asarray(keys, dtype=np.float64)
-        self.probs = np.asarray(probs, dtype=np.float64)
         self._prefix = np.cumsum(self.probs)
 
     @classmethod
@@ -41,23 +67,8 @@ class WealthDistribution:
         """Build from (wealth key, mass) pairs (any iterable or dict)."""
         if isinstance(atoms, dict):
             atoms = atoms.items()
-        pairs = sorted((float(k), float(p)) for k, p in atoms)
-        keys, probs = [], []
-        for k, p in pairs:
-            if p < 0:
-                raise ValueError(f"negative probability {p!r} at wealth {k!r}")
-            if p == 0.0:
-                continue
-            if keys and k - keys[-1] <= WEALTH_TOL:
-                probs[-1] += p
-            else:
-                keys.append(k)
-                probs.append(p)
-        total = sum(probs)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        return cls(space, keys, probs)
-
+        pairs = np.array([(float(k), float(p)) for k, p in atoms]).reshape(-1, 2)
+        return cls(space, pairs[:, 0], pairs[:, 1])
     @property
     def support(self):
         """[(wealth, probability)] in increasing wealth order."""
@@ -117,22 +128,51 @@ class WealthDistribution:
         return float(self.keys @ self.probs)
 
 
-def _merge_state_atoms(masses):
-    """Per-state tolerance merge of (state, wealth-key) -> mass maps."""
-    by_state = defaultdict(list)
-    for (s, k), mass in masses.items():
-        by_state[s].append((k, mass))
-    out = {}
-    for s, atoms in by_state.items():
-        atoms.sort()
-        rep = None
-        for k, mass in atoms:
-            if rep is not None and k - rep <= WEALTH_TOL:
-                out[(s, rep)] += mass
-            else:
-                rep = k
-                out[(s, rep)] = mass
-    return out
+def _actions(policy, t, states, keys):
+    """Each atom's action under the policy: one lookup per distinct state."""
+    actions = np.empty(len(states), dtype=np.int64)
+    for s in np.unique(states).tolist():
+        mask = states == s
+        actions[mask] = policy.action_many(t, s, keys[mask])
+    return actions
+
+
+def _groups(m, states, actions):
+    """(state, action, atom indices) per (state, action) pair, pairs ascending."""
+    group = states * m.n_actions + actions
+    order = np.argsort(group, kind="stable")
+    group = group[order]
+    cuts = (np.flatnonzero(np.diff(group)) + 1).tolist()
+    for i, j in zip([0] + cuts, cuts + [len(group)]):
+        yield (*divmod(int(group[i]), m.n_actions), order[i:j])
+
+
+def _step(m, space, t, states, keys, masses, actions):
+    """Advance atoms one timestep under per-atom actions; returns merged atoms.
+
+    Each (state, action) group moves along all of its edges at once, laid
+    out edge-major (masses are the outer product of edge probabilities and
+    atom masses), with one wealth accumulation per group ("sa" rewards) or
+    per edge ("sas").
+    """
+    out_s, out_k, out_p = [], [], []
+    for s, a, idx in _groups(m, states, actions):
+        succ = m.successors(s, a)
+        out_s.append(np.repeat(succ, len(idx)))
+        out_p.append((m.probabilities(s, a)[:, None] * masses[idx]).ravel())
+        if m.reward_kind == "sa":
+            k = space.accumulate_keys(keys[idx], m.reward(s, a), t)
+            out_k.append(np.broadcast_to(k, (len(succ), len(k))).ravel())
+        else:
+            out_k.extend(space.accumulate_keys(keys[idx], r, t)
+                         for r in m.edge_rewards(s, a))
+    return merge_atoms(np.concatenate(out_s), np.concatenate(out_k),
+                       np.concatenate(out_p))
+
+
+def _initial_atoms(m, space):
+    return (np.array([m.initial_state], dtype=np.int64),
+            np.array([space.key(space.w0)]), np.ones(1))
 
 
 def exact_distribution(m, space, policy, atom_cap=10_000_000):
@@ -144,28 +184,15 @@ def exact_distribution(m, space, policy, atom_cap=10_000_000):
     """
     if m.horizon is None:
         raise ConfigurationError("exact_distribution needs a finite horizon")
-    layer = {(m.initial_state, space.key(space.w0)): 1.0}
+    states, keys, masses = _initial_atoms(m, space)
     for t in range(m.horizon):
-        nxt = defaultdict(float)
-        for (s, wk), mass in layer.items():
-            a = policy.action(t, s, wk)
-            succ = m.successors(s, a)
-            prob = m.probabilities(s, a)
-            rs = m.edge_rewards(s, a)
-            for i in range(len(succ)):
-                p = prob[i]
-                if p == 0.0:
-                    continue
-                nxt[(int(succ[i]), space.accumulate_key(wk, rs[i], t))] += mass * p
-        layer = _merge_state_atoms(nxt)
-        if len(layer) > atom_cap:
+        actions = _actions(policy, t, states, keys)
+        states, keys, masses = _step(m, space, t, states, keys, masses, actions)
+        if len(keys) > atom_cap:
             raise ResourceLimitError(
-                f"{len(layer)} reachable atoms at step {t + 1} exceed the cap "
+                f"{len(keys)} reachable atoms at step {t + 1} exceed the cap "
                 f"{atom_cap}; use simulate() for a Monte Carlo estimate")
-    final = defaultdict(float)
-    for (_, wk), mass in layer.items():
-        final[wk] += mass
-    return WealthDistribution.from_atoms(space, final)
+    return WealthDistribution(space, keys, masses)
 
 
 def simulate(m, space, policy, n, seed=0):
@@ -183,30 +210,16 @@ def simulate(m, space, policy, n, seed=0):
     states = np.full(n, m.initial_state, dtype=np.int64)
     wk = np.full(n, space.key(space.w0), dtype=np.float64)
     for t in range(m.horizon):
-        actions = np.empty(n, dtype=np.int64)
-        for s in np.unique(states):
-            mask = states == s
-            actions[mask] = policy.action_many(t, int(s), wk[mask])
+        actions = _actions(policy, t, states, wk)
         new_states = np.empty_like(states)
-        pairs = np.unique(np.stack([states, actions], axis=1), axis=0)
-        for s, a in pairs:
-            mask = (states == s) & (actions == a)
+        for s, a, idx in _groups(m, states, actions):
             cum = np.cumsum(m.probabilities(s, a))
-            pick = np.searchsorted(cum, rng.random(int(mask.sum())), side="right")
+            pick = np.searchsorted(cum, rng.random(len(idx)), side="right")
             pick = np.minimum(pick, len(cum) - 1)
-            new_states[mask] = m.successors(s, a)[pick]
-            rs = m.edge_rewards(s, a)
-            if m.reward_kind == "sa":
-                wk[mask] = space.accumulate_keys(wk[mask], rs[0], t)
-            elif m.numeric_rewards:
-                wk[mask] = space.accumulate_keys(
-                    wk[mask], np.asarray(rs, dtype=np.float64)[pick], t)
-            else:
-                sub = wk[mask]
-                for label in set(rs):
-                    sel = np.asarray([rs[i] for i in pick]) == label
-                    sub[sel] = space.accumulate_keys(sub[sel], label, t)
-                wk[mask] = sub
+            for i, r in enumerate(m.edge_rewards(s, a)):
+                hit = idx[pick == i]
+                wk[hit] = space.accumulate_keys(wk[hit], r, t)
+            new_states[idx] = m.successors(s, a)[pick]
         states = new_states
     return wk
 
@@ -221,46 +234,34 @@ def brute_force_distributions(m, space, policy_cap=1_000_000):
     only atoms actually reached under the choices made so far; that is the
     full set of realized deterministic wealth-Markovian behaviours.
     Returns a list of ``(atoms_dict, assignment_dict)`` pairs where
-    assignment maps (t, state, wealth_key) to an action.
+    atoms_dict maps (state, wealth_key) to a mass and assignment maps
+    (t, state, wealth_key) to an action.
     """
     if m.horizon is None:
         raise ConfigurationError("the brute-force oracle needs a finite horizon")
     T = m.horizon
     results = []
 
-    def expand(atoms, choices, t):
-        nxt = defaultdict(float)
-        for (s, wk), mass in atoms.items():
-            a = choices[(s, wk)]
-            succ = m.successors(s, a)
-            prob = m.probabilities(s, a)
-            rs = m.edge_rewards(s, a)
-            for i in range(len(succ)):
-                if prob[i] == 0.0:
-                    continue
-                nk = space.accumulate_key(wk, rs[i], t)
-                nxt[(int(succ[i]), nk)] += mass * prob[i]
-        return _merge_state_atoms(nxt)
-
     def rec(t, atoms, assignment):
+        states, keys, masses = atoms
         if t == T:
-            results.append((dict(atoms), dict(assignment)))
+            points = zip(states.tolist(), keys.tolist())
+            results.append((dict(zip(points, masses.tolist())), dict(assignment)))
             if len(results) > policy_cap:
                 raise ResourceLimitError(
                     f"more than {policy_cap} realizable deterministic "
                     "wealth-Markovian policies; instance too large for the "
                     "brute-force oracle")
             return
-        points = sorted(atoms.keys())
+        points = [(t, s, wk) for s, wk in zip(states.tolist(), keys.tolist())]
         for combo in itertools.product(range(m.n_actions), repeat=len(points)):
-            choices = dict(zip(points, combo))
-            for (s, wk), a in choices.items():
-                assignment[(t, s, wk)] = a
-            rec(t + 1, expand(atoms, choices, t), assignment)
-            for (s, wk) in choices:
-                del assignment[(t, s, wk)]
+            assignment.update(zip(points, combo))
+            rec(t + 1, _step(m, space, t, states, keys, masses, np.array(combo)),
+                assignment)
+        for point in points:
+            del assignment[point]
 
-    rec(0, {(m.initial_state, space.key(space.w0)): 1.0}, {})
+    rec(0, _initial_atoms(m, space), {})
     return results
 
 
@@ -296,10 +297,8 @@ def brute_force_optimal_quantile(m, space, tau, criterion, policy_cap=1_000_000)
     best_key = None
     best_assignment = None
     for atoms, assignment in brute_force_distributions(m, space, policy_cap):
-        final = defaultdict(float)
-        for (_, wk), mass in atoms.items():
-            final[wk] += mass
-        dist = WealthDistribution.from_atoms(space, final)
+        dist = WealthDistribution.from_atoms(
+            space, ((wk, mass) for (_, wk), mass in atoms.items()))
         qk = space.key(dist.quantile(tau, criterion))
         if best_key is None or qk > best_key:
             best_key = qk

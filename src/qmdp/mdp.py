@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ValidationError
 
 PROB_TOL = 1e-9
 
@@ -78,6 +78,14 @@ class Mdp:
         self.reward_kind = rewards["kind"]
         if self.reward_kind == "sa":
             values = rewards["values"]
+            try:
+                lengths = [len(row) for row in values]
+            except TypeError:      # not a nested table
+                lengths = None
+            if lengths != [self.n_actions] * self.n_states:
+                raise ValidationError(
+                    f"'sa' rewards must be an n_states x n_actions = {self.n_states} "
+                    f"x {self.n_actions} table, got row lengths {lengths}")
             numeric = all(_is_number(v) for row in values for v in row)
             if numeric:
                 self._rew = np.asarray(values, dtype=np.float64)
@@ -105,8 +113,14 @@ class Mdp:
         nested = [[[] for _ in range(n_actions)] for _ in range(n_states)]
         kind = rewards["kind"]
         if kind == "sas":
+            values = rewards["values"]
+            n_values = len(values) if isinstance(values, list) else None
+            if n_values != len(rows):
+                raise ValidationError(
+                    f"'sas' rewards need a list of {len(rows)} values, one per "
+                    f"transition row, got {n_values}")
             edge_vals = [[[] for _ in range(n_actions)] for _ in range(n_states)]
-            for (s, a, sp, p), r in zip(rows, rewards["values"]):
+            for (s, a, sp, p), r in zip(rows, values):
                 nested[int(s)][int(a)].append((int(sp), float(p)))
                 edge_vals[int(s)][int(a)].append(r)
             rewards = {"kind": "sas", "values": edge_vals}
@@ -334,7 +348,6 @@ class DataCenterConfig:
     alpha: float = 1.0
     beta: float = 10.0
     kappa: float = 3.0
-    seed: int = 0
 
     def resolved(self):
         n = self.n_servers

@@ -15,13 +15,14 @@ are a flat list aligned with the transitions rows.  Numeric wealth bounds
 are derived from the MDP's rewards and horizon on load.
 
 Policy files are a JSON list of ``{"t": ..., "s": ..., "intervals":
-[{"from": <wealth|null>, "inclusive_from": ..., "action": ...}]}``;
+[{"from": <wealth|null>, "inclusive_from": ..., "action": <int>}]}``;
 stationary policies omit "t".  A null "from" opens the bottom interval.
 
 All writes are whole-file atomic (write to a temp file, then rename).
 """
 
 import json
+import numbers
 import os
 import tempfile
 
@@ -167,11 +168,13 @@ def _intervals_to_rule(intervals, space):
     base = 0
     cuts = []
     for item in intervals:
+        a = item["action"]
+        if isinstance(a, bool) or not isinstance(a, numbers.Integral):
+            raise ConfigurationError(f"policy action {a!r} is not an integer")
         if item["from"] is None:
-            base = int(item["action"])
+            base = a
         else:
-            cuts.append((space.key(item["from"]), bool(item["inclusive_from"]),
-                         int(item["action"])))
+            cuts.append((space.key(item["from"]), bool(item["inclusive_from"]), a))
     return StepFunction(base, [c[0] for c in cuts], [c[1] for c in cuts],
                         [c[2] for c in cuts])
 

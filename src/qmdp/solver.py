@@ -33,7 +33,6 @@ class QuantileQuery:
     tau: float
     criterion: str = "lower"
     epsilon: float = 1e-3
-    horizon_mode: str = None          # "finite" | "infinite" | None = infer
     quantile_bounds: tuple = None     # (w_lo, w_hi) bracket override
 
     def check(self):
@@ -48,9 +47,6 @@ class QuantileQuery:
                 f"the upper criterion needs tau in [0, 1), got {self.tau}")
         if not self.epsilon > 0.0:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-        if self.horizon_mode not in (None, "finite", "infinite"):
-            raise ConfigurationError(
-                f"horizon_mode must be 'finite' or 'infinite', got {self.horizon_mode!r}")
         if self.quantile_bounds is not None and len(self.quantile_bounds) != 2:
             raise ConfigurationError("quantile_bounds must be a (w_lo, w_hi) pair")
 
@@ -112,7 +108,7 @@ def iteration_bound(space, epsilon, w_lo=None, w_hi=None):
 
 
 def solve_quantile(m, space, query, *, eps_conv=1e-6, max_sweeps=10000,
-                   validate_mdp=True, keep_value_function=False):
+                   keep_value_function=False):
     """Run the bracketing search and return a :class:`SolveReport`.
 
     Finite-horizon problems use functional backward induction per test
@@ -121,18 +117,11 @@ def solve_quantile(m, space, query, *, eps_conv=1e-6, max_sweeps=10000,
     value iteration and return a stationary policy.
     """
     query.check()
-    if validate_mdp:
-        violations = validate(m)
-        if violations:
-            raise ValidationError(violations)
+    violations = validate(m)
+    if violations:
+        raise ValidationError(violations)
 
     infinite = m.horizon is None
-    if query.horizon_mode is not None:
-        actual = "infinite" if infinite else "finite"
-        if query.horizon_mode != actual:
-            raise ConfigurationError(
-                f"query asks for a {query.horizon_mode}-horizon solve but the "
-                f"MDP horizon is {actual}")
 
     ordinal = isinstance(space, OrdinalWealth)
     if infinite:

@@ -119,12 +119,17 @@ class StepFunction:
     # -- evaluation ------------------------------------------------------
 
     def _locate(self, w):
-        """Index into [base]+values of the piece active at each wealth in w."""
+        """Index into [base]+values of the piece active at each wealth in w.
+
+        Counts the cuts below w and the inclusive cut at w, of which
+        canonical form holds at most one, sorted first.
+        """
         w = np.asarray(w, dtype=np.float64)
-        n_lt = np.searchsorted(self.x, w, side="left")
-        n_le = np.searchsorted(self.x, w, side="right")
-        pinc = np.concatenate(([0], np.cumsum(self.e == 0)))
-        return n_lt + (pinc[n_le] - pinc[n_lt])
+        idx = np.searchsorted(self.x, w, side="left")
+        if not len(self.x):
+            return idx
+        at = np.minimum(idx, len(self.x) - 1)
+        return idx + ((self.x[at] == w) & (self.e[at] == 0))
 
     def __call__(self, w):
         """Value at one wealth key, as a Python int or float."""

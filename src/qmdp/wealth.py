@@ -69,12 +69,8 @@ class WealthSpace:
         """Public wealth value of a key."""
         raise NotImplementedError
 
-    def accumulate_key(self, k, r, t=0):
-        """accumulate() on keys."""
-        raise NotImplementedError
-
     def accumulate_keys(self, karr, r, t=0):
-        """Vectorized accumulate_key over an array of keys.
+        """accumulate() on an array of keys.
 
         ``r`` is a scalar reward, an array aligned with ``karr`` (numeric
         kinds), or a single reward label (ordinal kind).
@@ -133,9 +129,6 @@ class AdditiveWealth(WealthSpace):
     def unkey(self, k):
         return float(k)
 
-    def accumulate_key(self, k, r, t=0):
-        return k + r
-
     def accumulate_keys(self, karr, r, t=0):
         return karr + np.asarray(r, dtype=np.float64)
 
@@ -184,9 +177,6 @@ class DiscountedWealth(WealthSpace):
 
     def unkey(self, k):
         return float(k)
-
-    def accumulate_key(self, k, r, t=0):
-        return k + self.gamma ** t * r
 
     def accumulate_keys(self, karr, r, t=0):
         return karr + self.gamma ** t * np.asarray(r, dtype=np.float64)
@@ -268,9 +258,6 @@ class OrdinalWealth(WealthSpace):
 
     def unkey(self, k):
         return self.label(int(round(k)))
-
-    def accumulate_key(self, k, r, t=0):
-        return float(self.move_table(r)[int(round(k))])
 
     def accumulate_keys(self, karr, r, t=0):
         moves = np.asarray(self.move_table(r), dtype=np.float64)

@@ -96,6 +96,37 @@ def test_validation_error_exit_code(tmp_path):
     }
     bad.write_text(json.dumps(problem))
     assert run("solve", "--problem", bad, "--tau", 0.5) == 3
+    policy = tmp_path / "pol.json"
+    policy.write_text(json.dumps(
+        [{"t": t, "s": s, "intervals": [{"from": None, "inclusive_from": True,
+                                         "action": 0}]}
+         for t in range(2) for s in range(2)]))
+    assert run("eval", "--problem", bad, "--policy", policy) == 3
+
+
+def _write_problem(path, transitions, rewards, n_actions=2):
+    path.write_text(json.dumps({
+        "mdp": {"n_states": 2, "n_actions": n_actions,
+                "transitions": transitions, "rewards": rewards,
+                "initial_state": 0, "horizon": 2},
+        "wealth_space": {"kind": "additive"}}))
+
+
+def test_sas_rewards_one_short_exit_code(tmp_path, capsys):
+    problem = tmp_path / "p.json"
+    rows = [[s, a, 1, 1.0] for s in range(2) for a in range(2)]
+    _write_problem(problem, rows, {"kind": "sas", "values": [1.0, 0.0, 0.5]})
+    assert run("solve", "--problem", problem, "--tau", 0.5) == 3
+    err = capsys.readouterr().err
+    assert "4 values" in err and "got 3" in err
+
+
+def test_sa_rewards_wrong_shape_exit_code(tmp_path, capsys):
+    problem = tmp_path / "p.json"
+    rows = [[s, a, 1, 1.0] for s in range(2) for a in range(2)]
+    _write_problem(problem, rows, {"kind": "sa", "values": [[1.0], [0.0]]})
+    assert run("solve", "--problem", problem, "--tau", 0.5) == 3
+    assert "2 x 2" in capsys.readouterr().err
 
 
 def test_eval_csv_monotone(tmp_path):
@@ -207,6 +238,14 @@ def test_eval_policy_action_out_of_range(tmp_path, capsys):
     policy.write_text(json.dumps(payload))
     assert run("eval", "--problem", problem, "--policy", policy) == 2
     assert "action 2" in capsys.readouterr().err
+
+
+def test_eval_policy_fractional_action(tmp_path, capsys):
+    problem, policy, payload = _solved_policy(tmp_path)
+    payload[0]["intervals"][0]["action"] = 0.7
+    policy.write_text(json.dumps(payload))
+    assert run("eval", "--problem", problem, "--policy", policy) == 2
+    assert "0.7" in capsys.readouterr().err
 
 
 def test_eval_policy_shorter_than_horizon(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from qmdp import (AdditiveWealth, ConfigurationError, GarnetConfig, Mdp,
-                  OrdinalWealth, ResourceLimitError, WealthDistribution,
-                  WealthMarkovPolicy, backward_induction,
-                  brute_force_optimal_quantile, exact_distribution,
-                  generate_garnet, simulate, standard_backward_induction)
+from qmdp import (AdditiveWealth, ConfigurationError, DiscountedWealth,
+                  GarnetConfig, Mdp, OrdinalWealth, ResourceLimitError,
+                  StepFunction, WealthDistribution, WealthMarkovPolicy,
+                  backward_induction, brute_force_optimal_quantile,
+                  exact_distribution, generate_garnet, simulate,
+                  standard_backward_induction)
 from conftest import two_state_discounted_mdp
 
 
@@ -61,6 +62,91 @@ def test_infinite_horizon_rejected():
     with pytest.raises(ConfigurationError):
         exact_distribution(m, sp, WealthMarkovPolicy.from_markov([0, 0],
                                                                  stationary=True))
+
+
+LABEL_STEPS = {"down": -1, "stay": 0, "up": 1}
+
+
+def relabelled_garnet(seed, reward_kind, ordinal):
+    """G(5,2,3) with horizon 4 and fresh "sa" or "sas" rewards.
+
+    Ordinal instances draw reward labels that move one class down, stay or
+    move up on five classes, saturating at both ends, starting mid-range.
+    """
+    g = generate_garnet(GarnetConfig(5, 2, 3, seed=seed), horizon=4)
+    rng = np.random.default_rng(seed)
+
+    def draw(n):
+        if ordinal:
+            return rng.choice(sorted(LABEL_STEPS), n).tolist()
+        return rng.uniform(-1, 1, n).tolist()
+
+    transitions = [[(g.successors(s, a), g.probabilities(s, a))
+                    for a in range(g.n_actions)] for s in range(g.n_states)]
+    if reward_kind == "sa":
+        values = [draw(g.n_actions) for _ in range(g.n_states)]
+    else:
+        values = [[draw(len(g.successors(s, a))) for a in range(g.n_actions)]
+                  for s in range(g.n_states)]
+    m = Mdp(g.n_states, g.n_actions, transitions,
+            {"kind": reward_kind, "values": values}, 0, g.horizon)
+    if ordinal:
+        classes = [f"w{i}" for i in range(5)]
+        table = {c: {label: classes[min(4, max(0, i + step))]
+                     for label, step in LABEL_STEPS.items()}
+                 for i, c in enumerate(classes)}
+        return m, OrdinalWealth(classes, table, w0="w2")
+    if reward_kind == "sa":
+        return m, AdditiveWealth.for_mdp(m)
+    return m, DiscountedWealth.for_mdp(m, 0.9)
+
+
+def random_wealth_policy(m, space, rng):
+    """Decision rules with random cuts, some exactly on reachable keys."""
+    lo, hi = (0, 4) if space.kind == "ordinal" else (-2, 2)
+    rules = []
+    for _ in range(m.horizon):
+        row = []
+        for _ in range(m.n_states):
+            n = int(rng.integers(0, 4))
+            x = rng.integers(lo, hi + 1, n) + rng.choice([0.0, 0.5], n)
+            row.append(StepFunction(int(rng.integers(m.n_actions)), x,
+                                    rng.random(n) < 0.5,
+                                    rng.integers(0, m.n_actions, n)))
+        rules.append(row)
+    return WealthMarkovPolicy(rules)
+
+
+def enumerated_distribution(m, space, policy):
+    """Terminal distribution from every history, folded with space.accumulate."""
+    leaves = []
+
+    def walk(t, s, w, p):
+        if t == m.horizon:
+            leaves.append((space.key(w), p))
+            return
+        a = policy.action(t, s, space.key(w))
+        for sp, q, r in zip(m.successors(s, a), m.probabilities(s, a),
+                            m.edge_rewards(s, a)):
+            walk(t + 1, int(sp), space.accumulate(w, r, t), p * q)
+
+    walk(0, m.initial_state, space.w0, 1.0)
+    return WealthDistribution.from_atoms(space, leaves)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("reward_kind, ordinal", [
+    ("sa", False), ("sas", False), ("sas", True), ("sa", True)],
+    ids=["sa-additive", "sas-discounted", "sas-ordinal", "sa-ordinal"])
+def test_exact_distribution_matches_history_enumeration(reward_kind, ordinal,
+                                                         seed):
+    m, space = relabelled_garnet(seed, reward_kind, ordinal)
+    policy = random_wealth_policy(m, space, np.random.default_rng(seed))
+    d = exact_distribution(m, space, policy)
+    ref = enumerated_distribution(m, space, policy)
+    assert len(d) == len(ref)
+    np.testing.assert_allclose(d.keys, ref.keys, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(d.probs, ref.probs, rtol=0, atol=1e-12)
 
 
 # -- cumulatives ---------------------------------------------------------------

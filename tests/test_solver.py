@@ -31,13 +31,6 @@ def test_query_tau_ranges():
         QuantileQuery(tau=0.5, epsilon=0.0).check()
 
 
-def test_horizon_mode_mismatch():
-    m, space = small_instance(0)
-    query = QuantileQuery(tau=0.5, horizon_mode="infinite")
-    with pytest.raises(ConfigurationError):
-        solve_quantile(m, space, query)
-
-
 def test_invalid_mdp_rejected():
     m = Mdp(2, 1, [[[(0, 0.5), (1, 0.4)]], [[(1, 1.0)]]],
             {"kind": "sa", "values": [[0.0], [0.0]]}, 0, 2)

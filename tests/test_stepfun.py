@@ -74,6 +74,25 @@ def test_atom_encoding():
     assert f(1.0 + 1e-9) == 1.0
 
 
+def test_locate_counts_cuts_below_and_inclusive_cuts_at():
+    # the piece index is #cuts below w plus #inclusive cuts at w, here taken
+    # from a cumulative count, on thresholds that repeat or nearly repeat
+    rng = np.random.default_rng(8)
+    for _ in range(5_000):
+        n = int(rng.integers(0, 7))
+        x = (rng.integers(-3, 4, n)
+             + rng.choice([0.0, 0.0, 5e-10, 2e-9, 0.5], n)).astype(np.float64)
+        f = StepFunction(float(rng.random()), x, rng.random(n) < 0.5,
+                         rng.integers(0, 3, n) / 2.0)
+        w = np.concatenate((f.x, f.x - 5e-10, f.x + 5e-10, rng.uniform(-4, 4, 4)))
+        n_lt = np.searchsorted(f.x, w, side="left")
+        n_le = np.searchsorted(f.x, w, side="right")
+        pinc = np.concatenate(([0], np.cumsum(f.e == 0)))
+        expected = n_lt + (pinc[n_le] - pinc[n_lt])
+        assert np.array_equal(f._locate(w), expected)
+        assert f._locate(w[0]) == expected[0]
+
+
 # -- shift ------------------------------------------------------------------------
 
 def test_shift_by_zero_is_identity():
@@ -101,7 +120,7 @@ def test_shift_matches_direct_evaluation(seed):
             r = float(rng.uniform(-2, 2))
             g = shift(f, r, t, sp)
             for w in rng.uniform(-8, 8, 100):
-                assert g(w) == pytest.approx(f(sp.accumulate_key(w, r, t)),
+                assert g(w) == pytest.approx(f(sp.accumulate(w, r, t)),
                                              abs=1e-12)
 
 

@@ -38,8 +38,8 @@ for name, actions in [("risky always ", [[0, 0], [0, 0]]),
 report = solve_quantile(m, space,
                         QuantileQuery(tau=0.95, criterion="lower",
                                       epsilon=1e-4))
-print(f"\nsolver: 0.95-quantile estimate {report.quantile:.4f} "
-      f"after {report.iterations} iterations")
+print(f"\nsolver: 0.95-quantile {report.quantile:.4f}, read off one "
+      f"backward induction ({report.iterations} test)")
 # a decision rule is a step function of wealth with integer (action) values
 print("decision rule at step 2 in the start state:")
 for frm, inclusive, action in report.policy.rules[1][0].intervals():

@@ -261,8 +261,8 @@ def cmd_oracle_check(args):
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qmdp",
-        description="Quantile-optimal MDP policies by binary search over "
-                    "wealth thresholds")
+        description="Quantile-optimal MDP policies from functional backward "
+                    "induction over wealth thresholds")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a benchmark problem file")
@@ -293,7 +293,7 @@ def build_parser():
     gd.add_argument("--out", required=True)
     gd.set_defaults(func=cmd_generate_datacenter)
 
-    sv = sub.add_parser("solve", help="binary-search a quantile-optimal policy")
+    sv = sub.add_parser("solve", help="find a quantile-optimal policy")
     sv.add_argument("--problem", required=True)
     sv.add_argument("--tau", type=float, required=True)
     sv.add_argument("--criterion", choices=["lower", "upper"], default="lower")
@@ -304,7 +304,8 @@ def build_parser():
     sv.add_argument("--eps-conv", type=float, default=1e-6)
     sv.add_argument("--max-sweeps", type=int, default=10000)
     sv.add_argument("--out", default=None, help="policy JSON path")
-    sv.add_argument("--log", default=None, help="iteration CSV path")
+    sv.add_argument("--log", default=None,
+                    help="CSV path: one (w, p, accepted) row per threshold test")
     sv.add_argument("--dump-slices", default=None,
                     help="debug CSV of value-function pieces per (t, s)")
     sv.set_defaults(func=cmd_solve)

@@ -19,6 +19,7 @@ Generators:
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,31 @@ PROB_TOL = 1e-9
 
 def _is_number(x):
     return isinstance(x, (int, float, np.integer, np.floating))
+
+
+def _transition_row(i, row, n_states, n_actions):
+    """Parse flat transition row ``i`` as ``(s, a, s', p)``.
+
+    The three indices must be integers and p a number (booleans are
+    neither).  The successor is range-checked later by :func:`validate`;
+    the origin (s, a) is checked here because it indexes the nested table.
+    """
+    try:
+        s, a, sp, p = row
+    except (TypeError, ValueError):
+        s = a = sp = p = None
+    fields = (s, a, sp, p)
+    if (any(isinstance(v, bool) for v in fields)
+            or not all(isinstance(v, numbers.Integral) for v in fields[:3])
+            or not isinstance(p, numbers.Real)):
+        raise ValidationError(
+            f"transition row {i} {row!r} is not [s, a, s', p] with integer "
+            f"indices and a numeric probability")
+    if not (0 <= s < n_states and 0 <= a < n_actions):
+        raise ValidationError(
+            f"transition row {i} {row!r} starts outside the "
+            f"{n_states} x {n_actions} state-action table")
+    return int(s), int(a), int(sp), float(p)
 
 
 class Mdp:
@@ -120,13 +146,15 @@ class Mdp:
                     f"'sas' rewards need a list of {len(rows)} values, one per "
                     f"transition row, got {n_values}")
             edge_vals = [[[] for _ in range(n_actions)] for _ in range(n_states)]
-            for (s, a, sp, p), r in zip(rows, values):
-                nested[int(s)][int(a)].append((int(sp), float(p)))
-                edge_vals[int(s)][int(a)].append(r)
+            for i, (row, r) in enumerate(zip(rows, values)):
+                s, a, sp, p = _transition_row(i, row, n_states, n_actions)
+                nested[s][a].append((sp, p))
+                edge_vals[s][a].append(r)
             rewards = {"kind": "sas", "values": edge_vals}
         else:
-            for s, a, sp, p in rows:
-                nested[int(s)][int(a)].append((int(sp), float(p)))
+            for i, row in enumerate(rows):
+                s, a, sp, p = _transition_row(i, row, n_states, n_actions)
+                nested[s][a].append((sp, p))
         return cls(n_states, n_actions, nested, rewards, initial_state, horizon)
 
     # -- accessors -------------------------------------------------------

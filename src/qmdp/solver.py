@@ -1,29 +1,45 @@
-"""Binary search over wealth thresholds for epsilon-optimal quantile policies.
+"""Quantile-optimal policies: one sweep for numeric wealth, bisection otherwise.
 
-Each iteration solves one indicator-utility MDP: for the lower criterion
-the subroutine maximizes P[wealth > w] and the test is p > 1 - tau; for
-the upper criterion it maximizes P[wealth >= w] and the test is
-p >= 1 - tau.  Successful tests raise the bracket bottom and cache the
-policy; failures lower the top.  The search stops once the bracket is no
-wider than epsilon, at which point the cached policy's quantile is within
-epsilon of the optimum.
+A threshold test solves one indicator-utility MDP: for the lower
+criterion the subroutine maximizes P[wealth > w] and the test is
+p > 1 - tau; for the upper criterion it maximizes P[wealth >= w] and the
+test is p >= 1 - tau.  The optimal quantile is the largest threshold that
+passes.
 
-Finite ordinal spaces get exact answers: the bracket distance is integer
-valued, so the search runs to adjacency (effective epsilon = 1).  The
-bracket starts one virtual class outside the range, below the bottom for
-the lower criterion and above the top for the upper one, so both of its
-ends have a known test outcome before any test runs.  The optimal
-quantile is then the bracket top for ordinal lower queries and the bracket
-bottom otherwise, and the last accepted solve's policy attains it.
+Finite-horizon additive and discounted wealth need one backward
+induction.  Accumulation adds a wealth-independent increment, so
+``V_t(s, x; target w) = V_t(s, x - w; target 0)`` and the initial-state
+slice ``f`` of one sweep at target 0 is the whole optimal exceedance curve
+``p(w) = f(w0 - w)``.  The first piece of ``f`` that passes the test opens
+at a cut ``x*``, so the optimal quantile is ``w0 - x*`` exactly; the
+policy is the target-0 policy translated to a target just below it,
+inside the passing piece.
+
+Ordinal spaces and infinite horizons bisect over thresholds.  Successful
+tests raise the bracket bottom and cache the policy; failures lower the
+top.  The search stops once the bracket is no wider than epsilon, at
+which point the cached policy's quantile is within epsilon of the
+optimum.  Ordinal spaces get exact answers: the bracket distance is
+integer valued, so the search runs to adjacency (effective epsilon = 1).
+The bracket starts one virtual class outside the range, below the bottom
+for the lower criterion and above the top for the upper one, so both of
+its ends have a known test outcome before any test runs.  The optimal
+quantile is then the bracket top for ordinal lower queries and the
+bracket bottom otherwise, and the last accepted solve's policy attains
+it.
 """
 
 import math
 from dataclasses import dataclass, field
 
-from .dp import backward_induction, value_iteration
+import numpy as np
+
+from .dp import (ValueFunction, WealthMarkovPolicy, backward_induction,
+                 value_iteration)
 from .errors import ConfigurationError, ValidationError
-from .evaluate import exact_distribution
+from .evaluate import QUANT_ATOL, exact_distribution
 from .mdp import validate
+from .stepfun import StepFunction
 from .wealth import DiscountedWealth, OrdinalWealth
 
 
@@ -53,7 +69,7 @@ class QuantileQuery:
 
 @dataclass
 class IterationRecord:
-    """One binary-search test: threshold, achieved probability, outcome."""
+    """One threshold test: threshold, achieved probability, outcome."""
     w: object
     p: float
     accepted: bool
@@ -65,9 +81,10 @@ class SolveReport:
     policy: object
     quantile: object           # the certified quantile estimate
     bracket: tuple             # final (w_lo, w_hi)
-    iterations: int            # binary-search loop iterations
+    iterations: int            # threshold tests (1 for a numeric sweep)
     log: list = field(default_factory=list)
-    at_bottom: bool = False    # no test ever succeeded; quantile at range bottom
+    at_bottom: bool = False    # quantile at the range bottom: no bisection test
+                               # succeeded, or the sweep found q* at or below it
     extra_solves: int = 0      # solves outside the loop: the at_bottom policy
     sweeps: int = None         # total value-iteration sweeps (infinite mode)
     stationary: bool = False
@@ -109,12 +126,13 @@ def iteration_bound(space, epsilon, w_lo=None, w_hi=None):
 
 def solve_quantile(m, space, query, *, eps_conv=1e-6, max_sweeps=10000,
                    keep_value_function=False):
-    """Run the bracketing search and return a :class:`SolveReport`.
+    """Find a tau-quantile-optimal policy and return a :class:`SolveReport`.
 
-    Finite-horizon problems use functional backward induction per test
-    point; infinite-horizon problems (uniformly signed rewards,
-    undiscounted additive wealth, explicit quantile_bounds) use functional
-    value iteration and return a stationary policy.
+    Finite-horizon numeric problems read the quantile off one backward
+    induction at target 0.  Ordinal problems bisect with one backward
+    induction per test point; infinite-horizon problems (uniformly signed
+    rewards, undiscounted additive wealth, explicit quantile_bounds) bisect
+    with functional value iteration and return a stationary policy.
     """
     query.check()
     violations = validate(m)
@@ -141,12 +159,15 @@ def solve_quantile(m, space, query, *, eps_conv=1e-6, max_sweeps=10000,
     lo_k, hi_k = space.key(bounds[0]), space.key(bounds[1])
     if not lo_k <= hi_k:
         raise ConfigurationError(f"empty wealth bracket {bounds!r}")
-    if not (math.isfinite(lo_k) and math.isfinite(hi_k)):
-        raise ConfigurationError(
-            f"wealth bracket {bounds!r} is not finite; pass quantile_bounds")
 
     strict = query.criterion == "lower"
     thr = 1.0 - query.tau
+    if not (infinite or ordinal):
+        return _solve_by_one_sweep(m, space, query, strict, thr, lo_k, hi_k,
+                                   keep_value_function)
+    if not (math.isfinite(lo_k) and math.isfinite(hi_k)):
+        raise ConfigurationError(
+            f"wealth bracket {bounds!r} is not finite; pass quantile_bounds")
     eps = effective_epsilon(space, query.epsilon)
     first_k, last_k = lo_k, hi_k
     if ordinal:
@@ -171,16 +192,13 @@ def solve_quantile(m, space, query, *, eps_conv=1e-6, max_sweeps=10000,
         pol, p, vf = backward_induction(m, space, w, strict)
         return _Solved(pol, p, vf)
 
-    def passes(p):
-        return p > thr if strict else p >= thr
-
     log = []
     accepted = None
     sol = None
     w = min(space.mid(lo_k, hi_k))
     while hi_k - lo_k > eps:
         sol_k, sol = w, run(w)
-        ok = passes(sol.p)
+        ok = _passes(sol.p, thr, strict)
         log.append(IterationRecord(space.unkey(w), sol.p, ok))
         if ok:
             lo_k = w
@@ -216,12 +234,68 @@ def solve_quantile(m, space, query, *, eps_conv=1e-6, max_sweeps=10000,
     )
 
 
+def _passes(p, thr, strict):
+    """The threshold test, on one probability or an array of them."""
+    return p > thr if strict else p >= thr
+
+
+def _translate(f, c):
+    """g(x) = f(x - c): every cut moves up by c."""
+    return StepFunction(f.base, f.x + c, f.e == 0, f.v)
+
+
+def _solve_by_one_sweep(m, space, query, strict, thr, lo_k, hi_k,
+                        keep_value_function):
+    """Finite-horizon numeric wealth: every threshold from one sweep.
+
+    The initial-state slice f of the target-0 sweep gives the optimal
+    exceedance probability at threshold w as f(w0 - w); f is nondecreasing
+    and its base piece is 0, so the first passing piece opens at the cut
+    x* that makes q* = w0 - x* the largest passing threshold.  The policy
+    targets w_pol = q* - min(width of that piece, epsilon) / 2, strictly
+    inside the passing piece, where float noise in a cut cannot flip the
+    test.  q* is clamped into [lo_k, hi_k].
+    """
+    policy, _, vf = backward_induction(m, space, 0.0, strict)
+    f = vf.slices[0][m.initial_state]
+    hits = np.flatnonzero(_passes(f.v, thr, strict))
+    # the top piece is 1 in exact arithmetic and passes every test, but
+    # float noise can leave it just below the upper test's 1.0 at tau = 0
+    k = hits[0] if len(hits) else len(f.v) - 1
+    width = (f.x[k + 1] if k + 1 < len(f.x) else math.inf) - f.x[k]
+    x0 = space.key(space.w0)
+    q = min(max(x0 - float(f.x[k]), lo_k), hi_k)
+    w_pol = q - min(width, query.epsilon) / 2.0
+    policy = WealthMarkovPolicy([[_translate(rule, w_pol) for rule in row]
+                                 for row in policy.rules])
+    vf = (ValueFunction([[_translate(fn, w_pol) for fn in layer]
+                         for layer in vf.slices])
+          if keep_value_function else None)
+    p = f(x0 - w_pol)
+    return SolveReport(
+        policy=policy,
+        quantile=space.unkey(q),
+        bracket=(space.unkey(w_pol), space.unkey(q)),
+        iterations=1,
+        log=[IterationRecord(space.unkey(w_pol), p, _passes(p, thr, strict))],
+        at_bottom=q <= lo_k,
+        criterion=query.criterion,
+        tau=query.tau,
+        epsilon=query.epsilon,
+        value_function=vf,
+    )
+
+
 def quantile_certificate(m, space, report, query):
     """Check the sufficient epsilon-optimality condition on a solve report.
 
     Recomputes the returned policy's exact wealth distribution and checks
     the bracket width together with F(w_lo) < tau (lower) or
-    G(w_lo) >= 1 - tau (upper).  Reports flagged ``at_bottom`` carry no
+    G(w_lo) >= 1 - tau (upper), each with the slack ``QUANT_ATOL`` that
+    :meth:`WealthDistribution.quantile` allows a partial sum, so that the
+    test holds exactly when the policy's own quantile clears w_lo: a total
+    mass of 1 - 1e-16 neither fails the upper test at tau = 0 nor passes
+    the lower one at tau = 1.  Reports flagged ``at_bottom`` carry no
     successful test to certify against; for those every policy's quantile
     lies inside the final bracket, so the check degrades to bracket width
     plus containment of the policy's own quantile.
@@ -239,5 +313,5 @@ def quantile_certificate(m, space, report, query):
         qk = space.key(dist.quantile(query.tau, query.criterion))
         return space.key(lo) <= qk <= space.key(hi)
     if query.criterion == "lower":
-        return dist.cdf(lo) < query.tau
-    return dist.decumulative(lo) >= 1.0 - query.tau
+        return dist.cdf(lo) < query.tau - QUANT_ATOL
+    return dist.decumulative(lo) >= 1.0 - query.tau - QUANT_ATOL

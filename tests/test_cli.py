@@ -129,6 +129,23 @@ def test_sa_rewards_wrong_shape_exit_code(tmp_path, capsys):
     assert "2 x 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row,shown", [
+    ([0, 0, 1], "[0, 0, 1]"),                   # a field short
+    ([0, 0, 1, "half"], "'half'"),              # a non-numeric probability
+    ([1, 1, 1.6, 1.0], "1.6"),                  # a fractional successor
+    ([2, 0, 1, 1.0], "[2, 0, 1, 1.0]"),         # an origin state outside
+])
+def test_malformed_transition_row_exit_code(tmp_path, capsys, row, shown):
+    problem = tmp_path / "p.json"
+    rows = [[s, a, 1, 1.0] for s in range(2) for a in range(2)]
+    rows[3] = row
+    _write_problem(problem, rows, {"kind": "sa", "values": [[1.0, 0.0],
+                                                            [0.5, 0.0]]})
+    assert run("solve", "--problem", problem, "--tau", 0.5) == 3
+    err = capsys.readouterr().err
+    assert "transition row 3" in err and shown in err
+
+
 def test_eval_csv_monotone(tmp_path):
     problem = tmp_path / "p.json"
     run("generate", "garnet", "--states", 6, "--actions", 2, "--seed", 5,

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qmdp import (AdditiveWealth, ConfigurationError, GarnetConfig, Mdp,
-                  OrdinalWealth, QuantileQuery, StepFunction, WealthMarkovPolicy,
+from qmdp import (AdditiveWealth, ConfigurationError, DiscountedWealth,
+                  GarnetConfig, Mdp, OrdinalWealth, QuantileQuery, SolveReport,
+                  StepFunction, WealthMarkovPolicy,
                   brute_force_distributions, brute_force_optimal_quantile,
                   exact_distribution, generate_garnet, iteration_bound,
                   quantile_certificate, solve_quantile, validate)
@@ -68,6 +69,71 @@ def test_matches_brute_force(seed, criterion, tau):
     report = solve_quantile(m, space, query)
     assert abs(report.quantile - oracle_q) <= 1e-6
     assert quantile_certificate(m, space, report, query)
+
+
+def kernel(m):
+    """The transition table of m, as the Mdp constructor takes it."""
+    return [[(m.successors(s, a), m.probabilities(s, a))
+             for a in range(m.n_actions)] for s in range(m.n_states)]
+
+
+def sas_garnet(seed):
+    """G(5,2,2), horizon 3, with i.i.d. uniform per-edge ("sas") rewards."""
+    m = generate_garnet(GarnetConfig(5, 2, 2, seed=seed), horizon=3)
+    rng = np.random.default_rng(seed)
+    transitions = kernel(m)
+    values = [[rng.uniform(0.0, 1.0, len(succ)).tolist() for succ, _ in row]
+              for row in transitions]
+    return Mdp(m.n_states, m.n_actions, transitions,
+               {"kind": "sas", "values": values}, 0, 3)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("rewards,gamma", [("sa", 0.9), ("sas", 1.0),
+                                           ("sas", 0.9)])
+@pytest.mark.parametrize("criterion,tau", [
+    ("lower", 0.1), ("lower", 0.5), ("lower", 1.0),
+    ("upper", 0.0), ("upper", 0.5), ("upper", 0.9)])
+def test_one_sweep_matches_oracle(seed, rewards, gamma, criterion, tau):
+    m = (sas_garnet(seed) if rewards == "sas"
+         else generate_garnet(GarnetConfig(5, 2, 2, seed=seed), horizon=3))
+    space = (AdditiveWealth.for_mdp(m) if gamma == 1.0
+             else DiscountedWealth.for_mdp(m, gamma))
+    oracle_q, _ = brute_force_optimal_quantile(m, space, tau, criterion)
+    query = QuantileQuery(tau=tau, criterion=criterion, epsilon=1e-6)
+    report = solve_quantile(m, space, query)
+    assert abs(report.quantile - oracle_q) <= 1e-6
+    assert quantile_certificate(m, space, report, query)
+    own = exact_distribution(m, space, report.policy).quantile(tau, criterion)
+    assert own >= report.quantile - 1e-6
+
+
+def test_finite_numeric_solve_needs_no_bounds():
+    # one sweep reads q* without a bracket, so an unbounded space works
+    m, space = small_instance(4)
+    for criterion, tau in (("lower", 0.3), ("upper", 0.7)):
+        query = QuantileQuery(tau=tau, criterion=criterion, epsilon=1e-6)
+        report = solve_quantile(m, AdditiveWealth(), query)
+        assert report.quantile == solve_quantile(m, space, query).quantile
+        assert quantile_certificate(m, AdditiveWealth(), report, query)
+
+
+@pytest.mark.parametrize("criterion,tau", [("lower", 0.3), ("upper", 0.7)])
+def test_reward_offset_moves_quantile_by_horizon_times_offset(criterion, tau):
+    # every history collects T rewards, so adding c to each "sa" reward
+    # moves every terminal wealth, and the optimal quantile, by T * c
+    query = QuantileQuery(tau=tau, criterion=criterion, epsilon=1e-3)
+    for seed in range(4):
+        m = generate_garnet(GarnetConfig(6, 2, 3, seed=seed), horizon=4)
+        q = solve_quantile(m, AdditiveWealth.for_mdp(m), query).quantile
+        for c in (0.37, -1.25, 10.0):
+            values = [[m.reward(s, a) + c for a in range(m.n_actions)]
+                      for s in range(m.n_states)]
+            moved = Mdp(m.n_states, m.n_actions, kernel(m),
+                        {"kind": "sa", "values": values}, 0, m.horizon)
+            q_moved = solve_quantile(moved, AdditiveWealth.for_mdp(moved),
+                                     query).quantile
+            assert abs(q_moved - (q + m.horizon * c)) <= 1e-9, (seed, c)
 
 
 def test_bracket_always_contains_optimum():
@@ -209,6 +275,50 @@ def test_ordinal_solve_count(monkeypatch, criterion):
             assert len(set(solved)) == len(solved), solved
 
 
+def test_solve_counts_per_wealth_kind(monkeypatch):
+    # finite numeric: one backward induction; ordinal: bisection within
+    # ceil(log2 m) tests; infinite horizon: value iteration only
+    from qmdp import solver
+    calls = []
+    real_bi, real_vi = solver.backward_induction, solver.value_iteration
+
+    def counting_bi(*args):
+        calls.append("backward_induction")
+        return real_bi(*args)
+
+    def counting_vi(*args, **kwargs):
+        calls.append("value_iteration")
+        return real_vi(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "backward_induction", counting_bi)
+    monkeypatch.setattr(solver, "value_iteration", counting_vi)
+    m = generate_garnet(GarnetConfig(6, 2, 3, seed=4), horizon=4)
+    for space in (AdditiveWealth.for_mdp(m), DiscountedWealth.for_mdp(m, 0.9)):
+        for criterion, tau in (("lower", 0.3), ("upper", 0.7)):
+            calls.clear()
+            report = solve_quantile(m, space, QuantileQuery(
+                tau=tau, criterion=criterion, epsilon=1e-6))
+            assert calls == ["backward_induction"]
+            assert report.iterations == len(report.log) == 1
+            assert report.extra_solves == 0
+
+    m, space = random_ordinal_instance(2)
+    for criterion, tau in (("lower", 0.3), ("upper", 0.7)):
+        calls.clear()
+        report = solve_quantile(m, space, QuantileQuery(
+            tau=tau, criterion=criterion, epsilon=1.0))
+        assert set(calls) == {"backward_induction"}
+        assert len(calls) == report.iterations + report.extra_solves
+        assert report.iterations <= math.ceil(math.log2(len(space.classes)))
+
+    m = random_lattice_mdp(1)
+    calls.clear()
+    report = solve_quantile(m, AdditiveWealth.for_mdp(m), QuantileQuery(
+        tau=0.3, criterion="upper", epsilon=1e-3, quantile_bounds=(-10.0, 0.0)))
+    assert set(calls) == {"value_iteration"}
+    assert len(calls) == report.iterations + report.extra_solves > 1
+
+
 # -- degenerate paths -----------------------------------------------------------------
 
 def test_at_bottom_flag():
@@ -249,6 +359,26 @@ def test_certificate_rejects_bad_policy():
     lo = report.bracket[0]
     should_hold = d.cdf(lo) < tau
     assert quantile_certificate(m, space, report, query) == should_hold
+
+
+def test_certificate_uses_the_quantile_slack():
+    # the masses 0.7, 0.2 and 0.1 of wealths 0, 1 and 2 sum to 1 - 1.1e-16
+    m = Mdp(3, 1, [[[(0, 0.7), (1, 0.2), (2, 0.1)]], [[(1, 1.0)]], [[(2, 1.0)]]],
+            {"kind": "sas", "values": [[[0.0, 1.0, 2.0]], [[0.0]], [[0.0]]]},
+            0, 1)
+    space = AdditiveWealth.for_mdp(m)
+    policy = WealthMarkovPolicy.from_markov([[0, 0, 0]])
+
+    def certified(tau, criterion, lo):
+        report = SolveReport(policy=policy, quantile=lo, bracket=(lo, lo),
+                             iterations=1)
+        return quantile_certificate(m, space, report, QuantileQuery(
+            tau=tau, criterion=criterion, epsilon=1e-6))
+
+    # the policy's own upper 0-quantile is 0 and its lower 1-quantile is 2
+    assert certified(0.0, "upper", 0.0)
+    assert certified(1.0, "lower", 1.5)
+    assert not certified(1.0, "lower", 2.0)
 
 
 def _flip(rule, n_actions):

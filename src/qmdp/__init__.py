@@ -1,10 +1,12 @@
 """Quantile-optimal policies for finite and infinite horizon MDPs.
 
-The solver binary-searches over wealth thresholds; each test point is an
-indicator-utility MDP solved by functional backward induction (or
-functional value iteration in the infinite-horizon case), and the
-accepted test's greedy wealth-Markovian policy is epsilon-optimal for the
-lower or upper tau-quantile criterion.
+Each wealth threshold poses an indicator-utility MDP, solved by
+functional backward induction (or functional value iteration in the
+infinite-horizon case).  For numeric wealth one such solve yields every
+threshold's answer, so the solver reads the optimal quantile off one
+sweep; ordinal wealth bisects over thresholds.  Either way the returned
+greedy wealth-Markovian policy is epsilon-optimal for the lower or upper
+tau-quantile criterion.
 """
 
 __version__ = "0.1.0"

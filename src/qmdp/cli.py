@@ -121,6 +121,8 @@ def cmd_solve(args):
           f"{report.quantile}{flag}")
     print(f"bracket: [{report.bracket[0]}, {report.bracket[1]}]  "
           f"iterations: {report.iterations}")
+    if report.sweeps is not None:
+        print(f"sweeps: {report.sweeps}")
     return 0
 
 
@@ -307,7 +309,8 @@ def build_parser():
     sv.add_argument("--log", default=None,
                     help="CSV path: one (w, p, accepted) row per threshold test")
     sv.add_argument("--dump-slices", default=None,
-                    help="debug CSV of value-function pieces per (t, s)")
+                    help="debug CSV of value-function pieces per (t, s); "
+                         "infinite horizons write the stationary slices as t=0")
     sv.set_defaults(func=cmd_solve)
 
     for name in ("eval", "dist"):

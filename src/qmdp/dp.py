@@ -11,7 +11,11 @@ function of wealth, is exactly the greedy wealth-Markovian decision rule.
 Finite horizons run T sweeps (:func:`backward_induction`).  Infinite
 horizons with uniformly signed rewards and undiscounted additive wealth
 iterate the same sweep to convergence (:func:`value_iteration`) and return
-a stationary policy.
+a stationary policy.  Wealth then moves one way from ``w0``, so the slices
+are clipped to the reachable side of it (:func:`reachable_window`), where
+the clip is exact.  By translation, one clipped run at target t holds the
+value at ``w0`` of every target above t (nonpositive rewards) or below t
+(nonnegative rewards).
 """
 
 import numpy as np
@@ -26,10 +30,13 @@ class ValueFunction:
     """Per-timestep, per-state wealth slices.
 
     ``slices[t][s]`` for t in 0..T; layer T is the terminal target utility.
+    A value-iteration result holds one stationary layer, ``slices[0]``, and
+    the number of sweeps that produced it.
     """
 
-    def __init__(self, slices):
+    def __init__(self, slices, sweeps=None):
         self.slices = slices
+        self.sweeps = sweeps
 
 
 class WealthMarkovPolicy:
@@ -123,6 +130,23 @@ def backward_induction(m, space, w, strict):
     return (WealthMarkovPolicy(rules), float(p), ValueFunction(slices))
 
 
+def reachable_window(m, space):
+    """``(lo, hi)`` keys bounding the wealth an infinite run can reach.
+
+    Uniformly signed rewards move wealth one way from ``w0``: never above
+    it when they are nonpositive (or zero), never below it when they are
+    nonnegative.  The open side is None; ``restrict(f, lo, hi)`` collapses
+    the cut structure of ``f`` outside the window.
+    """
+    sign = m.reward_sign()
+    if sign == "mixed":
+        raise ConfigurationError(
+            "infinite-horizon solves need uniformly signed rewards "
+            "(all <= 0 or all >= 0)")
+    w0_key = space.key(space.w0)
+    return (w0_key, None) if sign == "nonnegative" else (None, w0_key)
+
+
 def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
     """Infinite-horizon variant: iterate the sweep until the slices settle.
 
@@ -130,7 +154,9 @@ def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
     (all <= 0, or all >= 0 — the two cases in which stationary
     deterministic wealth-Markovian optima exist).  Stops when
     ``max_s sup_distance(V_k(s,.), V_{k-1}(s,.)) <= eps_conv`` and returns
-    ``(stationary_policy, p, sweeps)``.
+    ``(stationary_policy, p, vf)``: ``vf.slices[0]`` holds the converged
+    slices, clipped to :func:`reachable_window`, and ``vf.sweeps`` the
+    number of sweeps.
     """
     if m.horizon is not None:
         raise ConfigurationError(
@@ -140,33 +166,22 @@ def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
         raise ConfigurationError(
             "the stationary sweep needs a time-homogeneous wealth update: "
             "only undiscounted additive wealth is supported")
-    sign = m.reward_sign()
-    if sign == "mixed":
-        raise ConfigurationError(
-            "infinite-horizon solves need uniformly signed rewards "
-            "(all <= 0 or all >= 0)")
-    # Wealth starts at w0 = 0 and moves one way, so slices only ever get
-    # evaluated on the reachable side of 0; collapsing the other side is
-    # exact there and is what makes the sup-residual converge.
-    w0_key = space.key(space.w0)
-    clip_lo = w0_key if sign == "nonnegative" else None
-    clip_hi = w0_key if sign in ("nonpositive", "zero") else None
-
-    def clipped(f):
-        return restrict(f, lo=clip_lo, hi=clip_hi)
-
-    V = [clipped(target_utility(space.key(w), strict))] * m.n_states
+    # Slices only ever get evaluated on the reachable side of w0;
+    # collapsing the other side is exact there and is what makes the
+    # sup-residual converge.
+    window = reachable_window(m, space)
+    V = [restrict(target_utility(space.key(w), strict), *window)] * m.n_states
     residual = np.inf
     for sweep in range(1, max_sweeps + 1):
         new_V, _ = _greedy_update(m, space, V, 0)
-        new_V = [clipped(f) for f in new_V]
+        new_V = [restrict(f, *window) for f in new_V]
         residual = max(sup_distance(new_V[s], V[s]) for s in range(m.n_states))
         V = new_V
         if residual <= eps_conv:
             _, rules = _greedy_update(m, space, V, 0)
             policy = WealthMarkovPolicy(rules, stationary=True)
             p = V[m.initial_state](space.key(space.w0))
-            return policy, float(p), sweep
+            return policy, float(p), ValueFunction([V], sweeps=sweep)
     raise ConvergenceError(
         f"no convergence after {max_sweeps} sweeps "
         f"(last residual {residual:.3g} > {eps_conv:.3g})",

@@ -131,6 +131,17 @@ def problem_from_dict(d):
     _require(d, ("mdp", "wealth_space"), "problem file")
     m = mdp_from_dict(d["mdp"])
     space = space_from_dict(d["wealth_space"], m)
+    if isinstance(space, OrdinalWealth):
+        # the table must move every class to a class on every reward label
+        for r in m.all_rewards():
+            try:
+                space.move_table(r)
+            except ConfigurationError as exc:
+                raise ValidationError([str(exc)]) from None
+            except TypeError:
+                raise ValidationError([
+                    f"reward label {r!r} cannot index the class-transition "
+                    "table"]) from None
     return m, space
 
 

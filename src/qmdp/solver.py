@@ -6,27 +6,28 @@ p > 1 - tau; for the upper criterion it maximizes P[wealth >= w] and the
 test is p >= 1 - tau.  The optimal quantile is the largest threshold that
 passes.
 
-Finite-horizon additive and discounted wealth need one backward
-induction.  Accumulation adds a wealth-independent increment, so
-``V_t(s, x; target w) = V_t(s, x - w; target 0)`` and the initial-state
-slice ``f`` of one sweep at target 0 is the whole optimal exceedance curve
-``p(w) = f(w0 - w)``.  The first piece of ``f`` that passes the test opens
-at a cut ``x*``, so the optimal quantile is ``w0 - x*`` exactly; the
-policy is the target-0 policy translated to a target just below it,
-inside the passing piece.
+Additive and discounted wealth need one sweep.  Accumulation adds a
+wealth-independent increment, so ``V_w(s, x) = V_t(s, x + t - w)`` for
+any two targets w and t, and the initial-state slice ``f`` of one sweep at
+target t is the whole optimal exceedance curve ``p(w) = f(x0 + t - w)``.
+The first piece of ``f`` that passes the test opens at a cut ``x*``, so
+the optimal quantile is ``x0 + t - x*`` exactly; the policy is the
+target-t policy translated to a target just below it, inside the passing
+piece.  Finite horizons make one backward induction at t = 0.  Infinite
+horizons make one value iteration at the bracket end farthest along the
+reward sign (the bottom for nonpositive rewards, the top for nonnegative
+ones): its slices are clipped to the wealth reachable from w0, and every
+threshold in the bracket maps onto that side.
 
-Ordinal spaces and infinite horizons bisect over thresholds.  Successful
-tests raise the bracket bottom and cache the policy; failures lower the
-top.  The search stops once the bracket is no wider than epsilon, at
-which point the cached policy's quantile is within epsilon of the
-optimum.  Ordinal spaces get exact answers: the bracket distance is
-integer valued, so the search runs to adjacency (effective epsilon = 1).
-The bracket starts one virtual class outside the range, below the bottom
-for the lower criterion and above the top for the upper one, so both of
-its ends have a known test outcome before any test runs.  The optimal
-quantile is then the bracket top for ordinal lower queries and the
-bracket bottom otherwise, and the last accepted solve's policy attains
-it.
+Ordinal spaces bisect over thresholds.  Successful tests raise the
+bracket bottom and cache the policy; failures lower the top.  The bracket
+distance is integer valued, so the search runs to adjacency and the
+answer is exact.  The bracket starts one virtual class outside the range,
+below the bottom for the lower criterion and above the top for the upper
+one, so both of its ends have a known test outcome before any test runs.
+The optimal quantile is then the bracket top for lower queries and the
+bracket bottom for upper ones, and the last accepted solve's policy
+attains it.
 """
 
 import math
@@ -35,11 +36,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dp import (ValueFunction, WealthMarkovPolicy, backward_induction,
-                 value_iteration)
+                 reachable_window, value_iteration)
 from .errors import ConfigurationError, ValidationError
 from .evaluate import QUANT_ATOL, exact_distribution
 from .mdp import validate
-from .stepfun import StepFunction
+from .stepfun import StepFunction, restrict
 from .wealth import DiscountedWealth, OrdinalWealth
 
 
@@ -86,21 +87,12 @@ class SolveReport:
     at_bottom: bool = False    # quantile at the range bottom: no bisection test
                                # succeeded, or the sweep found q* at or below it
     extra_solves: int = 0      # solves outside the loop: the at_bottom policy
-    sweeps: int = None         # total value-iteration sweeps (infinite mode)
+    sweeps: int = None         # value-iteration sweeps (infinite horizons)
     stationary: bool = False
     criterion: str = "lower"
     tau: float = None
     epsilon: float = None
     value_function: object = None
-
-
-class _Solved:
-    __slots__ = ("policy", "p", "vf")
-
-    def __init__(self, policy, p, vf=None):
-        self.policy = policy
-        self.p = p
-        self.vf = vf
 
 
 def effective_epsilon(space, epsilon):
@@ -128,11 +120,12 @@ def solve_quantile(m, space, query, *, eps_conv=1e-6, max_sweeps=10000,
                    keep_value_function=False):
     """Find a tau-quantile-optimal policy and return a :class:`SolveReport`.
 
-    Finite-horizon numeric problems read the quantile off one backward
-    induction at target 0.  Ordinal problems bisect with one backward
-    induction per test point; infinite-horizon problems (uniformly signed
-    rewards, undiscounted additive wealth, explicit quantile_bounds) bisect
-    with functional value iteration and return a stationary policy.
+    Numeric problems read the quantile off one sweep: a backward induction
+    at target 0 for finite horizons, a functional value iteration at the
+    far end of ``quantile_bounds`` for infinite ones (uniformly signed
+    rewards, undiscounted additive wealth), which return a stationary
+    policy.  Ordinal problems bisect with one backward induction per test
+    point.
     """
     query.check()
     violations = validate(m)
@@ -140,57 +133,151 @@ def solve_quantile(m, space, query, *, eps_conv=1e-6, max_sweeps=10000,
         raise ValidationError(violations)
 
     infinite = m.horizon is None
-
     ordinal = isinstance(space, OrdinalWealth)
     if infinite:
-        if ordinal or isinstance(space, DiscountedWealth):
-            raise ConfigurationError(
-                "infinite-horizon solves need undiscounted additive wealth")
-        if m.reward_sign() == "mixed":
-            raise ConfigurationError(
-                "infinite-horizon solves need uniformly signed rewards")
-        if query.quantile_bounds is None:
-            raise ConfigurationError(
-                "infinite-horizon binary search needs explicit quantile_bounds: "
-                "no finite bracket exists a priori, a bound on the optimal "
-                "quantile must be supplied")
-
+        _check_infinite(m, space, query)
     bounds = query.quantile_bounds or (space.w_min, space.w_max)
     lo_k, hi_k = space.key(bounds[0]), space.key(bounds[1])
     if not lo_k <= hi_k:
         raise ConfigurationError(f"empty wealth bracket {bounds!r}")
+    if infinite and not (math.isfinite(lo_k) and math.isfinite(hi_k)):
+        raise ConfigurationError(
+            f"wealth bracket {bounds!r} is not finite; pass finite "
+            "quantile_bounds")
 
     strict = query.criterion == "lower"
     thr = 1.0 - query.tau
-    if not (infinite or ordinal):
-        return _solve_by_one_sweep(m, space, query, strict, thr, lo_k, hi_k,
-                                   keep_value_function)
-    if not (math.isfinite(lo_k) and math.isfinite(hi_k)):
+    if ordinal:
+        return _bisect(m, space, query, strict, thr, lo_k, hi_k,
+                       keep_value_function)
+    return _solve_by_one_sweep(m, space, query, strict, thr, lo_k, hi_k,
+                               keep_value_function, eps_conv, max_sweeps)
+
+
+def _check_infinite(m, space, query):
+    if isinstance(space, (OrdinalWealth, DiscountedWealth)):
         raise ConfigurationError(
-            f"wealth bracket {bounds!r} is not finite; pass quantile_bounds")
+            "infinite-horizon solves need undiscounted additive wealth")
+    if m.reward_sign() == "mixed":
+        raise ConfigurationError(
+            "infinite-horizon solves need uniformly signed rewards")
+    if query.quantile_bounds is None:
+        raise ConfigurationError(
+            "infinite-horizon solves need explicit quantile_bounds: no finite "
+            "bracket exists a priori, a bound on the optimal quantile must "
+            "be supplied")
+    if query.tau == (1.0 if query.criterion == "lower" else 0.0):
+        # the test compares p against exactly 0 or 1, and value iteration
+        # stops at an iterate whose error alone would decide it
+        raise ConfigurationError(
+            f"infinite-horizon solves cannot decide the {query.criterion} "
+            f"{query.tau}-quantile: its test compares a limit probability "
+            "against exactly 0 or 1; use tau in (0, 1)")
+
+
+def _passes(p, thr, strict):
+    """The threshold test, on one probability or an array of them."""
+    return p > thr if strict else p >= thr
+
+
+def _translate(f, c):
+    """g(x) = f(x - c): every cut moves up by c."""
+    return StepFunction(f.base, f.x + c, f.e == 0, f.v)
+
+
+def _solve_by_one_sweep(m, space, query, strict, thr, lo_k, hi_k,
+                        keep_value_function, eps_conv, max_sweeps):
+    """Numeric wealth: every threshold from one sweep at target t.
+
+    f(x0 + t - w), with f the initial-state slice, is the optimal
+    exceedance probability at threshold w; f is nondecreasing, so the first
+    passing piece opens at the cut x* of q* = x0 + t - x* (the whole
+    bracket passes when the base piece does).  q* is clamped into
+    [lo_k, hi_k].  The policy targets w_pol = q* - min(piece width,
+    epsilon) / 2, strictly inside the passing piece, where float noise in
+    a cut cannot flip the test.
+
+    Infinite horizons sweep at the bracket end farthest along the reward
+    sign, so x0 + t - w stays on the reachable side of w0, where the
+    clipped slices are exact; w_pol therefore never drops below lo_k.  No
+    passing piece there means q* is below the bracket: the report is
+    at_bottom with the policy that targets lo_k.
+    """
+    infinite = m.horizon is None
+    if infinite:
+        window = reachable_window(m, space)
+        t = lo_k if window[0] is None else hi_k
+        policy, _, vf = value_iteration(m, space, space.unkey(t), strict,
+                                        eps_conv=eps_conv,
+                                        max_sweeps=max_sweeps)
+    else:
+        window, t = None, 0.0
+        policy, _, vf = backward_induction(m, space, t, strict)
+    f = vf.slices[0][m.initial_state]
+    x0 = space.key(space.w0)
+    starts = np.concatenate(([-math.inf], f.x))   # piece k opens at starts[k]
+    hits = np.flatnonzero(_passes(np.concatenate(([f.base], f.v)), thr, strict))
+    if len(hits):
+        k = hits[0]
+    elif infinite:
+        k = None
+    else:
+        # a finite slice's top piece is 1 in exact arithmetic and passes
+        # every test, but float noise can leave it just below the upper
+        # test's 1.0 at tau = 0 (a clipped infinite slice's can truly be
+        # below 1)
+        k = len(starts) - 1
+    if k is None:
+        q = w_pol = lo_k
+    else:
+        width = (f.x[k] if k < len(f.x) else math.inf) - starts[k]
+        q = min(max(x0 + t - float(starts[k]), lo_k), hi_k)
+        w_pol = q - min(width, query.epsilon) / 2.0
+        if infinite:
+            w_pol = max(w_pol, lo_k)
+
+    def move(fn):
+        g = _translate(fn, w_pol - t)
+        return g if window is None else restrict(g, *window)
+
+    if infinite:
+        rules = [move(rule) for rule in policy.rules]
+    else:
+        rules = [[move(rule) for rule in row] for row in policy.rules]
+    kept = (ValueFunction([[move(fn) for fn in layer] for layer in vf.slices],
+                          sweeps=vf.sweeps)
+            if keep_value_function else None)
+    p = f(x0 + t - w_pol)
+    return SolveReport(
+        policy=WealthMarkovPolicy(rules, stationary=infinite),
+        quantile=space.unkey(q),
+        bracket=(space.unkey(w_pol), space.unkey(q)),
+        iterations=1,
+        log=[IterationRecord(space.unkey(w_pol), p, _passes(p, thr, strict))],
+        at_bottom=q <= lo_k,
+        sweeps=vf.sweeps,
+        stationary=infinite,
+        criterion=query.criterion,
+        tau=query.tau,
+        epsilon=query.epsilon,
+        value_function=kept,
+    )
+
+
+def _bisect(m, space, query, strict, thr, lo_k, hi_k, keep_value_function):
+    """Ordinal wealth: bisect over class indices, one backward induction each."""
     eps = effective_epsilon(space, query.epsilon)
     first_k, last_k = lo_k, hi_k
-    if ordinal:
-        # one virtual class outside the range gives both bracket ends a
-        # known outcome: the top class always fails the lower test (no
-        # wealth exceeds it) and the bottom class always passes the upper one
-        if strict:
-            lo_k -= 1.0
-        else:
-            hi_k += 1.0
-    total_sweeps = 0
+    # one virtual class outside the range gives both bracket ends a
+    # known outcome: the top class always fails the lower test (no
+    # wealth exceeds it) and the bottom class always passes the upper one
+    if strict:
+        lo_k -= 1.0
+    else:
+        hi_k += 1.0
 
     def run(wk):
-        nonlocal total_sweeps
-        w = space.unkey(wk)
-        if infinite:
-            pol, p, sweeps = value_iteration(m, space, w, strict,
-                                             eps_conv=eps_conv,
-                                             max_sweeps=max_sweeps)
-            total_sweeps += sweeps
-            return _Solved(pol, p)
-        pol, p, vf = backward_induction(m, space, w, strict)
-        return _Solved(pol, p, vf)
+        return backward_induction(m, space, space.unkey(wk), strict)
 
     log = []
     accepted = None
@@ -198,8 +285,9 @@ def solve_quantile(m, space, query, *, eps_conv=1e-6, max_sweeps=10000,
     w = min(space.mid(lo_k, hi_k))
     while hi_k - lo_k > eps:
         sol_k, sol = w, run(w)
-        ok = _passes(sol.p, thr, strict)
-        log.append(IterationRecord(space.unkey(w), sol.p, ok))
+        p = sol[1]
+        ok = _passes(p, thr, strict)
+        log.append(IterationRecord(space.unkey(w), p, ok))
         if ok:
             lo_k = w
             accepted = sol
@@ -216,73 +304,20 @@ def solve_quantile(m, space, query, *, eps_conv=1e-6, max_sweeps=10000,
         if sol is None or sol_k != lo_k:
             sol, extra_solves = run(lo_k), 1
         chosen = sol
+    policy, _, vf = chosen
 
     return SolveReport(
-        policy=chosen.policy,
-        quantile=space.unkey(hi_k if ordinal and strict else lo_k),
+        policy=policy,
+        quantile=space.unkey(hi_k if strict else lo_k),
         bracket=(space.unkey(lo_k), space.unkey(hi_k)),
         iterations=len(log),
         log=log,
         at_bottom=accepted is None,
         extra_solves=extra_solves,
-        sweeps=(total_sweeps if infinite else None),
-        stationary=infinite,
         criterion=query.criterion,
         tau=query.tau,
         epsilon=query.epsilon,
-        value_function=(chosen.vf if keep_value_function else None),
-    )
-
-
-def _passes(p, thr, strict):
-    """The threshold test, on one probability or an array of them."""
-    return p > thr if strict else p >= thr
-
-
-def _translate(f, c):
-    """g(x) = f(x - c): every cut moves up by c."""
-    return StepFunction(f.base, f.x + c, f.e == 0, f.v)
-
-
-def _solve_by_one_sweep(m, space, query, strict, thr, lo_k, hi_k,
-                        keep_value_function):
-    """Finite-horizon numeric wealth: every threshold from one sweep.
-
-    The initial-state slice f of the target-0 sweep gives the optimal
-    exceedance probability at threshold w as f(w0 - w); f is nondecreasing
-    and its base piece is 0, so the first passing piece opens at the cut
-    x* that makes q* = w0 - x* the largest passing threshold.  The policy
-    targets w_pol = q* - min(width of that piece, epsilon) / 2, strictly
-    inside the passing piece, where float noise in a cut cannot flip the
-    test.  q* is clamped into [lo_k, hi_k].
-    """
-    policy, _, vf = backward_induction(m, space, 0.0, strict)
-    f = vf.slices[0][m.initial_state]
-    hits = np.flatnonzero(_passes(f.v, thr, strict))
-    # the top piece is 1 in exact arithmetic and passes every test, but
-    # float noise can leave it just below the upper test's 1.0 at tau = 0
-    k = hits[0] if len(hits) else len(f.v) - 1
-    width = (f.x[k + 1] if k + 1 < len(f.x) else math.inf) - f.x[k]
-    x0 = space.key(space.w0)
-    q = min(max(x0 - float(f.x[k]), lo_k), hi_k)
-    w_pol = q - min(width, query.epsilon) / 2.0
-    policy = WealthMarkovPolicy([[_translate(rule, w_pol) for rule in row]
-                                 for row in policy.rules])
-    vf = (ValueFunction([[_translate(fn, w_pol) for fn in layer]
-                         for layer in vf.slices])
-          if keep_value_function else None)
-    p = f(x0 - w_pol)
-    return SolveReport(
-        policy=policy,
-        quantile=space.unkey(q),
-        bracket=(space.unkey(w_pol), space.unkey(q)),
-        iterations=1,
-        log=[IterationRecord(space.unkey(w_pol), p, _passes(p, thr, strict))],
-        at_bottom=q <= lo_k,
-        criterion=query.criterion,
-        tau=query.tau,
-        epsilon=query.epsilon,
-        value_function=vf,
+        value_function=(vf if keep_value_function else None),
     )
 
 

@@ -84,6 +84,59 @@ def test_solve_dump_slices(tmp_path):
     assert len(rows) > 1
 
 
+def test_solve_infinite_dumps_stationary_slices(tmp_path, capsys):
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({
+        "mdp": {"n_states": 2, "n_actions": 1,
+                "transitions": [[0, 0, 0, 0.3], [0, 0, 1, 0.7], [1, 0, 1, 1.0]],
+                "rewards": {"kind": "sa", "values": [[-0.25], [0.0]]},
+                "initial_state": 0, "horizon": "infinite"},
+        "wealth_space": {"kind": "additive"}}))
+    slices = tmp_path / "slices.csv"
+    assert run("solve", "--problem", problem, "--tau", 0.5, "--bounds=-3,0",
+               "--dump-slices", slices) == 0
+    sweeps = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("sweeps: ")]
+    assert len(sweeps) == 1 and int(sweeps[0].split()[1]) > 0
+    rows = read_csv(slices)
+    assert rows[0] == ["t", "s", "threshold", "inclusive", "value"]
+    assert {row[0] for row in rows[1:]} == {"0"}
+    assert {row[1] for row in rows[1:]} == {"0", "1"}
+
+
+def _write_ordinal_problem(path, table):
+    path.write_text(json.dumps({
+        "mdp": {"n_states": 2, "n_actions": 1,
+                "transitions": [[0, 0, 1, 1.0], [1, 0, 1, 1.0]],
+                "rewards": {"kind": "sa", "values": [["up"], ["down"]]},
+                "initial_state": 0, "horizon": 2},
+        "wealth_space": {"kind": "ordinal", "classes": ["a", "b"],
+                         "transition_table": table}}))
+
+
+def test_ordinal_table_checked_against_reward_labels(tmp_path, capsys):
+    problem = tmp_path / "p.json"
+    table = {"a": {"up": "b", "down": "a"}, "b": {"up": "b", "down": "a"}}
+    _write_ordinal_problem(problem, table)
+    assert run("solve", "--problem", problem, "--tau", 0.5) == 0
+    capsys.readouterr()
+    del table["a"]["down"]
+    _write_ordinal_problem(problem, table)
+    assert run("solve", "--problem", problem, "--tau", 0.5) == 3
+    err = capsys.readouterr().err
+    assert "validation error" in err and "'a'" in err and "'down'" in err
+    table["a"]["down"] = "c"
+    _write_ordinal_problem(problem, table)
+    assert run("solve", "--problem", problem, "--tau", 0.5) == 3
+    assert "'c'" in capsys.readouterr().err
+    policy = tmp_path / "pol.json"
+    policy.write_text(json.dumps(
+        [{"t": t, "s": s, "intervals": [{"from": None, "inclusive_from": True,
+                                         "action": 0}]}
+         for t in range(2) for s in range(2)]))
+    assert run("eval", "--problem", problem, "--policy", policy) == 3
+
+
 def test_validation_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     problem = {

@@ -141,10 +141,11 @@ def test_small_instance_matches_policy_enumeration():
 def test_value_iteration_zero_rewards_one_sweep():
     m = Mdp(2, 2, [[[(1, 1.0)], [(0, 1.0)]], [[(0, 1.0)], [(1, 1.0)]]],
             {"kind": "sa", "values": [[0.0, 0.0], [0.0, 0.0]]}, 0, None)
-    policy, p, sweeps = value_iteration(m, AdditiveWealth(-1, 1), 0.5, False)
+    policy, p, vf = value_iteration(m, AdditiveWealth(-1, 1), 0.5, False)
     assert p == 0.0
-    assert sweeps == 1
+    assert vf.sweeps == 1
     assert policy.stationary
+    assert len(vf.slices) == 1 and len(vf.slices[0]) == m.n_states
 
 
 def test_value_iteration_absorbing_chain():

@@ -8,8 +8,13 @@ from qmdp import (AdditiveWealth, ConfigurationError, DiscountedWealth,
                   StepFunction, WealthMarkovPolicy,
                   brute_force_distributions, brute_force_optimal_quantile,
                   exact_distribution, generate_garnet, iteration_bound,
-                  quantile_certificate, solve_quantile, validate)
+                  quantile_certificate, solve_quantile, validate,
+                  value_iteration)
 from conftest import random_lattice_mdp, two_policy_ordinal_instance
+
+
+NEG_LATTICE = (-0.25, -0.5, -0.75, -1.0)
+POS_LATTICE = (0.25, 0.5, 0.75, 1.0)   # the reward-negated twins
 
 
 def small_instance(seed):
@@ -311,12 +316,16 @@ def test_solve_counts_per_wealth_kind(monkeypatch):
         assert len(calls) == report.iterations + report.extra_solves
         assert report.iterations <= math.ceil(math.log2(len(space.classes)))
 
-    m = random_lattice_mdp(1)
-    calls.clear()
-    report = solve_quantile(m, AdditiveWealth.for_mdp(m), QuantileQuery(
-        tau=0.3, criterion="upper", epsilon=1e-3, quantile_bounds=(-10.0, 0.0)))
-    assert set(calls) == {"value_iteration"}
-    assert len(calls) == report.iterations + report.extra_solves > 1
+    for lattice, bounds in ((NEG_LATTICE, (-10.0, 0.0)), (POS_LATTICE, (0.0, 10.0))):
+        m = random_lattice_mdp(1, lattice=lattice)
+        for criterion, tau in (("lower", 0.3), ("upper", 0.7)):
+            calls.clear()
+            report = solve_quantile(m, AdditiveWealth.for_mdp(m), QuantileQuery(
+                tau=tau, criterion=criterion, epsilon=1e-3,
+                quantile_bounds=bounds))
+            assert calls == ["value_iteration"]
+            assert report.iterations == len(report.log) == 1
+            assert report.extra_solves == 0
 
 
 # -- degenerate paths -----------------------------------------------------------------
@@ -405,6 +414,104 @@ def test_infinite_solve_stationary():
     assert report.stationary
     assert report.sweeps > 0
     assert space.distance(*report.bracket) <= 1e-3
+
+
+# the twins of seeds 1, 5, 10 and 13 keep most quantiles inside (0, 10);
+# most others can avoid the sink forever and pass every threshold
+@pytest.mark.parametrize("lattice,bounds,seed", [
+    *((NEG_LATTICE, (-10.0, 0.0), seed) for seed in range(4)),
+    *((POS_LATTICE, (0.0, 10.0), seed) for seed in (1, 5, 10, 13))])
+def test_infinite_quantile_is_largest_passing_threshold(lattice, bounds, seed):
+    # a direct value iteration at the policy's target passes the test and
+    # one at q* + epsilon fails, unless q* is at the top of the bracket
+    m = random_lattice_mdp(seed, lattice=lattice)
+    space = AdditiveWealth.for_mdp(m)
+    eps = 1e-3
+    for criterion in ("lower", "upper"):
+        strict = criterion == "lower"
+        for tau in (0.1, 0.5, 0.9):
+            report = solve_quantile(m, space, QuantileQuery(
+                tau=tau, criterion=criterion, epsilon=eps,
+                quantile_bounds=bounds))
+            test = (lambda p: p > 1 - tau) if strict else (lambda p: p >= 1 - tau)
+            w_pol, q = report.bracket
+            assert report.log[0].w == w_pol
+            assert q - eps <= w_pol <= q
+            _, p_pol, _ = value_iteration(m, space, w_pol, strict)
+            assert test(p_pol) == (not report.at_bottom)
+            assert report.log[0].accepted == (not report.at_bottom)
+            if q < bounds[1]:
+                _, p_above, _ = value_iteration(m, space, q + eps, strict)
+                assert not test(p_above)
+            # every unabsorbed history has moved more than 10 by step 41,
+            # so 44 steps give the policy's exact exceedance in the bracket
+            own = exact_distribution(m.with_horizon(44), space,
+                                     report.policy).quantile(tau, criterion)
+            assert own >= q - eps
+            if q < bounds[1]:
+                assert own <= q
+
+
+def test_infinite_base_piece_passes_gives_bracket_top():
+    # nonnegative rewards: one step pays 1, then the sink; every threshold
+    # in (0, 0.5) passes, including the bracket top
+    m = Mdp(2, 1, [[[(1, 1.0)]], [[(1, 1.0)]]],
+            {"kind": "sa", "values": [[1.0], [0.0]]}, 0, None)
+    space = AdditiveWealth.for_mdp(m)
+    for criterion in ("lower", "upper"):
+        report = solve_quantile(m, space, QuantileQuery(
+            tau=0.5, criterion=criterion, epsilon=1e-3,
+            quantile_bounds=(0.0, 0.5)))
+        assert report.quantile == 0.5
+        assert not report.at_bottom
+        assert report.log[0].accepted
+        assert report.policy.stationary
+
+
+def test_infinite_quantile_at_or_below_bracket_is_at_bottom():
+    # one step costs 1 for sure: q* = -1 lies below the bracket (-0.5, 0)
+    m = Mdp(2, 1, [[[(1, 1.0)]], [[(1, 1.0)]]],
+            {"kind": "sa", "values": [[-1.0], [0.0]]}, 0, None)
+    space = AdditiveWealth.for_mdp(m)
+    report = solve_quantile(m, space, QuantileQuery(
+        tau=0.5, criterion="upper", epsilon=1e-3, quantile_bounds=(-0.5, 0.0)))
+    assert report.at_bottom
+    assert report.quantile == -0.5
+    assert report.bracket == (-0.5, -0.5)
+    assert not report.log[0].accepted
+    # q* = -1 at the bracket bottom: the policy still targets the bottom,
+    # the lowest wealth the clipped slices hold exactly
+    report = solve_quantile(m, space, QuantileQuery(
+        tau=0.5, criterion="upper", epsilon=1e-3, quantile_bounds=(-1.0, 0.0)))
+    assert report.at_bottom
+    assert report.quantile == -1.0
+    assert report.bracket == (-1.0, -1.0)
+    assert report.log[0].accepted
+
+
+def test_infinite_policy_has_no_cuts_beyond_reachable_wealth():
+    for lattice, bounds in ((NEG_LATTICE, (-10.0, 0.0)), (POS_LATTICE, (0.0, 10.0))):
+        m = random_lattice_mdp(3, lattice=lattice)
+        report = solve_quantile(m, AdditiveWealth.for_mdp(m), QuantileQuery(
+            tau=0.5, criterion="lower", epsilon=1e-3, quantile_bounds=bounds))
+        for rule in report.policy.rules:
+            if lattice is NEG_LATTICE:
+                assert np.all((rule.x < 0) | ((rule.x == 0) & (rule.e == 0)))
+            else:
+                assert np.all((rule.x > 0) | ((rule.x == 0) & (rule.e == 1)))
+
+
+@pytest.mark.parametrize("seed", [13, 16])
+def test_infinite_rejects_degenerate_taus(seed):
+    # these tests compare p against exactly 1 or 0, which the stopped
+    # iterate's error decides: seed 13's upper 0-quantile used to read
+    # -7.2504 while its policy's own 0-quantile is -12.25
+    m = random_lattice_mdp(seed)
+    space = AdditiveWealth.for_mdp(m)
+    for criterion, tau in (("upper", 0.0), ("lower", 1.0)):
+        with pytest.raises(ConfigurationError):
+            solve_quantile(m, space, QuantileQuery(
+                tau=tau, criterion=criterion, quantile_bounds=(-10.0, 0.0)))
 
 
 def test_infinite_rejects_mixed_signs():

@@ -29,9 +29,10 @@ table = {c: {"gain": "w3" if c != "w1" else "w2", "hold": c}
          for c in ("w1", "w2", "w3")}
 ordinal = OrdinalWealth(["w1", "w2", "w3"], table)
 print("ordinal:    w1 after 'gain' ->", ordinal.accumulate("w1", "gain"))
-# brackets work on keys; an ordinal key is the class index
-mids = ordinal.mid(ordinal.key("w1"), ordinal.key("w3"))
-print("ordinal:    mid(w1, w3) =", [ordinal.unkey(k) for k in mids])
+# the solver works on keys; an ordinal key is the class index, and the
+# distance between two classes is their index gap
+print("ordinal:    key(w3) =", ordinal.key("w3"),
+      " distance(w1, w3) =", ordinal.distance("w1", "w3"))
 
 # Target utilities turn quantile tests into expected utility ----------------
 

@@ -3,9 +3,10 @@
 Each wealth threshold poses an indicator-utility MDP, solved by
 functional backward induction (or functional value iteration in the
 infinite-horizon case).  For numeric wealth one such solve yields every
-threshold's answer, so the solver reads the optimal quantile off one
-sweep; ordinal wealth bisects over thresholds.  Either way the returned
-greedy wealth-Markovian policy is epsilon-optimal for the lower or upper
+threshold's answer; for ordinal wealth one batched dense sweep solves
+every class threshold at once.  Either way the solver reads the optimal
+quantile off one exceedance curve, and the returned greedy
+wealth-Markovian policy is epsilon-optimal for the lower or upper
 tau-quantile criterion.
 """
 

@@ -302,12 +302,15 @@ def build_parser():
     sv.add_argument("--epsilon", type=float, default=1e-3)
     sv.add_argument("--horizon", default=None,
                     help="override the problem horizon (an integer or 'inf')")
-    sv.add_argument("--bounds", default=None, help="quantile bracket lo,hi")
+    sv.add_argument("--bounds", default=None,
+                    help="quantile bracket lo,hi (a negative lo works as "
+                         "written: --bounds -3,0)")
     sv.add_argument("--eps-conv", type=float, default=1e-6)
     sv.add_argument("--max-sweeps", type=int, default=10000)
     sv.add_argument("--out", default=None, help="policy JSON path")
     sv.add_argument("--log", default=None,
-                    help="CSV path: one (w, p, accepted) row per threshold test")
+                    help="CSV path: the (w, p, accepted) row of the threshold "
+                         "the policy targets")
     sv.add_argument("--dump-slices", default=None,
                     help="debug CSV of value-function pieces per (t, s); "
                          "infinite horizons write the stationary slices as t=0")
@@ -353,9 +356,24 @@ def build_parser():
     return parser
 
 
+def _attach_bounds(argv):
+    """Join ``--bounds LO,HI`` into ``--bounds=LO,HI``.
+
+    argparse takes a separate ``-3,0`` for an unknown option rather than a
+    value, yet nonpositive infinite-horizon problems need negative brackets.
+    """
+    out = []
+    it = iter(argv)
+    for arg in it:
+        value = next(it, None) if arg == "--bounds" else None
+        out.append(arg if value is None else f"--bounds={value}")
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_bounds(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args) or 0
     except ValidationError as exc:

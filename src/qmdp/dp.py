@@ -16,6 +16,12 @@ are clipped to the reachable side of it (:func:`reachable_window`), where
 the clip is exact.  By translation, one clipped run at target t holds the
 value at ``w0`` of every target above t (nonpositive rewards) or below t
 (nonnegative rewards).
+
+Ordinal wealth over n classes also has a dense form: a slice is a
+length-n vector, and the slices of many targets stack into one array, so
+one batched backward induction gives the optimal exceedance probability
+of every class threshold, and one at a single threshold the policy
+(:class:`OrdinalSweep`).
 """
 
 import numpy as np
@@ -23,7 +29,7 @@ import numpy as np
 from .errors import ConfigurationError, ConvergenceError
 from .stepfun import (StepFunction, combine, pointwise_max, restrict, shift,
                       sup_distance, target_utility)
-from .wealth import AdditiveWealth
+from .wealth import AdditiveWealth, OrdinalWealth
 
 
 class ValueFunction:
@@ -130,6 +136,100 @@ def backward_induction(m, space, w, strict):
     return (WealthMarkovPolicy(rules), float(p), ValueFunction(slices))
 
 
+# Float64 entries in one gather of the dense ordinal sweep: (s, a) pairs x
+# edges per pair x classes x thresholds.  OrdinalSweep.exceedance processes
+# the thresholds in blocks that stay under it.
+ORDINAL_BLOCK_FLOATS = 1 << 20
+
+
+class OrdinalSweep:
+    """Dense backward induction over the n classes of an ordinal space.
+
+    A slice over n classes is a length-n vector, so the slices of J
+    targets stack into one (S * n, J) array.  Each layer gathers the
+    successor values through the class-transition table, mixes them per
+    (s, a) and takes the max over actions.  The gather tables are built
+    once, from every edge of m: ``idx[sa, i, k]`` is the flat
+    (state, class) row that edge i of pair sa reaches from class k, and
+    ``prob[sa, i]`` its probability.  Pairs with fewer edges than the
+    widest one are padded with zero-probability edges, so a plain sum over
+    edge slots mixes the successors.
+    """
+
+    def __init__(self, m, space):
+        if m.horizon is None:
+            raise ConfigurationError("the dense ordinal sweep needs a finite horizon")
+        if not isinstance(space, OrdinalWealth):
+            raise ConfigurationError("the dense ordinal sweep needs ordinal wealth")
+        self.m = m
+        self.n = n = len(space.classes)
+        self.row0 = m.initial_state * n + space.index(space.w0)
+        pairs = [(s, a) for s in range(m.n_states) for a in range(m.n_actions)]
+        counts = np.array([len(m.successors(s, a)) for s, a in pairs])
+        real = np.arange(counts.max()) < counts[:, None]
+        labels = [r for s, a in pairs for r in m.edge_rewards(s, a)]
+        rows = {r: i for i, r in enumerate(dict.fromkeys(labels))}
+        moves = np.array([space.move_table(r) for r in rows], dtype=np.intp)
+        succ = np.concatenate([m.successors(s, a) for s, a in pairs])
+        self.idx = np.zeros(real.shape + (n,), dtype=np.intp)
+        self.idx[real] = succ[:, None] * n + moves[[rows[r] for r in labels]]
+        self.prob = np.zeros(real.shape + (1, 1))
+        self.prob[real, 0, 0] = np.concatenate(
+            [m.probabilities(s, a) for s, a in pairs])
+
+    def _terminal(self, targets, strict):
+        """Terminal slices (S * n, J): 1 on the classes above each target."""
+        k = np.arange(self.n)[:, None]
+        hit = (k > targets) if strict else (k >= targets)
+        return np.tile(hit.astype(np.float64), (self.m.n_states, 1))
+
+    def _q(self, V):
+        """Action values (S, A, n, J) of one backward step from slices V."""
+        g = V[self.idx]
+        g *= self.prob
+        return g.sum(axis=1).reshape(self.m.n_states, self.m.n_actions, -1,
+                                     V.shape[1])
+
+    def exceedance(self, targets, strict):
+        """Optimal exceedance probability from (s0, w0) at every class target.
+
+        Entry j equals ``backward_induction(m, space, class targets[j],
+        strict)[1]``.
+        """
+        targets = np.asarray(targets, dtype=np.intp)
+        block = max(1, ORDINAL_BLOCK_FLOATS // self.idx.size)
+        p = np.empty(len(targets))
+        for b in range(0, len(targets), block):
+            V = self._terminal(targets[b:b + block], strict)
+            for _ in range(self.m.horizon):
+                V = self._q(V).max(axis=1).reshape(-1, V.shape[1])
+            p[b:b + block] = V[self.row0]
+        return p
+
+    def backward_induction(self, target, strict, keep_value_function=False):
+        """:func:`backward_induction` at one class target.
+
+        Returns ``(policy, p, vf)``: the greedy argmax rows (lowest action
+        on ties) become the integer rules; vf holds the slices as step
+        functions when ``keep_value_function`` is set, and is None
+        otherwise.
+        """
+        m, T = self.m, self.m.horizon
+        V = self._terminal(np.array([target]), strict)
+        slices = [None] * (T + 1)
+        slices[T] = [target_utility(target, strict)] * m.n_states
+        rules = [None] * T
+        for t in range(T - 1, -1, -1):
+            q = self._q(V)[..., 0]
+            rules[t] = [StepFunction.on_classes(row) for row in q.argmax(axis=1)]
+            V = q.max(axis=1)
+            if keep_value_function:
+                slices[t] = [StepFunction.on_classes(row) for row in V]
+            V = V.reshape(-1, 1)
+        return (WealthMarkovPolicy(rules), float(V[self.row0, 0]),
+                ValueFunction(slices) if keep_value_function else None)
+
+
 def reachable_window(m, space):
     """``(lo, hi)`` keys bounding the wealth an infinite run can reach.
 
@@ -156,7 +256,8 @@ def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
     ``max_s sup_distance(V_k(s,.), V_{k-1}(s,.)) <= eps_conv`` and returns
     ``(stationary_policy, p, vf)``: ``vf.slices[0]`` holds the converged
     slices, clipped to :func:`reachable_window`, and ``vf.sweeps`` the
-    number of sweeps.
+    number of sweeps.  The policy is the greedy rule of the last sweep,
+    taken against the iterate within ``eps_conv`` of the returned slices.
     """
     if m.horizon is not None:
         raise ConfigurationError(
@@ -173,12 +274,11 @@ def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
     V = [restrict(target_utility(space.key(w), strict), *window)] * m.n_states
     residual = np.inf
     for sweep in range(1, max_sweeps + 1):
-        new_V, _ = _greedy_update(m, space, V, 0)
+        new_V, rules = _greedy_update(m, space, V, 0)
         new_V = [restrict(f, *window) for f in new_V]
         residual = max(sup_distance(new_V[s], V[s]) for s in range(m.n_states))
         V = new_V
         if residual <= eps_conv:
-            _, rules = _greedy_update(m, space, V, 0)
             policy = WealthMarkovPolicy(rules, stationary=True)
             p = V[m.initial_state](space.key(space.w0))
             return policy, float(p), ValueFunction([V], sweeps=sweep)

@@ -1,4 +1,4 @@
-"""Quantile-optimal policies: one sweep for numeric wealth, bisection otherwise.
+"""Quantile-optimal policies: the optimal quantile read off one sweep.
 
 A threshold test solves one indicator-utility MDP: for the lower
 criterion the subroutine maximizes P[wealth > w] and the test is
@@ -19,15 +19,15 @@ reward sign (the bottom for nonpositive rewards, the top for nonnegative
 ones): its slices are clipped to the wealth reachable from w0, and every
 threshold in the bracket maps onto that side.
 
-Ordinal spaces bisect over thresholds.  Successful tests raise the
-bracket bottom and cache the policy; failures lower the top.  The bracket
-distance is integer valued, so the search runs to adjacency and the
-answer is exact.  The bracket starts one virtual class outside the range,
-below the bottom for the lower criterion and above the top for the upper
-one, so both of its ends have a known test outcome before any test runs.
-The optimal quantile is then the bracket top for lower queries and the
-bracket bottom for upper ones, and the last accepted solve's policy
-attains it.
+Ordinal wealth has no translation, but over m classes a slice is a dense
+length-m vector, so one batched backward induction over every class
+threshold j of the bracket gives the exceedance curve p(j) directly
+(:meth:`~qmdp.dp.OrdinalSweep.exceedance`).  The lower quantile is one above
+the largest passing j below the bracket top, the upper quantile the
+largest passing j above the bracket bottom; both are exact.  The policy
+comes from a second, single-threshold pass at the largest passing j
+(:meth:`~qmdp.dp.OrdinalSweep.backward_induction`), or at the bracket bottom
+when no j passes, and attains the optimum.
 """
 
 import math
@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dp import (ValueFunction, WealthMarkovPolicy, backward_induction,
-                 reachable_window, value_iteration)
+from .dp import (OrdinalSweep, ValueFunction, WealthMarkovPolicy,
+                 backward_induction, reachable_window, value_iteration)
 from .errors import ConfigurationError, ValidationError
 from .evaluate import QUANT_ATOL, exact_distribution
 from .mdp import validate
@@ -82,11 +82,10 @@ class SolveReport:
     policy: object
     quantile: object           # the certified quantile estimate
     bracket: tuple             # final (w_lo, w_hi)
-    iterations: int            # threshold tests (1 for a numeric sweep)
-    log: list = field(default_factory=list)
-    at_bottom: bool = False    # quantile at the range bottom: no bisection test
-                               # succeeded, or the sweep found q* at or below it
-    extra_solves: int = 0      # solves outside the loop: the at_bottom policy
+    iterations: int            # sweeps that read q* off an exceedance curve: 1
+    log: list = field(default_factory=list)   # the policy's threshold test
+    at_bottom: bool = False    # the sweep found q* at or below the range bottom
+    extra_solves: int = 0      # solves besides that sweep: always 0
     sweeps: int = None         # value-iteration sweeps (infinite horizons)
     stationary: bool = False
     criterion: str = "lower"
@@ -124,8 +123,9 @@ def solve_quantile(m, space, query, *, eps_conv=1e-6, max_sweeps=10000,
     at target 0 for finite horizons, a functional value iteration at the
     far end of ``quantile_bounds`` for infinite ones (uniformly signed
     rewards, undiscounted additive wealth), which return a stationary
-    policy.  Ordinal problems bisect with one backward induction per test
-    point.
+    policy.  Ordinal problems make one batched dense backward induction
+    over every class threshold of the bracket, and one more at the
+    threshold the policy targets.
     """
     query.check()
     violations = validate(m)
@@ -148,8 +148,8 @@ def solve_quantile(m, space, query, *, eps_conv=1e-6, max_sweeps=10000,
     strict = query.criterion == "lower"
     thr = 1.0 - query.tau
     if ordinal:
-        return _bisect(m, space, query, strict, thr, lo_k, hi_k,
-                       keep_value_function)
+        return _solve_ordinal(m, space, query, strict, thr, lo_k, hi_k,
+                              keep_value_function)
     return _solve_by_one_sweep(m, space, query, strict, thr, lo_k, hi_k,
                                keep_value_function, eps_conv, max_sweeps)
 
@@ -264,60 +264,45 @@ def _solve_by_one_sweep(m, space, query, strict, thr, lo_k, hi_k,
     )
 
 
-def _bisect(m, space, query, strict, thr, lo_k, hi_k, keep_value_function):
-    """Ordinal wealth: bisect over class indices, one backward induction each."""
-    eps = effective_epsilon(space, query.epsilon)
-    first_k, last_k = lo_k, hi_k
-    # one virtual class outside the range gives both bracket ends a
-    # known outcome: the top class always fails the lower test (no
-    # wealth exceeds it) and the bottom class always passes the upper one
-    if strict:
-        lo_k -= 1.0
+def _solve_ordinal(m, space, query, strict, thr, lo_k, hi_k,
+                   keep_value_function):
+    """Ordinal wealth: every class threshold of the bracket from one sweep.
+
+    One batched dense backward induction gives p(j) at the thresholds
+    that decide q*: j in [lo_k, hi_k) for lower queries, where q* is one
+    above the largest passing j, and j in (lo_k, hi_k] for upper ones,
+    where q* is the largest passing j.  The bracket top is taken to fail
+    the lower test and the bottom to pass the upper one: true at the ends
+    of the class range (no wealth exceeds the top class, every wealth
+    reaches the bottom one), and what clamps q* into narrower
+    quantile_bounds.  Without a passing j the report is at_bottom at
+    lo_k.  The policy is the greedy one at the largest passing threshold
+    (at lo_k when at_bottom), which attains q*.
+    """
+    lo, hi = int(lo_k), int(hi_k)
+    sweep = OrdinalSweep(m, space)
+    js = np.arange(lo, hi) + (0 if strict else 1)
+    hits = js[_passes(sweep.exceedance(js, strict), thr, strict)]
+    at_bottom = not len(hits)
+    if at_bottom:
+        q = target = lo
     else:
-        hi_k += 1.0
-
-    def run(wk):
-        return backward_induction(m, space, space.unkey(wk), strict)
-
-    log = []
-    accepted = None
-    sol = None
-    w = min(space.mid(lo_k, hi_k))
-    while hi_k - lo_k > eps:
-        sol_k, sol = w, run(w)
-        p = sol[1]
-        ok = _passes(p, thr, strict)
-        log.append(IterationRecord(space.unkey(w), p, ok))
-        if ok:
-            lo_k = w
-            accepted = sol
-            w = max(space.mid(lo_k, hi_k))
-        else:
-            hi_k = w
-            w = min(space.mid(lo_k, hi_k))
-
-    lo_k, hi_k = max(lo_k, first_k), min(hi_k, last_k)
-    chosen, extra_solves = accepted, 0
-    if accepted is None:
-        # every test failed: the policy comes from a solve at the bracket
-        # bottom, which the last test already made if it ended there
-        if sol is None or sol_k != lo_k:
-            sol, extra_solves = run(lo_k), 1
-        chosen = sol
-    policy, _, vf = chosen
-
+        target = int(hits[-1])
+        q = target + 1 if strict else target
+    bracket = (q - 1, q) if strict else (q, q + 1)
+    policy, p, vf = sweep.backward_induction(target, strict,
+                                             keep_value_function)
     return SolveReport(
         policy=policy,
-        quantile=space.unkey(hi_k if strict else lo_k),
-        bracket=(space.unkey(lo_k), space.unkey(hi_k)),
-        iterations=len(log),
-        log=log,
-        at_bottom=accepted is None,
-        extra_solves=extra_solves,
+        quantile=space.unkey(q),
+        bracket=tuple(space.unkey(min(max(k, lo), hi)) for k in bracket),
+        iterations=1,
+        log=[IterationRecord(space.unkey(target), p, _passes(p, thr, strict))],
+        at_bottom=at_bottom,
         criterion=query.criterion,
         tau=query.tau,
         epsilon=query.epsilon,
-        value_function=(vf if keep_value_function else None),
+        value_function=vf,
     )
 
 

@@ -92,6 +92,17 @@ class StepFunction:
     def constant(cls, value):
         return cls(value)
 
+    @classmethod
+    def on_classes(cls, values):
+        """The function taking ``values[k]`` at class key k, k = 0..n-1.
+
+        Cuts are inclusive, at the keys where the value changes; the base
+        piece holds ``values[0]``.
+        """
+        change = np.flatnonzero(values[1:] != values[:-1]) + 1
+        return cls(values[0], change.astype(np.float64),
+                   np.ones(len(change), dtype=bool), values[change])
+
     # -- introspection --------------------------------------------------
 
     def intervals(self):
@@ -254,10 +265,7 @@ def shift(f, r, t, space):
     delta = space.shift_delta(r, t)
     if delta is None:
         moves = np.asarray(space.move_table(r), dtype=np.float64)
-        vals = f.eval_many(moves)
-        change = np.flatnonzero(vals[1:] != vals[:-1]) + 1
-        return StepFunction(vals[0], change.astype(np.float64),
-                            np.ones(len(change), dtype=bool), vals[change])
+        return StepFunction.on_classes(f.eval_many(moves))
     if delta == 0.0:
         return f
     return StepFunction(f.base, f.x - delta, f.e == 0, f.v)

@@ -2,8 +2,8 @@
 
 A wealth space fixes the set of values histories can take, the accumulation
 operation that folds a reward into the running wealth, a total order, a
-distance, mid-elements for bracketing, and bounds for the terminal wealth
-range.  Three kinds are supported:
+distance, and bounds for the terminal wealth range.  Three kinds are
+supported:
 
 * ``AdditiveWealth`` — wealth is the running sum of numeric rewards.
 * ``DiscountedWealth`` — wealth is the running gamma-discounted sum; the
@@ -16,7 +16,7 @@ Internally every wealth value maps to a float *key* (the value itself for
 numeric kinds, the class index for the ordinal kind) so that downstream
 code can compare and sort wealths uniformly.  ``accumulate``, ``compare``
 and ``distance`` accept and return public values (class labels for ordinal
-spaces); ``mid`` and the key protocol work on keys.
+spaces); the key protocol works on keys.
 """
 
 import math
@@ -49,15 +49,6 @@ class WealthSpace:
     def distance(self, w, w2):
         """Order-consistent distance between two wealth values."""
         return abs(self.key(w) - self.key(w2))
-
-    def mid(self, k, k2):
-        """Keys of the 1-2 mid-elements of the key interval [k, k2].
-
-        Numeric kinds return the midpoint; requires k <= k2.
-        """
-        if k > k2:
-            raise ValueError(f"mid() requires k <= k2, got {k!r} > {k2!r}")
-        return [(k + k2) / 2.0]
 
     # -- key protocol (internal, used by the DP machinery) -------------
 
@@ -195,7 +186,7 @@ class OrdinalWealth(WealthSpace):
     ``classes`` lists the labels from least to most preferred.  The
     transition table maps (current class, reward label) to the next class;
     it must be total over the labels it is ever queried with.  Distance is
-    the index gap, so mid-elements are the one or two middle class indices.
+    the index gap.
     """
 
     kind = "ordinal"
@@ -262,15 +253,6 @@ class OrdinalWealth(WealthSpace):
     def accumulate_keys(self, karr, r, t=0):
         moves = np.asarray(self.move_table(r), dtype=np.float64)
         return moves[np.asarray(karr, dtype=np.float64).astype(np.int64)]
-
-    def mid(self, k, k2):
-        """Index keys of the one or two middle classes of [k, k2].
-
-        Keys one step outside the class range are accepted, so a bracket
-        may start at a virtual class below the bottom or above the top.
-        """
-        (half,) = super().mid(k, k2)
-        return sorted({float(math.floor(half)), float(math.ceil(half))})
 
     def __repr__(self):
         return f"OrdinalWealth({self.classes!r})"

@@ -104,6 +104,24 @@ def test_solve_infinite_dumps_stationary_slices(tmp_path, capsys):
     assert {row[1] for row in rows[1:]} == {"0", "1"}
 
 
+def test_solve_negative_bounds_as_written(tmp_path, capsys):
+    # argparse would take a separate "-3,0" for an option
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({
+        "mdp": {"n_states": 2, "n_actions": 1,
+                "transitions": [[0, 0, 0, 0.3], [0, 0, 1, 0.7], [1, 0, 1, 1.0]],
+                "rewards": {"kind": "sa", "values": [[-0.25], [0.0]]},
+                "initial_state": 0, "horizon": "infinite"},
+        "wealth_space": {"kind": "additive"}}))
+    outputs = []
+    for bounds in (["--bounds", "-3,0"], ["--bounds=-3,0"], ["--bounds", "0,3"]):
+        assert run("solve", "--problem", problem, *bounds, "--tau", 0.5) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "estimate: -0.25" in outputs[0]
+    assert "estimate: 0.0 (quantile at bottom of range)" in outputs[2]
+
+
 def _write_ordinal_problem(path, table):
     path.write_text(json.dumps({
         "mdp": {"n_states": 2, "n_actions": 1,

@@ -7,9 +7,10 @@ from qmdp import (AdditiveWealth, ConfigurationError, DiscountedWealth,
                   GarnetConfig, Mdp, OrdinalWealth, QuantileQuery, SolveReport,
                   StepFunction, WealthMarkovPolicy,
                   brute_force_distributions, brute_force_optimal_quantile,
-                  exact_distribution, generate_garnet, iteration_bound,
-                  quantile_certificate, solve_quantile, validate,
-                  value_iteration)
+                  backward_induction, exact_distribution, generate_garnet,
+                  iteration_bound, quantile_certificate, solve_quantile,
+                  validate, value_iteration)
+from qmdp.dp import OrdinalSweep
 from conftest import random_lattice_mdp, two_policy_ordinal_instance
 
 
@@ -253,36 +254,208 @@ def test_ordinal_random_instances_exact():
             assert report.quantile == oracle_q, (seed, tau, criterion)
 
 
+ORDINAL_QUERIES = [("lower", tau) for tau in (0.2, 0.3, 0.5, 0.7, 0.8, 1.0)] + [
+    ("upper", tau) for tau in (0.0, 0.2, 0.3, 0.5, 0.7, 0.8)]
+
+
+@pytest.mark.parametrize("seed", [None, *range(30)])
+def test_ordinal_sweep_matches_oracle(seed):
+    # seed None: the two-policy instance
+    m, space = (two_policy_ordinal_instance() if seed is None
+                else random_ordinal_instance(seed))
+    classes = np.arange(len(space.classes))
+    for strict in (True, False):
+        # the batched sweep's p(j) is the backward induction's at class j
+        p = OrdinalSweep(m, space).exceedance(classes, strict)
+        expected = [backward_induction(m, space, space.unkey(j), strict)[1]
+                    for j in classes]
+        np.testing.assert_allclose(p, expected, rtol=0, atol=1e-12)
+    for criterion, tau in ORDINAL_QUERIES:
+        query = QuantileQuery(tau=tau, criterion=criterion, epsilon=1.0)
+        report = solve_quantile(m, space, query)
+        oracle_q, _ = brute_force_optimal_quantile(m, space, tau, criterion)
+        assert report.quantile == oracle_q, (criterion, tau)
+        assert quantile_certificate(m, space, report, query), (criterion, tau)
+        own = exact_distribution(m, space, report.policy).quantile(tau, criterion)
+        assert own == report.quantile, (criterion, tau)
+
+
+def test_ordinal_narrow_bounds_clamp_the_quantile():
+    # a bracket inside the class range clamps q*: a q* at or below the
+    # bottom (or a one-class bracket) is reported at_bottom, one above the
+    # top reads as the top
+    m, space = random_ordinal_instance(3)
+    keys = range(len(space.classes))
+    for criterion, tau in ORDINAL_QUERIES:
+        full = space.key(solve_quantile(m, space, QuantileQuery(
+            tau=tau, criterion=criterion, epsilon=1.0)).quantile)
+        for lo in keys:
+            for hi in keys[lo:]:
+                query = QuantileQuery(tau=tau, criterion=criterion, epsilon=1.0,
+                                      quantile_bounds=(space.unkey(lo),
+                                                       space.unkey(hi)))
+                report = solve_quantile(m, space, query)
+                q = space.key(report.quantile)
+                assert q == min(max(full, lo), hi), (criterion, tau, lo, hi)
+                assert report.at_bottom == (min(full, hi) <= lo)
+                b_lo, b_hi = map(space.key, report.bracket)
+                assert lo <= b_lo <= q <= b_hi <= hi
+                if not report.at_bottom:
+                    assert quantile_certificate(m, space, report, query)
+                    own = exact_distribution(m, space, report.policy).quantile(
+                        tau, criterion)
+                    assert space.key(own) >= q
+
+
+def test_ordinal_one_class_space():
+    space = OrdinalWealth(["only"], {"only": {"r": "only"}})
+    m = Mdp(2, 2, [[[(0, 0.5), (1, 0.5)], [(1, 1.0)]], [[(1, 1.0)], [(0, 1.0)]]],
+            {"kind": "sa", "values": [["r", "r"], ["r", "r"]]}, 0, 3)
+    for criterion, tau in (("lower", 0.5), ("lower", 1.0), ("upper", 0.0),
+                           ("upper", 0.5)):
+        query = QuantileQuery(tau=tau, criterion=criterion, epsilon=1.0)
+        report = solve_quantile(m, space, query)
+        assert report.quantile == "only"
+        assert report.bracket == ("only", "only")
+        assert report.at_bottom
+        assert quantile_certificate(m, space, report, query)
+
+
+def test_ordinal_at_bottom():
+    # every history stays in the bottom class: no threshold above it passes
+    m, space = two_policy_ordinal_instance()
+    stuck = Mdp(2, 2, [[[(1, 1.0)], [(1, 1.0)]], [[(1, 1.0)], [(1, 1.0)]]],
+                {"kind": "sa", "values": [["to_w1", "to_w1"],
+                                          ["to_w1", "to_w1"]]}, 0, 2)
+    for criterion, bracket in (("lower", ("w1", "w1")), ("upper", ("w1", "w2"))):
+        query = QuantileQuery(tau=0.5, criterion=criterion, epsilon=1.0)
+        report = solve_quantile(stuck, space, query)
+        assert report.at_bottom
+        assert report.quantile == "w1"
+        assert report.bracket == bracket
+        assert report.extra_solves == 0
+        # the policy is the one at the bottom class
+        assert report.log[0].w == "w1"
+        assert quantile_certificate(stuck, space, report, query)
+
+
+def test_ordinal_keep_value_function_matches_backward_induction():
+    m, space = random_ordinal_instance(5)
+    keys = np.arange(len(space.classes), dtype=np.float64)
+    for criterion, tau in (("lower", 0.3), ("upper", 0.7)):
+        report = solve_quantile(m, space, QuantileQuery(
+            tau=tau, criterion=criterion, epsilon=1.0), keep_value_function=True)
+        target = report.log[0].w
+        _, p, vf = backward_induction(m, space, target, criterion == "lower")
+        assert report.log[0].p == pytest.approx(p, abs=1e-12)
+        kept = report.value_function.slices
+        assert len(kept) == m.horizon + 1
+        assert kept[-1] == vf.slices[-1]
+        for mine, theirs in zip(kept, vf.slices):
+            for f, g in zip(mine, theirs):
+                np.testing.assert_allclose(f.eval_many(keys), g.eval_many(keys),
+                                           rtol=0, atol=1e-12)
+
+
+def many_class_instance(n_classes=300, seed=0):
+    """Random 3-step ordinal MDP whose labels jump by up to 60 classes."""
+    steps = {"down40": -40, "down3": -3, "stay": 0, "up7": 7, "up60": 60}
+    classes = [f"c{i:03d}" for i in range(n_classes)]
+    top = n_classes - 1
+    table = {c: {label: classes[min(top, max(0, i + d))]
+                 for label, d in steps.items()} for i, c in enumerate(classes)}
+    space = OrdinalWealth(classes, table, w0=classes[n_classes // 2])
+    rng = np.random.default_rng(seed)
+    labels = list(steps)
+    n_s, n_a = 5, 3
+    transitions, values = [], []
+    for s in range(n_s):
+        trow, vrow = [], []
+        for a in range(n_a):
+            k = int(rng.integers(1, 4))
+            succ = np.sort(rng.choice(n_s, k, replace=False)).astype(np.int64)
+            prob = rng.dirichlet(np.ones(k))
+            trow.append((succ, prob))
+            vrow.append([labels[i] for i in rng.integers(0, len(labels), k)])
+        transitions.append(trow)
+        values.append(vrow)
+    m = Mdp(n_s, n_a, transitions, {"kind": "sas", "values": values}, 0, 3)
+    return m, space
+
+
+@pytest.mark.parametrize("block_floats", [1, 100_000])
+def test_ordinal_blocks_give_the_same_report(monkeypatch, block_floats):
+    from qmdp import dp
+    m, space = many_class_instance()
+    classes = np.arange(len(space.classes))
+
+    def solve_all():
+        out = []
+        for criterion, tau in (("lower", 0.3), ("lower", 0.7),
+                               ("upper", 0.3), ("upper", 0.7)):
+            report = solve_quantile(m, space, QuantileQuery(
+                tau=tau, criterion=criterion, epsilon=1.0))
+            out.append((report.quantile, report.bracket, report.at_bottom,
+                        [(r.w, r.p, r.accepted) for r in report.log],
+                        report.policy.rules))
+        return out, [OrdinalSweep(m, space).exceedance(classes, strict)
+                     for strict in (True, False)]
+
+    monkeypatch.setattr(dp, "ORDINAL_BLOCK_FLOATS", 1 << 40)
+    one_block, p_one = solve_all()
+    monkeypatch.setattr(dp, "ORDINAL_BLOCK_FLOATS", block_floats)
+    blocked, p_blocked = solve_all()
+    assert blocked == one_block
+    for a, b in zip(p_blocked, p_one):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
+    for quantile, *_ in one_block:
+        assert 0 < space.key(quantile) < len(classes) - 1
+    for strict, p in zip((True, False), p_one):
+        for j in classes[::37]:
+            _, p_j, _ = backward_induction(m, space, space.unkey(j), strict)
+            assert abs(p[j] - p_j) <= 1e-12
+
+
 @pytest.mark.parametrize("criterion", ["lower", "upper"])
 def test_ordinal_solve_count(monkeypatch, criterion):
-    # every backward induction the search makes is one distinct threshold;
-    # only a search whose tests all failed may solve outside the loop
+    # one batched sweep over the bracket and one policy pass: no
+    # functional backward induction, no bisection
     from qmdp import solver
-    solved = []
-    real = solver.backward_induction
+    calls = []
+    real_bi = solver.backward_induction
+    real_sweep = OrdinalSweep.exceedance
+    real_policy = OrdinalSweep.backward_induction
 
-    def counting(m, space, w, strict):
-        solved.append(space.key(w))
-        return real(m, space, w, strict)
+    def counting_bi(*args):
+        calls.append("backward_induction")
+        return real_bi(*args)
 
-    monkeypatch.setattr(solver, "backward_induction", counting)
+    def counting_sweep(self, *args):
+        calls.append("exceedance")
+        return real_sweep(self, *args)
+
+    def counting_policy(self, *args):
+        calls.append("policy")
+        return real_policy(self, *args)
+
+    monkeypatch.setattr(solver, "backward_induction", counting_bi)
+    monkeypatch.setattr(OrdinalSweep, "exceedance", counting_sweep)
+    monkeypatch.setattr(OrdinalSweep, "backward_induction", counting_policy)
     instances = ([two_policy_ordinal_instance()]
                  + [random_ordinal_instance(seed) for seed in range(8)])
     for m, space in instances:
-        bound = math.ceil(math.log2(len(space.classes)))
         for tau in (0.2, 0.3, 0.5, 0.7, 0.8):
-            solved.clear()
+            calls.clear()
             report = solve_quantile(m, space, QuantileQuery(
                 tau=tau, criterion=criterion, epsilon=1.0))
-            assert report.iterations <= bound
-            assert report.extra_solves == 0 or report.at_bottom
-            assert len(solved) == report.iterations + report.extra_solves
-            assert len(set(solved)) == len(solved), solved
+            assert calls == ["exceedance", "policy"]
+            assert report.iterations == len(report.log) == 1
+            assert report.extra_solves == 0
 
 
 def test_solve_counts_per_wealth_kind(monkeypatch):
-    # finite numeric: one backward induction; ordinal: bisection within
-    # ceil(log2 m) tests; infinite horizon: value iteration only
+    # finite numeric: one backward induction; ordinal: the dense sweep, no
+    # backward induction; infinite horizon: one value iteration
     from qmdp import solver
     calls = []
     real_bi, real_vi = solver.backward_induction, solver.value_iteration
@@ -312,9 +485,9 @@ def test_solve_counts_per_wealth_kind(monkeypatch):
         calls.clear()
         report = solve_quantile(m, space, QuantileQuery(
             tau=tau, criterion=criterion, epsilon=1.0))
-        assert set(calls) == {"backward_induction"}
-        assert len(calls) == report.iterations + report.extra_solves
-        assert report.iterations <= math.ceil(math.log2(len(space.classes)))
+        assert calls == []
+        assert report.iterations == len(report.log) == 1
+        assert report.extra_solves == 0
 
     for lattice, bounds in ((NEG_LATTICE, (-10.0, 0.0)), (POS_LATTICE, (0.0, 10.0))):
         m = random_lattice_mdp(1, lattice=lattice)

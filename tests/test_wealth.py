@@ -128,53 +128,6 @@ def test_distance_consistent_with_order(ws):
     assert sp.distance(a, c) >= max(sp.distance(a, b), sp.distance(b, c)) - 1e-12
 
 
-# -- mid ----------------------------------------------------------------------
-
-def test_numeric_mid():
-    sp = AdditiveWealth()
-    assert sp.mid(0.0, 5.0) == [2.5]
-    assert sp.mid(1.5, 1.5) == [1.5]
-
-
-def test_ordinal_mid():
-    # keys are class indices: w1..w4 are 0..3
-    sp = make_space("ordinal")
-    assert sp.mid(0.0, 3.0) == [1.0, 2.0]
-    assert sp.mid(0.0, 2.0) == [1.0]
-    assert sp.mid(1.0, 1.0) == [1.0]
-    # one virtual class below the bottom, as the solver's brackets use
-    assert sp.mid(-1.0, 2.0) == [0.0, 1.0]
-
-
-def test_mid_requires_ordered_arguments():
-    with pytest.raises(ValueError):
-        AdditiveWealth().mid(2.0, 1.0)
-    with pytest.raises(ValueError):
-        make_space("ordinal").mid(2.0, 0.0)
-
-
-def test_mid_minimizes_max_distance_ordinal():
-    # exhaustive check over every pair of a 5-class space
-    sp = make_space("ordinal")
-    for i, w in enumerate(sp.classes):
-        for j in range(i, len(sp.classes)):
-            w2 = sp.classes[j]
-            mids = [sp.unkey(k) for k in sp.mid(sp.key(w), sp.key(w2))]
-            best = min(max(sp.distance(w, c), sp.distance(w2, c))
-                       for c in sp.classes)
-            for mid in mids:
-                assert max(sp.distance(w, mid), sp.distance(w2, mid)) == best
-
-
-@given(finite_floats, finite_floats)
-def test_mid_minimizes_max_distance_numeric(a, b):
-    sp = AdditiveWealth()
-    lo, hi = min(a, b), max(a, b)
-    (mid,) = sp.mid(lo, hi)
-    half = sp.distance(lo, hi) / 2
-    assert max(sp.distance(lo, mid), sp.distance(hi, mid)) <= half + 1e-9
-
-
 # -- configuration ---------------------------------------------------------------
 
 def test_ordinal_space_validation():

@@ -38,5 +38,3 @@ for horizon in (2, 4, 6):
     start = time.perf_counter()
     backward_induction(m, space, w, strict=False)
     print(f"  horizon {horizon}: {time.perf_counter() - start:6.2f}s")
-
-print("\n(the CLI equivalent: qmdp bench --domain garnet --states 50,100,250)")

@@ -25,8 +25,7 @@ from .serialize import (load_policy, load_problem, policy_from_payload,
                         policy_to_payload, problem_from_dict, problem_to_dict,
                         save_policy, save_problem)
 from .solver import (IterationRecord, QuantileQuery, SolveReport,
-                     effective_epsilon, iteration_bound, quantile_certificate,
-                     solve_quantile)
+                     quantile_certificate, solve_quantile)
 from .stepfun import (StepFunction, combine, pointwise_max, shift,
                       sup_distance, target_utility)
 from .wealth import (AdditiveWealth, DiscountedWealth, OrdinalWealth,
@@ -40,9 +39,9 @@ __all__ = [
     "WealthDistribution", "WealthMarkovPolicy", "WealthSpace", "WEALTH_TOL",
     "backward_induction", "brute_force_distributions",
     "brute_force_optimal_quantile", "combine", "default_branching",
-    "effective_epsilon", "exact_distribution", "generate_datacenter",
-    "generate_garnet", "iteration_bound", "load_policy", "load_problem",
-    "pointwise_max", "policy_from_payload", "policy_to_payload",
+    "exact_distribution", "generate_datacenter", "generate_garnet",
+    "load_policy", "load_problem", "pointwise_max", "policy_from_payload",
+    "policy_to_payload",
     "problem_from_dict", "problem_to_dict", "quantile_certificate",
     "save_policy", "save_problem", "shift", "simulate", "skew_rewards",
     "solve_quantile", "standard_backward_induction", "sup_distance",

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``generate garnet|datacenter``, ``solve``, ``eval`` (alias
-``dist``), ``bench``, ``oracle-check``.  Problems and policies are JSON;
+``dist``), ``oracle-check``.  Problems and policies are JSON;
 anything meant for plotting is CSV.  Exit codes: 0 success, 2 usage error,
 3 validation error, 4 resource-cap error, 5 non-convergence.  The env var
 ``QMDP_SEED`` supplies the default seed.
@@ -13,11 +13,9 @@ import io
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
-from .dp import backward_induction
 from .errors import (ConfigurationError, ConvergenceError, QmdpError,
                      ResourceLimitError, ValidationError)
 from .evaluate import (WealthDistribution, brute_force_optimal_quantile,
@@ -186,40 +184,6 @@ def cmd_eval(args):
     return 0
 
 
-# -- bench ------------------------------------------------------------------
-
-def cmd_bench(args):
-    seed = args.seed if args.seed is not None else _default_seed()
-    rows = []
-    if args.domain == "garnet":
-        grid = _parse_ints(args.states)
-        label = "n_states"
-    else:
-        grid = _parse_ints(args.horizons)
-        label = "horizon"
-    for point in grid:
-        times = []
-        for rep in range(args.reps):
-            if args.domain == "garnet":
-                cfg = GarnetConfig(point, args.actions,
-                                   default_branching(point), seed=seed + rep)
-                m = generate_garnet(cfg, horizon=args.horizon)
-            else:
-                cfg = DataCenterConfig(args.servers)
-                m = generate_datacenter(cfg, horizon=point)
-            space = AdditiveWealth.for_mdp(m)
-            w = (space.w_min + space.w_max) / 2.0
-            start = time.perf_counter()
-            backward_induction(m, space, w, strict=False)
-            times.append(time.perf_counter() - start)
-        rows.append((point, float(np.mean(times)), float(np.std(times))))
-        print(f"{label}={point}: {rows[-1][1]:.4f}s +- {rows[-1][2]:.4f}s "
-              f"({args.reps} reps)")
-    if args.out:
-        _write_csv(args.out, [label, "mean_seconds", "std_seconds"], rows)
-    return 0
-
-
 # -- oracle-check -------------------------------------------------------------
 
 def cmd_oracle_check(args):
@@ -327,22 +291,6 @@ def build_parser():
         ev.add_argument("--mc-episodes", type=int, default=100_000)
         ev.add_argument("--seed", type=int, default=None)
         ev.set_defaults(func=cmd_eval)
-
-    bn = sub.add_parser("bench", help="time functional backward induction")
-    bn.add_argument("--domain", choices=["garnet", "datacenter"],
-                    default="garnet")
-    bn.add_argument("--states", default="50,100,250",
-                    help="garnet state-size grid")
-    bn.add_argument("--actions", type=int, default=5)
-    bn.add_argument("--horizon", type=int, default=5, help="garnet horizon")
-    bn.add_argument("--servers", type=int, default=4,
-                    help="datacenter server count")
-    bn.add_argument("--horizons", default="5,10,15",
-                    help="datacenter horizon grid")
-    bn.add_argument("--reps", type=int, default=10)
-    bn.add_argument("--seed", type=int, default=None)
-    bn.add_argument("--out", default=None)
-    bn.set_defaults(func=cmd_bench)
 
     oc = sub.add_parser("oracle-check",
                         help="compare the solver against brute force on "

@@ -164,18 +164,14 @@ class OrdinalSweep:
         self.m = m
         self.n = n = len(space.classes)
         self.row0 = m.initial_state * n + space.index(space.w0)
-        pairs = [(s, a) for s in range(m.n_states) for a in range(m.n_actions)]
-        counts = np.array([len(m.successors(s, a)) for s, a in pairs])
+        counts = np.diff(m.starts)
         real = np.arange(counts.max()) < counts[:, None]
-        labels = [r for s, a in pairs for r in m.edge_rewards(s, a)]
-        rows = {r: i for i, r in enumerate(dict.fromkeys(labels))}
+        rows = {r: i for i, r in enumerate(dict.fromkeys(m.rewards))}
         moves = np.array([space.move_table(r) for r in rows], dtype=np.intp)
-        succ = np.concatenate([m.successors(s, a) for s, a in pairs])
         self.idx = np.zeros(real.shape + (n,), dtype=np.intp)
-        self.idx[real] = succ[:, None] * n + moves[[rows[r] for r in labels]]
+        self.idx[real] = m.succ[:, None] * n + moves[[rows[r] for r in m.rewards]]
         self.prob = np.zeros(real.shape + (1, 1))
-        self.prob[real, 0, 0] = np.concatenate(
-            [m.probabilities(s, a) for s, a in pairs])
+        self.prob[real, 0, 0] = m.prob
 
     def _terminal(self, targets, strict):
         """Terminal slices (S * n, J): 1 on the classes above each target."""

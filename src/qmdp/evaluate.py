@@ -320,21 +320,18 @@ def standard_backward_induction(m):
     if not m.numeric_rewards:
         raise ConfigurationError("expected-reward induction needs numeric rewards")
     T, S, A = m.horizon, m.n_states, m.n_actions
-    rbar = np.empty((S, A))
-    for s in range(S):
-        for a in range(A):
-            if m.reward_kind == "sa":
-                rbar[s, a] = m.reward(s, a)
-            else:
-                rbar[s, a] = float(m.probabilities(s, a)
-                                   @ np.asarray(m.edge_rewards(s, a), dtype=np.float64))
+
+    def pair_sums(x):
+        """Sum of per-edge values x over each pair's edges, as (S, A)."""
+        return np.bincount(m.pair, weights=x, minlength=S * A).reshape(S, A)
+
+    # "sa" reads the table: summing p * r over a pair's edges rounds
+    rbar = (m.reward_table if m.reward_kind == "sa" else
+            pair_sums(m.prob * np.asarray(m.rewards, dtype=np.float64)))
     values = np.zeros((T + 1, S))
     actions = np.zeros((T, S), dtype=np.int64)
-    q = np.empty(A)
     for t in range(T - 1, -1, -1):
-        for s in range(S):
-            for a in range(A):
-                q[a] = rbar[s, a] + m.probabilities(s, a) @ values[t + 1][m.successors(s, a)]
-            actions[t, s] = int(np.argmax(q))
-            values[t, s] = q[actions[t, s]]
+        q = rbar + pair_sums(m.prob * values[t + 1][m.succ])
+        actions[t] = q.argmax(axis=1)
+        values[t] = q.max(axis=1)
     return actions, values

@@ -1,10 +1,12 @@
 """Finite MDP data model, validation, and the two benchmark generators.
 
-An :class:`Mdp` stores a sparse transition kernel (per state-action list of
-successor/probability pairs) plus either state-action rewards ("sa") or
-per-edge rewards ("sas", needed when rewards depend on next states).
-Reward values are numeric for additive/discounted wealth, or string labels
-for ordinal wealth spaces.
+An :class:`Mdp` stores its transition kernel as one flat edge table: every
+edge (s, a, s') is an entry of a successor array, a probability array and
+a reward list, and each state-action pair owns one contiguous span of
+them.  Rewards are per edge ("sas", needed when rewards depend on next
+states) or per state-action pair ("sa", repeated along each pair's edges).
+Reward values are numeric for additive/discounted wealth, or string
+labels for ordinal wealth spaces.
 
 Generators:
 
@@ -18,6 +20,7 @@ Generators:
   current load regime, and the reward is the negated power + QoS cost.
 """
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass
@@ -37,38 +40,53 @@ def _is_number(x):
 def _transition_row(i, row, n_states, n_actions):
     """Parse flat transition row ``i`` as ``(s, a, s', p)``.
 
-    The three indices must be integers and p a number (booleans are
-    neither).  The successor is range-checked later by :func:`validate`;
-    the origin (s, a) is checked here because it indexes the nested table.
+    The three indices must be integers inside the state-action table and
+    p a number that fits a float (booleans are neither).
     """
     try:
         s, a, sp, p = row
-    except (TypeError, ValueError):
-        s = a = sp = p = None
-    fields = (s, a, sp, p)
-    if (any(isinstance(v, bool) for v in fields)
-            or not all(isinstance(v, numbers.Integral) for v in fields[:3])
-            or not isinstance(p, numbers.Real)):
+        fields = (s, a, sp, p)
+        ok = (not any(isinstance(v, bool) for v in fields)
+              and all(isinstance(v, numbers.Integral) for v in fields[:3])
+              and isinstance(p, numbers.Real))
+        p = float(p) if ok else None
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
         raise ValidationError(
             f"transition row {i} {row!r} is not [s, a, s', p] with integer "
             f"indices and a numeric probability")
-    if not (0 <= s < n_states and 0 <= a < n_actions):
+    if not (0 <= s < n_states and 0 <= a < n_actions and 0 <= sp < n_states):
         raise ValidationError(
-            f"transition row {i} {row!r} starts outside the "
+            f"transition row {i} {row!r} leaves the "
             f"{n_states} x {n_actions} state-action table")
-    return int(s), int(a), int(sp), float(p)
+    return int(s), int(a), int(sp), p
+
+
+def _check_integer(name, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} {value!r} is not an integer")
 
 
 class Mdp:
-    """Finite state/action MDP with a sparse kernel.
+    """Finite state/action MDP whose kernel is one flat edge table.
+
+    Pair ``i = s * n_actions + a`` owns the edges ``starts[i]:starts[i + 1]``
+    of ``succ`` (int64 successor states), ``prob`` (float64 probabilities)
+    and ``rewards`` (a list of edge rewards: floats, or labels);
+    ``pair[e]`` is the pair that edge e belongs to.  "sa" problems also
+    keep their n_states x n_actions ``reward_table`` (a float64 array when
+    numeric, nested lists of labels otherwise); "sas" problems have none.
+    The per-pair accessors return views of the table built once here.
 
     Parameters
     ----------
     transitions:
         Nested per-state, per-action successor lists: ``transitions[s][a]``
         is either a sequence of ``(next_state, probability)`` pairs or a
-        ``(successor_array, probability_array)`` tuple (arrays may be
-        shared between rows).
+        ``(successor_array, probability_array)`` tuple.  The entries are
+        copied into the edge table once, so rows that share an input array
+        do not share storage here.
     rewards:
         ``{"kind": "sa", "values": <S x A>}`` or ``{"kind": "sas",
         "values": <per (s, a) list aligned with the successor list>}``.
@@ -78,55 +96,87 @@ class Mdp:
 
     def __init__(self, n_states, n_actions, transitions, rewards,
                  initial_state, horizon):
-        self.n_states = int(n_states)
-        self.n_actions = int(n_actions)
+        self.n_states = S = int(n_states)
+        self.n_actions = A = int(n_actions)
         self.initial_state = int(initial_state)
         self.horizon = None if horizon is None else int(horizon)
 
-        self._succ = []
-        self._prob = []
-        for s in range(self.n_states):
-            row_s, row_p = [], []
-            for a in range(self.n_actions):
+        # the empty heads keep the concatenations typed when S * A is 0
+        succ = [np.empty(0, dtype=np.int64)]
+        prob = [np.empty(0)]
+        for s in range(S):
+            for a in range(A):
                 entry = transitions[s][a]
                 if (isinstance(entry, tuple) and len(entry) == 2
                         and isinstance(entry[0], np.ndarray)):
-                    succ, prob = entry
+                    succ.append(entry[0])
+                    prob.append(entry[1])
                 else:
                     pairs = list(entry)
-                    succ = np.array([int(sp) for sp, _ in pairs], dtype=np.int64)
-                    prob = np.array([float(p) for _, p in pairs], dtype=np.float64)
-                row_s.append(succ)
-                row_p.append(prob)
-            self._succ.append(row_s)
-            self._prob.append(row_p)
+                    succ.append(np.array([int(sp) for sp, _ in pairs], dtype=np.int64))
+                    prob.append(np.array([float(p) for _, p in pairs], dtype=np.float64))
+                if len(prob[-1]) != len(succ[-1]):
+                    raise ValidationError(
+                        f"(s={s}, a={a}): {len(prob[-1])} probabilities for "
+                        f"{len(succ[-1])} successors")
+        counts = [len(x) for x in succ[1:]]
+        self.succ = np.concatenate(succ).astype(np.int64, copy=False)
+        self.prob = np.concatenate(prob).astype(np.float64, copy=False)
+        self.starts = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+        self.pair = np.repeat(np.arange(len(counts)), counts)
+        # the per-pair accessors hand out views of these
+        self.succ.flags.writeable = self.prob.flags.writeable = False
 
         self.reward_kind = rewards["kind"]
+        self.reward_table = None
         if self.reward_kind == "sa":
             values = rewards["values"]
             try:
                 lengths = [len(row) for row in values]
             except TypeError:      # not a nested table
                 lengths = None
-            if lengths != [self.n_actions] * self.n_states:
+            if lengths != [A] * S:
                 raise ValidationError(
-                    f"'sa' rewards must be an n_states x n_actions = {self.n_states} "
-                    f"x {self.n_actions} table, got row lengths {lengths}")
-            numeric = all(_is_number(v) for row in values for v in row)
-            if numeric:
-                self._rew = np.asarray(values, dtype=np.float64)
-            else:
-                self._rew = [list(row) for row in values]
-            self._numeric = numeric
+                    f"'sa' rewards must be an n_states x n_actions = {S} "
+                    f"x {A} table, got row lengths {lengths}")
+            self.reward_table = [list(row) for row in values]
+            per_pair = [v for row in self.reward_table for v in row]
+            edge = [r for r, n in zip(per_pair, counts) for _ in range(n)]
+            self.numeric_rewards = all(_is_number(v) for v in per_pair)
         elif self.reward_kind == "sas":
             values = rewards["values"]
-            self._rew = [[list(values[s][a]) for a in range(self.n_actions)]
-                         for s in range(self.n_states)]
-            self._numeric = all(_is_number(v)
-                                for plane in self._rew for row in plane for v in row)
+            edge = []
+            for i, n in enumerate(counts):
+                s, a = divmod(i, A)
+                row = list(values[s][a])
+                if len(row) != n:
+                    raise ValidationError(
+                        f"(s={s}, a={a}): {len(row)} 'sas' rewards for "
+                        f"{n} successors")
+                edge.extend(row)
+            self.numeric_rewards = all(_is_number(v) for v in edge)
         else:
             raise ConfigurationError(
                 f"reward kind must be 'sa' or 'sas', got {rewards['kind']!r}")
+        if self.numeric_rewards:
+            try:
+                edge = [float(r) for r in edge]
+                if self.reward_table is not None:
+                    self.reward_table = np.asarray(self.reward_table,
+                                                   dtype=np.float64)
+            except OverflowError:
+                raise ValidationError("a reward does not fit a float") from None
+        self.rewards = edge
+
+        cuts = self.starts.tolist()
+
+        def by_pair(edges):
+            flat = [edges[i:j] for i, j in zip(cuts, cuts[1:])]
+            return [flat[s * A:(s + 1) * A] for s in range(S)]
+
+        self._next_states = by_pair(self.succ)
+        self._next_probs = by_pair(self.prob)
+        self._next_rewards = by_pair(self.rewards)
 
     @classmethod
     def from_rows(cls, n_states, n_actions, rows, rewards, initial_state,
@@ -134,11 +184,25 @@ class Mdp:
         """Build from flat transition rows ``[s, a, s', p]``.
 
         For "sas" rewards, ``rewards["values"]`` is a flat list aligned
-        with ``rows``.
+        with ``rows``.  Every state-action pair needs a row, which also
+        bounds the table this allocates by the input's length.
         """
-        nested = [[[] for _ in range(n_actions)] for _ in range(n_states)]
-        kind = rewards["kind"]
-        if kind == "sas":
+        for name, value in (("n_states", n_states), ("n_actions", n_actions),
+                            ("initial_state", initial_state)):
+            _check_integer(name, value)
+        if horizon is not None:
+            _check_integer("horizon", horizon)
+        if not isinstance(rows, list):
+            raise ValidationError("transitions must be a list of rows")
+        if min(n_states, n_actions) < 1:
+            raise ValidationError(f"n_states and n_actions must be positive, "
+                                  f"got {n_states} and {n_actions}")
+        if n_states * n_actions > len(rows):
+            raise ValidationError(
+                f"{len(rows)} transition rows cannot cover all {n_states} x "
+                f"{n_actions} state-action pairs")
+        sas = rewards["kind"] == "sas"
+        if sas:
             values = rewards["values"]
             n_values = len(values) if isinstance(values, list) else None
             if n_values != len(rows):
@@ -146,61 +210,40 @@ class Mdp:
                     f"'sas' rewards need a list of {len(rows)} values, one per "
                     f"transition row, got {n_values}")
             edge_vals = [[[] for _ in range(n_actions)] for _ in range(n_states)]
-            for i, (row, r) in enumerate(zip(rows, values)):
-                s, a, sp, p = _transition_row(i, row, n_states, n_actions)
-                nested[s][a].append((sp, p))
-                edge_vals[s][a].append(r)
+        nested = [[[] for _ in range(n_actions)] for _ in range(n_states)]
+        for i, row in enumerate(rows):
+            s, a, sp, p = _transition_row(i, row, n_states, n_actions)
+            nested[s][a].append((sp, p))
+            if sas:
+                edge_vals[s][a].append(values[i])
+        if sas:
             rewards = {"kind": "sas", "values": edge_vals}
-        else:
-            for i, row in enumerate(rows):
-                s, a, sp, p = _transition_row(i, row, n_states, n_actions)
-                nested[s][a].append((sp, p))
         return cls(n_states, n_actions, nested, rewards, initial_state, horizon)
 
     # -- accessors -------------------------------------------------------
 
     def successors(self, s, a):
-        return self._succ[s][a]
+        return self._next_states[s][a]
 
     def probabilities(self, s, a):
-        return self._prob[s][a]
-
-    @property
-    def numeric_rewards(self):
-        return self._numeric
+        return self._next_probs[s][a]
 
     def reward(self, s, a):
         """State-action reward ('sa' kind only)."""
         if self.reward_kind != "sa":
             raise ConfigurationError("reward(s, a) is only defined for 'sa' rewards")
-        return self._rew[s][a]
+        return self.reward_table[s][a]
 
     def edge_rewards(self, s, a):
         """Rewards aligned with the successor list of (s, a)."""
-        if self.reward_kind == "sa":
-            r = self._rew[s][a]
-            return [r] * len(self._succ[s][a])
-        return self._rew[s][a]
-
-    def all_rewards(self):
-        """Flat iterator over every reward value in the model."""
-        if self.reward_kind == "sa":
-            if self._numeric:
-                yield from self._rew.ravel().tolist()
-            else:
-                for row in self._rew:
-                    yield from row
-        else:
-            for plane in self._rew:
-                for row in plane:
-                    yield from row
+        return self._next_rewards[s][a]
 
     def reward_bounds(self):
-        if not self._numeric:
+        if not self.numeric_rewards:
             raise ConfigurationError(
                 "reward bounds are only defined for numeric rewards")
-        vals = list(self.all_rewards())
-        return (min(vals), max(vals)) if vals else (0.0, 0.0)
+        return ((min(self.rewards), max(self.rewards)) if self.rewards
+                else (0.0, 0.0))
 
     def reward_sign(self):
         """'nonpositive', 'nonnegative' (zero counts as both -> 'zero'), or 'mixed'."""
@@ -213,27 +256,10 @@ class Mdp:
             return "nonnegative"
         return "mixed"
 
-    def rewards_payload(self):
-        """The rewards dict in constructor form (values as nested lists)."""
-        if self.reward_kind == "sa":
-            values = (self._rew.tolist() if self._numeric
-                      else [list(row) for row in self._rew])
-        else:
-            values = [[list(row) for row in plane] for plane in self._rew]
-        return {"kind": self.reward_kind, "values": values}
-
     def with_horizon(self, horizon):
-        """Copy sharing kernel/reward storage, with a different horizon."""
-        clone = object.__new__(Mdp)
-        clone.n_states = self.n_states
-        clone.n_actions = self.n_actions
-        clone.initial_state = self.initial_state
+        """Copy sharing the edge table, with a different horizon."""
+        clone = copy.copy(self)
         clone.horizon = None if horizon is None else int(horizon)
-        clone._succ = self._succ
-        clone._prob = self._prob
-        clone.reward_kind = self.reward_kind
-        clone._rew = self._rew
-        clone._numeric = self._numeric
         return clone
 
     def __repr__(self):
@@ -275,7 +301,7 @@ def validate(m):
             if len(np.unique(succ)) != len(succ):
                 out.append(f"(s={s}, a={a}): duplicate successor state")
     if m.numeric_rewards:
-        for r in m.all_rewards():
+        for r in m.rewards:
             if not math.isfinite(r):
                 out.append(f"non-finite reward {r!r}")
                 break
@@ -348,12 +374,13 @@ def skew_rewards(m, fraction=0.8, scale=0.05, seed=0):
     if m.reward_kind != "sa" or not m.numeric_rewards:
         raise ConfigurationError("skew_rewards needs numeric 'sa' rewards")
     rng = np.random.default_rng(seed)
-    r = np.array(m._rew, dtype=np.float64, copy=True)
+    r = m.reward_table.copy()
     mask = rng.random(r.shape) < fraction
     r[mask] *= scale
-    clone = m.with_horizon(m.horizon)
-    clone._rew = r
-    return clone
+    transitions = [[(m.successors(s, a), m.probabilities(s, a))
+                    for a in range(m.n_actions)] for s in range(m.n_states)]
+    return Mdp(m.n_states, m.n_actions, transitions, {"kind": "sa", "values": r},
+               m.initial_state, m.horizon)
 
 
 # -- data-center control problem ------------------------------------------

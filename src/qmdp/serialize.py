@@ -26,6 +26,8 @@ import numbers
 import os
 import tempfile
 
+import numpy as np
+
 from .dp import WealthMarkovPolicy
 from .errors import ConfigurationError, ValidationError
 from .mdp import Mdp
@@ -49,32 +51,28 @@ def atomic_write_text(path, text):
 # -- problems ---------------------------------------------------------------
 
 def mdp_to_dict(m):
-    rows = []
-    sas_values = []
-    for s in range(m.n_states):
-        for a in range(m.n_actions):
-            succ = m.successors(s, a)
-            prob = m.probabilities(s, a)
-            rs = m.edge_rewards(s, a)
-            for i in range(len(succ)):
-                rows.append([s, a, int(succ[i]), float(prob[i])])
-                if m.reward_kind == "sas":
-                    sas_values.append(rs[i])
+    s, a = np.divmod(m.pair, m.n_actions)
+    rows = [list(edge) for edge in zip(s.tolist(), a.tolist(), m.succ.tolist(),
+                                       m.prob.tolist())]
     if m.reward_kind == "sas":
-        rewards = {"kind": "sas", "values": sas_values}
+        values = list(m.rewards)
+    elif m.numeric_rewards:
+        values = m.reward_table.tolist()
     else:
-        rewards = m.rewards_payload()
+        values = [list(row) for row in m.reward_table]
     return {
         "n_states": m.n_states,
         "n_actions": m.n_actions,
         "transitions": rows,
-        "rewards": rewards,
+        "rewards": {"kind": m.reward_kind, "values": values},
         "initial_state": m.initial_state,
         "horizon": "infinite" if m.horizon is None else m.horizon,
     }
 
 
 def _require(d, keys, where):
+    if not isinstance(d, dict):
+        raise ValidationError(f"{where} is not a JSON object")
     missing = [k for k in keys if k not in d]
     if missing:
         raise ValidationError([f"{where} has no {k!r}" for k in missing])
@@ -106,19 +104,34 @@ def space_to_dict(space):
     raise ConfigurationError(f"unknown wealth space {space!r}")
 
 
+def _is_label(x):
+    """A JSON scalar: the labels and classes a dict or set can hold."""
+    return x is None or isinstance(x, (str, int, float))
+
+
 def space_from_dict(d, m):
     kind = d.get("kind")
     if kind == "additive":
         return AdditiveWealth.for_mdp(m)
     if kind == "discounted":
-        if "gamma" not in d:
-            raise ConfigurationError("discounted wealth space needs 'gamma'")
-        return DiscountedWealth.for_mdp(m, d["gamma"])
+        gamma = d.get("gamma")
+        if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real):
+            raise ConfigurationError("discounted wealth space needs a numeric 'gamma'")
+        return DiscountedWealth.for_mdp(m, gamma)
     if kind == "ordinal":
-        if "classes" not in d:
-            raise ConfigurationError("ordinal wealth space needs 'classes'")
-        return OrdinalWealth(d["classes"], d.get("transition_table"),
-                             w0=d.get("w0"))
+        classes, table = d.get("classes"), d.get("transition_table")
+        if not (isinstance(classes, list) and all(map(_is_label, classes))):
+            raise ConfigurationError("ordinal wealth space needs a list of 'classes'")
+        if table is not None and not (
+                isinstance(table, dict)
+                and all(isinstance(row, dict) and all(map(_is_label, row.values()))
+                        for row in table.values())):
+            raise ConfigurationError(
+                "an ordinal 'transition_table' maps each class to a "
+                "{reward label: class} object")
+        if not _is_label(d.get("w0")):
+            raise ConfigurationError("ordinal 'w0' must be a class")
+        return OrdinalWealth(classes, table, w0=d.get("w0"))
     raise ConfigurationError(
         f"wealth space kind must be additive/discounted/ordinal, got {kind!r}")
 
@@ -129,11 +142,12 @@ def problem_to_dict(m, space):
 
 def problem_from_dict(d):
     _require(d, ("mdp", "wealth_space"), "problem file")
+    _require(d["wealth_space"], (), "problem 'wealth_space'")
     m = mdp_from_dict(d["mdp"])
     space = space_from_dict(d["wealth_space"], m)
     if isinstance(space, OrdinalWealth):
         # the table must move every class to a class on every reward label
-        for r in m.all_rewards():
+        for r in m.rewards:
             try:
                 space.move_table(r)
             except ConfigurationError as exc:
@@ -184,38 +198,48 @@ def _intervals_to_rule(intervals, space):
             raise ConfigurationError(f"policy action {a!r} is not an integer")
         if item["from"] is None:
             base = a
-        else:
-            cuts.append((space.key(item["from"]), bool(item["inclusive_from"]), a))
+            continue
+        k = space.key(item["from"])
+        if k != k:
+            raise ConfigurationError("policy interval starts at NaN")
+        cuts.append((k, bool(item["inclusive_from"]), a))
     return StepFunction(base, [c[0] for c in cuts], [c[1] for c in cuts],
                         [c[2] for c in cuts])
 
 
 def policy_from_payload(payload, space, n_states):
-    if not payload:
-        raise ConfigurationError("empty policy payload")
+    if not isinstance(payload, list) or not payload:
+        raise ConfigurationError("a policy payload is a non-empty list of entries")
     try:
         return _policy_from_entries(payload, space, n_states)
     except KeyError as exc:
         raise ConfigurationError(
             f"policy entry without {exc.args[0]!r}") from None
+    except (TypeError, OverflowError) as exc:
+        raise ConfigurationError(f"malformed policy entry: {exc}") from None
+
+
+def _entry_index(entry, name, stop):
+    i = entry[name]
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i < stop:
+        raise ConfigurationError(
+            f"policy entry {name}={i!r} is not an integer in [0, {stop})")
+    return i
 
 
 def _policy_from_entries(payload, space, n_states):
-    for entry in payload:
-        if not 0 <= entry["s"] < n_states:
-            raise ConfigurationError(
-                f"policy entry for state {entry['s']} does not fit a problem "
-                f"with {n_states} states")
     stationary = "t" not in payload[0]
+    # a policy lists every step it covers, so no step lies past its
+    # entry count
+    steps = [0 if stationary else _entry_index(entry, "t", len(payload))
+             for entry in payload]
+    rules = [[StepFunction.constant(0) for _ in range(n_states)]
+             for _ in range(max(steps) + 1)]
+    for t, entry in zip(steps, payload):
+        s = _entry_index(entry, "s", n_states)
+        rules[t][s] = _intervals_to_rule(entry["intervals"], space)
     if stationary:
-        rules = [StepFunction.constant(0) for _ in range(n_states)]
-        for entry in payload:
-            rules[entry["s"]] = _intervals_to_rule(entry["intervals"], space)
-        return WealthMarkovPolicy(rules, stationary=True)
-    T = max(entry["t"] for entry in payload) + 1
-    rules = [[StepFunction.constant(0) for _ in range(n_states)] for _ in range(T)]
-    for entry in payload:
-        rules[entry["t"]][entry["s"]] = _intervals_to_rule(entry["intervals"], space)
+        return WealthMarkovPolicy(rules[0], stationary=True)
     return WealthMarkovPolicy(rules)
 
 

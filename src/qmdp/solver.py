@@ -94,27 +94,6 @@ class SolveReport:
     value_function: object = None
 
 
-def effective_epsilon(space, epsilon):
-    """Ordinal distances are integers: brackets can never shrink below 1."""
-    return max(epsilon, 1.0) if isinstance(space, OrdinalWealth) else epsilon
-
-
-def iteration_bound(space, epsilon, w_lo=None, w_hi=None):
-    """Worst-case binary-search iteration count for a bracket.
-
-    ceil(log2(d(w_max, w_min) / eps)) on the real line; ceil(log2 m) for a
-    finite ordinal space with m classes.
-    """
-    if isinstance(space, OrdinalWealth):
-        return math.ceil(math.log2(len(space.classes)))
-    lo = space.w_min if w_lo is None else w_lo
-    hi = space.w_max if w_hi is None else w_hi
-    d = space.distance(lo, hi)
-    if d <= epsilon:
-        return 0
-    return math.ceil(math.log2(d / epsilon))
-
-
 def solve_quantile(m, space, query, *, eps_conv=1e-6, max_sweeps=10000,
                    keep_value_function=False):
     """Find a tau-quantile-optimal policy and return a :class:`SolveReport`.
@@ -326,7 +305,9 @@ def quantile_certificate(m, space, report, query):
             "needs a finite horizon")
     dist = exact_distribution(m, space, report.policy)
     lo, hi = report.bracket
-    eps = effective_epsilon(space, query.epsilon)
+    # ordinal distances are integers: a bracket never shrinks below 1
+    eps = (max(query.epsilon, 1.0) if isinstance(space, OrdinalWealth)
+           else query.epsilon)
     if space.distance(lo, hi) > eps:
         return False
     if report.at_bottom:

@@ -13,7 +13,7 @@ import pytest
 from qmdp import (AdditiveWealth, GarnetConfig, OrdinalWealth, QuantileQuery,
                   WealthDistribution, WealthMarkovPolicy, backward_induction,
                   brute_force_distributions, exact_distribution,
-                  generate_garnet, iteration_bound, quantile_certificate,
+                  generate_garnet, quantile_certificate,
                   simulate, skew_rewards, solve_quantile,
                   standard_backward_induction, value_iteration)
 from qmdp.stepfun import combine, pointwise_max, shift, sup_distance
@@ -41,7 +41,9 @@ def garnet_oracle_runs():
         space = AdditiveWealth.for_mdp(m)
         dists = [marginal(space, atoms)
                  for atoms, _ in brute_force_distributions(m, space)]
-        bound = iteration_bound(space, 1e-6)
+        # the worst-case bisection count ceil(log2(d(w_min, w_max) / eps))
+        bound = math.ceil(math.log2(space.distance(space.w_min, space.w_max)
+                                    / 1e-6))
         for tau in (0.1, 0.5, 0.9):
             for criterion in ("lower", "upper"):
                 oracle_q = max(space.key(d.quantile(tau, criterion))
@@ -118,6 +120,7 @@ def test_criterion_04_oracle_equivalence(garnet_oracle_runs):
 def test_criterion_05_iteration_bound(garnet_oracle_runs):
     over = [r for r in garnet_oracle_runs if r["iterations"] > r["bound"]]
     assert not over
+    assert all(r["iterations"] == 1 for r in garnet_oracle_runs)
     worst = max(r["iterations"] for r in garnet_oracle_runs)
     bound = garnet_oracle_runs[0]["bound"]
     # ordinal instances never exceed ceil(log2 m)
@@ -127,6 +130,7 @@ def test_criterion_05_iteration_bound(garnet_oracle_runs):
             rep = solve_quantile(m, space, QuantileQuery(
                 tau=tau, criterion=criterion, epsilon=1.0))
             assert rep.iterations <= math.ceil(math.log2(len(space.classes)))
+            assert rep.iterations == 1
     print(f"\nPASS criterion 5: iterations <= bound on every run "
           f"(worst {worst}, numeric bound {bound}); ordinal <= ceil(log2 m)")
 
@@ -207,7 +211,9 @@ def test_criterion_09_scaling_budget():
                                                     epsilon=1e-3))
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
-    assert report.iterations <= iteration_bound(space, 1e-3)
+    assert report.iterations <= math.ceil(
+        math.log2(space.distance(space.w_min, space.w_max) / 1e-3))
+    assert report.iterations == 1
     # runtime trend over the state grid: reported, not asserted
     trend = []
     for n in (50, 100, 250):

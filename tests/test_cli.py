@@ -355,24 +355,6 @@ def test_dist_alias(tmp_path):
     assert out.exists()
 
 
-def test_bench_row_count(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert run("bench", "--domain", "garnet", "--states", "4,6", "--reps", 2,
-               "--horizon", 3, "--out", out) == 0
-    rows = read_csv(out)
-    assert rows[0] == ["n_states", "mean_seconds", "std_seconds"]
-    assert len(rows) == 3
-
-
-def test_bench_datacenter_horizons(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert run("bench", "--domain", "datacenter", "--servers", 2,
-               "--horizons", "2,3,4", "--reps", 1, "--out", out) == 0
-    rows = read_csv(out)
-    assert rows[0][0] == "horizon"
-    assert len(rows) == 4
-
-
 def test_oracle_check_passes():
     assert run("oracle-check", "--instances", 2, "--taus", "0.5",
                "--seed", 0) == 0

@@ -377,3 +377,32 @@ def test_standard_bi_expected_sas_rewards(paper_mdp):
     # a1 yields 0.1*1 + 0.9*(-1) = -0.8 per step, a2 yields 1
     assert actions[0][0] == 1 and actions[1][0] == 1
     assert values[0][0] == pytest.approx(1.0)
+
+
+def _standard_bi_by_pairs(m):
+    """Reference: the expected-reward recursion one (s, a) pair at a time."""
+    T, S, A = m.horizon, m.n_states, m.n_actions
+    values = np.zeros((T + 1, S))
+    actions = np.zeros((T, S), dtype=np.int64)
+    for t in range(T - 1, -1, -1):
+        for s in range(S):
+            q = [(m.reward(s, a) if m.reward_kind == "sa" else
+                  m.probabilities(s, a) @ np.asarray(m.edge_rewards(s, a)))
+                 + m.probabilities(s, a) @ values[t + 1][m.successors(s, a)]
+                 for a in range(A)]
+            actions[t, s] = int(np.argmax(q))
+            values[t, s] = q[actions[t, s]]
+    return actions, values
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_garnet(GarnetConfig(30, 4, 5, seed=7), horizon=6),
+    lambda: two_state_discounted_mdp(horizon=5),
+], ids=["garnet-sa", "sas"])
+def test_standard_bi_matches_pair_loop(make):
+    # the edge-table sums add in another order than a per-pair dot product
+    m = make()
+    actions, values = standard_backward_induction(m)
+    ref_actions, ref_values = _standard_bi_by_pairs(m)
+    assert np.array_equal(actions, ref_actions)
+    assert np.allclose(values, ref_values, rtol=0, atol=1e-12)

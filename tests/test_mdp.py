@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qmdp import (ConfigurationError, DataCenterConfig, GarnetConfig, Mdp,
-                  default_branching, generate_datacenter, generate_garnet,
-                  skew_rewards, validate)
+                  ValidationError, default_branching, generate_datacenter,
+                  generate_garnet, skew_rewards, validate)
 from conftest import two_state_discounted_mdp
 
 
@@ -58,6 +58,57 @@ def test_validate_nonfinite_reward():
     m = Mdp(2, 1, [[[(1, 1.0)]], [[(1, 1.0)]]],
             {"kind": "sa", "values": [[float("inf")], [0.0]]}, 0, 3)
     assert any("non-finite" in v for v in validate(m))
+
+
+@pytest.mark.parametrize("row", [[1.0, -1.0, 5.0], [1.0]])
+def test_sas_rewards_misaligned_with_successors(row):
+    # (s=0, a=0) has two successors; a stray or missing value would shift
+    # the rewards of every later pair in the edge table
+    transitions = [[[(0, 0.1), (1, 0.9)], [(1, 1.0)]],
+                   [[(1, 1.0)], [(1, 1.0)]]]
+    values = [[row, [1.0]], [[0.0], [0.0]]]
+    with pytest.raises(ValidationError,
+                       match=rf"\(s=0, a=0\): {len(row)} 'sas' rewards for "
+                             r"2 successors"):
+        Mdp(2, 2, transitions, {"kind": "sas", "values": values}, 0, 2)
+
+
+def test_array_rows_misaligned():
+    transitions = [[(np.array([0, 1]), np.array([1.0]))], [[(1, 1.0)]]]
+    with pytest.raises(ValidationError,
+                       match=r"\(s=0, a=0\): 1 probabilities for 2 successors"):
+        Mdp(2, 1, transitions, {"kind": "sa", "values": [[0.0], [0.0]]}, 0, 2)
+
+
+# -- edge table ------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", [
+    generate_garnet(GarnetConfig(6, 3, 2, seed=1)),
+    generate_datacenter(DataCenterConfig(2)),
+    two_state_discounted_mdp(),
+], ids=["garnet", "datacenter", "sas"])
+def test_edge_table_matches_accessors(m):
+    for s in range(m.n_states):
+        for a in range(m.n_actions):
+            i = s * m.n_actions + a
+            span = slice(m.starts[i], m.starts[i + 1])
+            assert np.array_equal(m.succ[span], m.successors(s, a))
+            assert np.array_equal(m.prob[span], m.probabilities(s, a))
+            assert m.rewards[span] == m.edge_rewards(s, a)
+            assert (m.pair[span] == i).all()
+            if m.reward_kind == "sa":
+                assert m.edge_rewards(s, a) == [m.reward(s, a)] * len(
+                    m.successors(s, a))
+    assert m.starts[-1] == len(m.succ) == len(m.prob) == len(m.rewards)
+
+
+def test_edge_table_copies_shared_rows():
+    # the generator passes one arrival row per regime to many pairs
+    m = generate_datacenter(DataCenterConfig(2))
+    assert not np.shares_memory(m.probabilities(0, 0), m.probabilities(1, 0))
+    with pytest.raises(ValueError):
+        m.probabilities(0, 0)[0] = 1.0
+    assert np.shares_memory(m.probabilities(0, 0), m.prob)
 
 
 # -- garnet ------------------------------------------------------------------

@@ -8,7 +8,7 @@ from qmdp import (AdditiveWealth, ConfigurationError, DiscountedWealth,
                   StepFunction, WealthMarkovPolicy,
                   brute_force_distributions, brute_force_optimal_quantile,
                   backward_induction, exact_distribution, generate_garnet,
-                  iteration_bound, quantile_certificate, solve_quantile,
+                  quantile_certificate, solve_quantile,
                   validate, value_iteration)
 from qmdp.dp import OrdinalSweep
 from conftest import random_lattice_mdp, two_policy_ordinal_instance
@@ -48,18 +48,14 @@ def test_invalid_mdp_rejected():
 
 # -- iteration bound ---------------------------------------------------------------
 
-def test_iteration_bound_formula():
-    sp = AdditiveWealth(0.0, 5.0)
-    assert iteration_bound(sp, 1e-3) == math.ceil(math.log2(5.0 / 1e-3)) == 13
-    osp = OrdinalWealth([f"w{i}" for i in range(1, 8)])
-    assert iteration_bound(osp, 1.0) == 3
-
-
 def test_solver_respects_iteration_bound():
     m, space = small_instance(5)
     query = QuantileQuery(tau=0.3, criterion="lower", epsilon=1e-3)
     report = solve_quantile(m, space, query)
-    assert report.iterations <= iteration_bound(space, 1e-3)
+    bisection = math.ceil(math.log2(space.distance(space.w_min, space.w_max)
+                                    / 1e-3))
+    assert report.iterations == 1
+    assert report.iterations <= bisection
     assert space.distance(*report.bracket) <= 1e-3
 
 

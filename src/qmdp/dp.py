@@ -8,14 +8,30 @@ mixes successors with the kernel (combine), and takes the per-action upper
 envelope (pointwise_max); the envelope's argmax, an integer-valued step
 function of wealth, is exactly the greedy wealth-Markovian decision rule.
 
-Finite horizons run T sweeps (:func:`backward_induction`).  Infinite
+One layer kernel (:func:`_layer`) makes that update for every state at
+once, on flat arrays rather than per (state, action) pair.  A layer's
+slices are laid end to end in one cut table (:class:`_Cuts`).  Every edge
+of the kernel's edge table gathers its successor's cuts, shifted by its
+wealth move; one sort per state by (threshold, side) merges the cut
+partitions of all actions, and one cumulative sum per action along the
+sorted cuts gives every action's value on every merged piece.  The max and
+argmax over actions are the slice and the rule, and segmented versions of
+the canonical merges of :mod:`qmdp.stepfun` put them in canonical form,
+so the result equals the per-slice composition of
+:func:`~qmdp.stepfun.shift`, :func:`~qmdp.stepfun.combine` and
+:func:`~qmdp.stepfun.pointwise_max` (identical cuts, values within float
+rounding).  :class:`~qmdp.stepfun.StepFunction` stays the type of the
+rules and slices handed out; they share the table's arrays.
+
+Finite horizons run T layers (:func:`backward_induction`).  Infinite
 horizons with uniformly signed rewards and undiscounted additive wealth
-iterate the same sweep to convergence (:func:`value_iteration`) and return
-a stationary policy.  Wealth then moves one way from ``w0``, so the slices
-are clipped to the reachable side of it (:func:`reachable_window`), where
-the clip is exact.  By translation, one clipped run at target t holds the
-value at ``w0`` of every target above t (nonpositive rewards) or below t
-(nonnegative rewards).
+iterate the same kernel to convergence (:func:`value_iteration`) and
+return a stationary policy; the iterate stays a cut table across sweeps.
+Wealth then moves one way from ``w0``, so the slices are clipped to the
+reachable side of it (:func:`reachable_window`), where the clip is exact.
+By translation, one clipped run at target t holds the value at ``w0`` of
+every target above t (nonpositive rewards) or below t (nonnegative
+rewards).
 
 Ordinal wealth over n classes also has a dense form: a slice is a
 length-n vector, and the slices of many targets stack into one array, so
@@ -24,12 +40,27 @@ of every class threshold, and one at a single threshold the policy
 (:class:`OrdinalSweep`).
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
-from .stepfun import (StepFunction, combine, pointwise_max, restrict, shift,
+# shift, combine, pointwise_max, restrict and sup_distance are the per-slice
+# form of the layer kernel; they stay bound here for the callers (and the
+# benchmark's tracer) that reach them through this module
+from .stepfun import (VALUE_TOL, StepFunction, _merge_thresholds,
+                      _merge_values, combine, pointwise_max, restrict, shift,
                       sup_distance, target_utility)
 from .wealth import AdditiveWealth, OrdinalWealth
+
+# Float64-sized values in the working arrays of one block: the layer
+# kernel's entries of a block of states, and the (pairs x edges per pair x
+# classes x thresholds) gather of the dense ordinal sweep for a block of
+# thresholds.
+BLOCK_FLOATS = 1 << 20
+# What one entry of the layer kernel holds besides its value for every
+# action: keys, indices, sort order and sorted copies.
+_ENTRY_FLOATS = 16
 
 
 class ValueFunction:
@@ -85,32 +116,219 @@ class WealthMarkovPolicy:
                 f"{len(self.rules[0]) if self.rules else 0} states)")
 
 
+class _Cuts(NamedTuple):
+    """One step function per state, laid end to end.
+
+    Slice s is ``base[s]`` below its cuts ``off[s]:off[s + 1]`` of ``x``
+    (thresholds), ``e`` (sides: 0 inclusive, 1 exclusive) and ``v``
+    (values), in the canonical form of :class:`StepFunction`.
+    """
+    base: np.ndarray
+    off: np.ndarray
+    x: np.ndarray
+    e: np.ndarray
+    v: np.ndarray
+
+    def seg(self):
+        """The state of every cut."""
+        return np.repeat(np.arange(len(self.base)), np.diff(self.off))
+
+    def steps(self):
+        """The value change at every cut."""
+        prev = np.empty_like(self.v)
+        prev[1:] = self.v[:-1]
+        opened = self.off[:-1] < self.off[1:]
+        prev[self.off[:-1][opened]] = self.base[opened]
+        return self.v - prev
+
+
+def _offsets(seg, n):
+    """Offsets of n segments from the segment id of every element."""
+    off = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(seg, minlength=n), out=off[1:])
+    return off
+
+
+def _ranks(counts):
+    """The rank of every element within its group, for groups of ``counts``."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _pack(fs):
+    """The table of a list of value slices."""
+    off = np.zeros(len(fs) + 1, dtype=np.intp)
+    np.cumsum([len(f.x) for f in fs], out=off[1:])
+    return _Cuts(np.array([f.base for f in fs], dtype=np.float64), off,
+                 np.concatenate([f.x for f in fs]),
+                 np.concatenate([f.e for f in fs]),
+                 np.concatenate([f.v for f in fs]).astype(np.float64, copy=False))
+
+
+def _unpack(blocks):
+    """The step functions of consecutive tables; they share their arrays."""
+    out = []
+    for c in blocks:
+        cuts = c.off.tolist()
+        out.extend(StepFunction._trusted(b, c.x[i:j], c.e[i:j], c.v[i:j])
+                   for b, i, j in zip(c.base.tolist(), cuts, cuts[1:]))
+    return out
+
+
+def _join(blocks):
+    """One table from consecutive tables."""
+    if len(blocks) == 1:
+        return blocks[0]
+    base, x, e, v = (np.concatenate(f) for f in zip(
+        *((c.base, c.x, c.e, c.v) for c in blocks)))
+    off = np.zeros(len(base) + 1, dtype=np.intp)
+    np.cumsum(np.concatenate([np.diff(c.off) for c in blocks]), out=off[1:])
+    return _Cuts(base, off, x, e, v)
+
+
+def _at_classes(c, n):
+    """(S, n) values of every slice of c at the class keys 0..n-1."""
+    S = len(c.base)
+    # a cut is in force at every integer key from this one up
+    opens = np.where(c.e == 0, np.ceil(c.x), np.floor(c.x) + 1.0)
+    opens = np.clip(opens, 0, n).astype(np.intp)
+    counts = np.bincount(c.seg() * (n + 1) + opens,
+                         minlength=S * (n + 1)).reshape(S, n + 1)
+    k = np.cumsum(counts[:, :n], axis=1)
+    last = np.append(c.v, 0.0)[np.maximum(c.off[:-1, None] + k - 1, 0)]
+    return np.where(k > 0, last, c.base[:, None])
+
+
+def _edge_moves(m, space):
+    """(E, n) class-transition table of every edge's reward label."""
+    rows = {r: i for i, r in enumerate(dict.fromkeys(m.rewards))}
+    moves = np.array([space.move_table(r) for r in rows], dtype=np.intp)
+    return moves.reshape(len(rows), len(space.classes))[
+        [rows[r] for r in m.rewards]]
+
+
+def _pulled(m, space, nxt, t):
+    """Every edge's successor slice, pulled back through the edge's wealth move.
+
+    Returns ``(src, rows, delta)``: edge j's pulled slice is row
+    ``rows[j]`` of the table ``src``, every cut moved down by
+    ``delta[j]``.  Numeric spaces translate the successor's slice by the
+    ``shift_delta`` of the edge's reward at timestep t; ordinal ones
+    evaluate it at each class's successor class, one row per edge, as
+    :func:`~qmdp.stepfun.shift` does.
+    """
+    E = len(m.succ)
+    if isinstance(space, OrdinalWealth):
+        pulled = _at_classes(nxt, len(space.classes))[
+            m.succ[:, None], _edge_moves(m, space)]
+        edge, k = np.nonzero(pulled[:, 1:] != pulled[:, :-1])
+        src = _Cuts(pulled[:, 0], _offsets(edge, E), k + 1.0,
+                    np.zeros(len(k), dtype=np.uint8), pulled[edge, k + 1])
+        return src, np.arange(E), np.zeros(E)
+    if not m.numeric_rewards:
+        raise ConfigurationError(
+            f"{space.kind} wealth spaces accumulate numeric rewards")
+    return nxt, m.succ, space.accumulate_keys(np.zeros(E), m.rewards, t)
+
+
+def _layer(m, space, nxt, t):
+    """One backward step of every state at once, from the layer-(t+1) table.
+
+    Every cut of every edge's pulled successor slice (:func:`_pulled`)
+    becomes an entry: its threshold and side, the action of its edge, and
+    the value step ``prob * (v - previous v)``.  Sorting the entries of a
+    state by (threshold, side) merges the cut partitions of all its
+    actions, and a cumulative sum of the steps along each action's row
+    gives that action's value on every merged piece.  The max and the
+    argmax (the lowest action within ``VALUE_TOL`` of the max) over the
+    rows are the slice and the greedy rule.  The segmented merges of
+    :mod:`qmdp.stepfun` put them in canonical form; the threshold merge
+    also collapses each run of identical keys onto its last entry, the
+    one past every step at that key.
+
+    States go in blocks whose working arrays hold about ``BLOCK_FLOATS``
+    floats.  Returns ``(values, rules)``, each a list of the blocks'
+    tables (see :func:`_join`).
+    """
+    S, A = m.n_states, m.n_actions
+    src, rows, delta = _pulled(m, space, nxt, t)
+    count = np.diff(src.off)[rows]
+    steps = src.steps()
+    base_sa = np.bincount(m.pair, weights=m.prob * src.base[rows],
+                          minlength=S * A)
+    per_state = np.bincount(m.pair // A, weights=count,
+                            minlength=S).astype(np.intp)
+    width = max(1, per_state.max(initial=0))
+    block = max(1, BLOCK_FLOATS // ((A + _ENTRY_FLOATS) * width))
+    values, rules = [], []
+    for s0 in range(0, S, block):
+        s1 = min(S, s0 + block)
+        j0, j1 = m.starts[s0 * A], m.starts[s1 * A]
+        cnt = count[j0:j1]
+        edge = np.repeat(np.arange(j0, j1), cnt)
+        idx = np.repeat(src.off[rows[j0:j1]], cnt) + _ranks(cnt)
+        # edges come in pair order, so the entries of a state are one run
+        n_ent = per_state[s0:s1]
+        state = np.repeat(np.arange(s1 - s0), n_ent)
+        X, E, col = _sort_rows(state, _ranks(n_ent), src.x[idx] - delta[edge],
+                               src.e[idx], (s1 - s0, max(1, n_ent.max())))
+        # D[a, s, k]: the value of action a in state s from sorted key k on
+        D = np.zeros((A,) + X.shape)
+        D[m.pair[edge] % A, state, col] = m.prob[edge] * steps[idx]
+        base_q = base_sa[s0 * A:s1 * A].reshape(s1 - s0, A)
+        D[:, :, 0] += base_q.T
+        np.cumsum(D, axis=2, out=D)
+        seg, col = np.nonzero(E < 2)
+        x, e = X[seg, col], E[seg, col]
+        top, env = base_q.max(axis=1), D.max(axis=0)
+        values.append(_canonical(top, x, e, env[seg, col], seg, VALUE_TOL))
+        rules.append(_canonical(_first_best(base_q.T, top), x, e,
+                                _first_best(D, env)[seg, col], seg, 0))
+    return values, rules
+
+
+def _canonical(base, x, e, v, seg, tol):
+    """The table of sorted cuts of the segments ``seg``, in canonical form."""
+    x, e, v, seg = _merge_thresholds(x, e, v, seg)
+    x, e, v, seg = _merge_values(base, x, e, v, tol, seg)
+    return _Cuts(base, _offsets(seg, len(base)), x, e, v)
+
+
+def _first_best(q, best):
+    """The lowest index along axis 0 whose value is within VALUE_TOL of best.
+
+    Summation order moves an action's value by float rounding, so actions
+    tied within the value tolerance count as tied.
+    """
+    return (q >= best - VALUE_TOL).argmax(axis=0)
+
+
+def _sort_rows(state, pos, x, e, shape):
+    """Sort the entries of each state by (threshold, side).
+
+    Entry i sits at ``[state[i], pos[i]]`` of a grid of ``shape``; the
+    rest of each row is padding with the key (inf, 2), which sorts last.
+    Returns the sorted keys ``(X, E)`` and each entry's sorted column.
+    """
+    X = np.full(shape, np.inf)
+    X[state, pos] = x
+    E = np.full(shape, 2, dtype=np.uint8)
+    E[state, pos] = e
+    order = np.lexsort((E, X))
+    rows = np.arange(shape[0])[:, None]
+    col = np.empty_like(order)
+    col[rows, order] = np.arange(shape[1])
+    return X[rows, order], E[rows, order], col[state, pos]
+
+
 def _greedy_update(m, space, nxt, t):
     """One backward sweep at timestep t against the layer-(t+1) slices.
 
     Returns (slices, rules): the layer-t value slices and the greedy
-    argmax decision rule per state (lowest action index on ties).
+    argmax decision rule per state (the lowest action index within
+    ``VALUE_TOL`` of the best).
     """
-    slices = []
-    rules = []
-    sa_rewards = m.reward_kind == "sa"
-    for s in range(m.n_states):
-        qs = []
-        for a in range(m.n_actions):
-            succ = m.successors(s, a)
-            prob = m.probabilities(s, a)
-            if sa_rewards:
-                mixed = combine([(prob[i], nxt[succ[i]])
-                                 for i in range(len(succ))])
-                qs.append(shift(mixed, m.reward(s, a), t, space))
-            else:
-                rs = m.edge_rewards(s, a)
-                qs.append(combine([(prob[i], shift(nxt[succ[i]], rs[i], t, space))
-                                   for i in range(len(succ))]))
-        env, rule = pointwise_max(qs)
-        slices.append(env)
-        rules.append(rule)
-    return slices, rules
+    values, rules = _layer(m, space, _pack(nxt), t)
+    return _unpack(values), _unpack(rules)
 
 
 def backward_induction(m, space, w, strict):
@@ -130,16 +348,12 @@ def backward_induction(m, space, w, strict):
     slices = [None] * (T + 1)
     slices[T] = [terminal] * m.n_states
     rules = [None] * T
+    values = [_pack(slices[T])]
     for t in range(T - 1, -1, -1):
-        slices[t], rules[t] = _greedy_update(m, space, slices[t + 1], t)
+        values, layer_rules = _layer(m, space, _join(values), t)
+        slices[t], rules[t] = _unpack(values), _unpack(layer_rules)
     p = slices[0][m.initial_state](space.key(space.w0))
     return (WealthMarkovPolicy(rules), float(p), ValueFunction(slices))
-
-
-# Float64 entries in one gather of the dense ordinal sweep: (s, a) pairs x
-# edges per pair x classes x thresholds.  OrdinalSweep.exceedance processes
-# the thresholds in blocks that stay under it.
-ORDINAL_BLOCK_FLOATS = 1 << 20
 
 
 class OrdinalSweep:
@@ -166,10 +380,8 @@ class OrdinalSweep:
         self.row0 = m.initial_state * n + space.index(space.w0)
         counts = np.diff(m.starts)
         real = np.arange(counts.max()) < counts[:, None]
-        rows = {r: i for i, r in enumerate(dict.fromkeys(m.rewards))}
-        moves = np.array([space.move_table(r) for r in rows], dtype=np.intp)
         self.idx = np.zeros(real.shape + (n,), dtype=np.intp)
-        self.idx[real] = m.succ[:, None] * n + moves[[rows[r] for r in m.rewards]]
+        self.idx[real] = m.succ[:, None] * n + _edge_moves(m, space)
         self.prob = np.zeros(real.shape + (1, 1))
         self.prob[real, 0, 0] = m.prob
 
@@ -193,7 +405,7 @@ class OrdinalSweep:
         strict)[1]``.
         """
         targets = np.asarray(targets, dtype=np.intp)
-        block = max(1, ORDINAL_BLOCK_FLOATS // self.idx.size)
+        block = max(1, BLOCK_FLOATS // self.idx.size)
         p = np.empty(len(targets))
         for b in range(0, len(targets), block):
             V = self._terminal(targets[b:b + block], strict)
@@ -243,6 +455,67 @@ def reachable_window(m, space):
     return (w0_key, None) if sign == "nonnegative" else (None, w0_key)
 
 
+def _restrict(c, lo, hi):
+    """:func:`~qmdp.stepfun.restrict` of every slice of c to [lo, hi].
+
+    The ``hi`` side trims a suffix of each slice's cuts; the ``lo`` side
+    makes the value at lo the new base and keeps the cuts above it.  A
+    canonical table stays canonical.
+    """
+    seg = c.seg()
+    keep = np.ones(len(c.x), dtype=bool)
+    if hi is not None:
+        keep &= (c.x < hi) | ((c.x == hi) & (c.e == 0))
+    base = c.base
+    if lo is not None:
+        below = (c.x < lo) | ((c.x == lo) & (c.e == 0))
+        n_below = np.bincount(seg[below], minlength=len(base))
+        moved = n_below > 0
+        base = base.copy()
+        base[moved] = c.v[c.off[:-1][moved] + n_below[moved] - 1]
+        keep &= ~below
+    return _Cuts(base, _offsets(seg[keep], len(base)),
+                 c.x[keep], c.e[keep], c.v[keep])
+
+
+def _layout(c, seg):
+    """Each slice of c as [base, values...], end to end.
+
+    Returns the values and the positions of each base and of each cut's
+    value; both only grow along a slice's cuts and from slice to slice.
+    """
+    head = c.off[:-1] + np.arange(len(c.base))
+    spot = np.arange(len(c.x)) + seg + 1
+    ext = np.empty(len(c.x) + len(c.base))
+    ext[head] = c.base
+    ext[spot] = c.v
+    return ext, head, spot
+
+
+def _residual(f, g):
+    """``max_s sup_distance(f[s], g[s])`` over two tables, in one pass.
+
+    The cuts of both tables are sorted together by (state, threshold,
+    side).  A cut of one table leaves the other's value where it was, so
+    a running max of each table's positions (:func:`_layout`) gives its
+    value on every merged piece; as in :func:`~qmdp.stepfun.sup_distance`,
+    a run of identical keys keeps its last cut.
+    """
+    sf, sg = f.seg(), g.seg()
+    (ef, hf, pf), (eg, hg, pg) = _layout(f, sf), _layout(g, sg)
+    state = np.concatenate((sf, sg))
+    x = np.concatenate((f.x, g.x))
+    e = np.concatenate((f.e, g.e))
+    order = np.lexsort((e, x, state))
+    at_f = np.maximum.accumulate(np.concatenate((pf, hf[sg]))[order])
+    at_g = np.maximum.accumulate(np.concatenate((hg[sf], pg))[order])
+    state, x, e = state[order], x[order], e[order]
+    last = np.ones(len(x), dtype=bool)
+    last[:-1] = (state[1:] != state[:-1]) | (x[1:] != x[:-1]) | (e[1:] != e[:-1])
+    gap = np.abs(ef[at_f[last]] - eg[at_g[last]])
+    return float(max(np.abs(f.base - g.base).max(), gap.max(initial=0.0)))
+
+
 def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
     """Infinite-horizon variant: iterate the sweep until the slices settle.
 
@@ -267,17 +540,19 @@ def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
     # collapsing the other side is exact there and is what makes the
     # sup-residual converge.
     window = reachable_window(m, space)
-    V = [restrict(target_utility(space.key(w), strict), *window)] * m.n_states
+    V = _pack([restrict(target_utility(space.key(w), strict), *window)]
+              * m.n_states)
     residual = np.inf
     for sweep in range(1, max_sweeps + 1):
-        new_V, rules = _greedy_update(m, space, V, 0)
-        new_V = [restrict(f, *window) for f in new_V]
-        residual = max(sup_distance(new_V[s], V[s]) for s in range(m.n_states))
+        new_V, rules = _layer(m, space, V, 0)
+        new_V = _restrict(_join(new_V), *window)
+        residual = _residual(new_V, V)
         V = new_V
         if residual <= eps_conv:
-            policy = WealthMarkovPolicy(rules, stationary=True)
-            p = V[m.initial_state](space.key(space.w0))
-            return policy, float(p), ValueFunction([V], sweeps=sweep)
+            policy = WealthMarkovPolicy(_unpack(rules), stationary=True)
+            slices = _unpack([V])
+            p = slices[m.initial_state](space.key(space.w0))
+            return policy, float(p), ValueFunction([slices], sweeps=sweep)
     raise ConvergenceError(
         f"no convergence after {max_sweeps} sweeps "
         f"(last residual {residual:.3g} > {eps_conv:.3g})",

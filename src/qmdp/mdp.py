@@ -31,6 +31,10 @@ from scipy import stats
 from .errors import ConfigurationError, ValidationError
 
 PROB_TOL = 1e-9
+# Longest horizon a problem may have.  A finite-horizon solve keeps one
+# table of slices and one of rules per timestep, so a horizon read from a
+# file must not decide that allocation alone.
+MAX_HORIZON = 100_000
 
 
 def _is_number(x):
@@ -68,6 +72,17 @@ def _check_integer(name, value):
         raise ValidationError(f"{name} {value!r} is not an integer")
 
 
+def _horizon(horizon):
+    """``horizon`` as an int (None for infinite), at most MAX_HORIZON."""
+    if horizon is None:
+        return None
+    horizon = int(horizon)
+    if horizon > MAX_HORIZON:
+        raise ValidationError(
+            f"horizon {horizon} is above the cap of {MAX_HORIZON} steps")
+    return horizon
+
+
 class Mdp:
     """Finite state/action MDP whose kernel is one flat edge table.
 
@@ -91,7 +106,8 @@ class Mdp:
         ``{"kind": "sa", "values": <S x A>}`` or ``{"kind": "sas",
         "values": <per (s, a) list aligned with the successor list>}``.
     horizon:
-        Positive integer, or None for the infinite-horizon problem.
+        Positive integer up to ``MAX_HORIZON``, or None for the
+        infinite-horizon problem.
     """
 
     def __init__(self, n_states, n_actions, transitions, rewards,
@@ -99,7 +115,7 @@ class Mdp:
         self.n_states = S = int(n_states)
         self.n_actions = A = int(n_actions)
         self.initial_state = int(initial_state)
-        self.horizon = None if horizon is None else int(horizon)
+        self.horizon = _horizon(horizon)
 
         # the empty heads keep the concatenations typed when S * A is 0
         succ = [np.empty(0, dtype=np.int64)]
@@ -259,7 +275,7 @@ class Mdp:
     def with_horizon(self, horizon):
         """Copy sharing the edge table, with a different horizon."""
         clone = copy.copy(self)
-        clone.horizon = None if horizon is None else int(horizon)
+        clone.horizon = _horizon(horizon)
         return clone
 
     def __repr__(self):
@@ -283,28 +299,35 @@ def validate(m):
         out.append(f"initial_state {m.initial_state} out of range")
     if m.horizon is not None and m.horizon < 1:
         out.append(f"horizon must be positive or None, got {m.horizon}")
-    for s in range(m.n_states):
-        for a in range(m.n_actions):
-            succ = m.successors(s, a)
-            prob = m.probabilities(s, a)
-            if len(succ) == 0:
-                out.append(f"(s={s}, a={a}): empty transition row")
-                continue
-            if np.any(prob < 0):
-                out.append(f"(s={s}, a={a}): negative probability "
-                           f"{prob.min():.3g}")
-            total = float(prob.sum())
-            if abs(total - 1.0) > PROB_TOL:
-                out.append(f"(s={s}, a={a}): probabilities sum to {total!r}")
-            if np.any((succ < 0) | (succ >= m.n_states)):
-                out.append(f"(s={s}, a={a}): successor index out of range")
-            if len(np.unique(succ)) != len(succ):
-                out.append(f"(s={s}, a={a}): duplicate successor state")
+    # (pair, check, message) of every per-pair violation; an empty row
+    # reports nothing else
+    found = []
+    counts = np.diff(m.starts)
+    filled = counts > 0
+    for i in np.flatnonzero(~filled):
+        found.append((i, 0, "empty transition row"))
+    for i in np.unique(m.pair[m.prob < 0]):
+        lo = m.prob[m.starts[i]:m.starts[i + 1]].min()
+        found.append((i, 1, f"negative probability {lo:.3g}"))
+    totals = np.bincount(m.pair, weights=m.prob, minlength=len(counts))
+    for i in np.flatnonzero(filled & (np.abs(totals - 1.0) > PROB_TOL)):
+        # the message reports the sum as the pair's own row gives it
+        total = float(m.prob[m.starts[i]:m.starts[i + 1]].sum())
+        found.append((i, 2, f"probabilities sum to {total!r}"))
+    for i in np.unique(m.pair[(m.succ < 0) | (m.succ >= m.n_states)]):
+        found.append((i, 3, "successor index out of range"))
+    order = np.lexsort((m.succ, m.pair))
+    pair, succ = m.pair[order], m.succ[order]
+    twice = (pair[1:] == pair[:-1]) & (succ[1:] == succ[:-1])
+    for i in np.unique(pair[1:][twice]):
+        found.append((i, 4, "duplicate successor state"))
+    for i, _, what in sorted(found):
+        s, a = divmod(int(i), m.n_actions)
+        out.append(f"(s={s}, a={a}): {what}")
     if m.numeric_rewards:
-        for r in m.rewards:
-            if not math.isfinite(r):
-                out.append(f"non-finite reward {r!r}")
-                break
+        bad = np.flatnonzero(~np.isfinite(np.asarray(m.rewards, dtype=np.float64)))
+        if len(bad):
+            out.append(f"non-finite reward {m.rewards[bad[0]]!r}")
     return out
 
 

@@ -30,36 +30,56 @@ THRESH_TOL = 1e-9   # threshold merge, absorbs float noise from discounted shift
 VALUE_TOL = 1e-12   # adjacent-piece value merge (float values)
 
 
-def _merge_thresholds(x, e, v):
+def _merge_thresholds(x, e, v, seg=None):
     """Collapse cuts closer than THRESH_TOL on the same side (single pass).
 
     Keeps the first (smallest) threshold of each run and the value after
     the run's last cut.  A run's successor is guaranteed to sit more than
     THRESH_TOL above the kept representative, so one pass reaches a fixpoint.
+
+    ``seg``, when given, holds the nondecreasing segment id of every cut
+    (the cuts of many functions, laid end to end); no run crosses a
+    segment boundary.  Returns ``(x, e, v, seg)``.
     """
     if len(x) < 2:
-        return x, e, v
+        return x, e, v, seg
     keep = np.empty(len(x), dtype=bool)
     keep[0] = True
     keep[1:] = (np.diff(x) > THRESH_TOL) | (e[1:] != e[:-1])
+    if seg is not None:
+        keep[1:] |= seg[1:] != seg[:-1]
     if keep.all():
-        return x, e, v
+        return x, e, v, seg
     gid = np.cumsum(keep) - 1
     last = np.empty(gid[-1] + 1, dtype=np.intp)
     last[gid] = np.arange(len(x))
     first = np.flatnonzero(keep)
-    return x[first], e[first], v[last]
+    return x[first], e[first], v[last], None if seg is None else seg[first]
 
 
-def _merge_values(base, x, e, v, tol):
-    """Drop cuts that do not change the value by more than tol (to fixpoint)."""
+def _merge_values(base, x, e, v, tol, seg=None):
+    """Drop cuts that do not change the value by more than tol (to fixpoint).
+
+    With ``seg`` (as in :func:`_merge_thresholds`), ``base`` holds one
+    value per segment id, and each segment's first cut compares against
+    its own base.  Returns ``(x, e, v, seg)``.
+    """
     while len(v):
-        prev = np.concatenate(([base], v[:-1]))
+        if seg is None:
+            prev = np.concatenate(([base], v[:-1]))
+        else:
+            prev = np.empty_like(v)
+            prev[1:] = v[:-1]
+            first = np.ones(len(v), dtype=bool)
+            first[1:] = seg[1:] != seg[:-1]
+            prev[first] = base[seg[first]]
         keep = np.abs(v - prev) > tol
         if keep.all():
             break
         x, e, v = x[keep], e[keep], v[keep]
-    return x, e, v
+        if seg is not None:
+            seg = seg[keep]
+    return x, e, v, seg
 
 
 class StepFunction:
@@ -81,12 +101,26 @@ class StepFunction:
         if len(x):
             order = np.lexsort((e, x))
             x, e, v = x[order], e[order], v[order]
-        x, e, v = _merge_thresholds(x, e, v)
-        x, e, v = _merge_values(base, x, e, v, 0 if exact else VALUE_TOL)
+        x, e, v, _ = _merge_thresholds(x, e, v)
+        x, e, v, _ = _merge_values(base, x, e, v, 0 if exact else VALUE_TOL)
         self.base = base
         self.x = x
         self.e = e
         self.v = v
+
+    @classmethod
+    def _trusted(cls, base, x, e, v):
+        """Wrap arrays already in canonical form, without sorting or merging.
+
+        ``base`` is a Python int or float, ``x`` float64, ``e`` uint8 and
+        ``v`` int64 (integer base) or float64 (float base).
+        """
+        f = cls.__new__(cls)
+        f.base = base
+        f.x = x
+        f.e = e
+        f.v = v
+        return f
 
     @classmethod
     def constant(cls, value):
@@ -97,11 +131,17 @@ class StepFunction:
         """The function taking ``values[k]`` at class key k, k = 0..n-1.
 
         Cuts are inclusive, at the keys where the value changes; the base
-        piece holds ``values[0]``.
+        piece holds ``values[0]``.  Integer rows are canonical as built;
+        float rows still merge values within ``VALUE_TOL``.
         """
+        values = np.asarray(values)
         change = np.flatnonzero(values[1:] != values[:-1]) + 1
-        return cls(values[0], change.astype(np.float64),
-                   np.ones(len(change), dtype=bool), values[change])
+        x = change.astype(np.float64)
+        if values.dtype.kind in "iu":
+            return cls._trusted(int(values[0]), x,
+                                np.zeros(len(change), dtype=np.uint8),
+                                values[change].astype(np.int64, copy=False))
+        return cls(values[0], x, np.ones(len(change), dtype=bool), values[change])
 
     # -- introspection --------------------------------------------------
 

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmdp import (AdditiveWealth, ConfigurationError, ConvergenceError,
-                  DiscountedWealth, GarnetConfig, Mdp, backward_induction,
-                  exact_distribution, generate_garnet, value_iteration)
+                  DiscountedWealth, GarnetConfig, Mdp, OrdinalWealth,
+                  StepFunction, backward_induction, exact_distribution,
+                  generate_garnet, value_iteration)
+from qmdp import dp
+from qmdp.stepfun import (VALUE_TOL, combine, pointwise_max, restrict, shift,
+                          sup_distance)
 from conftest import random_lattice_mdp, two_state_discounted_mdp
 
 
@@ -210,3 +215,149 @@ def test_value_iteration_non_convergence_reports_residual():
         value_iteration(m, AdditiveWealth(-5, 0), -2.0, False, max_sweeps=2)
     assert exc.value.sweeps == 2
     assert exc.value.residual > 0
+
+
+# -- the flat layer kernel against the step-function algebra ----------------------
+
+# thresholds, rewards and values on dyadic grids keep every shifted cut
+# exact, so the kernel and the per-pair composition see the same keys
+GRID = st.integers(-8, 24).map(lambda k: k / 4)
+LABELS = {"down": -1, "stay": 0, "up": 1, "up2": 2}
+
+
+def ordinal_space(n):
+    classes = [f"c{i}" for i in range(n)]
+    table = {c: {label: classes[min(n - 1, max(0, i + step))]
+                 for label, step in LABELS.items()}
+             for i, c in enumerate(classes)}
+    return OrdinalWealth(classes, table)
+
+
+@st.composite
+def step_functions(draw):
+    k = draw(st.integers(0, 4))
+    xs = draw(st.lists(GRID, min_size=k, max_size=k))
+    sides = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    # grid values make exact ties between actions, float ones near ties
+    value = st.one_of(st.integers(0, 8).map(lambda v: v / 8), st.floats(0, 1))
+    values = draw(st.lists(value, min_size=k + 1, max_size=k + 1))
+    return StepFunction(values[0], xs, sides, values[1:])
+
+
+@st.composite
+def layer_cases(draw, case):
+    """(m, space, nxt, t): a random kernel, wealth space and next layer."""
+    S, A = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    labels = case == "sas-ordinal"
+    reward = st.sampled_from(sorted(LABELS)) if labels else GRID
+    transitions, rewards = [], []
+    for _ in range(S):
+        trow, rrow = [], []
+        for _ in range(A):
+            succ = draw(st.lists(st.integers(0, S - 1), min_size=1,
+                                 max_size=3, unique=True))
+            w = draw(st.lists(st.integers(1, 4), min_size=len(succ),
+                              max_size=len(succ)))
+            trow.append([(sp, wi / sum(w)) for sp, wi in zip(succ, w)])
+            rrow.append(draw(st.lists(reward, min_size=len(succ),
+                                      max_size=len(succ)))
+                        if case.startswith("sas") else draw(reward))
+        transitions.append(trow)
+        rewards.append(rrow)
+    kind = "sas" if case.startswith("sas") else "sa"
+    m = Mdp(S, A, transitions, {"kind": kind, "values": rewards}, 0, 3)
+    space = {"sa-additive": AdditiveWealth(),
+             "sa-discounted": DiscountedWealth(0.75),
+             "sas-additive": AdditiveWealth(),
+             "sas-ordinal": ordinal_space(draw(st.integers(2, 5)))}[case]
+    nxt = [draw(step_functions()) for _ in range(S)]
+    return m, space, nxt, draw(st.integers(0, 2))
+
+
+def per_pair_update(m, space, nxt, t):
+    """The layer as S * A compositions of shift, combine and pointwise_max."""
+    envelopes, qs = [], []
+    for s in range(m.n_states):
+        row = []
+        for a in range(m.n_actions):
+            succ, prob = m.successors(s, a), m.probabilities(s, a)
+            if m.reward_kind == "sa":
+                mixed = combine(zip(prob, (nxt[i] for i in succ)))
+                row.append(shift(mixed, m.reward(s, a), t, space))
+            else:
+                row.append(combine(
+                    (p, shift(nxt[i], r, t, space))
+                    for p, i, r in zip(prob, succ, m.edge_rewards(s, a))))
+        envelopes.append(pointwise_max(row)[0])
+        qs.append(row)
+    return envelopes, qs
+
+
+@pytest.mark.parametrize("case", ["sa-additive", "sa-discounted",
+                                  "sas-additive", "sas-ordinal"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_flat_layer_matches_per_pair_algebra(case, data):
+    m, space, nxt, t = data.draw(layer_cases(case))
+    slices, rules = dp._greedy_update(m, space, nxt, t)
+    envelopes, qs = per_pair_update(m, space, nxt, t)
+    for f, g, rule, row in zip(slices, envelopes, rules, qs):
+        assert np.array_equal(f.x, g.x) and np.array_equal(f.e, g.e)
+        assert abs(f.base - g.base) <= 1e-12
+        assert np.abs(f.v - g.v).max(initial=0.0) <= 1e-12
+        assert isinstance(rule.base, int) and rule.v.dtype == np.int64
+        keys = np.concatenate([q.x for q in row] + [rule.x])
+        for w in np.concatenate((keys, keys - 1e-6, keys + 1e-6, [-1e9])):
+            assert row[rule(w)](w) >= g(w) - VALUE_TOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_flat_restrict_and_residual_match_per_slice(data):
+    S = data.draw(st.integers(1, 4))
+    f = [data.draw(step_functions()) for _ in range(S)]
+    g = [data.draw(step_functions()) for _ in range(S)]
+    assert dp._residual(dp._pack(f), dp._pack(g)) == max(
+        sup_distance(a, b) for a, b in zip(f, g))
+    lo, hi = sorted(data.draw(st.lists(GRID, min_size=2, max_size=2)))
+    for window in ((lo, None), (None, hi), (lo, hi)):
+        clipped = dp._unpack([dp._restrict(dp._pack(f), *window)])
+        assert clipped == [restrict(a, *window) for a in f]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_value_iteration_residual_is_max_sup_distance(monkeypatch, seed):
+    flat = dp._residual
+    seen = []
+
+    def checked(new, old):
+        r = flat(new, old)
+        assert r == max(sup_distance(a, b) for a, b in
+                        zip(dp._unpack([new]), dp._unpack([old])))
+        seen.append(r)
+        return r
+
+    monkeypatch.setattr(dp, "_residual", checked)
+    _, _, vf = value_iteration(random_lattice_mdp(seed), AdditiveWealth(-10, 0),
+                               -1.3, False)
+    assert len(seen) == vf.sweeps
+    assert seen[-1] <= 1e-6 < seen[-2]
+
+
+@pytest.mark.parametrize("build", ["garnet", "discounted", "ordinal"])
+def test_layer_blocks_give_the_same_tables(monkeypatch, build):
+    if build == "ordinal":
+        from conftest import two_policy_ordinal_instance
+        m, space = two_policy_ordinal_instance()
+        w = "w2"
+    else:
+        m = generate_garnet(GarnetConfig(12, 3, 4, seed=5), horizon=4)
+        space = (AdditiveWealth.for_mdp(m) if build == "garnet"
+                 else DiscountedWealth.for_mdp(m, 0.9))
+        w = 1.0
+    whole = backward_induction(m, space, w, True)
+    monkeypatch.setattr(dp, "BLOCK_FLOATS", 1)
+    blocked = backward_induction(m, space, w, True)
+    assert blocked[1] == whole[1]
+    assert blocked[0].rules == whole[0].rules
+    assert blocked[2].slices == whole[2].slices

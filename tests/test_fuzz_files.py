@@ -47,16 +47,11 @@ SAS_ORDINAL = {
 
 BASES = {"sa-additive": SA_ADDITIVE, "sas-ordinal": SAS_ORDINAL}
 
-# A huge horizon only gets the type swaps: a solve allocates per-layer
-# tables of the horizon's length before its first sweep, so 2**31 would
-# take gigabytes (a fault of its own; 2**63 overflows the list size).
-NOT_AN_INDEX = {"horizon"}
-
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3), st.floats(),
     st.text(max_size=2), st.builds(list), st.builds(dict),
     st.lists(st.integers(-1, 2), max_size=4))
-HUGE_OR_NEGATIVE = st.sampled_from([-1, -7, 2**31, 2**63, 10**400])
+HUGE_OR_NEGATIVE = st.sampled_from([-1, -7, 2**31, 2**63, 10**8, 10**400])
 
 
 def _policy_for(problem):
@@ -82,8 +77,7 @@ def _mutate(data, doc):
     if op == "drop":
         del parent[key]
     elif op == "swap":
-        index_like = (isinstance(node, int) and not isinstance(node, bool)
-                      and key not in NOT_AN_INDEX)
+        index_like = isinstance(node, int) and not isinstance(node, bool)
         parent[key] = data.draw(
             st.one_of(SCALARS, HUGE_OR_NEGATIVE) if index_like else SCALARS)
     elif isinstance(node, list) and op == "grow":
@@ -156,6 +150,8 @@ def _set(doc, path, value):
     ("sas-ordinal", ["wealth_space", "classes"], [["a"]], 2),
     ("sas-ordinal", ["wealth_space", "w0"], [], 2),
     ("sas-ordinal", ["wealth_space", "transition_table"], [], 2),
+    ("sa-additive", ["mdp", "horizon"], 2**63, 3),
+    ("sas-ordinal", ["mdp", "horizon"], 10**8, 3),
 ])
 def test_found_problem_tracebacks(tmp_path, name, path, value, code):
     problem = copy.deepcopy(BASES[name])

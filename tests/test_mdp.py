@@ -4,6 +4,7 @@ import pytest
 from qmdp import (ConfigurationError, DataCenterConfig, GarnetConfig, Mdp,
                   ValidationError, default_branching, generate_datacenter,
                   generate_garnet, skew_rewards, validate)
+from qmdp.mdp import MAX_HORIZON
 from conftest import two_state_discounted_mdp
 
 
@@ -58,6 +59,42 @@ def test_validate_nonfinite_reward():
     m = Mdp(2, 1, [[[(1, 1.0)]], [[(1, 1.0)]]],
             {"kind": "sa", "values": [[float("inf")], [0.0]]}, 0, 3)
     assert any("non-finite" in v for v in validate(m))
+
+
+def test_validate_reports_each_violation_in_order():
+    # one of each violation; (s=0, a=1) breaks four checks at once, and an
+    # empty row reports nothing besides being empty
+    m = Mdp(3, 2,
+            [[[], [(1, -0.5), (1, 0.5), (9, 0.25)]],
+             [[(2, 1.0)], [(0, 0.7)]],
+             [[(0, 1.5), (1, -0.5)], [(2, 1.0)]]],
+            {"kind": "sa", "values": [[0.0, 1.0], [float("inf"), 0.0],
+                                      [0.0, float("nan")]]},
+            initial_state=7, horizon=0)
+    assert validate(m) == [
+        "initial_state 7 out of range",
+        "horizon must be positive or None, got 0",
+        "(s=0, a=0): empty transition row",
+        "(s=0, a=1): negative probability -0.5",
+        "(s=0, a=1): probabilities sum to 0.25",
+        "(s=0, a=1): successor index out of range",
+        "(s=0, a=1): duplicate successor state",
+        "(s=1, a=1): probabilities sum to 0.7",
+        "(s=2, a=0): negative probability -0.5",
+        "non-finite reward inf",
+    ]
+
+
+@pytest.mark.parametrize("horizon", [MAX_HORIZON + 1, 10**8, 2**31, 2**63])
+def test_horizon_above_cap_is_rejected(horizon):
+    rows = [[[(0, 1.0)]]]
+    rewards = {"kind": "sa", "values": [[0.0]]}
+    with pytest.raises(ValidationError, match="above the cap"):
+        Mdp(1, 1, rows, rewards, 0, horizon)
+    m = Mdp(1, 1, rows, rewards, 0, MAX_HORIZON)
+    assert m.horizon == MAX_HORIZON
+    with pytest.raises(ValidationError, match="above the cap"):
+        m.with_horizon(horizon)
 
 
 @pytest.mark.parametrize("row", [[1.0, -1.0, 5.0], [1.0]])

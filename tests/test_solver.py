@@ -397,9 +397,9 @@ def test_ordinal_blocks_give_the_same_report(monkeypatch, block_floats):
         return out, [OrdinalSweep(m, space).exceedance(classes, strict)
                      for strict in (True, False)]
 
-    monkeypatch.setattr(dp, "ORDINAL_BLOCK_FLOATS", 1 << 40)
+    monkeypatch.setattr(dp, "BLOCK_FLOATS", 1 << 40)
     one_block, p_one = solve_all()
-    monkeypatch.setattr(dp, "ORDINAL_BLOCK_FLOATS", block_floats)
+    monkeypatch.setattr(dp, "BLOCK_FLOATS", block_floats)
     blocked, p_blocked = solve_all()
     assert blocked == one_block
     for a, b in zip(p_blocked, p_one):

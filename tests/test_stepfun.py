@@ -360,3 +360,20 @@ def test_value_dtype_follows_inputs():
     # a float anywhere makes the whole function float
     assert StepFunction(0, [1.0], [True], [0.5]).v.dtype == np.float64
     assert StepFunction(0.0, [1.0], [True], [1]).v.dtype == np.float64
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_on_classes_integer_rows_match_the_full_constructor(seed):
+    # integer rows skip the sort and the merges; the result must be the
+    # canonical function all the same
+    rng = np.random.default_rng(seed)
+    row = rng.integers(-2, 3, int(rng.integers(1, 12)))
+    change = np.flatnonzero(row[1:] != row[:-1]) + 1
+    f = StepFunction.on_classes(row)
+    assert f == StepFunction(int(row[0]), change, np.ones(len(change), bool),
+                             row[change])
+    assert isinstance(f.base, int)
+    assert (f.x.dtype, f.e.dtype, f.v.dtype) == (np.float64, np.uint8, np.int64)
+    # float rows still merge values within VALUE_TOL
+    floats = StepFunction.on_classes(np.array([0.0, 1e-13, 1.0]))
+    assert floats == StepFunction(0.0, [2.0], [True], [1.0])

@@ -49,8 +49,8 @@ from .errors import ConfigurationError, ConvergenceError
 # form of the layer kernel; they stay bound here for the callers (and the
 # benchmark's tracer) that reach them through this module
 from .stepfun import (VALUE_TOL, StepFunction, _merge_thresholds,
-                      _merge_values, combine, pointwise_max, restrict, shift,
-                      sup_distance, target_utility)
+                      _merge_values, _ranks, combine, pointwise_max, restrict,
+                      shift, sup_distance, target_utility)
 from .wealth import AdditiveWealth, OrdinalWealth
 
 # Float64-sized values in the working arrays of one block: the layer
@@ -149,11 +149,6 @@ def _offsets(seg, n):
     return off
 
 
-def _ranks(counts):
-    """The rank of every element within its group, for groups of ``counts``."""
-    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
 def _pack(fs):
     """The table of a list of value slices."""
     off = np.zeros(len(fs) + 1, dtype=np.intp)
@@ -198,14 +193,6 @@ def _at_classes(c, n):
     return np.where(k > 0, last, c.base[:, None])
 
 
-def _edge_moves(m, space):
-    """(E, n) class-transition table of every edge's reward label."""
-    rows = {r: i for i, r in enumerate(dict.fromkeys(m.rewards))}
-    moves = np.array([space.move_table(r) for r in rows], dtype=np.intp)
-    return moves.reshape(len(rows), len(space.classes))[
-        [rows[r] for r in m.rewards]]
-
-
 def _pulled(m, space, nxt, t):
     """Every edge's successor slice, pulled back through the edge's wealth move.
 
@@ -219,7 +206,7 @@ def _pulled(m, space, nxt, t):
     E = len(m.succ)
     if isinstance(space, OrdinalWealth):
         pulled = _at_classes(nxt, len(space.classes))[
-            m.succ[:, None], _edge_moves(m, space)]
+            m.succ[:, None], space.edge_moves(m.rewards)]
         edge, k = np.nonzero(pulled[:, 1:] != pulled[:, :-1])
         src = _Cuts(pulled[:, 0], _offsets(edge, E), k + 1.0,
                     np.zeros(len(k), dtype=np.uint8), pulled[edge, k + 1])
@@ -381,7 +368,7 @@ class OrdinalSweep:
         counts = np.diff(m.starts)
         real = np.arange(counts.max()) < counts[:, None]
         self.idx = np.zeros(real.shape + (n,), dtype=np.intp)
-        self.idx[real] = m.succ[:, None] * n + _edge_moves(m, space)
+        self.idx[real] = m.succ[:, None] * n + space.edge_moves(m.rewards)
         self.prob = np.zeros(real.shape + (1, 1))
         self.prob[real, 0, 0] = m.prob
 

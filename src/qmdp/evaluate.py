@@ -5,9 +5,11 @@ These are the tools the solver is verified against: an exact forward pass
 over arrays of reachable (state, wealth key, mass) atoms gives a policy's
 terminal-wealth distribution, whose cumulatives and quantiles follow by
 partial sums; the brute-force oracle enumerates every deterministic
-wealth-Markovian policy of a small instance through the same forward step
-(neither uses the functional DP of ``qmdp.dp``, so they check it); and
-classic backward induction supplies the expectation-optimal baseline.
+wealth-Markovian policy of a small instance through the same forward step;
+and classic backward induction supplies the expectation-optimal baseline.
+The forward step and :func:`simulate` read the kernel's edge table
+(``succ``, ``prob``, ``starts``) and one per-edge wealth move; none of
+them uses the functional DP of ``qmdp.dp``, so they check it.
 """
 
 import itertools
@@ -16,8 +18,8 @@ from collections import defaultdict
 import numpy as np
 
 from .dp import WealthMarkovPolicy
-from .errors import ConfigurationError, ResourceLimitError
-from .stepfun import StepFunction
+from .errors import ConfigurationError, ResourceLimitError, ValidationError
+from .stepfun import StepFunction, _ranks
 from .wealth import WEALTH_TOL
 
 QUANT_ATOL = 1e-12   # slack when comparing partial sums against tau
@@ -137,37 +139,28 @@ def _actions(policy, t, states, keys):
     return actions
 
 
-def _groups(m, states, actions):
-    """(state, action, atom indices) per (state, action) pair, pairs ascending."""
-    group = states * m.n_actions + actions
-    order = np.argsort(group, kind="stable")
-    group = group[order]
-    cuts = (np.flatnonzero(np.diff(group)) + 1).tolist()
-    for i, j in zip([0] + cuts, cuts + [len(group)]):
-        yield (*divmod(int(group[i]), m.n_actions), order[i:j])
+def _edge_move(m, space):
+    """``move(keys, edges, t)``: each key after its edge's reward at step t."""
+    if space.kind == "ordinal":
+        table = space.edge_moves(m.rewards).astype(np.float64)
+        return lambda keys, edges, t: table[edges, keys.astype(np.int64)]
+    rewards = np.asarray(m.rewards, dtype=np.float64)
+    return lambda keys, edges, t: space.accumulate_keys(keys, rewards[edges], t)
 
 
-def _step(m, space, t, states, keys, masses, actions):
+def _step(m, move, t, states, keys, masses, actions):
     """Advance atoms one timestep under per-atom actions; returns merged atoms.
 
-    Each (state, action) group moves along all of its edges at once, laid
-    out edge-major (masses are the outer product of edge probabilities and
-    atom masses), with one wealth accumulation per group ("sa" rewards) or
-    per edge ("sas").
-    """
-    out_s, out_k, out_p = [], [], []
-    for s, a, idx in _groups(m, states, actions):
-        succ = m.successors(s, a)
-        out_s.append(np.repeat(succ, len(idx)))
-        out_p.append((m.probabilities(s, a)[:, None] * masses[idx]).ravel())
-        if m.reward_kind == "sa":
-            k = space.accumulate_keys(keys[idx], m.reward(s, a), t)
-            out_k.append(np.broadcast_to(k, (len(succ), len(k))).ravel())
-        else:
-            out_k.extend(space.accumulate_keys(keys[idx], r, t)
-                         for r in m.edge_rewards(s, a))
-    return merge_atoms(np.concatenate(out_s), np.concatenate(out_k),
-                       np.concatenate(out_p))
+    Every atom takes each edge of its (state, action) pair; the entries, in
+    (pair, edge, atom) order, carry the edge's successor, the atom's key
+    moved by the edge and the edge's probability times the atom's mass."""
+    pair = states * m.n_actions + actions
+    degree = m.starts[pair + 1] - m.starts[pair]
+    edge = np.repeat(m.starts[pair], degree) + _ranks(degree)
+    order = np.argsort(edge, kind="stable")
+    atom, edge = np.repeat(np.arange(len(pair)), degree)[order], edge[order]
+    return merge_atoms(m.succ[edge], move(keys[atom], edge, t),
+                       m.prob[edge] * masses[atom])
 
 
 def _initial_atoms(m, space):
@@ -184,10 +177,11 @@ def exact_distribution(m, space, policy, atom_cap=10_000_000):
     """
     if m.horizon is None:
         raise ConfigurationError("exact_distribution needs a finite horizon")
+    move = _edge_move(m, space)
     states, keys, masses = _initial_atoms(m, space)
     for t in range(m.horizon):
         actions = _actions(policy, t, states, keys)
-        states, keys, masses = _step(m, space, t, states, keys, masses, actions)
+        states, keys, masses = _step(m, move, t, states, keys, masses, actions)
         if len(keys) > atom_cap:
             raise ResourceLimitError(
                 f"{len(keys)} reachable atoms at step {t + 1} exceed the cap "
@@ -195,32 +189,43 @@ def exact_distribution(m, space, policy, atom_cap=10_000_000):
     return WealthDistribution(space, keys, masses)
 
 
+def _pick_edges(m, pair, u):
+    """Each episode's edge: ``np.searchsorted(np.cumsum(row), u, "right")``
+    over its pair's row, clamped to the last edge; the running sums add the
+    probabilities in ``np.cumsum``'s order, so they are the same floats."""
+    edge, last, cum = m.starts[pair], m.starts[pair + 1] - 1, np.zeros(len(u))
+    live = np.flatnonzero(edge < last)
+    while len(live):
+        cum[live] += m.prob[edge[live]]
+        live = live[cum[live] <= u[live]]
+        edge[live] += 1
+        live = live[edge[live] < last[live]]
+    return edge
+
+
 def simulate(m, space, policy, n, seed=0):
     """Sample n terminal wealth keys under a policy; deterministic per seed.
 
-    Episodes are advanced in lockstep, grouped by (state, action) so each
-    group draws from its own cumulative transition row.  Returns a float
-    array of wealth keys (class indices for ordinal spaces).
+    Episodes are advanced in lockstep.  Each step draws one uniform per
+    episode, handed out in stable (state, action) pair order, and moves
+    each episode along the edge its draw picks (:func:`_pick_edges`).
+    Returns a float array of wealth keys (class indices for ordinal spaces).
     """
     if m.horizon is None:
         raise ConfigurationError("simulate needs a finite horizon")
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
+    if not np.diff(m.starts).all():
+        raise ValidationError("a (state, action) pair has no transitions")
+    move, rng = _edge_move(m, space), np.random.default_rng(seed)
     states = np.full(n, m.initial_state, dtype=np.int64)
     wk = np.full(n, space.key(space.w0), dtype=np.float64)
     for t in range(m.horizon):
-        actions = _actions(policy, t, states, wk)
-        new_states = np.empty_like(states)
-        for s, a, idx in _groups(m, states, actions):
-            cum = np.cumsum(m.probabilities(s, a))
-            pick = np.searchsorted(cum, rng.random(len(idx)), side="right")
-            pick = np.minimum(pick, len(cum) - 1)
-            for i, r in enumerate(m.edge_rewards(s, a)):
-                hit = idx[pick == i]
-                wk[hit] = space.accumulate_keys(wk[hit], r, t)
-            new_states[idx] = m.successors(s, a)[pick]
-        states = new_states
+        pair = states * m.n_actions + _actions(policy, t, states, wk)
+        u = np.empty(n)
+        u[np.argsort(pair, kind="stable")] = rng.random(n)
+        edge = _pick_edges(m, pair, u)
+        wk, states = move(wk, edge, t), m.succ[edge]
     return wk
 
 
@@ -240,6 +245,7 @@ def brute_force_distributions(m, space, policy_cap=1_000_000):
     if m.horizon is None:
         raise ConfigurationError("the brute-force oracle needs a finite horizon")
     T = m.horizon
+    move = _edge_move(m, space)
     results = []
 
     def rec(t, atoms, assignment):
@@ -256,7 +262,7 @@ def brute_force_distributions(m, space, policy_cap=1_000_000):
         points = [(t, s, wk) for s, wk in zip(states.tolist(), keys.tolist())]
         for combo in itertools.product(range(m.n_actions), repeat=len(points)):
             assignment.update(zip(points, combo))
-            rec(t + 1, _step(m, space, t, states, keys, masses, np.array(combo)),
+            rec(t + 1, _step(m, move, t, states, keys, masses, np.array(combo)),
                 assignment)
         for point in points:
             del assignment[point]
@@ -267,22 +273,16 @@ def brute_force_distributions(m, space, policy_cap=1_000_000):
 
 def _assignment_to_policy(m, assignment):
     """Interval policy from per-atom actions (atoms become inclusive cuts)."""
-    T = m.horizon
     per_ts = defaultdict(list)
-    for (t, s, wk), a in assignment.items():
+    for (t, s, wk), a in sorted(assignment.items()):
         per_ts[(t, s)].append((wk, a))
     rules = []
-    for t in range(T):
+    for t in range(m.horizon):
         row = []
         for s in range(m.n_states):
-            atoms = sorted(per_ts.get((t, s), []))
-            if not atoms:
-                row.append(StepFunction.constant(0))
-                continue
-            base = atoms[0][1]
-            cuts = [(wk, True, a) for wk, a in atoms[1:]]
-            row.append(StepFunction(base, [c[0] for c in cuts],
-                                    [c[1] for c in cuts], [c[2] for c in cuts]))
+            keys, acts = zip(*per_ts.get((t, s), [(0.0, 0)]))
+            row.append(StepFunction(acts[0], keys[1:], [True] * len(keys[1:]),
+                                    acts[1:]))
         rules.append(row)
     return WealthMarkovPolicy(rules)
 

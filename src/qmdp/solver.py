@@ -155,8 +155,9 @@ def _check_infinite(m, space, query):
 
 
 def _passes(p, thr, strict):
-    """The threshold test, on one probability or an array of them."""
-    return p > thr if strict else p >= thr
+    """The threshold test, on one probability or an array of them, with the
+    slack ``QUANT_ATOL`` that a quantile allows a partial sum at a tie."""
+    return p > thr + QUANT_ATOL if strict else p >= thr - QUANT_ATOL
 
 
 def _translate(f, c):

@@ -30,6 +30,11 @@ THRESH_TOL = 1e-9   # threshold merge, absorbs float noise from discounted shift
 VALUE_TOL = 1e-12   # adjacent-piece value merge (float values)
 
 
+def _ranks(counts):
+    """The rank of every element within its group, for groups of ``counts``."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def _merge_thresholds(x, e, v, seg=None):
     """Collapse cuts closer than THRESH_TOL on the same side (single pass).
 

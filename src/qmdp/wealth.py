@@ -16,7 +16,10 @@ Internally every wealth value maps to a float *key* (the value itself for
 numeric kinds, the class index for the ordinal kind) so that downstream
 code can compare and sort wealths uniformly.  ``accumulate``, ``compare``
 and ``distance`` accept and return public values (class labels for ordinal
-spaces); the key protocol works on keys.
+spaces); the key protocol works on keys.  It also says how each edge of
+an edge table moves wealth (``accumulate_keys``, ``OrdinalWealth.edge_moves``),
+for the functional DP of ``qmdp.dp`` and the forward step of ``qmdp.evaluate``
+alike, so the forward step needs nothing from ``qmdp.dp``.
 """
 
 import math
@@ -61,10 +64,10 @@ class WealthSpace:
         raise NotImplementedError
 
     def accumulate_keys(self, karr, r, t=0):
-        """accumulate() on an array of keys.
+        """accumulate() on an array of keys (numeric kinds).
 
-        ``r`` is a scalar reward, an array aligned with ``karr`` (numeric
-        kinds), or a single reward label (ordinal kind).
+        ``r`` is a scalar reward or an array aligned with ``karr``.
+        Ordinal spaces move keys through :meth:`OrdinalWealth.edge_moves`.
         """
         raise NotImplementedError
 
@@ -241,6 +244,14 @@ class OrdinalWealth(WealthSpace):
             self._moves[r] = moves
         return self._moves[r]
 
+    def edge_moves(self, labels):
+        """(E, n) index table whose row e is ``move_table(labels[e])``:
+        how every edge of an edge table (``Mdp.rewards``) moves wealth."""
+        rows = {r: i for i, r in enumerate(dict.fromkeys(labels))}
+        moves = np.array([self.move_table(r) for r in rows], dtype=np.intp)
+        return moves.reshape(len(rows), len(self.classes))[
+            [rows[r] for r in labels]]
+
     def accumulate(self, w, r, t=0):
         return self.label(self.move_table(r)[self.index(w)])
 
@@ -249,10 +260,6 @@ class OrdinalWealth(WealthSpace):
 
     def unkey(self, k):
         return self.label(int(round(k)))
-
-    def accumulate_keys(self, karr, r, t=0):
-        moves = np.asarray(self.move_table(r), dtype=np.float64)
-        return moves[np.asarray(karr, dtype=np.float64).astype(np.int64)]
 
     def __repr__(self):
         return f"OrdinalWealth({self.classes!r})"

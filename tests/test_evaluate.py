@@ -6,7 +6,8 @@ from qmdp import (AdditiveWealth, ConfigurationError, DiscountedWealth,
                   StepFunction, WealthDistribution, WealthMarkovPolicy,
                   backward_induction, brute_force_optimal_quantile,
                   exact_distribution, generate_garnet, simulate,
-                  standard_backward_induction)
+                  standard_backward_induction, ValidationError)
+from qmdp.evaluate import merge_atoms
 from conftest import two_state_discounted_mdp
 
 
@@ -149,6 +150,40 @@ def test_exact_distribution_matches_history_enumeration(reward_kind, ordinal,
     np.testing.assert_allclose(d.probs, ref.probs, rtol=0, atol=1e-12)
 
 
+def exact_by_pairs(m, space, policy):
+    """Reference forward pass: each (state, action) group in ascending pair
+    order moves along its edges through the accessors, edge-major."""
+    states = np.array([m.initial_state])
+    keys, masses = np.array([space.key(space.w0)]), np.ones(1)
+    for t in range(m.horizon):
+        pair = states * m.n_actions + np.array(
+            [policy.action(t, s, k) for s, k in zip(states, keys)])
+        out = []
+        for p in np.unique(pair).tolist():
+            idx = np.flatnonzero(pair == p)
+            s, a = divmod(p, m.n_actions)
+            for sp, q, r in zip(m.successors(s, a), m.probabilities(s, a),
+                                m.edge_rewards(s, a)):
+                out.extend((sp, space.key(space.accumulate(
+                    space.unkey(keys[i]), r, t)), q * masses[i]) for i in idx)
+        s_, k_, p_ = zip(*out)
+        states, keys, masses = merge_atoms(np.array(s_), np.array(k_),
+                                           np.array(p_))
+    return WealthDistribution(space, keys, masses)
+
+
+@pytest.mark.parametrize("reward_kind, ordinal", [
+    ("sa", False), ("sas", False), ("sas", True), ("sa", True)],
+    ids=["sa-additive", "sas-discounted", "sas-ordinal", "sa-ordinal"])
+def test_exact_distribution_matches_pair_loop_bit_for_bit(reward_kind, ordinal):
+    # the forward step adds the same masses in the same order
+    m, space = relabelled_garnet(6, reward_kind, ordinal)
+    policy = random_wealth_policy(m, space, np.random.default_rng(6))
+    d, ref = exact_distribution(m, space, policy), exact_by_pairs(m, space, policy)
+    assert d.keys.tobytes() == ref.keys.tobytes()
+    assert d.probs.tobytes() == ref.probs.tobytes()
+
+
 # -- cumulatives ---------------------------------------------------------------
 
 def test_example1_cumulatives():
@@ -264,6 +299,16 @@ def test_simulate_deterministic_history():
     assert np.all(samples == 1.0)
 
 
+def test_simulate_rejects_a_pair_without_transitions():
+    # validate() reports the empty row; simulate must not borrow the next
+    # pair's edges for it
+    m = Mdp(2, 2, [[[(1, 1.0)], []], [[(1, 1.0)], [(1, 1.0)]]],
+            {"kind": "sas", "values": [[[1.0], []], [[0.0], [0.0]]]}, 0, 2)
+    policy = WealthMarkovPolicy.from_markov([[1, 0], [0, 0]])
+    with pytest.raises(ValidationError):
+        simulate(m, AdditiveWealth(-5, 5), policy, 10)
+
+
 def test_simulate_seed_determinism(paper_mdp, paper_space):
     pol = WealthMarkovPolicy.from_markov([[0, 0], [1, 0]])
     a = simulate(paper_mdp, paper_space, pol, 500, seed=42)
@@ -299,6 +344,73 @@ def test_simulate_matches_exact_distribution_ks():
         worst = max(worst, abs(emp_at - prefix[i]),
                     abs(emp_before - (prefix[i] - d.probs[i])))
     assert worst <= 1.628 / np.sqrt(n)
+
+
+@pytest.mark.parametrize("reward_kind, ordinal", [
+    ("sa", False), ("sas", False), ("sas", True), ("sa", True)],
+    ids=["sa-additive", "sas-discounted", "sas-ordinal", "sa-ordinal"])
+def test_simulate_matches_exact_distribution_every_kind(reward_kind, ordinal):
+    m, space = relabelled_garnet(3, reward_kind, ordinal)
+    policy = random_wealth_policy(m, space, np.random.default_rng(3))
+    d = exact_distribution(m, space, policy)
+    n = 50_000
+    samples = np.sort(simulate(m, space, policy, n, seed=11))
+    # one-sample KS at 99% over the atoms: critical value 1.628 / sqrt(n)
+    below = np.searchsorted(samples, d.keys - 1e-9) / n
+    at = np.searchsorted(samples, d.keys + 1e-9) / n
+    prefix = np.cumsum(d.probs)
+    worst = max(np.abs(at - prefix).max(), np.abs(below - prefix + d.probs).max())
+    assert worst <= 1.628 / np.sqrt(n)
+
+
+def test_pick_edges_is_a_clamped_searchsorted():
+    # draws on and next to every cumulative sum, and past the row's total
+    from qmdp.evaluate import _pick_edges
+    m = generate_garnet(GarnetConfig(5, 2, 4, seed=3), horizon=2)
+    pairs, draws, want = [], [], []
+    for p in range(m.n_states * m.n_actions):
+        cum = np.cumsum(m.prob[m.starts[p]:m.starts[p + 1]])
+        u = np.concatenate(([0.0, 0.5], cum, np.nextafter(cum, 0),
+                            np.nextafter(cum, 2)))
+        pairs += [p] * len(u)
+        draws += u.tolist()
+        want += (m.starts[p] + np.minimum(
+            np.searchsorted(cum, u, side="right"), len(cum) - 1)).tolist()
+    assert _pick_edges(m, np.array(pairs), np.array(draws)).tolist() == want
+
+
+def simulate_by_pairs(m, space, policy, n, seed):
+    """Reference: each (state, action) group in ascending pair order draws
+    its uniforms and searches its own cumulative row through the accessors."""
+    rng = np.random.default_rng(seed)
+    states = np.full(n, m.initial_state)
+    wk = np.full(n, space.key(space.w0))
+    for t in range(m.horizon):
+        pair = states * m.n_actions + np.array(
+            [policy.action(t, s, k) for s, k in zip(states, wk)])
+        nxt = states.copy()
+        for p in np.unique(pair).tolist():
+            idx = np.flatnonzero(pair == p)
+            s, a = divmod(p, m.n_actions)
+            cum = np.cumsum(m.probabilities(s, a))
+            picks = np.minimum(np.searchsorted(cum, rng.random(len(idx)),
+                                               side="right"), len(cum) - 1)
+            for i, j in zip(idx, picks):
+                w = space.accumulate(space.unkey(wk[i]), m.edge_rewards(s, a)[j], t)
+                wk[i], nxt[i] = space.key(w), m.successors(s, a)[j]
+        states = nxt
+    return wk
+
+
+@pytest.mark.parametrize("reward_kind, ordinal", [
+    ("sa", False), ("sas", False), ("sas", True), ("sa", True)],
+    ids=["sa-additive", "sas-discounted", "sas-ordinal", "sa-ordinal"])
+def test_simulate_matches_pair_loop_sample_for_sample(reward_kind, ordinal):
+    # the same random stream, the same edge searches, the same wealth sums
+    m, space = relabelled_garnet(5, reward_kind, ordinal)
+    policy = random_wealth_policy(m, space, np.random.default_rng(5))
+    assert np.array_equal(simulate(m, space, policy, 3000, seed=2),
+                          simulate_by_pairs(m, space, policy, 3000, seed=2))
 
 
 # -- brute force oracle ----------------------------------------------------------

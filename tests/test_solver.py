@@ -559,6 +559,37 @@ def test_certificate_uses_the_quantile_slack():
     assert not certified(1.0, "lower", 2.0)
 
 
+def one_step_instance(probs, rewards):
+    """Horizon 1, one action: state 0 moves to state i with probability
+    probs[i] and reward rewards[i]; every other state loops on itself."""
+    transitions = [[list(enumerate(probs))]] + [[[(s, 1.0)]]
+                                                for s in range(1, len(probs))]
+    values = [[list(rewards)]] + [[[r]] for r in rewards[1:]]
+    return Mdp(len(probs), 1, transitions, {"kind": "sas", "values": values},
+               0, 1)
+
+
+@pytest.mark.parametrize("probs, rewards, tau, criterion", [
+    ([0.3, 0.7], [1.0, 0.0], 0.7, "upper"),
+    ([0.1, 0.2, 0.4, 0.3], [1.0, 1.0, 1.0, 0.0], 0.3, "lower"),
+    ([0.3, 0.7], ["up", "stay"], 0.7, "upper"),
+], ids=["upper", "lower", "ordinal-upper"])
+def test_threshold_test_at_exact_ties(probs, rewards, tau, criterion):
+    # the exceedance probability equals 1 - tau but sums a rounding step
+    # off it, so the test needs the slack that quantile() allows
+    m = one_step_instance(probs, rewards)
+    if isinstance(rewards[0], str):
+        space = OrdinalWealth(["lo", "hi"], {
+            c: {"up": "hi", "stay": c} for c in ("lo", "hi")})
+    else:
+        space = AdditiveWealth.for_mdp(m)
+    query = QuantileQuery(tau=tau, criterion=criterion)
+    report = solve_quantile(m, space, query)
+    oracle_q, _ = brute_force_optimal_quantile(m, space, tau, criterion)
+    assert report.quantile == oracle_q
+    assert quantile_certificate(m, space, report, query)
+
+
 def _flip(rule, n_actions):
     return StepFunction(n_actions - 1 - rule.base, rule.x, rule.e == 0,
                         n_actions - 1 - rule.v)

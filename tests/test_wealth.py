@@ -72,6 +72,22 @@ def test_numeric_accumulate_rejects_labels():
         DiscountedWealth(0.5).accumulate(0.0, "up")
 
 
+@pytest.mark.parametrize("kind", ["sa", "sas"])
+def test_edge_moves_rows_are_move_tables(kind):
+    # the per-edge class table the backward layer, the dense sweep and the
+    # forward step all read
+    sp = make_space("ordinal")
+    transitions = [[[(0, 0.5), (1, 0.5)], [(1, 1.0)]],
+                   [[(0, 1.0)], [(0, 0.25), (1, 0.75)]]]
+    values = ([["up", "stay"], ["stay", "up"]] if kind == "sa" else
+              [[["up", "stay"], ["stay"]], [["up"], ["stay", "up"]]])
+    m = Mdp(2, 2, transitions, {"kind": kind, "values": values}, 0, 2)
+    table = sp.edge_moves(m.rewards)
+    assert table.shape == (len(m.succ), len(sp.classes))
+    for e, r in enumerate(m.rewards):
+        assert table[e].tolist() == sp.move_table(r)
+
+
 @given(st.lists(finite_floats, min_size=1, max_size=8))
 def test_additive_fold_matches_sum(rewards):
     sp = AdditiveWealth()

@@ -23,15 +23,25 @@ so the result equals the per-slice composition of
 rounding).  :class:`~qmdp.stepfun.StepFunction` stays the type of the
 rules and slices handed out; they share the table's arrays.
 
-Finite horizons run T layers (:func:`backward_induction`).  Infinite
-horizons with uniformly signed rewards and undiscounted additive wealth
-iterate the same kernel to convergence (:func:`value_iteration`) and
-return a stationary policy; the iterate stays a cut table across sweeps.
-Wealth then moves one way from ``w0``, so the slices are clipped to the
-reachable side of it (:func:`reachable_window`), where the clip is exact.
-By translation, one clipped run at target t holds the value at ``w0`` of
-every target above t (nonpositive rewards) or below t (nonnegative
-rewards).
+Each layer is computed on a sorted set of states; a state reads only
+its own edges, so its slice and rule do not depend on the set.  Finite
+horizons run T layers (:func:`backward_induction`), on every state by
+default.  With ``reachable_only`` layer t holds only the states reachable
+from the initial state in exactly t steps (one frontier step gathers
+``succ`` over the ``starts`` spans of the frontier's pairs): they read
+only reachable successors, and the initial-state slice and their rules
+are all a quantile solve reads.  The other (t, s) are not computed.
+:func:`translate` moves many rules or slices to another target through
+one table, as the solver does with its policy.
+
+Infinite horizons with uniformly signed rewards and undiscounted additive
+wealth iterate the same kernel to convergence (:func:`value_iteration`)
+and return a stationary policy; the iterate stays a cut table across
+sweeps.  Wealth then moves one way from ``w0``, so the slices are clipped
+to the reachable side of it (:func:`reachable_window`), where the clip is
+exact.  By translation, one clipped run at target t holds the value at
+``w0`` of every target above t (nonpositive rewards) or below t
+(nonnegative rewards).
 
 Ordinal wealth over n classes also has a dense form: a slice is a
 length-n vector, and the slices of many targets stack into one array, so
@@ -149,14 +159,14 @@ def _offsets(seg, n):
     return off
 
 
-def _pack(fs):
-    """The table of a list of value slices."""
+def _pack(fs, dtype=np.float64):
+    """The table of a list of step functions, with values of ``dtype``."""
     off = np.zeros(len(fs) + 1, dtype=np.intp)
     np.cumsum([len(f.x) for f in fs], out=off[1:])
-    return _Cuts(np.array([f.base for f in fs], dtype=np.float64), off,
+    return _Cuts(np.array([f.base for f in fs], dtype=dtype), off,
                  np.concatenate([f.x for f in fs]),
                  np.concatenate([f.e for f in fs]),
-                 np.concatenate([f.v for f in fs]).astype(np.float64, copy=False))
+                 np.concatenate([f.v for f in fs]).astype(dtype, copy=False))
 
 
 def _unpack(blocks):
@@ -217,8 +227,24 @@ def _pulled(m, space, nxt, t):
     return nxt, m.succ, space.accumulate_keys(np.zeros(E), m.rewards, t)
 
 
-def _layer(m, space, nxt, t):
-    """One backward step of every state at once, from the layer-(t+1) table.
+def _edges(m, states):
+    """The edges of the sorted, distinct ``states``, in pair order.
+
+    A state's pairs are consecutive in the edge table, so its edges are
+    one span; a run of consecutive states (every state, or a single one)
+    is one span too, gathered by a single ``arange``.
+    """
+    A = m.n_actions
+    if states[-1] - states[0] == len(states) - 1:
+        return np.arange(m.starts[states[0] * A],
+                         m.starts[(states[-1] + 1) * A])
+    first = m.starts[states * A]
+    degree = m.starts[(states + 1) * A] - first
+    return np.repeat(first, degree) + _ranks(degree)
+
+
+def _layer(m, space, nxt, t, states):
+    """One backward step of the sorted ``states``, from the layer-(t+1) table.
 
     Every cut of every edge's pulled successor slice (:func:`_pulled`)
     becomes an entry: its threshold and side, the action of its edge, and
@@ -232,36 +258,39 @@ def _layer(m, space, nxt, t):
     also collapses each run of identical keys onto its last entry, the
     one past every step at that key.
 
-    States go in blocks whose working arrays hold about ``BLOCK_FLOATS``
-    floats.  Returns ``(values, rules)``, each a list of the blocks'
-    tables (see :func:`_join`).
+    A state reads only its own edges, so its slice and rule do not depend
+    on which other states are in ``states``.  The states go in blocks
+    whose working arrays hold about ``BLOCK_FLOATS`` floats.  Returns
+    ``(values, rules)``, each a list of the blocks' tables (see
+    :func:`_join`), one slice per state of ``states``.
     """
     S, A = m.n_states, m.n_actions
     src, rows, delta = _pulled(m, space, nxt, t)
     count = np.diff(src.off)[rows]
     steps = src.steps()
     base_sa = np.bincount(m.pair, weights=m.prob * src.base[rows],
-                          minlength=S * A)
+                          minlength=S * A).reshape(S, A)
     per_state = np.bincount(m.pair // A, weights=count,
-                            minlength=S).astype(np.intp)
+                            minlength=S).astype(np.intp)[states]
     width = max(1, per_state.max(initial=0))
     block = max(1, BLOCK_FLOATS // ((A + _ENTRY_FLOATS) * width))
     values, rules = [], []
-    for s0 in range(0, S, block):
-        s1 = min(S, s0 + block)
-        j0, j1 = m.starts[s0 * A], m.starts[s1 * A]
-        cnt = count[j0:j1]
-        edge = np.repeat(np.arange(j0, j1), cnt)
-        idx = np.repeat(src.off[rows[j0:j1]], cnt) + _ranks(cnt)
+    for b0 in range(0, len(states), block):
+        chunk = states[b0:b0 + block]
+        n = len(chunk)
+        span = _edges(m, chunk)
+        cnt = count[span]
+        edge = np.repeat(span, cnt)
+        idx = np.repeat(src.off[rows[span]], cnt) + _ranks(cnt)
         # edges come in pair order, so the entries of a state are one run
-        n_ent = per_state[s0:s1]
-        state = np.repeat(np.arange(s1 - s0), n_ent)
+        n_ent = per_state[b0:b0 + block]
+        state = np.repeat(np.arange(n), n_ent)
         X, E, col = _sort_rows(state, _ranks(n_ent), src.x[idx] - delta[edge],
-                               src.e[idx], (s1 - s0, max(1, n_ent.max())))
+                               src.e[idx], (n, max(1, n_ent.max())))
         # D[a, s, k]: the value of action a in state s from sorted key k on
         D = np.zeros((A,) + X.shape)
         D[m.pair[edge] % A, state, col] = m.prob[edge] * steps[idx]
-        base_q = base_sa[s0 * A:s1 * A].reshape(s1 - s0, A)
+        base_q = base_sa[chunk]
         D[:, :, 0] += base_q.T
         np.cumsum(D, axis=2, out=D)
         seg, col = np.nonzero(E < 2)
@@ -314,31 +343,64 @@ def _greedy_update(m, space, nxt, t):
     argmax decision rule per state (the lowest action index within
     ``VALUE_TOL`` of the best).
     """
-    values, rules = _layer(m, space, _pack(nxt), t)
+    values, rules = _layer(m, space, _pack(nxt), t, np.arange(m.n_states))
     return _unpack(values), _unpack(rules)
 
 
-def backward_induction(m, space, w, strict):
+def _reachable(m):
+    """The sorted states reachable from the initial state in exactly t steps,
+    for t = 0..T-1, over every edge of the kernel."""
+    layers = [np.array([m.initial_state])]
+    for _ in range(m.horizon - 1):
+        layers.append(np.unique(m.succ[_edges(m, layers[-1])]))
+    return layers
+
+
+def _spread(c, states, n):
+    """The n-state table holding the slices of c at the sorted ``states``
+    and the constant 0 at every other state."""
+    base = np.zeros(n, dtype=c.base.dtype)
+    base[states] = c.base
+    count = np.zeros(n, dtype=np.intp)
+    count[states] = np.diff(c.off)
+    off = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(count, out=off[1:])
+    return _Cuts(base, off, c.x, c.e, c.v)
+
+
+def backward_induction(m, space, w, strict, reachable_only=False):
     """Maximize the probability of terminal wealth above ``w``.
 
     ``strict`` selects the strict indicator target (lower-quantile mode);
     non-strict is the upper-quantile mode.  Returns ``(policy, p, vf)``
     where p is the optimal exceedance probability from the initial state
-    and vf the full per-timestep value table.
+    and vf the per-timestep value table, ``vf.slices[t][s]`` for t in
+    0..T.
+
+    By default every layer t < T is computed on every state.  With
+    ``reachable_only``, layer t is computed only on the states reachable
+    from the initial state in exactly t steps; every other (t, s) is not
+    computed and gets the constant rule 0 and the constant slice 0.0.
+    Reachable states read only reachable successors, so p, the
+    initial-state slice and every reachable rule are identical to the
+    full run's.
     """
     if m.horizon is None:
         raise ConfigurationError(
             "backward_induction needs a finite horizon; "
             "use value_iteration for infinite-horizon problems")
-    T = m.horizon
+    T, S = m.horizon, m.n_states
+    layers = _reachable(m) if reachable_only else [np.arange(S)] * T
     terminal = target_utility(space.key(w), strict)
     slices = [None] * (T + 1)
-    slices[T] = [terminal] * m.n_states
+    slices[T] = [terminal] * S
     rules = [None] * T
-    values = [_pack(slices[T])]
+    nxt = _pack(slices[T])
     for t in range(T - 1, -1, -1):
-        values, layer_rules = _layer(m, space, _join(values), t)
-        slices[t], rules[t] = _unpack(values), _unpack(layer_rules)
+        values, layer_rules = _layer(m, space, nxt, t, layers[t])
+        nxt = _spread(_join(values), layers[t], S)
+        slices[t] = _unpack([nxt])
+        rules[t] = _unpack([_spread(_join(layer_rules), layers[t], S)])
     p = slices[0][m.initial_state](space.key(space.w0))
     return (WealthMarkovPolicy(rules), float(p), ValueFunction(slices))
 
@@ -465,6 +527,31 @@ def _restrict(c, lo, hi):
                  c.x[keep], c.e[keep], c.v[keep])
 
 
+def translate(fs, c, lo=None, hi=None):
+    """Every function of fs moved up by c, ``g(x) = f(x - c)``, in one table.
+
+    The functions (all integer rules or all float slices) are laid end to
+    end; every cut moves up by c, and one sort by (function, threshold,
+    side) restores the cut order, which the shift can break where a cut
+    and one of the other side less than an ulp above it round onto the
+    same threshold.  The segmented canonical merges (exact for integer
+    rules, within ``VALUE_TOL`` for slices) and :func:`_restrict` to
+    ``[lo, hi]`` follow.  Each result equals
+    ``restrict(StepFunction(f.base, f.x + c, f.e == 0, f.v), lo, hi)``
+    (no restrict without a window) bit for bit.
+    """
+    exact = isinstance(fs[0].base, int)
+    table = _pack(fs, np.int64 if exact else np.float64)
+    seg = table.seg()
+    x = table.x + c
+    order = np.lexsort((table.e, x, seg))
+    moved = _canonical(table.base, x[order], table.e[order], table.v[order],
+                       seg, 0 if exact else VALUE_TOL)
+    if lo is not None or hi is not None:
+        moved = _restrict(moved, lo, hi)
+    return _unpack([moved])
+
+
 def _layout(c, seg):
     """Each slice of c as [base, values...], end to end.
 
@@ -529,9 +616,10 @@ def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
     window = reachable_window(m, space)
     V = _pack([restrict(target_utility(space.key(w), strict), *window)]
               * m.n_states)
+    states = np.arange(m.n_states)
     residual = np.inf
     for sweep in range(1, max_sweeps + 1):
-        new_V, rules = _layer(m, space, V, 0)
+        new_V, rules = _layer(m, space, V, 0, states)
         new_V = _restrict(_join(new_V), *window)
         residual = _residual(new_V, V)
         V = new_V

@@ -156,6 +156,10 @@ def _step(m, move, t, states, keys, masses, actions):
     moved by the edge and the edge's probability times the atom's mass."""
     pair = states * m.n_actions + actions
     degree = m.starts[pair + 1] - m.starts[pair]
+    if not degree.all():
+        s, a = divmod(int(pair[degree.argmin()]), m.n_actions)
+        raise ValidationError(
+            f"(s={s}, a={a}): empty transition row, taken at t={t}")
     edge = np.repeat(m.starts[pair], degree) + _ranks(degree)
     order = np.argsort(edge, kind="stable")
     atom, edge = np.repeat(np.arange(len(pair)), degree)[order], edge[order]
@@ -191,16 +195,27 @@ def exact_distribution(m, space, policy, atom_cap=10_000_000):
 
 def _pick_edges(m, pair, u):
     """Each episode's edge: ``np.searchsorted(np.cumsum(row), u, "right")``
-    over its pair's row, clamped to the last edge; the running sums add the
-    probabilities in ``np.cumsum``'s order, so they are the same floats."""
-    edge, last, cum = m.starts[pair], m.starts[pair + 1] - 1, np.zeros(len(u))
-    live = np.flatnonzero(edge < last)
-    while len(live):
-        cum[live] += m.prob[edge[live]]
-        live = live[cum[live] <= u[live]]
-        edge[live] += 1
-        live = live[edge[live] < last[live]]
-    return edge
+    over its pair's row, clamped to the last edge.
+
+    The cumulative rows are built one rank of every row at a time, so they
+    add the probabilities in ``np.cumsum``'s order and are the same floats;
+    a binary search over each episode's row then takes log2(degree)
+    passes."""
+    degree = np.diff(m.starts)
+    cum = m.prob.copy()
+    for r in range(1, degree.max(initial=0)):
+        at = m.starts[:-1][degree > r] + r
+        cum[at] += cum[at - 1]
+    # the answer is lo plus the count of the n cumulative sums from lo on
+    # that are <= u: every row but its last entry, which is the clamp
+    lo = m.starts[pair]
+    n = m.starts[pair + 1] - lo - 1
+    for _ in range(int(n.max(initial=0)).bit_length()):
+        half = n // 2
+        right = (n > 0) & (cum[lo + half] <= u)
+        lo = np.where(right, lo + half + 1, lo)
+        n = np.where(right, n - half - 1, half)
+    return lo
 
 
 def simulate(m, space, policy, n, seed=0):

@@ -36,11 +36,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dp import (OrdinalSweep, ValueFunction, WealthMarkovPolicy,
-                 backward_induction, reachable_window, value_iteration)
+                 backward_induction, reachable_window, translate,
+                 value_iteration)
 from .errors import ConfigurationError, ValidationError
 from .evaluate import QUANT_ATOL, exact_distribution
 from .mdp import validate
-from .stepfun import StepFunction, restrict
 from .wealth import DiscountedWealth, OrdinalWealth
 
 
@@ -160,11 +160,6 @@ def _passes(p, thr, strict):
     return p > thr + QUANT_ATOL if strict else p >= thr - QUANT_ATOL
 
 
-def _translate(f, c):
-    """g(x) = f(x - c): every cut moves up by c."""
-    return StepFunction(f.base, f.x + c, f.e == 0, f.v)
-
-
 def _solve_by_one_sweep(m, space, query, strict, thr, lo_k, hi_k,
                         keep_value_function, eps_conv, max_sweeps):
     """Numeric wealth: every threshold from one sweep at target t.
@@ -175,8 +170,11 @@ def _solve_by_one_sweep(m, space, query, strict, thr, lo_k, hi_k,
     bracket passes when the base piece does).  q* is clamped into
     [lo_k, hi_k].  The policy targets w_pol = q* - min(piece width,
     epsilon) / 2, strictly inside the passing piece, where float noise in
-    a cut cannot flip the test.
+    a cut cannot flip the test.  The policy's rules, and the kept value
+    function, move to w_pol through one table (:func:`~qmdp.dp.translate`).
 
+    A finite sweep computes only the states reachable from the initial
+    state, all that the solve reads, unless the value function is kept.
     Infinite horizons sweep at the bracket end farthest along the reward
     sign, so x0 + t - w stays on the reachable side of w0, where the
     clipped slices are exact; w_pol therefore never drops below lo_k.  No
@@ -191,8 +189,11 @@ def _solve_by_one_sweep(m, space, query, strict, thr, lo_k, hi_k,
                                         eps_conv=eps_conv,
                                         max_sweeps=max_sweeps)
     else:
-        window, t = None, 0.0
-        policy, _, vf = backward_induction(m, space, t, strict)
+        window, t = (None, None), 0.0
+        # reachable_only by position: wrappers of this name may take no
+        # keywords
+        policy, _, vf = backward_induction(m, space, t, strict,
+                                           not keep_value_function)
     f = vf.slices[0][m.initial_state]
     x0 = space.key(space.w0)
     starts = np.concatenate(([-math.inf], f.x))   # piece k opens at starts[k]
@@ -216,16 +217,16 @@ def _solve_by_one_sweep(m, space, query, strict, thr, lo_k, hi_k,
         if infinite:
             w_pol = max(w_pol, lo_k)
 
-    def move(fn):
-        g = _translate(fn, w_pol - t)
-        return g if window is None else restrict(g, *window)
+    def move(layers):
+        """Every function of the per-state lists ``layers``, translated to
+        the target w_pol and clipped to the window, through one table."""
+        S = m.n_states
+        flat = translate([fn for layer in layers for fn in layer], w_pol - t,
+                         *window)
+        return [flat[i:i + S] for i in range(0, len(flat), S)]
 
-    if infinite:
-        rules = [move(rule) for rule in policy.rules]
-    else:
-        rules = [[move(rule) for rule in row] for row in policy.rules]
-    kept = (ValueFunction([[move(fn) for fn in layer] for layer in vf.slices],
-                          sweeps=vf.sweeps)
+    rules = move([policy.rules])[0] if infinite else move(policy.rules)
+    kept = (ValueFunction(move(vf.slices), sweeps=vf.sweeps)
             if keep_value_function else None)
     p = f(x0 + t - w_pol)
     return SolveReport(

@@ -361,3 +361,220 @@ def test_layer_blocks_give_the_same_tables(monkeypatch, build):
     assert blocked[1] == whole[1]
     assert blocked[0].rules == whole[0].rules
     assert blocked[2].slices == whole[2].slices
+
+
+# -- backward induction on the reachable states only ---------------------------
+
+def same_bits(f, g):
+    """Identical encodings: the base's type and value, every array's dtype
+    and bytes."""
+    return (type(f.base) is type(g.base)
+            and np.array(f.base).tobytes() == np.array(g.base).tobytes()
+            and all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                    for a, b in ((f.x, g.x), (f.e, g.e), (f.v, g.v))))
+
+
+def reachable_by_walking(m):
+    """The states reachable in exactly t steps, t < T, through the accessors."""
+    layers = [{m.initial_state}]
+    for _ in range(m.horizon - 1):
+        layers.append({sp for s in layers[-1] for a in range(m.n_actions)
+                       for sp in m.successors(s, a)})
+    return layers
+
+
+@st.composite
+def horizon_cases(draw, kind, wealth):
+    """(m, space, w): a random finite MDP whose successors leave states out."""
+    S, A = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    T = draw(st.integers(1, 4))
+    reward = st.sampled_from(sorted(LABELS)) if wealth == "ordinal" else GRID
+    transitions, rewards = [], []
+    for _ in range(S):
+        trow, rrow = [], []
+        for _ in range(A):
+            succ = draw(st.lists(st.integers(0, S - 1), min_size=1,
+                                 max_size=2, unique=True))
+            w = draw(st.lists(st.integers(1, 4), min_size=len(succ),
+                              max_size=len(succ)))
+            trow.append([(sp, wi / sum(w)) for sp, wi in zip(succ, w)])
+            rrow.append(draw(st.lists(reward, min_size=len(succ),
+                                      max_size=len(succ)))
+                        if kind == "sas" else draw(reward))
+        transitions.append(trow)
+        rewards.append(rrow)
+    m = Mdp(S, A, transitions, {"kind": kind, "values": rewards},
+            draw(st.integers(0, S - 1)), T)
+    if wealth == "ordinal":
+        space = ordinal_space(draw(st.integers(2, 5)))
+        return m, space, draw(st.sampled_from(space.classes))
+    space = AdditiveWealth() if wealth == "additive" else DiscountedWealth(0.75)
+    return m, space, draw(GRID)
+
+
+@pytest.mark.parametrize("wealth", ["additive", "discounted", "ordinal"])
+@pytest.mark.parametrize("kind", ["sa", "sas"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_reachable_only_matches_the_full_run(kind, wealth, data):
+    m, space, w = data.draw(horizon_cases(kind, wealth))
+    reach = reachable_by_walking(m)
+    for strict in (True, False):
+        full_policy, full_p, full_vf = backward_induction(m, space, w, strict)
+        policy, p, vf = backward_induction(m, space, w, strict,
+                                           reachable_only=True)
+        assert p == full_p
+        s0 = m.initial_state
+        assert same_bits(vf.slices[0][s0], full_vf.slices[0][s0])
+        for t in range(m.horizon):
+            for s in range(m.n_states):
+                rule, f = policy.rules[t][s], vf.slices[t][s]
+                if s in reach[t]:
+                    assert same_bits(rule, full_policy.rules[t][s])
+                    assert same_bits(f, full_vf.slices[t][s])
+                else:
+                    assert same_bits(rule, StepFunction.constant(0))
+                    assert same_bits(f, StepFunction.constant(0.0))
+        got = exact_distribution(m, space, policy)
+        want = exact_distribution(m, space, full_policy)
+        assert got.keys.tobytes() == want.keys.tobytes()
+        assert got.probs.tobytes() == want.probs.tobytes()
+
+
+@pytest.mark.parametrize("build", ["garnet", "discounted", "ordinal"])
+def test_reachable_layer_blocks_give_the_same_tables(monkeypatch, build):
+    if build == "ordinal":
+        from conftest import two_policy_ordinal_instance
+        m, space = two_policy_ordinal_instance()
+        w = "w2"
+    else:
+        m = generate_garnet(GarnetConfig(12, 3, 2, seed=5), horizon=4)
+        space = (AdditiveWealth.for_mdp(m) if build == "garnet"
+                 else DiscountedWealth.for_mdp(m, 0.9))
+        w = 1.0
+    whole = backward_induction(m, space, w, True, reachable_only=True)
+    monkeypatch.setattr(dp, "BLOCK_FLOATS", 1)
+    blocked = backward_induction(m, space, w, True, reachable_only=True)
+    assert blocked[1] == whole[1]
+    assert blocked[0].rules == whole[0].rules
+    assert blocked[2].slices == whole[2].slices
+
+
+def test_the_solver_computes_only_the_reachable_states():
+    from qmdp import QuantileQuery, solve_quantile
+    m = generate_garnet(GarnetConfig(12, 3, 2, seed=5), horizon=4)
+    space = AdditiveWealth.for_mdp(m)
+    reach = reachable_by_walking(m)
+    assert len(reach[1]) < m.n_states
+    query = QuantileQuery(tau=0.3, criterion="lower")
+    lean = solve_quantile(m, space, query)
+    kept = solve_quantile(m, space, query, keep_value_function=True)
+    assert (lean.quantile, lean.bracket) == (kept.quantile, kept.bracket)
+    for t in range(m.horizon):
+        for s in range(m.n_states):
+            # a kept slice runs from 0 at low wealth to 1 at high wealth
+            assert len(kept.value_function.slices[t][s]) > 0
+            rule = lean.policy.rules[t][s]
+            if s in reach[t]:
+                assert same_bits(rule, kept.policy.rules[t][s])
+            else:
+                assert same_bits(rule, StepFunction.constant(0))
+
+
+# -- translating many step functions as one table ------------------------------
+
+from qmdp.stepfun import THRESH_TOL  # noqa: E402
+
+
+def translated_one_by_one(fs, c, lo, hi):
+    moved = [StepFunction(f.base, f.x + c, f.e == 0, f.v) for f in fs]
+    if lo is None and hi is None:
+        return moved
+    return [restrict(g, lo, hi) for g in moved]
+
+
+@st.composite
+def near_cuts(draw, exact):
+    """A step function whose cuts come in pairs that a shift can bring
+    together: one ulp apart on opposite sides, or just over THRESH_TOL
+    apart on one side."""
+    xs, sides = [], []
+    for x in draw(st.lists(GRID, max_size=3)):
+        side = draw(st.booleans())
+        xs.append(x)
+        sides.append(side)
+        partner = draw(st.sampled_from(["none", "ulp", "tol"]))
+        if partner == "ulp":
+            xs.append(np.nextafter(x, np.inf))
+            sides.append(not side)
+        elif partner == "tol":
+            xs.append(x + THRESH_TOL * 1.000001)
+            sides.append(side)
+    value = (st.integers(0, 3) if exact else
+             st.one_of(st.integers(0, 8).map(lambda v: v / 8), st.floats(0, 1)))
+    values = draw(st.lists(value, min_size=len(xs) + 1, max_size=len(xs) + 1))
+    return StepFunction(values[0], xs, sides, values[1:])
+
+
+SHIFTS = st.one_of(st.sampled_from([0.0, 0.25, -1.5, 1e6 + 0.1, 1e3 / 3,
+                                    -12345.678, 2.0 ** 40]),
+                   st.floats(-1e7, 1e7))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_translate_equals_the_per_function_constructor(exact, data):
+    fs = data.draw(st.lists(near_cuts(exact), min_size=1, max_size=4))
+    c = data.draw(SHIFTS)
+    lo, hi = data.draw(st.sampled_from([(None, None), ("lo", None),
+                                        (None, "hi")]))
+    if lo:
+        lo = data.draw(GRID) + c
+    if hi:
+        hi = data.draw(GRID) + c
+    got = dp.translate(fs, c, lo, hi)
+    want = translated_one_by_one(fs, c, lo, hi)
+    assert len(got) == len(want)
+    assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_translate_sorts_cuts_that_collide(exact):
+    # an exclusive cut one ulp below an inclusive one lands on the same
+    # float after the shift, where the inclusive side sorts first
+    one, two = (1, 2) if exact else (0.25, 0.75)
+    x = 0.1
+    f = StepFunction(0 if exact else 0.0, [x, np.nextafter(x, 1)],
+                     [False, True], [one, two])
+    c = 1e6
+    assert x + c == np.nextafter(x, 1) + c
+    got, = dp.translate([f, f], c)[1:]
+    want, = translated_one_by_one([f], c, None, None)
+    assert same_bits(got, want)
+    assert got.e.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_translate_merges_cuts_the_shift_brings_within_tolerance(exact):
+    a, b = (1, 2) if exact else (0.25, 0.75)
+    gap = THRESH_TOL * 1.000001
+    f = StepFunction(0 if exact else 0.0, [0.5, 0.5 + gap], [True, True], [a, b])
+    assert len(f) == 2
+    merged = False
+    for c in (0.0, 1e3 / 3, 1e6 + 0.1, -12345.678):
+        got = dp.translate([f], c)
+        assert same_bits(got[0], translated_one_by_one([f], c, None, None)[0])
+        merged |= len(got[0]) == 1
+    assert merged
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_translate_clips_to_infinite_windows(exact):
+    vals = [1, 0, 2, 1] if exact else [0.5, 0.125, 1.0, 0.75]
+    f = StepFunction(vals[0], [-1.0, 0.0, 0.0], [True, True, False], vals[1:])
+    for c in (0.0, 0.5, -0.25):
+        for lo, hi in ((c, None), (None, c), (-0.5 + c, None), (None, -2.0 + c)):
+            got = dp.translate([f, f], c, lo, hi)
+            want = translated_one_by_one([f, f], c, lo, hi)
+            assert all(same_bits(a, b) for a, b in zip(got, want))

@@ -309,6 +309,18 @@ def test_simulate_rejects_a_pair_without_transitions():
         simulate(m, AdditiveWealth(-5, 5), policy, 10)
 
 
+def test_exact_distribution_names_a_pair_without_transitions():
+    # the atom taking the empty row used to vanish, and the lost mass
+    # failed later as a bare "probabilities sum to 0.0"
+    m = Mdp(3, 2, [[[(1, 1.0)], []], [[(2, 1.0)], [(2, 1.0)]],
+                   [[(2, 1.0)], [(2, 1.0)]]],
+            {"kind": "sas", "values": [[[1.0], []], [[0.0], [0.0]],
+                                       [[0.0], [0.0]]]}, 0, 2)
+    policy = WealthMarkovPolicy.from_markov([[1, 0, 0], [0, 0, 0]])
+    with pytest.raises(ValidationError, match=r"\(s=0, a=1\).*t=0"):
+        exact_distribution(m, AdditiveWealth(-5, 5), policy)
+
+
 def test_simulate_seed_determinism(paper_mdp, paper_space):
     pol = WealthMarkovPolicy.from_markov([[0, 0], [1, 0]])
     a = simulate(paper_mdp, paper_space, pol, 500, seed=42)

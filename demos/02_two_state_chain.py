@@ -42,7 +42,7 @@ print(f"\nsolver: 0.95-quantile {report.quantile:.4f}, read off one "
       f"backward induction ({report.iterations} test)")
 # a decision rule is a step function of wealth with integer (action) values
 print("decision rule at step 2 in the start state:")
-for frm, inclusive, action in report.policy.rules[1][0].intervals():
+for frm, inclusive, action in report.policy.rule(1, 0).intervals():
     bracket = "[" if inclusive else "("
     region = "everything" if frm is None else f"wealth {bracket}{frm:.3f}, ...)"
     print(f"  {region} -> action {action}")

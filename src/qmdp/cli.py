@@ -128,17 +128,17 @@ def cmd_solve(args):
 
 def _check_policy_fits(policy, m):
     """Reject a policy with too few steps or an action the problem lacks."""
-    rows = [policy.rules] if policy.stationary else policy.rules
-    if not policy.stationary and m.horizon is not None and len(rows) < m.horizon:
+    if not policy.stationary and m.horizon is not None and policy.steps < m.horizon:
         raise ConfigurationError(
-            f"policy has {len(rows)} steps, the problem's horizon is {m.horizon}")
-    for row in rows:
-        for rule in row:
-            for _, _, a in rule.intervals():
-                if not 0 <= a < m.n_actions:
-                    raise ConfigurationError(
-                        f"policy action {a} does not fit a problem with "
-                        f"{m.n_actions} actions")
+            f"policy has {policy.steps} steps, the problem's horizon is "
+            f"{m.horizon}")
+    c = policy.table
+    low = min(c.base.min(), c.v.min(initial=0))
+    high = max(c.base.max(), c.v.max(initial=0))
+    if low < 0 or high >= m.n_actions:
+        raise ConfigurationError(
+            f"policy action {low if low < 0 else high} does not fit a problem "
+            f"with {m.n_actions} actions")
 
 
 def cmd_eval(args):

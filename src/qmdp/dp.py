@@ -20,8 +20,11 @@ the canonical merges of :mod:`qmdp.stepfun` put them in canonical form,
 so the result equals the per-slice composition of
 :func:`~qmdp.stepfun.shift`, :func:`~qmdp.stepfun.combine` and
 :func:`~qmdp.stepfun.pointwise_max` (identical cuts, values within float
-rounding).  :class:`~qmdp.stepfun.StepFunction` stays the type of the
-rules and slices handed out; they share the table's arrays.
+rounding).  The tables are what the sweeps hand out: a policy is one
+integer cut table of every (t, s) rule (:class:`WealthMarkovPolicy`) and
+a value function one float table per layer (:class:`ValueFunction`).  A
+single rule or slice is a :class:`~qmdp.stepfun.StepFunction` view of
+its segment, made on demand.
 
 Each layer is computed on a sorted set of states; a state reads only
 its own edges, so its slice and rule do not depend on the set.  Finite
@@ -31,8 +34,8 @@ from the initial state in exactly t steps (one frontier step gathers
 ``succ`` over the ``starts`` spans of the frontier's pairs): they read
 only reachable successors, and the initial-state slice and their rules
 are all a quantile solve reads.  The other (t, s) are not computed.
-:func:`translate` moves many rules or slices to another target through
-one table, as the solver does with its policy.
+:func:`translate` moves a table of rules or slices to another target, as
+the solver does with its policy.
 
 Infinite horizons with uniformly signed rewards and undiscounted additive
 wealth iterate the same kernel to convergence (:func:`value_iteration`)
@@ -50,6 +53,7 @@ of every class threshold, and one at a single threshold the policy
 (:class:`OrdinalSweep`).
 """
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -74,28 +78,50 @@ _ENTRY_FLOATS = 16
 
 
 class ValueFunction:
-    """Per-timestep, per-state wealth slices.
+    """Per-timestep, per-state wealth slices, one table per layer.
 
-    ``slices[t][s]`` for t in 0..T; layer T is the terminal target utility.
-    A value-iteration result holds one stationary layer, ``slices[0]``, and
-    the number of sweeps that produced it.
+    ``tables[t]`` (a :class:`_Cuts` table, float values) holds the slice
+    of every state at timestep t, for t in 0..T; layer T is the terminal
+    target utility.  A value-iteration result holds one stationary layer,
+    ``tables[0]``, and the number of sweeps that produced it.
     """
 
-    def __init__(self, slices, sweeps=None):
-        self.slices = slices
+    def __init__(self, tables, sweeps=None):
+        self.tables = tables
         self.sweeps = sweeps
+
+    @functools.cached_property
+    def slices(self):
+        """``slices[t][s]``: every slice as a step function."""
+        return [_unpack([c]) for c in self.tables]
+
+    def slice(self, t, s):
+        return _segment(self.tables[t], s)
 
 
 class WealthMarkovPolicy:
     """Deterministic policy whose decision rules map (state, wealth) to actions.
 
-    ``rules[t][s]`` is an integer-valued :class:`StepFunction` over wealth
-    keys; stationary policies store a single per-state list and ignore ``t``.
+    The rules are integer-valued step functions over wealth keys, laid end
+    to end in one cut table (:class:`_Cuts`, int64 values): the rule of
+    (t, s) is segment ``t * n_states + s`` of ``table``.  A stationary
+    policy holds one segment per state and ignores t.  :meth:`rule` hands
+    out one rule as a :class:`StepFunction` view of its segment.
     """
 
-    def __init__(self, rules, stationary=False):
-        self.rules = rules
+    def __init__(self, table, n_states, stationary=False):
+        self.table = table
+        self.n_states = n_states
         self.stationary = stationary
+
+    @classmethod
+    def from_rules(cls, rules, stationary=False):
+        """The policy of per-timestep lists of per-state integer
+        :class:`StepFunction` rules, or of one per-state list when
+        stationary."""
+        rows = [rules] if stationary else rules
+        return cls(_pack([f for row in rows for f in row], np.int64),
+                   len(rows[0]), stationary)
 
     @classmethod
     def from_markov(cls, actions, stationary=False):
@@ -104,26 +130,45 @@ class WealthMarkovPolicy:
         ``actions`` is a per-timestep list of per-state action indices, or
         a single per-state list when stationary.
         """
-        if stationary:
-            return cls([StepFunction.constant(int(a)) for a in actions],
-                       stationary=True)
-        return cls([[StepFunction.constant(int(a)) for a in row]
-                    for row in actions])
+        actions = np.asarray(actions, dtype=np.int64)
+        base = actions.ravel()
+        return cls(_Cuts(base, np.zeros(len(base) + 1, dtype=np.intp),
+                         np.empty(0), np.empty(0, dtype=np.uint8),
+                         np.empty(0, dtype=np.int64)),
+                   actions.shape[-1], stationary)
+
+    @classmethod
+    def from_cuts(cls, base, seg, x, inclusive, actions, n_states,
+                  stationary=False):
+        """The policy whose rule i is ``base[i]`` below the cuts ``seg == i``.
+
+        The cuts (thresholds ``x``, ``inclusive`` flags, ``actions``) come
+        in any order; one sort by (rule, threshold, side) and the
+        segmented canonical merge give every rule the encoding the
+        :class:`StepFunction` constructor would.
+        """
+        e = np.where(inclusive, 0, 1).astype(np.uint8)
+        order = np.lexsort((e, x, seg))
+        return cls(_canonical(base, x[order], e[order], actions[order],
+                              seg[order], 0), n_states, stationary)
+
+    @property
+    def steps(self):
+        """The number of timesteps the rules cover (1 when stationary)."""
+        return len(self.table.base) // self.n_states
 
     def rule(self, t, s):
-        return self.rules[s] if self.stationary else self.rules[t][s]
+        return _segment(self.table,
+                        s if self.stationary else t * self.n_states + s)
 
     def action(self, t, s, w_key):
         return self.rule(t, s)(w_key)
 
-    def action_many(self, t, s, w_keys):
-        return self.rule(t, s).eval_many(w_keys)
-
     def __repr__(self):
         if self.stationary:
-            return f"WealthMarkovPolicy(stationary, {len(self.rules)} states)"
-        return (f"WealthMarkovPolicy({len(self.rules)} steps x "
-                f"{len(self.rules[0]) if self.rules else 0} states)")
+            return f"WealthMarkovPolicy(stationary, {self.n_states} states)"
+        return (f"WealthMarkovPolicy({self.steps} steps x "
+                f"{self.n_states} states)")
 
 
 class _Cuts(NamedTuple):
@@ -169,6 +214,13 @@ def _pack(fs, dtype=np.float64):
                  np.concatenate([f.v for f in fs]).astype(dtype, copy=False))
 
 
+def _segment(c, i):
+    """Step function i of the table c, sharing its arrays."""
+    j, k = c.off[i], c.off[i + 1]
+    return StepFunction._trusted(c.base[i].item(), c.x[j:k], c.e[j:k],
+                                 c.v[j:k])
+
+
 def _unpack(blocks):
     """The step functions of consecutive tables; they share their arrays."""
     out = []
@@ -203,6 +255,21 @@ def _at_classes(c, n):
     return np.where(k > 0, last, c.base[:, None])
 
 
+def _on_classes(rows, tol=0):
+    """The table of the rows of ``rows``: row i takes ``rows[i, k]`` at
+    class key k, with an inclusive cut where the value changes.
+
+    Integer rows are canonical as built; float rows merge values within
+    ``tol``.  Each row's function is :meth:`StepFunction.on_classes` of it.
+    """
+    seg, k = np.nonzero(rows[:, 1:] != rows[:, :-1])
+    x = k + 1.0
+    e = np.zeros(len(k), dtype=np.uint8)
+    if tol:
+        return _canonical(rows[:, 0], x, e, rows[seg, k + 1], seg, tol)
+    return _Cuts(rows[:, 0], _offsets(seg, len(rows)), x, e, rows[seg, k + 1])
+
+
 def _pulled(m, space, nxt, t):
     """Every edge's successor slice, pulled back through the edge's wealth move.
 
@@ -217,10 +284,7 @@ def _pulled(m, space, nxt, t):
     if isinstance(space, OrdinalWealth):
         pulled = _at_classes(nxt, len(space.classes))[
             m.succ[:, None], space.edge_moves(m.rewards)]
-        edge, k = np.nonzero(pulled[:, 1:] != pulled[:, :-1])
-        src = _Cuts(pulled[:, 0], _offsets(edge, E), k + 1.0,
-                    np.zeros(len(k), dtype=np.uint8), pulled[edge, k + 1])
-        return src, np.arange(E), np.zeros(E)
+        return _on_classes(pulled), np.arange(E), np.zeros(E)
     if not m.numeric_rewards:
         raise ConfigurationError(
             f"{space.kind} wealth spaces accumulate numeric rewards")
@@ -374,8 +438,8 @@ def backward_induction(m, space, w, strict, reachable_only=False):
     ``strict`` selects the strict indicator target (lower-quantile mode);
     non-strict is the upper-quantile mode.  Returns ``(policy, p, vf)``
     where p is the optimal exceedance probability from the initial state
-    and vf the per-timestep value table, ``vf.slices[t][s]`` for t in
-    0..T.
+    and vf the per-timestep value tables, ``vf.slices[t][s]`` for t in
+    0..T.  The policy's table holds the T·S greedy rules.
 
     By default every layer t < T is computed on every state.  With
     ``reachable_only``, layer t is computed only on the states reachable
@@ -391,18 +455,16 @@ def backward_induction(m, space, w, strict, reachable_only=False):
             "use value_iteration for infinite-horizon problems")
     T, S = m.horizon, m.n_states
     layers = _reachable(m) if reachable_only else [np.arange(S)] * T
-    terminal = target_utility(space.key(w), strict)
-    slices = [None] * (T + 1)
-    slices[T] = [terminal] * S
+    tables = [None] * (T + 1)
+    tables[T] = _pack([target_utility(space.key(w), strict)] * S)
     rules = [None] * T
-    nxt = _pack(slices[T])
     for t in range(T - 1, -1, -1):
-        values, layer_rules = _layer(m, space, nxt, t, layers[t])
-        nxt = _spread(_join(values), layers[t], S)
-        slices[t] = _unpack([nxt])
-        rules[t] = _unpack([_spread(_join(layer_rules), layers[t], S)])
-    p = slices[0][m.initial_state](space.key(space.w0))
-    return (WealthMarkovPolicy(rules), float(p), ValueFunction(slices))
+        values, layer_rules = _layer(m, space, tables[t + 1], t, layers[t])
+        tables[t] = _spread(_join(values), layers[t], S)
+        rules[t] = _spread(_join(layer_rules), layers[t], S)
+    vf = ValueFunction(tables)
+    p = vf.slice(0, m.initial_state)(space.key(space.w0))
+    return WealthMarkovPolicy(_join(rules), S), float(p), vf
 
 
 class OrdinalSweep:
@@ -466,25 +528,26 @@ class OrdinalSweep:
     def backward_induction(self, target, strict, keep_value_function=False):
         """:func:`backward_induction` at one class target.
 
-        Returns ``(policy, p, vf)``: the greedy argmax rows (lowest action
-        on ties) become the integer rules; vf holds the slices as step
-        functions when ``keep_value_function`` is set, and is None
-        otherwise.
+        Returns ``(policy, p, vf)``: the (T, S, n) greedy argmax rows
+        (lowest action on ties) become the policy's table in one pass
+        (:func:`_on_classes`); vf holds one table of slices per layer when
+        ``keep_value_function`` is set, and is None otherwise.
         """
-        m, T = self.m, self.m.horizon
+        m, T, S = self.m, self.m.horizon, self.m.n_states
         V = self._terminal(np.array([target]), strict)
-        slices = [None] * (T + 1)
-        slices[T] = [target_utility(target, strict)] * m.n_states
-        rules = [None] * T
+        tables = [None] * (T + 1)
+        tables[T] = _pack([target_utility(target, strict)] * S)
+        best = np.empty((T, S, self.n), dtype=np.intp)
         for t in range(T - 1, -1, -1):
             q = self._q(V)[..., 0]
-            rules[t] = [StepFunction.on_classes(row) for row in q.argmax(axis=1)]
+            best[t] = q.argmax(axis=1)
             V = q.max(axis=1)
             if keep_value_function:
-                slices[t] = [StepFunction.on_classes(row) for row in V]
+                tables[t] = _on_classes(V, VALUE_TOL)
             V = V.reshape(-1, 1)
-        return (WealthMarkovPolicy(rules), float(V[self.row0, 0]),
-                ValueFunction(slices) if keep_value_function else None)
+        policy = WealthMarkovPolicy(_on_classes(best.reshape(T * S, -1)), S)
+        return (policy, float(V[self.row0, 0]),
+                ValueFunction(tables) if keep_value_function else None)
 
 
 def reachable_window(m, space):
@@ -527,21 +590,19 @@ def _restrict(c, lo, hi):
                  c.x[keep], c.e[keep], c.v[keep])
 
 
-def translate(fs, c, lo=None, hi=None):
-    """Every function of fs moved up by c, ``g(x) = f(x - c)``, in one table.
+def translate(table, c, lo=None, hi=None):
+    """Every function of the table moved up by c, ``g(x) = f(x - c)``.
 
-    The functions (all integer rules or all float slices) are laid end to
-    end; every cut moves up by c, and one sort by (function, threshold,
-    side) restores the cut order, which the shift can break where a cut
-    and one of the other side less than an ulp above it round onto the
-    same threshold.  The segmented canonical merges (exact for integer
-    rules, within ``VALUE_TOL`` for slices) and :func:`_restrict` to
-    ``[lo, hi]`` follow.  Each result equals
+    Every cut moves up by c, and one sort by (function, threshold, side)
+    restores the cut order, which the shift can break where a cut and one
+    of the other side less than an ulp above it round onto the same
+    threshold.  The segmented canonical merges (exact for an integer
+    table of rules, within ``VALUE_TOL`` for slices) and :func:`_restrict`
+    to ``[lo, hi]`` follow.  Each function of the result equals
     ``restrict(StepFunction(f.base, f.x + c, f.e == 0, f.v), lo, hi)``
     (no restrict without a window) bit for bit.
     """
-    exact = isinstance(fs[0].base, int)
-    table = _pack(fs, np.int64 if exact else np.float64)
+    exact = table.base.dtype.kind in "iu"
     seg = table.seg()
     x = table.x + c
     order = np.lexsort((table.e, x, seg))
@@ -549,7 +610,7 @@ def translate(fs, c, lo=None, hi=None):
                        seg, 0 if exact else VALUE_TOL)
     if lo is not None or hi is not None:
         moved = _restrict(moved, lo, hi)
-    return _unpack([moved])
+    return moved
 
 
 def _layout(c, seg):
@@ -624,10 +685,11 @@ def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
         residual = _residual(new_V, V)
         V = new_V
         if residual <= eps_conv:
-            policy = WealthMarkovPolicy(_unpack(rules), stationary=True)
-            slices = _unpack([V])
-            p = slices[m.initial_state](space.key(space.w0))
-            return policy, float(p), ValueFunction([slices], sweeps=sweep)
+            policy = WealthMarkovPolicy(_join(rules), m.n_states,
+                                        stationary=True)
+            vf = ValueFunction([V], sweeps=sweep)
+            p = vf.slice(0, m.initial_state)(space.key(space.w0))
+            return policy, float(p), vf
     raise ConvergenceError(
         f"no convergence after {max_sweeps} sweeps "
         f"(last residual {residual:.3g} > {eps_conv:.3g})",

@@ -8,18 +8,18 @@ partial sums; the brute-force oracle enumerates every deterministic
 wealth-Markovian policy of a small instance through the same forward step;
 and classic backward induction supplies the expectation-optimal baseline.
 The forward step and :func:`simulate` read the kernel's edge table
-(``succ``, ``prob``, ``starts``) and one per-edge wealth move; none of
-them uses the functional DP of ``qmdp.dp``, so they check it.
+(``succ``, ``prob``, ``starts``), one per-edge wealth move and the
+policy's cut table; none of them uses the functional DP of ``qmdp.dp``,
+so they check it.
 """
 
 import itertools
-from collections import defaultdict
 
 import numpy as np
 
 from .dp import WealthMarkovPolicy
 from .errors import ConfigurationError, ResourceLimitError, ValidationError
-from .stepfun import StepFunction, _ranks
+from .stepfun import _ranks
 from .wealth import WEALTH_TOL
 
 QUANT_ATOL = 1e-12   # slack when comparing partial sums against tau
@@ -131,12 +131,33 @@ class WealthDistribution:
 
 
 def _actions(policy, t, states, keys):
-    """Each atom's action under the policy: one lookup per distinct state."""
-    actions = np.empty(len(states), dtype=np.int64)
-    for s in np.unique(states).tolist():
-        mask = states == s
-        actions[mask] = policy.action_many(t, s, keys[mask])
-    return actions
+    """Each atom's action under the policy, from one merged sort.
+
+    The cuts of the step-t rules and the atoms are sorted together by
+    (rule, key, side), where an inclusive cut sorts before an atom at its
+    key and an exclusive cut after it.  The cuts of the table are already
+    in that order, so a running max of their positions gives every atom
+    the last cut at or below it; a cut of another rule, or none, leaves
+    the atom on its own rule's base.
+    """
+    c, S = policy.table, policy.n_states
+    first = 0 if policy.stationary else t * S
+    lo, hi = c.off[first], c.off[first + S]
+    seg = first + states
+    if lo == hi:
+        return c.base[seg]
+    n_cut = hi - lo
+    order = np.lexsort((
+        np.concatenate((2 * c.e[lo:hi], np.ones(len(keys), dtype=np.uint8))),
+        np.concatenate((c.x[lo:hi], keys)),
+        np.concatenate((np.repeat(np.arange(first, first + S),
+                                  np.diff(c.off[first:first + S + 1])), seg))))
+    last = np.maximum.accumulate(np.where(order < n_cut, order, -1))
+    atom = order >= n_cut
+    at = np.empty(len(keys), dtype=np.intp)
+    at[order[atom] - n_cut] = last[atom]
+    own = at >= c.off[seg] - lo
+    return np.where(own, c.v[lo + np.maximum(at, 0)], c.base[seg])
 
 
 def _edge_move(m, space):
@@ -287,19 +308,24 @@ def brute_force_distributions(m, space, policy_cap=1_000_000):
 
 
 def _assignment_to_policy(m, assignment):
-    """Interval policy from per-atom actions (atoms become inclusive cuts)."""
-    per_ts = defaultdict(list)
-    for (t, s, wk), a in sorted(assignment.items()):
-        per_ts[(t, s)].append((wk, a))
-    rules = []
-    for t in range(m.horizon):
-        row = []
-        for s in range(m.n_states):
-            keys, acts = zip(*per_ts.get((t, s), [(0.0, 0)]))
-            row.append(StepFunction(acts[0], keys[1:], [True] * len(keys[1:]),
-                                    acts[1:]))
-        rules.append(row)
-    return WealthMarkovPolicy(rules)
+    """Interval policy from per-atom actions (atoms become inclusive cuts).
+
+    The lowest atom of each (t, state) sets its rule's base; a (t, state)
+    with no atom takes action 0.
+    """
+    points = sorted(assignment.items())
+    seg = np.array([t * m.n_states + s for (t, s, _), _ in points],
+                   dtype=np.intp)
+    keys = np.array([wk for (_, _, wk), _ in points], dtype=np.float64)
+    acts = np.array([a for _, a in points], dtype=np.int64)
+    head = np.ones(len(seg), dtype=bool)
+    head[1:] = seg[1:] != seg[:-1]
+    base = np.zeros(m.horizon * m.n_states, dtype=np.int64)
+    base[seg[head]] = acts[head]
+    cut = ~head
+    return WealthMarkovPolicy.from_cuts(base, seg[cut], keys[cut],
+                                        np.ones(cut.sum(), dtype=bool),
+                                        acts[cut], m.n_states)
 
 
 def brute_force_optimal_quantile(m, space, tau, criterion, policy_cap=1_000_000):

@@ -17,6 +17,12 @@ are derived from the MDP's rewards and horizon on load.
 Policy files are a JSON list of ``{"t": ..., "s": ..., "intervals":
 [{"from": <wealth|null>, "inclusive_from": ..., "action": <int>}]}``;
 stationary policies omit "t".  A null "from" opens the bottom interval.
+A policy moves between a file and its one cut table
+(:class:`~qmdp.dp.WealthMarkovPolicy`) without a step function per rule:
+writing reads the table's arrays, one ``tolist()`` each; reading checks
+every entry and interval, then builds the table in one sort and one
+canonical merge.  A (t, s) listed more than once takes its last copy; a
+(t, s) with no entry takes action 0.
 
 All writes are whole-file atomic (write to a temp file, then rename).
 """
@@ -31,7 +37,6 @@ import numpy as np
 from .dp import WealthMarkovPolicy
 from .errors import ConfigurationError, ValidationError
 from .mdp import Mdp
-from .stepfun import StepFunction
 from .wealth import AdditiveWealth, DiscountedWealth, OrdinalWealth
 
 
@@ -170,41 +175,51 @@ def load_problem(path):
 
 # -- policies ---------------------------------------------------------------
 
-def _rule_to_intervals(rule, space):
-    return [{"from": None if frm is None else space.unkey(frm),
-             "inclusive_from": inclusive, "action": action}
-            for frm, inclusive, action in rule.intervals()]
-
-
 def policy_to_payload(policy, space):
+    c, S = policy.table, policy.n_states
+    froms = [space.unkey(k) for k in c.x.tolist()]
+    inclusive = (c.e == 0).tolist()
+    actions = c.v.tolist()
+    cuts = c.off.tolist()
     entries = []
-    if policy.stationary:
-        for s, rule in enumerate(policy.rules):
-            entries.append({"s": s, "intervals": _rule_to_intervals(rule, space)})
-    else:
-        for t, row in enumerate(policy.rules):
-            for s, rule in enumerate(row):
-                entries.append({"t": t, "s": s,
-                                "intervals": _rule_to_intervals(rule, space)})
+    for i, (base, j, k) in enumerate(zip(c.base.tolist(), cuts, cuts[1:])):
+        intervals = [{"from": None, "inclusive_from": True, "action": base}]
+        intervals.extend({"from": f, "inclusive_from": inc, "action": a}
+                         for f, inc, a in zip(froms[j:k], inclusive[j:k],
+                                              actions[j:k]))
+        t, s = divmod(i, S)
+        entries.append({"s": s, "intervals": intervals} if policy.stationary
+                       else {"t": t, "s": s, "intervals": intervals})
     return entries
 
 
-def _intervals_to_rule(intervals, space):
+def _is_int(x):
+    """An integer and not a bool; JSON numbers take the fast exact check."""
+    return type(x) is int or (not isinstance(x, bool)
+                               and isinstance(x, numbers.Integral))
+
+
+def _intervals_to_cuts(intervals, space):
+    """``(base, keys, inclusive, actions)`` of one entry's intervals."""
     base = 0
-    cuts = []
+    keys, inclusive, actions = [], [], []
     for item in intervals:
         a = item["action"]
-        if isinstance(a, bool) or not isinstance(a, numbers.Integral):
+        if not _is_int(a):
             raise ConfigurationError(f"policy action {a!r} is not an integer")
+        if not -(1 << 63) <= a < 1 << 63:
+            # every copy of a (t, s) is checked, the replaced ones too
+            raise ConfigurationError(f"policy action {a} does not fit int64")
         if item["from"] is None:
             base = a
             continue
         k = space.key(item["from"])
         if k != k:
             raise ConfigurationError("policy interval starts at NaN")
-        cuts.append((k, bool(item["inclusive_from"]), a))
-    return StepFunction(base, [c[0] for c in cuts], [c[1] for c in cuts],
-                        [c[2] for c in cuts])
+        keys.append(k)
+        inclusive.append(bool(item["inclusive_from"]))
+        actions.append(a)
+    return base, keys, inclusive, actions
 
 
 def policy_from_payload(payload, space, n_states):
@@ -221,7 +236,7 @@ def policy_from_payload(payload, space, n_states):
 
 def _entry_index(entry, name, stop):
     i = entry[name]
-    if isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i < stop:
+    if not _is_int(i) or not 0 <= i < stop:
         raise ConfigurationError(
             f"policy entry {name}={i!r} is not an integer in [0, {stop})")
     return i
@@ -233,14 +248,20 @@ def _policy_from_entries(payload, space, n_states):
     # entry count
     steps = [0 if stationary else _entry_index(entry, "t", len(payload))
              for entry in payload]
-    rules = [[StepFunction.constant(0) for _ in range(n_states)]
-             for _ in range(max(steps) + 1)]
+    rules = {}
     for t, entry in zip(steps, payload):
         s = _entry_index(entry, "s", n_states)
-        rules[t][s] = _intervals_to_rule(entry["intervals"], space)
-    if stationary:
-        return WealthMarkovPolicy(rules[0], stationary=True)
-    return WealthMarkovPolicy(rules)
+        # a later copy of a (t, s) replaces an earlier one
+        rules[t * n_states + s] = _intervals_to_cuts(entry["intervals"], space)
+    base = np.zeros((max(steps) + 1) * n_states, dtype=np.int64)
+    base[list(rules)] = [r[0] for r in rules.values()]
+    seg = np.repeat(np.fromiter(rules, dtype=np.intp, count=len(rules)),
+                    [len(r[1]) for r in rules.values()])
+    x, inclusive, actions = ([v for r in rules.values() for v in r[i]]
+                             for i in (1, 2, 3))
+    return WealthMarkovPolicy.from_cuts(
+        base, seg, np.array(x, dtype=np.float64), np.array(inclusive, dtype=bool),
+        np.array(actions, dtype=np.int64), n_states, stationary)
 
 
 def save_policy(path, policy, space):

@@ -170,8 +170,9 @@ def _solve_by_one_sweep(m, space, query, strict, thr, lo_k, hi_k,
     bracket passes when the base piece does).  q* is clamped into
     [lo_k, hi_k].  The policy targets w_pol = q* - min(piece width,
     epsilon) / 2, strictly inside the passing piece, where float noise in
-    a cut cannot flip the test.  The policy's rules, and the kept value
-    function, move to w_pol through one table (:func:`~qmdp.dp.translate`).
+    a cut cannot flip the test.  The policy's table of rules, and each
+    layer's table of the kept value function, move to w_pol in one
+    :func:`~qmdp.dp.translate` each.
 
     A finite sweep computes only the states reachable from the initial
     state, all that the solve reads, unless the value function is kept.
@@ -194,7 +195,7 @@ def _solve_by_one_sweep(m, space, query, strict, thr, lo_k, hi_k,
         # keywords
         policy, _, vf = backward_induction(m, space, t, strict,
                                            not keep_value_function)
-    f = vf.slices[0][m.initial_state]
+    f = vf.slice(0, m.initial_state)
     x0 = space.key(space.w0)
     starts = np.concatenate(([-math.inf], f.x))   # piece k opens at starts[k]
     hits = np.flatnonzero(_passes(np.concatenate(([f.base], f.v)), thr, strict))
@@ -217,20 +218,16 @@ def _solve_by_one_sweep(m, space, query, strict, thr, lo_k, hi_k,
         if infinite:
             w_pol = max(w_pol, lo_k)
 
-    def move(layers):
-        """Every function of the per-state lists ``layers``, translated to
-        the target w_pol and clipped to the window, through one table."""
-        S = m.n_states
-        flat = translate([fn for layer in layers for fn in layer], w_pol - t,
-                         *window)
-        return [flat[i:i + S] for i in range(0, len(flat), S)]
+    def move(table):
+        """The table translated to the target w_pol, clipped to the window."""
+        return translate(table, w_pol - t, *window)
 
-    rules = move([policy.rules])[0] if infinite else move(policy.rules)
-    kept = (ValueFunction(move(vf.slices), sweeps=vf.sweeps)
+    kept = (ValueFunction([move(c) for c in vf.tables], sweeps=vf.sweeps)
             if keep_value_function else None)
     p = f(x0 + t - w_pol)
     return SolveReport(
-        policy=WealthMarkovPolicy(rules, stationary=infinite),
+        policy=WealthMarkovPolicy(move(policy.table), m.n_states,
+                                  stationary=infinite),
         quantile=space.unkey(q),
         bracket=(space.unkey(w_pol), space.unkey(q)),
         iterations=1,

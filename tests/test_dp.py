@@ -62,7 +62,7 @@ def test_single_action_policy_constant():
     policy, _, _ = backward_induction(m, sp, 1.0, strict=False)
     for t in range(3):
         for s in range(2):
-            assert policy.rules[t][s].intervals() == [(None, True, 0)]
+            assert policy.rule(t, s).intervals() == [(None, True, 0)]
 
 
 def test_identical_actions_tie_break_to_zero():
@@ -72,7 +72,7 @@ def test_identical_actions_tie_break_to_zero():
     policy, _, _ = backward_induction(m, sp, 0.4, strict=False)
     for t in range(2):
         for s in range(2):
-            assert policy.rules[t][s].intervals() == [(None, True, 0)]
+            assert policy.rule(t, s).intervals() == [(None, True, 0)]
 
 
 def test_backward_induction_requires_finite_horizon():
@@ -359,11 +359,16 @@ def test_layer_blocks_give_the_same_tables(monkeypatch, build):
     monkeypatch.setattr(dp, "BLOCK_FLOATS", 1)
     blocked = backward_induction(m, space, w, True)
     assert blocked[1] == whole[1]
-    assert blocked[0].rules == whole[0].rules
+    assert same_table(blocked[0].table, whole[0].table)
     assert blocked[2].slices == whole[2].slices
 
 
 # -- backward induction on the reachable states only ---------------------------
+
+def same_table(a, b):
+    """Two cut tables holding the same arrays."""
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
 
 def same_bits(f, g):
     """Identical encodings: the base's type and value, every array's dtype
@@ -428,9 +433,9 @@ def test_reachable_only_matches_the_full_run(kind, wealth, data):
         assert same_bits(vf.slices[0][s0], full_vf.slices[0][s0])
         for t in range(m.horizon):
             for s in range(m.n_states):
-                rule, f = policy.rules[t][s], vf.slices[t][s]
+                rule, f = policy.rule(t, s), vf.slices[t][s]
                 if s in reach[t]:
-                    assert same_bits(rule, full_policy.rules[t][s])
+                    assert same_bits(rule, full_policy.rule(t, s))
                     assert same_bits(f, full_vf.slices[t][s])
                 else:
                     assert same_bits(rule, StepFunction.constant(0))
@@ -456,7 +461,7 @@ def test_reachable_layer_blocks_give_the_same_tables(monkeypatch, build):
     monkeypatch.setattr(dp, "BLOCK_FLOATS", 1)
     blocked = backward_induction(m, space, w, True, reachable_only=True)
     assert blocked[1] == whole[1]
-    assert blocked[0].rules == whole[0].rules
+    assert same_table(blocked[0].table, whole[0].table)
     assert blocked[2].slices == whole[2].slices
 
 
@@ -474,9 +479,9 @@ def test_the_solver_computes_only_the_reachable_states():
         for s in range(m.n_states):
             # a kept slice runs from 0 at low wealth to 1 at high wealth
             assert len(kept.value_function.slices[t][s]) > 0
-            rule = lean.policy.rules[t][s]
+            rule = lean.policy.rule(t, s)
             if s in reach[t]:
-                assert same_bits(rule, kept.policy.rules[t][s])
+                assert same_bits(rule, kept.policy.rule(t, s))
             else:
                 assert same_bits(rule, StepFunction.constant(0))
 
@@ -484,6 +489,12 @@ def test_the_solver_computes_only_the_reachable_states():
 # -- translating many step functions as one table ------------------------------
 
 from qmdp.stepfun import THRESH_TOL  # noqa: E402
+
+
+def translated(fs, c, lo=None, hi=None):
+    """:func:`dp.translate` of the table of fs, as step functions."""
+    dtype = np.int64 if isinstance(fs[0].base, int) else np.float64
+    return dp._unpack([dp.translate(dp._pack(fs, dtype), c, lo, hi)])
 
 
 def translated_one_by_one(fs, c, lo, hi):
@@ -533,7 +544,7 @@ def test_translate_equals_the_per_function_constructor(exact, data):
         lo = data.draw(GRID) + c
     if hi:
         hi = data.draw(GRID) + c
-    got = dp.translate(fs, c, lo, hi)
+    got = translated(fs, c, lo, hi)
     want = translated_one_by_one(fs, c, lo, hi)
     assert len(got) == len(want)
     assert all(same_bits(a, b) for a, b in zip(got, want))
@@ -549,7 +560,7 @@ def test_translate_sorts_cuts_that_collide(exact):
                      [False, True], [one, two])
     c = 1e6
     assert x + c == np.nextafter(x, 1) + c
-    got, = dp.translate([f, f], c)[1:]
+    got, = translated([f, f], c)[1:]
     want, = translated_one_by_one([f], c, None, None)
     assert same_bits(got, want)
     assert got.e.tolist() == [0, 1]
@@ -563,7 +574,7 @@ def test_translate_merges_cuts_the_shift_brings_within_tolerance(exact):
     assert len(f) == 2
     merged = False
     for c in (0.0, 1e3 / 3, 1e6 + 0.1, -12345.678):
-        got = dp.translate([f], c)
+        got = translated([f], c)
         assert same_bits(got[0], translated_one_by_one([f], c, None, None)[0])
         merged |= len(got[0]) == 1
     assert merged
@@ -575,6 +586,24 @@ def test_translate_clips_to_infinite_windows(exact):
     f = StepFunction(vals[0], [-1.0, 0.0, 0.0], [True, True, False], vals[1:])
     for c in (0.0, 0.5, -0.25):
         for lo, hi in ((c, None), (None, c), (-0.5 + c, None), (None, -2.0 + c)):
-            got = dp.translate([f, f], c, lo, hi)
+            got = translated([f, f], c, lo, hi)
             want = translated_one_by_one([f, f], c, lo, hi)
             assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+# -- tables of class rows ------------------------------------------------------
+
+@pytest.mark.parametrize("exact", [True, False])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_class_rows_table_equals_on_classes(exact, data):
+    # the ordinal sweep's policy (integer argmax rows) and kept slices
+    # (float rows, some steps below VALUE_TOL) as one table
+    n = data.draw(st.integers(1, 5))
+    value = (st.integers(0, 2) if exact else
+             st.sampled_from([0.0, 1e-13, 2e-13, 0.5, 0.5 + 1e-13, 1.0]))
+    rows = np.array(data.draw(st.lists(
+        st.lists(value, min_size=n, max_size=n), min_size=1, max_size=4)))
+    got = dp._unpack([dp._on_classes(rows, 0 if exact else VALUE_TOL)])
+    assert all(same_bits(a, StepFunction.on_classes(row))
+               for a, row in zip(got, rows))

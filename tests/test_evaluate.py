@@ -115,7 +115,7 @@ def random_wealth_policy(m, space, rng):
                                     rng.random(n) < 0.5,
                                     rng.integers(0, m.n_actions, n)))
         rules.append(row)
-    return WealthMarkovPolicy(rules)
+    return WealthMarkovPolicy.from_rules(rules)
 
 
 def enumerated_distribution(m, space, policy):
@@ -530,3 +530,64 @@ def test_standard_bi_matches_pair_loop(make):
     ref_actions, ref_values = _standard_bi_by_pairs(m)
     assert np.array_equal(actions, ref_actions)
     assert np.allclose(values, ref_values, rtol=0, atol=1e-12)
+
+
+# -- actions from the policy table --------------------------------------------
+
+def actions_per_state(policy, t, states, keys):
+    """Reference: one boolean mask and one ``eval_many`` per distinct state."""
+    actions = np.empty(len(states), dtype=np.int64)
+    for s in np.unique(states).tolist():
+        mask = states == s
+        actions[mask] = policy.rule(t, s).eval_many(keys[mask])
+    return actions
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("stationary", [False, True])
+def test_table_actions_equal_per_rule_lookup(seed, stationary):
+    from qmdp.evaluate import _actions
+    rng = np.random.default_rng(seed)
+    S, T = 5, 1 if stationary else 3
+    grid = np.array([-1.0, 0.0, 0.5, 2.0])
+    rows = []
+    for _ in range(T):
+        # an atom (both sides at one key) and an exclusive cut, then rules
+        # with no cut or random ones
+        row = [StepFunction(1, [0.0, 0.0, 2.0], [True, False, False], [2, 3, 0])]
+        for _ in range(S - 1):
+            n = int(rng.integers(0, 6))
+            row.append(StepFunction(int(rng.integers(4)), rng.choice(grid, n),
+                                    rng.random(n) < 0.5,
+                                    rng.integers(0, 4, n)))
+        rows.append(row)
+    policy = WealthMarkovPolicy.from_rules(rows[0] if stationary else rows,
+                                           stationary=stationary)
+    cuts = np.unique(np.concatenate([f.x for row in rows for f in row]))
+    # on every cut, between cuts, just off them and at both infinities
+    keys = np.concatenate((cuts, (cuts[1:] + cuts[:-1]) / 2,
+                           np.nextafter(cuts, np.inf), np.nextafter(cuts, -np.inf),
+                           [-np.inf, np.inf]))
+    states = np.repeat(np.arange(S), len(keys))
+    keys = np.tile(keys, S)
+    order = rng.permutation(len(keys))
+    states, keys = states[order], keys[order]
+    for t in range(T + 1 if stationary else T):
+        want = actions_per_state(policy, t, states, keys)
+        assert _actions(policy, t, states, keys).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("reward_kind, ordinal", [
+    ("sa", False), ("sas", False), ("sas", True), ("sa", True)],
+    ids=["sa-additive", "sas-discounted", "sas-ordinal", "sa-ordinal"])
+def test_simulate_matches_the_per_state_lookup(monkeypatch, reward_kind, ordinal):
+    from qmdp import evaluate
+    m, space = relabelled_garnet(4, reward_kind, ordinal)
+    policy = random_wealth_policy(m, space, np.random.default_rng(4))
+    got = simulate(m, space, policy, 20_000, seed=9)
+    exact = exact_distribution(m, space, policy)
+    monkeypatch.setattr(evaluate, "_actions", actions_per_state)
+    assert got.tobytes() == simulate(m, space, policy, 20_000, seed=9).tobytes()
+    want = exact_distribution(m, space, policy)
+    assert exact.keys.tobytes() == want.keys.tobytes()
+    assert exact.probs.tobytes() == want.probs.tobytes()

@@ -1,12 +1,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmdp import (AdditiveWealth, ConfigurationError, DiscountedWealth,
-                  GarnetConfig, QuantileQuery, exact_distribution,
+                  GarnetConfig, QuantileQuery, StepFunction, exact_distribution,
                   generate_garnet, load_policy, load_problem,
                   policy_from_payload, policy_to_payload,
                   problem_to_dict, save_policy, save_problem, solve_quantile)
+from qmdp.stepfun import THRESH_TOL
 from conftest import two_policy_ordinal_instance, two_state_discounted_mdp
 
 
@@ -108,3 +110,77 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     atomic_write_text(path, "world")
     assert path.read_text() == "world"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+# -- the policy table ---------------------------------------------------------
+
+def _entry(t, s, base, cuts=()):
+    intervals = [{"from": None, "inclusive_from": True, "action": base}]
+    intervals += [{"from": frm, "inclusive_from": inc, "action": a}
+                  for frm, inc, a in cuts]
+    return {"t": t, "s": s, "intervals": intervals}
+
+
+def test_repeated_entry_last_copy_wins():
+    space = AdditiveWealth(-5, 5)
+    payload = [_entry(0, 0, 1, [(0.5, True, 2)]), _entry(0, 1, 1),
+               _entry(0, 0, 0, [(1.0, False, 2)])]
+    policy = policy_from_payload(payload, space, 2)
+    assert policy.rule(0, 0).intervals() == [(None, True, 0), (1.0, False, 2)]
+    assert policy.rule(0, 1).intervals() == [(None, True, 1)]
+    # the file keeps one entry per (t, s): the last copy's
+    assert policy_to_payload(policy, space) == payload[1:][::-1]
+
+
+def test_replaced_entry_is_still_checked():
+    space = AdditiveWealth(-5, 5)
+    payload = [_entry(0, 0, 2**63), _entry(0, 0, 1)]
+    with pytest.raises(ConfigurationError, match="int64"):
+        policy_from_payload(payload, space, 1)
+
+
+def test_missing_entry_takes_action_zero():
+    space = AdditiveWealth(-5, 5)
+    payload = [_entry(1, 1, 1, [(0.0, True, 2)]), _entry(1, 0, 2)]
+    policy = policy_from_payload(payload, space, 2)
+    assert policy.steps == 2
+    for s in range(2):
+        assert policy.rule(0, s).intervals() == [(None, True, 0)]
+        assert policy.action(0, s, 3.0) == 0
+    assert policy.rule(1, 1).intervals() == [(None, True, 1), (0.0, True, 2)]
+    assert policy.rule(1, 0).intervals() == [(None, True, 2)]
+
+
+# thresholds on a coarse grid, some moved by less than THRESH_TOL
+FROMS = st.builds(lambda x, nudge: x + nudge * THRESH_TOL / 3,
+                  st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+                  st.integers(-4, 4))
+INTERVAL = st.tuples(st.one_of(st.none(), FROMS), st.booleans(),
+                     st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_loaded_rules_equal_the_step_function_constructor(data):
+    # interval lists out of order, with repeated "from" values, cuts within
+    # THRESH_TOL of each other and null "from" anywhere in the list
+    space = AdditiveWealth()
+    S, T = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    payload, want = [], {}
+    for t in range(T):
+        for s in range(S):
+            items = data.draw(st.lists(INTERVAL, max_size=6))
+            payload.append({"t": t, "s": s, "intervals": [
+                {"from": frm, "inclusive_from": inc, "action": a}
+                for frm, inc, a in items]})
+            base = ([a for frm, _, a in items if frm is None] or [0])[-1]
+            cuts = [item for item in items if item[0] is not None]
+            want[t, s] = StepFunction(base, [c[0] for c in cuts],
+                                      [c[1] for c in cuts], [c[2] for c in cuts])
+    payload = data.draw(st.permutations(payload))
+    policy = policy_from_payload(payload, space, S)
+    for (t, s), f in want.items():
+        got = policy.rule(t, s)
+        assert type(got.base) is int and got.base == f.base
+        for a, b in ((got.x, f.x), (got.e, f.e), (got.v, f.v)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -393,7 +393,7 @@ def test_ordinal_blocks_give_the_same_report(monkeypatch, block_floats):
                 tau=tau, criterion=criterion, epsilon=1.0))
             out.append((report.quantile, report.bracket, report.at_bottom,
                         [(r.w, r.p, r.accepted) for r in report.log],
-                        report.policy.rules))
+                        [a.tolist() for a in report.policy.table]))
         return out, [OrdinalSweep(m, space).exceedance(classes, strict)
                      for strict in (True, False)]
 
@@ -530,9 +530,9 @@ def test_certificate_rejects_bad_policy():
     report = solve_quantile(m, space, query)
     assert quantile_certificate(m, space, report, query)
     # flip every action at every decision point of the first step
-    flipped = [[_flip(rule, m.n_actions) for rule in row]
-               for row in report.policy.rules]
-    report.policy = WealthMarkovPolicy(flipped)
+    flipped = [[_flip(report.policy.rule(t, s), m.n_actions)
+                for s in range(m.n_states)] for t in range(m.horizon)]
+    report.policy = WealthMarkovPolicy.from_rules(flipped)
     d = exact_distribution(m, space, report.policy)
     lo = report.bracket[0]
     should_hold = d.cdf(lo) < tau
@@ -694,7 +694,8 @@ def test_infinite_policy_has_no_cuts_beyond_reachable_wealth():
         m = random_lattice_mdp(3, lattice=lattice)
         report = solve_quantile(m, AdditiveWealth.for_mdp(m), QuantileQuery(
             tau=0.5, criterion="lower", epsilon=1e-3, quantile_bounds=bounds))
-        for rule in report.policy.rules:
+        for rule in map(report.policy.rule, [0] * m.n_states,
+                        range(m.n_states)):
             if lattice is NEG_LATTICE:
                 assert np.all((rule.x < 0) | ((rule.x == 0) & (rule.e == 0)))
             else:

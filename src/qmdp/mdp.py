@@ -18,6 +18,8 @@ Generators:
   is (servers on, pending jobs), the action picks next step's server
   count, arrivals follow a truncated Poisson whose rate depends on the
   current load regime, and the reward is the negated power + QoS cost.
+  Each arrival row is computed in log space with numpy and
+  :func:`math.lgamma`, so it does not underflow at large rates.
 """
 
 import copy
@@ -26,7 +28,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConfigurationError, ValidationError
 
@@ -307,20 +308,24 @@ def validate(m):
     for i in np.flatnonzero(~filled):
         found.append((i, 0, "empty transition row"))
     for i in np.unique(m.pair[m.prob < 0]):
-        lo = m.prob[m.starts[i]:m.starts[i + 1]].min()
+        lo = np.nanmin(m.prob[m.starts[i]:m.starts[i + 1]])
         found.append((i, 1, f"negative probability {lo:.3g}"))
+    # NaN fails every comparison, so neither the sign test above nor the
+    # sum test below sees it
+    for i in np.unique(m.pair[np.isnan(m.prob)]):
+        found.append((i, 2, "probability is NaN"))
     totals = np.bincount(m.pair, weights=m.prob, minlength=len(counts))
     for i in np.flatnonzero(filled & (np.abs(totals - 1.0) > PROB_TOL)):
         # the message reports the sum as the pair's own row gives it
         total = float(m.prob[m.starts[i]:m.starts[i + 1]].sum())
-        found.append((i, 2, f"probabilities sum to {total!r}"))
+        found.append((i, 3, f"probabilities sum to {total!r}"))
     for i in np.unique(m.pair[(m.succ < 0) | (m.succ >= m.n_states)]):
-        found.append((i, 3, "successor index out of range"))
+        found.append((i, 4, "successor index out of range"))
     order = np.lexsort((m.succ, m.pair))
     pair, succ = m.pair[order], m.succ[order]
     twice = (pair[1:] == pair[:-1]) & (succ[1:] == succ[:-1])
     for i in np.unique(pair[1:][twice]):
-        found.append((i, 4, "duplicate successor state"))
+        found.append((i, 5, "duplicate successor state"))
     for i, _, what in sorted(found):
         s, a = divmod(int(i), m.n_actions)
         out.append(f"(s={s}, a={a}): {what}")
@@ -465,6 +470,12 @@ def generate_datacenter(cfg, horizon=5):
     on m' = a + 1 servers for the next step; the next job count is
     Poisson(rate(j)) truncated to {0, ..., 3n - 1} and renormalized.
     Rewards are negated costs so that higher wealth is better.
+
+    Each arrival row is built in log space, ``k log(rate) - log k!``,
+    shifted by its maximum before exponentiating and then renormalized;
+    the renormalization cancels the ``-rate`` term and the shift.  The
+    largest entry is exactly 1 before the division, so the row's sum
+    cannot underflow and every rate gives a finite, normalized row.
     """
     cfg.check()
     n = cfg.n_servers
@@ -472,9 +483,11 @@ def generate_datacenter(cfg, horizon=5):
     lam, (t1, t2) = cfg.resolved()
 
     ks = np.arange(J)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(J)])
     pmf = []
     for rate in lam:
-        p = stats.poisson.pmf(ks, rate)
+        logp = ks * math.log(rate) - log_fact
+        p = np.exp(logp - logp.max())
         pmf.append(p / p.sum())
 
     def regime(j):

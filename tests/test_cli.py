@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qmdp import load_problem
+import qmdp
+from qmdp import load_problem, validate
 from qmdp.cli import main
 
 
@@ -173,6 +178,36 @@ def test_validation_error_exit_code(tmp_path):
                                          "action": 0}]}
          for t in range(2) for s in range(2)]))
     assert run("eval", "--problem", bad, "--policy", policy) == 3
+
+
+def test_nan_probability_exit_code(tmp_path, capsys):
+    problem = tmp_path / "p.json"
+    assert run("generate", "garnet", "--states", 4, "--actions", 2,
+               "--seed", 1, "--out", problem) == 0
+    payload = json.loads(problem.read_text())
+    payload["mdp"]["transitions"][0][3] = float("nan")
+    problem.write_text(json.dumps(payload))
+    assert run("solve", "--problem", problem, "--tau", 0.5) == 3
+    assert "probability is NaN" in capsys.readouterr().err
+
+
+def test_generate_datacenter_large_rate(tmp_path):
+    out = tmp_path / "dc.json"
+    assert run("generate", "datacenter", "--servers", 1, "--lambdas",
+               "1,2,800", "--out", out) == 0
+    assert "NaN" not in out.read_text()
+    m, _ = load_problem(out)
+    assert validate(m) == []
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, qmdp, qmdp.cli; "
+            "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))")
+    src = Path(qmdp.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def _write_problem(path, transitions, rewards, n_actions=2):

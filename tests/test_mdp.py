@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -82,6 +85,22 @@ def test_validate_reports_each_violation_in_order():
         "(s=1, a=1): probabilities sum to 0.7",
         "(s=2, a=0): negative probability -0.5",
         "non-finite reward inf",
+    ]
+
+
+def test_validate_nan_probability():
+    # NaN passes both the sign and the sum test; its check sits between
+    # them, and the row's negative entry is still the one reported
+    m = Mdp(2, 2,
+            [[[(0, float("nan")), (1, -0.5), (3, 0.5)], [(1, 1.0)]],
+             [[(0, 0.5)], [(1, float("nan"))]]],
+            {"kind": "sa", "values": [[0.0, 0.0], [0.0, 0.0]]}, 0, 3)
+    assert validate(m) == [
+        "(s=0, a=0): negative probability -0.5",
+        "(s=0, a=0): probability is NaN",
+        "(s=0, a=0): successor index out of range",
+        "(s=1, a=0): probabilities sum to 0.5",
+        "(s=1, a=1): probability is NaN",
     ]
 
 
@@ -218,6 +237,30 @@ def test_datacenter_rows_renormalized():
     cfg = DataCenterConfig(1, lambda_low=1.0)
     s = cfg.state_index(1, 0)
     assert m.probabilities(s, 0).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _exact_arrivals(n_jobs, rate):
+    """Poisson(rate) truncated to {0, ..., n_jobs - 1}, exact until the end."""
+    terms = [Fraction(rate) ** k / math.factorial(k) for k in range(n_jobs)]
+    total = sum(terms)
+    return np.array([float(x / total) for x in terms])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("rate", [1, 2, 3, 7, 30, 150, 745, 746, 800, 5000])
+def test_datacenter_rows_match_exact_poisson(n, rate):
+    # past a rate of about 745, e^-rate underflows: a row computed as
+    # e^-rate rate^k / k! drops its first successors, or all of them and
+    # then divides 0 by 0
+    cfg = DataCenterConfig(n, lambda_low=rate, lambda_mid=rate,
+                           lambda_high=rate)
+    m = generate_datacenter(cfg, horizon=2)
+    assert validate(m) == []
+    want = _exact_arrivals(cfg.n_jobs, rate)
+    assert np.all(want > 0)
+    for s in (0, m.n_states - 1):
+        got = m.probabilities(s, 0)
+        assert np.max(np.abs(got - want) / want) <= 1e-12
 
 
 def test_datacenter_kernel_factorization():

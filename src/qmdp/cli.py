@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 
+from .dp import backward_induction, value_iteration
 from .errors import (ConfigurationError, ConvergenceError, QmdpError,
                      ResourceLimitError, ValidationError)
 from .evaluate import (WealthDistribution, brute_force_optimal_quantile,
@@ -98,16 +99,22 @@ def cmd_solve(args):
     query = QuantileQuery(tau=args.tau, criterion=args.criterion,
                           epsilon=args.epsilon, quantile_bounds=bounds)
     report = solve_quantile(m, space, query, eps_conv=args.eps_conv,
-                            max_sweeps=args.max_sweeps,
-                            keep_value_function=bool(args.dump_slices))
+                            max_sweeps=args.max_sweeps)
     if args.out:
         save_policy(args.out, report.policy, space)
     if args.log:
         _write_csv(args.log, ["w", "p", "accepted"],
                    [(rec.w, rec.p, int(rec.accepted)) for rec in report.log])
-    if args.dump_slices and report.value_function is not None:
+    if args.dump_slices:
+        # the solve keeps no value function: run the DP at the policy's target
+        w, strict = report.log[0].w, report.criterion == "lower"
+        if m.horizon is None:
+            _, _, vf = value_iteration(m, space, w, strict, args.eps_conv,
+                                       args.max_sweeps)
+        else:
+            _, _, vf = backward_induction(m, space, w, strict)
         rows = []
-        for t, layer in enumerate(report.value_function.slices):
+        for t, layer in enumerate(vf.slices):
             for s, fn in enumerate(layer):
                 for frm, inclusive, value in fn.intervals():
                     rows.append((t, s, "", "", value) if frm is None
@@ -276,7 +283,8 @@ def build_parser():
                     help="CSV path: the (w, p, accepted) row of the threshold "
                          "the policy targets")
     sv.add_argument("--dump-slices", default=None,
-                    help="debug CSV of value-function pieces per (t, s); "
+                    help="debug CSV of value-function pieces per (t, s) of "
+                         "a DP run at the threshold the policy targets; "
                          "infinite horizons write the stationary slices as t=0")
     sv.set_defaults(func=cmd_solve)
 

@@ -115,15 +115,6 @@ class WealthMarkovPolicy:
         self.stationary = stationary
 
     @classmethod
-    def from_rules(cls, rules, stationary=False):
-        """The policy of per-timestep lists of per-state integer
-        :class:`StepFunction` rules, or of one per-state list when
-        stationary."""
-        rows = [rules] if stationary else rules
-        return cls(_pack([f for row in rows for f in row], np.int64),
-                   len(rows[0]), stationary)
-
-    @classmethod
     def from_markov(cls, actions, stationary=False):
         """Wrap a plain (wealth-independent) Markov policy.
 
@@ -255,19 +246,16 @@ def _at_classes(c, n):
     return np.where(k > 0, last, c.base[:, None])
 
 
-def _on_classes(rows, tol=0):
+def _on_classes(rows):
     """The table of the rows of ``rows``: row i takes ``rows[i, k]`` at
-    class key k, with an inclusive cut where the value changes.
+    class key k, with an inclusive cut wherever the value changes.
 
-    Integer rows are canonical as built; float rows merge values within
-    ``tol``.  Each row's function is :meth:`StepFunction.on_classes` of it.
+    Integer rows are canonical as built, and each row's function is then
+    :meth:`StepFunction.on_classes` of it.
     """
     seg, k = np.nonzero(rows[:, 1:] != rows[:, :-1])
-    x = k + 1.0
-    e = np.zeros(len(k), dtype=np.uint8)
-    if tol:
-        return _canonical(rows[:, 0], x, e, rows[seg, k + 1], seg, tol)
-    return _Cuts(rows[:, 0], _offsets(seg, len(rows)), x, e, rows[seg, k + 1])
+    return _Cuts(rows[:, 0], _offsets(seg, len(rows)), k + 1.0,
+                 np.zeros(len(k), dtype=np.uint8), rows[seg, k + 1])
 
 
 def _pulled(m, space, nxt, t):
@@ -400,17 +388,6 @@ def _sort_rows(state, pos, x, e, shape):
     return X[rows, order], E[rows, order], col[state, pos]
 
 
-def _greedy_update(m, space, nxt, t):
-    """One backward sweep at timestep t against the layer-(t+1) slices.
-
-    Returns (slices, rules): the layer-t value slices and the greedy
-    argmax decision rule per state (the lowest action index within
-    ``VALUE_TOL`` of the best).
-    """
-    values, rules = _layer(m, space, _pack(nxt), t, np.arange(m.n_states))
-    return _unpack(values), _unpack(rules)
-
-
 def _reachable(m):
     """The sorted states reachable from the initial state in exactly t steps,
     for t = 0..T-1, over every edge of the kernel."""
@@ -478,7 +455,8 @@ class OrdinalSweep:
     (state, class) row that edge i of pair sa reaches from class k, and
     ``prob[sa, i]`` its probability.  Pairs with fewer edges than the
     widest one are padded with zero-probability edges, so a plain sum over
-    edge slots mixes the successors.
+    edge slots mixes the successors.  One loop (:meth:`_sweep`) serves
+    both the batched exceedance curve and the single-target policy.
     """
 
     def __init__(self, m, space):
@@ -496,18 +474,34 @@ class OrdinalSweep:
         self.prob = np.zeros(real.shape + (1, 1))
         self.prob[real, 0, 0] = m.prob
 
-    def _terminal(self, targets, strict):
-        """Terminal slices (S * n, J): 1 on the classes above each target."""
+    def _sweep(self, targets, strict, best=None):
+        """The (S * n, J) layer-0 slices of the class ``targets``, from
+        terminal slices 1 on the classes above each target.  With ``best``,
+        a (T, S, n) array for one target, ``best[t]`` gets layer t's rule.
+        """
         k = np.arange(self.n)[:, None]
         hit = (k > targets) if strict else (k >= targets)
-        return np.tile(hit.astype(np.float64), (self.m.n_states, 1))
+        V = np.tile(hit.astype(np.float64), (self.m.n_states, 1))
+        for t in range(self.m.horizon - 1, -1, -1):
+            V = self._step(V, None if best is None else best[t])
+        return V
 
-    def _q(self, V):
-        """Action values (S, A, n, J) of one backward step from slices V."""
+    def _step(self, V, rule):
+        """One backward step of the slices V; the greedy rule (the lowest
+        action within ``VALUE_TOL`` of the best, as in :func:`_layer`) goes
+        into ``rule`` unless it is None.
+
+        No array of a step outlives it: with two steps' arrays alive at
+        once, malloc returns the memory to the system after every step and
+        faults it back in (about 500 page faults per ordinal solve).
+        """
         g = V[self.idx]
         g *= self.prob
-        return g.sum(axis=1).reshape(self.m.n_states, self.m.n_actions, -1,
-                                     V.shape[1])
+        q = g.sum(axis=1).reshape(self.m.n_states, self.m.n_actions, self.n, -1)
+        top = q.max(axis=1)
+        if rule is not None:
+            rule[:] = _first_best(np.moveaxis(q[..., 0], 1, 0), top[..., 0])
+        return top.reshape(V.shape)
 
     def exceedance(self, targets, strict):
         """Optimal exceedance probability from (s0, w0) at every class target.
@@ -519,35 +513,20 @@ class OrdinalSweep:
         block = max(1, BLOCK_FLOATS // self.idx.size)
         p = np.empty(len(targets))
         for b in range(0, len(targets), block):
-            V = self._terminal(targets[b:b + block], strict)
-            for _ in range(self.m.horizon):
-                V = self._q(V).max(axis=1).reshape(-1, V.shape[1])
-            p[b:b + block] = V[self.row0]
+            p[b:b + block] = self._sweep(targets[b:b + block], strict)[self.row0]
         return p
 
-    def backward_induction(self, target, strict, keep_value_function=False):
-        """:func:`backward_induction` at one class target.
+    def backward_induction(self, target, strict):
+        """:func:`backward_induction`'s policy and p at one class target.
 
-        Returns ``(policy, p, vf)``: the (T, S, n) greedy argmax rows
-        (lowest action on ties) become the policy's table in one pass
-        (:func:`_on_classes`); vf holds one table of slices per layer when
-        ``keep_value_function`` is set, and is None otherwise.
+        Returns ``(policy, p)``: the (T, S, n) greedy rows become the
+        policy's table in one pass (:func:`_on_classes`).
         """
-        m, T, S = self.m, self.m.horizon, self.m.n_states
-        V = self._terminal(np.array([target]), strict)
-        tables = [None] * (T + 1)
-        tables[T] = _pack([target_utility(target, strict)] * S)
+        T, S = self.m.horizon, self.m.n_states
         best = np.empty((T, S, self.n), dtype=np.intp)
-        for t in range(T - 1, -1, -1):
-            q = self._q(V)[..., 0]
-            best[t] = q.argmax(axis=1)
-            V = q.max(axis=1)
-            if keep_value_function:
-                tables[t] = _on_classes(V, VALUE_TOL)
-            V = V.reshape(-1, 1)
-        policy = WealthMarkovPolicy(_on_classes(best.reshape(T * S, -1)), S)
-        return (policy, float(V[self.row0, 0]),
-                ValueFunction(tables) if keep_value_function else None)
+        V = self._sweep(np.array([target]), strict, best)
+        return (WealthMarkovPolicy(_on_classes(best.reshape(T * S, -1)), S),
+                float(V[self.row0, 0]))
 
 
 def reachable_window(m, space):

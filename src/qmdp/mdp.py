@@ -36,6 +36,9 @@ PROB_TOL = 1e-9
 # table of slices and one of rules per timestep, so a horizon read from a
 # file must not decide that allocation alone.
 MAX_HORIZON = 100_000
+# Most edges a generated data-center problem may have: n servers give 9n^4,
+# so n = 30 (7.29M edges, about 350 MB to build) is the largest admitted.
+MAX_DATACENTER_EDGES = 8_000_000
 
 
 def _is_number(x):
@@ -444,6 +447,10 @@ class DataCenterConfig:
     def check(self):
         if self.n_servers < 1:
             raise ConfigurationError("n_servers must be >= 1")
+        if 9 * self.n_servers ** 4 > MAX_DATACENTER_EDGES:
+            raise ConfigurationError(
+                f"{self.n_servers} servers give {9 * self.n_servers ** 4} "
+                f"edges, above the cap of {MAX_DATACENTER_EDGES}")
         lam, (t1, t2) = self.resolved()
         if any(v <= 0 for v in lam):
             raise ConfigurationError(f"arrival rates must be positive, got {lam}")

@@ -26,8 +26,12 @@ threshold j of the bracket gives the exceedance curve p(j) directly
 the largest passing j below the bracket top, the upper quantile the
 largest passing j above the bracket bottom; both are exact.  The policy
 comes from a second, single-threshold pass at the largest passing j
-(:meth:`~qmdp.dp.OrdinalSweep.backward_induction`), or at the bracket bottom
-when no j passes, and attains the optimum.
+(:meth:`~qmdp.dp.OrdinalSweep.backward_induction`, the same loop keeping
+its greedy rules), or at the bracket bottom when no j passes, and attains
+the optimum.
+
+A solve returns a policy and its quantile, and keeps no value function;
+``qmdp solve --dump-slices`` runs its own DP at ``report.log[0].w``.
 """
 
 import math
@@ -35,9 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dp import (OrdinalSweep, ValueFunction, WealthMarkovPolicy,
-                 backward_induction, reachable_window, translate,
-                 value_iteration)
+from .dp import (OrdinalSweep, WealthMarkovPolicy, backward_induction,
+                 reachable_window, translate, value_iteration)
 from .errors import ConfigurationError, ValidationError
 from .evaluate import QUANT_ATOL, exact_distribution
 from .mdp import validate
@@ -91,11 +94,9 @@ class SolveReport:
     criterion: str = "lower"
     tau: float = None
     epsilon: float = None
-    value_function: object = None
 
 
-def solve_quantile(m, space, query, *, eps_conv=1e-6, max_sweeps=10000,
-                   keep_value_function=False):
+def solve_quantile(m, space, query, *, eps_conv=1e-6, max_sweeps=10000):
     """Find a tau-quantile-optimal policy and return a :class:`SolveReport`.
 
     Numeric problems read the quantile off one sweep: a backward induction
@@ -127,10 +128,9 @@ def solve_quantile(m, space, query, *, eps_conv=1e-6, max_sweeps=10000,
     strict = query.criterion == "lower"
     thr = 1.0 - query.tau
     if ordinal:
-        return _solve_ordinal(m, space, query, strict, thr, lo_k, hi_k,
-                              keep_value_function)
+        return _solve_ordinal(m, space, query, strict, thr, lo_k, hi_k)
     return _solve_by_one_sweep(m, space, query, strict, thr, lo_k, hi_k,
-                               keep_value_function, eps_conv, max_sweeps)
+                               eps_conv, max_sweeps)
 
 
 def _check_infinite(m, space, query):
@@ -161,7 +161,7 @@ def _passes(p, thr, strict):
 
 
 def _solve_by_one_sweep(m, space, query, strict, thr, lo_k, hi_k,
-                        keep_value_function, eps_conv, max_sweeps):
+                        eps_conv, max_sweeps):
     """Numeric wealth: every threshold from one sweep at target t.
 
     f(x0 + t - w), with f the initial-state slice, is the optimal
@@ -170,17 +170,16 @@ def _solve_by_one_sweep(m, space, query, strict, thr, lo_k, hi_k,
     bracket passes when the base piece does).  q* is clamped into
     [lo_k, hi_k].  The policy targets w_pol = q* - min(piece width,
     epsilon) / 2, strictly inside the passing piece, where float noise in
-    a cut cannot flip the test.  The policy's table of rules, and each
-    layer's table of the kept value function, move to w_pol in one
-    :func:`~qmdp.dp.translate` each.
+    a cut cannot flip the test.  The policy's table of rules moves to
+    w_pol in one :func:`~qmdp.dp.translate`.
 
     A finite sweep computes only the states reachable from the initial
-    state, all that the solve reads, unless the value function is kept.
-    Infinite horizons sweep at the bracket end farthest along the reward
-    sign, so x0 + t - w stays on the reachable side of w0, where the
-    clipped slices are exact; w_pol therefore never drops below lo_k.  No
-    passing piece there means q* is below the bracket: the report is
-    at_bottom with the policy that targets lo_k.
+    state, all that the solve reads.  Infinite horizons sweep at the
+    bracket end farthest along the reward sign, so x0 + t - w stays on the
+    reachable side of w0, where the clipped slices are exact; w_pol
+    therefore never drops below lo_k.  No passing piece there means q* is
+    below the bracket: the report is at_bottom with the policy that
+    targets lo_k.
     """
     infinite = m.horizon is None
     if infinite:
@@ -193,8 +192,7 @@ def _solve_by_one_sweep(m, space, query, strict, thr, lo_k, hi_k,
         window, t = (None, None), 0.0
         # reachable_only by position: wrappers of this name may take no
         # keywords
-        policy, _, vf = backward_induction(m, space, t, strict,
-                                           not keep_value_function)
+        policy, _, vf = backward_induction(m, space, t, strict, True)
     f = vf.slice(0, m.initial_state)
     x0 = space.key(space.w0)
     starts = np.concatenate(([-math.inf], f.x))   # piece k opens at starts[k]
@@ -217,17 +215,10 @@ def _solve_by_one_sweep(m, space, query, strict, thr, lo_k, hi_k,
         w_pol = q - min(width, query.epsilon) / 2.0
         if infinite:
             w_pol = max(w_pol, lo_k)
-
-    def move(table):
-        """The table translated to the target w_pol, clipped to the window."""
-        return translate(table, w_pol - t, *window)
-
-    kept = (ValueFunction([move(c) for c in vf.tables], sweeps=vf.sweeps)
-            if keep_value_function else None)
     p = f(x0 + t - w_pol)
     return SolveReport(
-        policy=WealthMarkovPolicy(move(policy.table), m.n_states,
-                                  stationary=infinite),
+        policy=WealthMarkovPolicy(translate(policy.table, w_pol - t, *window),
+                                  m.n_states, stationary=infinite),
         quantile=space.unkey(q),
         bracket=(space.unkey(w_pol), space.unkey(q)),
         iterations=1,
@@ -238,12 +229,10 @@ def _solve_by_one_sweep(m, space, query, strict, thr, lo_k, hi_k,
         criterion=query.criterion,
         tau=query.tau,
         epsilon=query.epsilon,
-        value_function=kept,
     )
 
 
-def _solve_ordinal(m, space, query, strict, thr, lo_k, hi_k,
-                   keep_value_function):
+def _solve_ordinal(m, space, query, strict, thr, lo_k, hi_k):
     """Ordinal wealth: every class threshold of the bracket from one sweep.
 
     One batched dense backward induction gives p(j) at the thresholds
@@ -268,8 +257,7 @@ def _solve_ordinal(m, space, query, strict, thr, lo_k, hi_k,
         target = int(hits[-1])
         q = target + 1 if strict else target
     bracket = (q - 1, q) if strict else (q, q + 1)
-    policy, p, vf = sweep.backward_induction(target, strict,
-                                             keep_value_function)
+    policy, p = sweep.backward_induction(target, strict)
     return SolveReport(
         policy=policy,
         quantile=space.unkey(q),
@@ -280,7 +268,6 @@ def _solve_ordinal(m, space, query, strict, thr, lo_k, hi_k,
         criterion=query.criterion,
         tau=query.tau,
         epsilon=query.epsilon,
-        value_function=vf,
     )
 
 

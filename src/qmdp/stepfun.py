@@ -35,55 +35,49 @@ def _ranks(counts):
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _merge_thresholds(x, e, v, seg=None):
+def _merge_thresholds(x, e, v, seg):
     """Collapse cuts closer than THRESH_TOL on the same side (single pass).
 
     Keeps the first (smallest) threshold of each run and the value after
     the run's last cut.  A run's successor is guaranteed to sit more than
     THRESH_TOL above the kept representative, so one pass reaches a fixpoint.
 
-    ``seg``, when given, holds the nondecreasing segment id of every cut
-    (the cuts of many functions, laid end to end); no run crosses a
-    segment boundary.  Returns ``(x, e, v, seg)``.
+    ``seg`` holds the nondecreasing segment id of every cut (the cuts of
+    many functions, laid end to end); no run crosses a segment boundary.
+    Returns ``(x, e, v, seg)``.
     """
     if len(x) < 2:
         return x, e, v, seg
     keep = np.empty(len(x), dtype=bool)
     keep[0] = True
-    keep[1:] = (np.diff(x) > THRESH_TOL) | (e[1:] != e[:-1])
-    if seg is not None:
-        keep[1:] |= seg[1:] != seg[:-1]
+    keep[1:] = ((np.diff(x) > THRESH_TOL) | (e[1:] != e[:-1])
+                | (seg[1:] != seg[:-1]))
     if keep.all():
         return x, e, v, seg
     gid = np.cumsum(keep) - 1
     last = np.empty(gid[-1] + 1, dtype=np.intp)
     last[gid] = np.arange(len(x))
     first = np.flatnonzero(keep)
-    return x[first], e[first], v[last], None if seg is None else seg[first]
+    return x[first], e[first], v[last], seg[first]
 
 
-def _merge_values(base, x, e, v, tol, seg=None):
+def _merge_values(base, x, e, v, tol, seg):
     """Drop cuts that do not change the value by more than tol (to fixpoint).
 
-    With ``seg`` (as in :func:`_merge_thresholds`), ``base`` holds one
-    value per segment id, and each segment's first cut compares against
-    its own base.  Returns ``(x, e, v, seg)``.
+    ``base`` holds one value per segment id (as in
+    :func:`_merge_thresholds`), and each segment's first cut compares
+    against its own base.  Returns ``(x, e, v, seg)``.
     """
     while len(v):
-        if seg is None:
-            prev = np.concatenate(([base], v[:-1]))
-        else:
-            prev = np.empty_like(v)
-            prev[1:] = v[:-1]
-            first = np.ones(len(v), dtype=bool)
-            first[1:] = seg[1:] != seg[:-1]
-            prev[first] = base[seg[first]]
+        prev = np.empty_like(v)
+        prev[1:] = v[:-1]
+        first = np.ones(len(v), dtype=bool)
+        first[1:] = seg[1:] != seg[:-1]
+        prev[first] = base[seg[first]]
         keep = np.abs(v - prev) > tol
         if keep.all():
             break
-        x, e, v = x[keep], e[keep], v[keep]
-        if seg is not None:
-            seg = seg[keep]
+        x, e, v, seg = x[keep], e[keep], v[keep], seg[keep]
     return x, e, v, seg
 
 
@@ -106,8 +100,10 @@ class StepFunction:
         if len(x):
             order = np.lexsort((e, x))
             x, e, v = x[order], e[order], v[order]
-        x, e, v, _ = _merge_thresholds(x, e, v)
-        x, e, v, _ = _merge_values(base, x, e, v, 0 if exact else VALUE_TOL)
+        seg = np.zeros(len(x), dtype=np.intp)
+        x, e, v, seg = _merge_thresholds(x, e, v, seg)
+        x, e, v, _ = _merge_values(np.array([base], dtype=dtype), x, e, v,
+                                   0 if exact else VALUE_TOL, seg)
         self.base = base
         self.x = x
         self.e = e
@@ -126,10 +122,6 @@ class StepFunction:
         f.e = e
         f.v = v
         return f
-
-    @classmethod
-    def constant(cls, value):
-        return cls(value)
 
     @classmethod
     def on_classes(cls, values):

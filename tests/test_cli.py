@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import qmdp
-from qmdp import load_problem, validate
+from qmdp import (QuantileQuery, backward_induction, load_problem,
+                  save_problem, solve_quantile, validate, value_iteration)
 from qmdp.cli import main
+from conftest import two_policy_ordinal_instance
 
 
 def run(*argv):
@@ -77,6 +79,16 @@ def test_solve_tau_out_of_range_usage_error(tmp_path, capsys):
     assert "usage" in err and "tau" in err
 
 
+def write_infinite_problem(path):
+    """A 2-state chain with nonpositive rewards and an infinite horizon."""
+    path.write_text(json.dumps({
+        "mdp": {"n_states": 2, "n_actions": 1,
+                "transitions": [[0, 0, 0, 0.3], [0, 0, 1, 0.7], [1, 0, 1, 1.0]],
+                "rewards": {"kind": "sa", "values": [[-0.25], [0.0]]},
+                "initial_state": 0, "horizon": "infinite"},
+        "wealth_space": {"kind": "additive"}}))
+
+
 def test_solve_dump_slices(tmp_path):
     problem = tmp_path / "p.json"
     run("generate", "garnet", "--states", 4, "--actions", 2, "--seed", 2,
@@ -91,12 +103,7 @@ def test_solve_dump_slices(tmp_path):
 
 def test_solve_infinite_dumps_stationary_slices(tmp_path, capsys):
     problem = tmp_path / "p.json"
-    problem.write_text(json.dumps({
-        "mdp": {"n_states": 2, "n_actions": 1,
-                "transitions": [[0, 0, 0, 0.3], [0, 0, 1, 0.7], [1, 0, 1, 1.0]],
-                "rewards": {"kind": "sa", "values": [[-0.25], [0.0]]},
-                "initial_state": 0, "horizon": "infinite"},
-        "wealth_space": {"kind": "additive"}}))
+    write_infinite_problem(problem)
     slices = tmp_path / "slices.csv"
     assert run("solve", "--problem", problem, "--tau", 0.5, "--bounds=-3,0",
                "--dump-slices", slices) == 0
@@ -109,15 +116,44 @@ def test_solve_infinite_dumps_stationary_slices(tmp_path, capsys):
     assert {row[1] for row in rows[1:]} == {"0", "1"}
 
 
+@pytest.mark.parametrize("case", ["finite", "infinite", "ordinal"])
+def test_dump_slices_equal_the_dp_at_the_policy_threshold(tmp_path, case):
+    # the solve keeps no value function: the dump runs the DP itself, at
+    # the threshold the solve's policy targets
+    problem, bounds = tmp_path / "p.json", None
+    if case == "finite":
+        run("generate", "garnet", "--states", 5, "--actions", 2, "--seed", 3,
+            "--horizon", 3, "--out", problem)
+    elif case == "infinite":
+        write_infinite_problem(problem)
+        bounds = (-3.0, 0.0)
+    else:
+        save_problem(problem, *two_policy_ordinal_instance())
+    slices = tmp_path / "slices.csv"
+    extra = [] if bounds is None else ["--bounds=%s,%s" % bounds]
+    assert run("solve", "--problem", problem, "--tau", 0.5, *extra,
+               "--dump-slices", slices) == 0
+    m, space = load_problem(problem)
+    report = solve_quantile(m, space, QuantileQuery(0.5, quantile_bounds=bounds))
+    w = report.log[0].w
+    if m.horizon is None:
+        _, _, vf = value_iteration(m, space, w, True)
+    else:
+        _, _, vf = backward_induction(m, space, w, True)
+    want = [[str(t), str(s), "", "", str(v)] if frm is None
+            else [str(t), str(s), str(frm), str(int(inclusive)), str(v)]
+            for t, layer in enumerate(vf.slices) for s, f in enumerate(layer)
+            for frm, inclusive, v in f.intervals()]
+    assert read_csv(slices)[1:] == want
+    layers = 1 if m.horizon is None else m.horizon + 1
+    assert {(int(r[0]), int(r[1])) for r in want} == {
+        (t, s) for t in range(layers) for s in range(m.n_states)}
+
+
 def test_solve_negative_bounds_as_written(tmp_path, capsys):
     # argparse would take a separate "-3,0" for an option
     problem = tmp_path / "p.json"
-    problem.write_text(json.dumps({
-        "mdp": {"n_states": 2, "n_actions": 1,
-                "transitions": [[0, 0, 0, 0.3], [0, 0, 1, 0.7], [1, 0, 1, 1.0]],
-                "rewards": {"kind": "sa", "values": [[-0.25], [0.0]]},
-                "initial_state": 0, "horizon": "infinite"},
-        "wealth_space": {"kind": "additive"}}))
+    write_infinite_problem(problem)
     outputs = []
     for bounds in (["--bounds", "-3,0"], ["--bounds=-3,0"], ["--bounds", "0,3"]):
         assert run("solve", "--problem", problem, *bounds, "--tau", 0.5) == 0
@@ -198,6 +234,13 @@ def test_generate_datacenter_large_rate(tmp_path):
     assert "NaN" not in out.read_text()
     m, _ = load_problem(out)
     assert validate(m) == []
+
+
+def test_generate_datacenter_above_the_edge_cap(tmp_path, capsys):
+    out = tmp_path / "dc.json"
+    assert run("generate", "datacenter", "--servers", 100, "--out", out) == 2
+    assert "cap" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_import_loads_no_scipy():

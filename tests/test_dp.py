@@ -169,6 +169,13 @@ def test_value_iteration_escape_chain_closed_form():
     assert p == pytest.approx(1.0 - 0.3 ** 2, abs=1e-12)
 
 
+def greedy_update(m, space, nxt, t):
+    """One layer of every state from the list of slices ``nxt``: the
+    slices and the greedy rules, as lists of step functions."""
+    values, rules = dp._layer(m, space, dp._pack(nxt), t, np.arange(m.n_states))
+    return dp._unpack(values), dp._unpack(rules)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_value_iteration_matches_long_horizon(seed):
     m = random_lattice_mdp(seed)
@@ -180,14 +187,13 @@ def test_value_iteration_matches_long_horizon(seed):
 
 
 def test_value_iteration_residuals_nonincreasing():
-    from qmdp.dp import _greedy_update
     from qmdp.stepfun import restrict, sup_distance, target_utility
     m = random_lattice_mdp(2)
     sp = AdditiveWealth(-10.0, 0.0)
     V = [restrict(target_utility(-1.3, False), hi=0.0)] * m.n_states
     residuals = []
     for _ in range(30):
-        new_V, _ = _greedy_update(m, sp, V, 0)
+        new_V, _ = greedy_update(m, sp, V, 0)
         new_V = [restrict(f, hi=0.0) for f in new_V]
         residuals.append(max(sup_distance(new_V[s], V[s])
                              for s in range(m.n_states)))
@@ -299,7 +305,7 @@ def per_pair_update(m, space, nxt, t):
 @given(data=st.data())
 def test_flat_layer_matches_per_pair_algebra(case, data):
     m, space, nxt, t = data.draw(layer_cases(case))
-    slices, rules = dp._greedy_update(m, space, nxt, t)
+    slices, rules = greedy_update(m, space, nxt, t)
     envelopes, qs = per_pair_update(m, space, nxt, t)
     for f, g, rule, row in zip(slices, envelopes, rules, qs):
         assert np.array_equal(f.x, g.x) and np.array_equal(f.e, g.e)
@@ -438,8 +444,8 @@ def test_reachable_only_matches_the_full_run(kind, wealth, data):
                     assert same_bits(rule, full_policy.rule(t, s))
                     assert same_bits(f, full_vf.slices[t][s])
                 else:
-                    assert same_bits(rule, StepFunction.constant(0))
-                    assert same_bits(f, StepFunction.constant(0.0))
+                    assert same_bits(rule, StepFunction(0))
+                    assert same_bits(f, StepFunction(0.0))
         got = exact_distribution(m, space, policy)
         want = exact_distribution(m, space, full_policy)
         assert got.keys.tobytes() == want.keys.tobytes()
@@ -471,19 +477,18 @@ def test_the_solver_computes_only_the_reachable_states():
     space = AdditiveWealth.for_mdp(m)
     reach = reachable_by_walking(m)
     assert len(reach[1]) < m.n_states
-    query = QuantileQuery(tau=0.3, criterion="lower")
-    lean = solve_quantile(m, space, query)
-    kept = solve_quantile(m, space, query, keep_value_function=True)
-    assert (lean.quantile, lean.bracket) == (kept.quantile, kept.bracket)
+    report = solve_quantile(m, space, QuantileQuery(tau=0.3, criterion="lower"))
+    # the solve sweeps at target 0 and moves the rules to the target w
+    full, _, _ = backward_induction(m, space, 0.0, True)
+    w = report.log[0].w
+    moved = dp.WealthMarkovPolicy(dp.translate(full.table, w), m.n_states)
     for t in range(m.horizon):
         for s in range(m.n_states):
-            # a kept slice runs from 0 at low wealth to 1 at high wealth
-            assert len(kept.value_function.slices[t][s]) > 0
-            rule = lean.policy.rule(t, s)
+            rule = report.policy.rule(t, s)
             if s in reach[t]:
-                assert same_bits(rule, kept.policy.rule(t, s))
+                assert same_bits(rule, moved.rule(t, s))
             else:
-                assert same_bits(rule, StepFunction.constant(0))
+                assert same_bits(rule, StepFunction(0))
 
 
 # -- translating many step functions as one table ------------------------------
@@ -597,13 +602,17 @@ def test_translate_clips_to_infinite_windows(exact):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_class_rows_table_equals_on_classes(exact, data):
-    # the ordinal sweep's policy (integer argmax rows) and kept slices
-    # (float rows, some steps below VALUE_TOL) as one table
+    # the ordinal sweep's policy (integer argmax rows) and the ordinal
+    # layer's pulled slices (float rows, some steps below VALUE_TOL) as
+    # one table; float rows keep every change, merging none
     n = data.draw(st.integers(1, 5))
     value = (st.integers(0, 2) if exact else
              st.sampled_from([0.0, 1e-13, 2e-13, 0.5, 0.5 + 1e-13, 1.0]))
     rows = np.array(data.draw(st.lists(
         st.lists(value, min_size=n, max_size=n), min_size=1, max_size=4)))
-    got = dp._unpack([dp._on_classes(rows, 0 if exact else VALUE_TOL)])
-    assert all(same_bits(a, StepFunction.on_classes(row))
-               for a, row in zip(got, rows))
+    for f, row in zip(dp._unpack([dp._on_classes(rows)]), rows):
+        assert f.eval_many(np.arange(n)).tolist() == row.tolist()
+        if exact:
+            assert same_bits(f, StepFunction.on_classes(row))
+        else:
+            assert len(f) == np.count_nonzero(row[1:] != row[:-1])

@@ -7,6 +7,7 @@ from qmdp import (AdditiveWealth, ConfigurationError, DiscountedWealth,
                   backward_induction, brute_force_optimal_quantile,
                   exact_distribution, generate_garnet, simulate,
                   standard_backward_induction, ValidationError)
+from qmdp.dp import _pack
 from qmdp.evaluate import merge_atoms
 from conftest import two_state_discounted_mdp
 
@@ -115,7 +116,8 @@ def random_wealth_policy(m, space, rng):
                                     rng.random(n) < 0.5,
                                     rng.integers(0, m.n_actions, n)))
         rules.append(row)
-    return WealthMarkovPolicy.from_rules(rules)
+    return WealthMarkovPolicy(_pack([f for row in rules for f in row], np.int64),
+                              m.n_states)
 
 
 def enumerated_distribution(m, space, policy):
@@ -561,8 +563,8 @@ def test_table_actions_equal_per_rule_lookup(seed, stationary):
                                     rng.random(n) < 0.5,
                                     rng.integers(0, 4, n)))
         rows.append(row)
-    policy = WealthMarkovPolicy.from_rules(rows[0] if stationary else rows,
-                                           stationary=stationary)
+    policy = WealthMarkovPolicy(_pack([f for row in rows for f in row], np.int64),
+                                S, stationary)
     cuts = np.unique(np.concatenate([f.x for row in rows for f in row]))
     # on every cut, between cuts, just off them and at both infinities
     keys = np.concatenate((cuts, (cuts[1:] + cuts[:-1]) / 2,

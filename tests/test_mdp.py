@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -303,6 +304,17 @@ def test_datacenter_config_validation():
     with pytest.raises(ConfigurationError):
         generate_datacenter(DataCenterConfig(2, threshold_low_mid=5,
                                              threshold_mid_high=3))
+
+
+def test_datacenter_edge_cap():
+    # n servers give 9 n^4 edges; 30 servers is the largest size admitted
+    DataCenterConfig(30).check()
+    with pytest.raises(ConfigurationError, match="cap"):
+        DataCenterConfig(31).check()
+    start = time.perf_counter()
+    with pytest.raises(ConfigurationError, match="cap"):
+        generate_datacenter(DataCenterConfig(100))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_generators_validate_clean():

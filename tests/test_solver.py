@@ -10,7 +10,7 @@ from qmdp import (AdditiveWealth, ConfigurationError, DiscountedWealth,
                   backward_induction, exact_distribution, generate_garnet,
                   quantile_certificate, solve_quantile,
                   validate, value_iteration)
-from qmdp.dp import OrdinalSweep
+from qmdp.dp import OrdinalSweep, _pack
 from conftest import random_lattice_mdp, two_policy_ordinal_instance
 
 
@@ -335,22 +335,17 @@ def test_ordinal_at_bottom():
         assert quantile_certificate(stuck, space, report, query)
 
 
-def test_ordinal_keep_value_function_matches_backward_induction():
-    m, space = random_ordinal_instance(5)
-    keys = np.arange(len(space.classes), dtype=np.float64)
-    for criterion, tau in (("lower", 0.3), ("upper", 0.7)):
-        report = solve_quantile(m, space, QuantileQuery(
-            tau=tau, criterion=criterion, epsilon=1.0), keep_value_function=True)
-        target = report.log[0].w
-        _, p, vf = backward_induction(m, space, target, criterion == "lower")
-        assert report.log[0].p == pytest.approx(p, abs=1e-12)
-        kept = report.value_function.slices
-        assert len(kept) == m.horizon + 1
-        assert kept[-1] == vf.slices[-1]
-        for mine, theirs in zip(kept, vf.slices):
-            for f, g in zip(mine, theirs):
-                np.testing.assert_allclose(f.eval_many(keys), g.eval_many(keys),
-                                           rtol=0, atol=1e-12)
+def test_ordinal_policy_pass_matches_backward_induction():
+    for seed in range(4):
+        m, space = random_ordinal_instance(seed)
+        for criterion, tau in (("lower", 0.3), ("upper", 0.7)):
+            report = solve_quantile(m, space, QuantileQuery(
+                tau=tau, criterion=criterion, epsilon=1.0))
+            policy, p, _ = backward_induction(m, space, report.log[0].w,
+                                              criterion == "lower")
+            assert report.log[0].p == pytest.approx(p, abs=1e-12)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(report.policy.table, policy.table))
 
 
 def many_class_instance(n_classes=300, seed=0):
@@ -410,6 +405,20 @@ def test_ordinal_blocks_give_the_same_report(monkeypatch, block_floats):
         for j in classes[::37]:
             _, p_j, _ = backward_induction(m, space, space.unkey(j), strict)
             assert abs(p[j] - p_j) <= 1e-12
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_dense_policy_table_equals_backward_induction(strict):
+    # both take the lowest action within VALUE_TOL of the best, so a tie
+    # at rounding level does not go to whichever action summed higher
+    m, space = many_class_instance()
+    sweep = OrdinalSweep(m, space)
+    for target in range(len(space.classes)):
+        dense, p_dense = sweep.backward_induction(target, strict)
+        policy, p, _ = backward_induction(m, space, space.unkey(target), strict)
+        assert abs(p_dense - p) <= 1e-12
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(dense.table, policy.table)), target
 
 
 @pytest.mark.parametrize("criterion", ["lower", "upper"])
@@ -530,9 +539,9 @@ def test_certificate_rejects_bad_policy():
     report = solve_quantile(m, space, query)
     assert quantile_certificate(m, space, report, query)
     # flip every action at every decision point of the first step
-    flipped = [[_flip(report.policy.rule(t, s), m.n_actions)
-                for s in range(m.n_states)] for t in range(m.horizon)]
-    report.policy = WealthMarkovPolicy.from_rules(flipped)
+    flipped = [_flip(report.policy.rule(t, s), m.n_actions)
+               for t in range(m.horizon) for s in range(m.n_states)]
+    report.policy = WealthMarkovPolicy(_pack(flipped, np.int64), m.n_states)
     d = exact_distribution(m, space, report.policy)
     lo = report.bracket[0]
     should_hold = d.cdf(lo) < tau
@@ -722,11 +731,3 @@ def test_infinite_rejects_mixed_signs():
     with pytest.raises(ConfigurationError):
         solve_quantile(m, space, QuantileQuery(tau=0.3, criterion="upper",
                                                quantile_bounds=(-5.0, 5.0)))
-
-
-def test_keep_value_function():
-    m, space = small_instance(1)
-    query = QuantileQuery(tau=0.5, criterion="upper", epsilon=1e-3)
-    report = solve_quantile(m, space, query, keep_value_function=True)
-    assert report.value_function is not None
-    assert len(report.value_function.slices) == m.horizon + 1

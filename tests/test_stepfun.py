@@ -342,7 +342,7 @@ def test_value_dtype_follows_inputs():
     assert rule.v.dtype == np.int64
     assert type(rule(0.0)) is int and type(rule(1.5)) is int
     assert all(type(a) is int for _, _, a in rule.intervals())
-    assert type(StepFunction.constant(3)(0.0)) is int
+    assert type(StepFunction(3)(0.0)) is int
     # integers merge exactly: a change of 1 survives, no tolerance applies
     assert len(StepFunction(0, [1.0, 2.0], [True, True], [0, 1])) == 1
     # whole-number float values stay float

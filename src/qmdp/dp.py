@@ -39,12 +39,13 @@ the solver does with its policy.
 
 Infinite horizons with uniformly signed rewards and undiscounted additive
 wealth iterate the same kernel to convergence (:func:`value_iteration`)
-and return a stationary policy; the iterate stays a cut table across
-sweeps.  Wealth then moves one way from ``w0``, so the slices are clipped
-to the reachable side of it (:func:`reachable_window`), where the clip is
-exact.  By translation, one clipped run at target t holds the value at
-``w0`` of every target above t (nonpositive rewards) or below t
-(nonnegative rewards).
+and return a stationary policy.  A sweep carries only the value table,
+a cut table across sweeps; the stationary rule is built once, from the
+iterate the converged sweep read.  Wealth then moves one way from
+``w0``, so the slices are clipped to the reachable side of it
+(:func:`reachable_window`), where the clip is exact.  By translation,
+one clipped run at target t holds the value at ``w0`` of every target
+above t (nonpositive rewards) or below t (nonnegative rewards).
 
 Ordinal wealth over n classes also has a dense form: a slice is a
 length-n vector, and the slices of many targets stack into one array, so
@@ -62,9 +63,9 @@ from .errors import ConfigurationError, ConvergenceError
 # shift, combine, pointwise_max, restrict and sup_distance are the per-slice
 # form of the layer kernel; they stay bound here for the callers (and the
 # benchmark's tracer) that reach them through this module
-from .stepfun import (VALUE_TOL, StepFunction, _merge_thresholds,
-                      _merge_values, _ranks, combine, pointwise_max, restrict,
-                      shift, sup_distance, target_utility)
+from .stepfun import (VALUE_TOL, StepFunction, _merge_values, _ranks,
+                      _threshold_runs, combine, pointwise_max, restrict, shift,
+                      sup_distance, target_utility)
 from .wealth import AdditiveWealth, OrdinalWealth
 
 # Float64-sized values in the working arrays of one block: the layer
@@ -295,7 +296,7 @@ def _edges(m, states):
     return np.repeat(first, degree) + _ranks(degree)
 
 
-def _layer(m, space, nxt, t, states):
+def _layer(m, space, nxt, t, states, greedy=True):
     """One backward step of the sorted ``states``, from the layer-(t+1) table.
 
     Every cut of every edge's pulled successor slice (:func:`_pulled`)
@@ -306,15 +307,17 @@ def _layer(m, space, nxt, t, states):
     gives that action's value on every merged piece.  The max and the
     argmax (the lowest action within ``VALUE_TOL`` of the max) over the
     rows are the slice and the greedy rule.  The segmented merges of
-    :mod:`qmdp.stepfun` put them in canonical form; the threshold merge
-    also collapses each run of identical keys onto its last entry, the
-    one past every step at that key.
+    :mod:`qmdp.stepfun` put them in canonical form.  Slice and rule share
+    their keys, so one threshold merge serves both; it collapses each run
+    of identical keys onto its last entry, the one past every step at
+    that key.
 
     A state reads only its own edges, so its slice and rule do not depend
     on which other states are in ``states``.  The states go in blocks
     whose working arrays hold about ``BLOCK_FLOATS`` floats.  Returns
     ``(values, rules)``, each a list of the blocks' tables (see
-    :func:`_join`), one slice per state of ``states``.
+    :func:`_join`), one slice per state of ``states``; without ``greedy``
+    no rule is computed and ``rules`` is None.
     """
     S, A = m.n_states, m.n_actions
     src, rows, delta = _pulled(m, space, nxt, t)
@@ -326,7 +329,7 @@ def _layer(m, space, nxt, t, states):
                             minlength=S).astype(np.intp)[states]
     width = max(1, per_state.max(initial=0))
     block = max(1, BLOCK_FLOATS // ((A + _ENTRY_FLOATS) * width))
-    values, rules = [], []
+    values, rules = [], [] if greedy else None
     for b0 in range(0, len(states), block):
         chunk = states[b0:b0 + block]
         n = len(chunk)
@@ -336,8 +339,8 @@ def _layer(m, space, nxt, t, states):
         idx = np.repeat(src.off[rows[span]], cnt) + _ranks(cnt)
         # edges come in pair order, so the entries of a state are one run
         n_ent = per_state[b0:b0 + block]
-        state = np.repeat(np.arange(n), n_ent)
-        X, E, col = _sort_rows(state, _ranks(n_ent), src.x[idx] - delta[edge],
+        state, pos = np.repeat(np.arange(n), n_ent), _ranks(n_ent)
+        X, E, col = _sort_rows(state, pos, src.x[idx] - delta[edge],
                                src.e[idx], (n, max(1, n_ent.max())))
         # D[a, s, k]: the value of action a in state s from sorted key k on
         D = np.zeros((A,) + X.shape)
@@ -345,18 +348,30 @@ def _layer(m, space, nxt, t, states):
         base_q = base_sa[chunk]
         D[:, :, 0] += base_q.T
         np.cumsum(D, axis=2, out=D)
-        seg, col = np.nonzero(E < 2)
-        x, e = X[seg, col], E[seg, col]
-        top, env = base_q.max(axis=1), D.max(axis=0)
-        values.append(_canonical(top, x, e, env[seg, col], seg, VALUE_TOL))
-        rules.append(_canonical(_first_best(base_q.T, top), x, e,
-                                _first_best(D, env)[seg, col], seg, 0))
+        # the padding key (inf, 2) sorts last, so the sorted entries of a
+        # state fill the first n_ent columns of its row: (state, pos) again
+        x, e = X[state, pos], E[state, pos]
+        first, last = _threshold_runs(x, e, state)
+        x, e, seg = x[first], e[first], state[first]
+        # q[a, i]: the value of action a on merged piece i
+        q = D[:, state[last], pos[last]]
+        top, env = base_q.max(axis=1), q.max(axis=0)
+        values.append(_value_merged(top, x, e, env, seg, VALUE_TOL))
+        if greedy:
+            rules.append(_value_merged(_first_best(base_q.T, top), x, e,
+                                       _first_best(q, env), seg, 0))
     return values, rules
 
 
 def _canonical(base, x, e, v, seg, tol):
     """The table of sorted cuts of the segments ``seg``, in canonical form."""
-    x, e, v, seg = _merge_thresholds(x, e, v, seg)
+    first, last = _threshold_runs(x, e, seg)
+    return _value_merged(base, x[first], e[first], v[last], seg[first], tol)
+
+
+def _value_merged(base, x, e, v, seg, tol):
+    """The table of sorted cuts whose threshold runs are merged already
+    (:func:`_canonical` without its threshold merge)."""
     x, e, v, seg = _merge_values(base, x, e, v, tol, seg)
     return _Cuts(base, _offsets(seg, len(base)), x, e, v)
 
@@ -641,6 +656,11 @@ def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
     slices, clipped to :func:`reachable_window`, and ``vf.sweeps`` the
     number of sweeps.  The policy is the greedy rule of the last sweep,
     taken against the iterate within ``eps_conv`` of the returned slices.
+
+    The sweeps compute the value table only (:func:`_layer` without
+    ``greedy``).  Once the residual passes, one more kernel run on the
+    iterate the converged sweep read builds the rules; the kernel is
+    deterministic in its inputs, so they are that sweep's own.
     """
     if m.horizon is not None:
         raise ConfigurationError(
@@ -659,16 +679,18 @@ def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
     states = np.arange(m.n_states)
     residual = np.inf
     for sweep in range(1, max_sweeps + 1):
-        new_V, rules = _layer(m, space, V, 0, states)
-        new_V = _restrict(_join(new_V), *window)
+        values, _ = _layer(m, space, V, 0, states, greedy=False)
+        new_V = _restrict(_join(values), *window)
         residual = _residual(new_V, V)
-        V = new_V
         if residual <= eps_conv:
+            # the rules of this sweep: the kernel again, on its input
+            rules = _layer(m, space, V, 0, states)[1]
             policy = WealthMarkovPolicy(_join(rules), m.n_states,
                                         stationary=True)
-            vf = ValueFunction([V], sweeps=sweep)
+            vf = ValueFunction([new_V], sweeps=sweep)
             p = vf.slice(0, m.initial_state)(space.key(space.w0))
             return policy, float(p), vf
+        V = new_V
     raise ConvergenceError(
         f"no convergence after {max_sweeps} sweeps "
         f"(last residual {residual:.3g} > {eps_conv:.3g})",

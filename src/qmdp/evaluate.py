@@ -31,7 +31,8 @@ def merge_atoms(states, keys, masses):
     Atoms of zero mass are dropped and the rest sorted by (state, key).
     Within one state, a run of keys each at most ``WEALTH_TOL`` above the
     one before it becomes one atom at the run's smallest key carrying the
-    run's total mass (``stepfun._merge_thresholds`` merges cuts the same way).
+    run's total mass (``stepfun._threshold_runs`` finds runs of cuts the
+    same way).
     """
     live = masses != 0
     states, keys, masses = states[live], keys[live], masses[live]

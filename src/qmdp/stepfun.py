@@ -35,38 +35,37 @@ def _ranks(counts):
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _merge_thresholds(x, e, v, seg):
-    """Collapse cuts closer than THRESH_TOL on the same side (single pass).
+def _threshold_runs(x, e, seg):
+    """The runs of cuts closer than THRESH_TOL on the same side (single pass).
 
-    Keeps the first (smallest) threshold of each run and the value after
-    the run's last cut.  A run's successor is guaranteed to sit more than
-    THRESH_TOL above the kept representative, so one pass reaches a fixpoint.
+    A run merges into one cut: the first (smallest) threshold and side of
+    the run and the value after its last cut.  A run's successor is
+    guaranteed to sit more than THRESH_TOL above the kept representative,
+    so one pass reaches a fixpoint.
 
     ``seg`` holds the nondecreasing segment id of every cut (the cuts of
     many functions, laid end to end); no run crosses a segment boundary.
-    Returns ``(x, e, v, seg)``.
+    Returns ``(first, last)``, the index of every run's first and last
+    cut; ``x[first], e[first], v[last], seg[first]`` are the merged cuts.
     """
-    if len(x) < 2:
-        return x, e, v, seg
-    keep = np.empty(len(x), dtype=bool)
-    keep[0] = True
+    keep = np.ones(len(x), dtype=bool)
     keep[1:] = ((np.diff(x) > THRESH_TOL) | (e[1:] != e[:-1])
                 | (seg[1:] != seg[:-1]))
-    if keep.all():
-        return x, e, v, seg
-    gid = np.cumsum(keep) - 1
-    last = np.empty(gid[-1] + 1, dtype=np.intp)
-    last[gid] = np.arange(len(x))
     first = np.flatnonzero(keep)
-    return x[first], e[first], v[last], seg[first]
+    last = np.empty_like(first)
+    last[:-1] = first[1:] - 1
+    last[-1:] = len(x) - 1
+    return first, last
 
 
 def _merge_values(base, x, e, v, tol, seg):
     """Drop cuts that do not change the value by more than tol (to fixpoint).
 
     ``base`` holds one value per segment id (as in
-    :func:`_merge_thresholds`), and each segment's first cut compares
-    against its own base.  Returns ``(x, e, v, seg)``.
+    :func:`_threshold_runs`), and each segment's first cut compares
+    against its own base.  With ``tol == 0`` one pass is the fixpoint: a
+    dropped cut carries its predecessor's value, so every kept cut still
+    differs from the value before it.  Returns ``(x, e, v, seg)``.
     """
     while len(v):
         prev = np.empty_like(v)
@@ -78,6 +77,8 @@ def _merge_values(base, x, e, v, tol, seg):
         if keep.all():
             break
         x, e, v, seg = x[keep], e[keep], v[keep], seg[keep]
+        if tol == 0:
+            break
     return x, e, v, seg
 
 
@@ -101,7 +102,8 @@ class StepFunction:
             order = np.lexsort((e, x))
             x, e, v = x[order], e[order], v[order]
         seg = np.zeros(len(x), dtype=np.intp)
-        x, e, v, seg = _merge_thresholds(x, e, v, seg)
+        first, last = _threshold_runs(x, e, seg)
+        x, e, v, seg = x[first], e[first], v[last], seg[first]
         x, e, v, _ = _merge_values(np.array([base], dtype=dtype), x, e, v,
                                    0 if exact else VALUE_TOL, seg)
         self.base = base

@@ -163,6 +163,19 @@ def test_solve_negative_bounds_as_written(tmp_path, capsys):
     assert "estimate: 0.0 (quantile at bottom of range)" in outputs[2]
 
 
+def test_solve_without_convergence_exits_5(tmp_path, capsys):
+    # one sweep cannot settle the slices: exit 5 with the last residual
+    problem = tmp_path / "p.json"
+    run("generate", "garnet", "--states", 6, "--actions", 2, "--seed", 1,
+        "--out", problem)
+    capsys.readouterr()
+    assert run("solve", "--problem", problem, "--tau", 0.5, "--horizon",
+               "inf", "--bounds", "0,3", "--max-sweeps", 1) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("no convergence:")
+    assert "last residual 1 > 1e-06" in err
+
+
 def _write_ordinal_problem(path, table):
     path.write_text(json.dumps({
         "mdp": {"n_states": 2, "n_actions": 1,

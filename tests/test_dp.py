@@ -8,7 +8,7 @@ from qmdp import (AdditiveWealth, ConfigurationError, ConvergenceError,
                   generate_garnet, value_iteration)
 from qmdp import dp
 from qmdp.stepfun import (VALUE_TOL, combine, pointwise_max, restrict, shift,
-                          sup_distance)
+                          sup_distance, target_utility)
 from conftest import random_lattice_mdp, two_state_discounted_mdp
 
 
@@ -350,23 +350,94 @@ def test_value_iteration_residual_is_max_sup_distance(monkeypatch, seed):
     assert seen[-1] <= 1e-6 < seen[-2]
 
 
-@pytest.mark.parametrize("build", ["garnet", "discounted", "ordinal"])
+def value_iteration_every_sweep_greedy(m, space, w, strict, eps_conv=1e-6):
+    """Value iteration whose every sweep is the full layer, rules included;
+    the converged sweep's rules are the policy.  Returns the policy table,
+    p, the converged table and the sweep count."""
+    window = dp.reachable_window(m, space)
+    V = dp._pack([restrict(target_utility(space.key(w), strict), *window)]
+                 * m.n_states)
+    sweep = 0
+    while True:
+        sweep += 1
+        values, rules = dp._layer(m, space, V, 0, np.arange(m.n_states))
+        new_V = dp._restrict(dp._join(values), *window)
+        done = dp._residual(new_V, V) <= eps_conv
+        V = new_V
+        if done:
+            p = dp._segment(V, m.initial_state)(space.key(space.w0))
+            return dp._join(rules), float(p), V, sweep
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("sign", ["nonpositive", "nonnegative"])
+# at the loose tolerance, the rules of seed 19's last two iterates differ
+@pytest.mark.parametrize("seed, eps_conv", [(s, 1e-6) for s in range(6)]
+                         + [(19, 0.1)])
+def test_value_iteration_builds_the_converged_sweeps_rules_once(
+        monkeypatch, seed, eps_conv, sign, strict):
+    # the sweeps carry only the value table; the rules, built once from
+    # the iterate the converged sweep read, are that sweep's own
+    if sign == "nonpositive":
+        m = random_lattice_mdp(seed)
+        space, w = AdditiveWealth(-10.0, 0.0), -1.3
+    else:
+        m = random_lattice_mdp(seed, lattice=(0.25, 0.5, 0.75, 1.0))
+        space, w = AdditiveWealth(0.0, 10.0), 1.3
+    table, p, V, sweeps = value_iteration_every_sweep_greedy(
+        m, space, w, strict, eps_conv)
+    calls = []
+    first_best = dp._first_best
+    monkeypatch.setattr(dp, "_first_best", lambda q, best: calls.append(1)
+                        or first_best(q, best))
+    policy, p_vi, vf = value_iteration(m, space, w, strict, eps_conv)
+    assert same_table(policy.table, table)
+    assert same_table(vf.tables[0], V)
+    assert p_vi == p and vf.sweeps == sweeps > 1
+    # as many rule steps as one layer with rules makes
+    in_solve = len(calls)
+    calls.clear()
+    dp._layer(m, space, V, 0, np.arange(m.n_states))
+    assert in_solve == len(calls) > 0
+
+
+@pytest.mark.parametrize("build", ["garnet", "discounted", "ordinal",
+                                   "infinite"])
 def test_layer_blocks_give_the_same_tables(monkeypatch, build):
+    solve = backward_induction
     if build == "ordinal":
         from conftest import two_policy_ordinal_instance
         m, space = two_policy_ordinal_instance()
         w = "w2"
+    elif build == "infinite":
+        m, space, w = random_lattice_mdp(3), AdditiveWealth(-10.0, 0.0), -1.3
+        solve = value_iteration
     else:
         m = generate_garnet(GarnetConfig(12, 3, 4, seed=5), horizon=4)
         space = (AdditiveWealth.for_mdp(m) if build == "garnet"
                  else DiscountedWealth.for_mdp(m, 0.9))
         w = 1.0
-    whole = backward_induction(m, space, w, True)
+    whole = solve(m, space, w, True)
     monkeypatch.setattr(dp, "BLOCK_FLOATS", 1)
-    blocked = backward_induction(m, space, w, True)
+    # every layer, value sweep and rule pass alike, goes one state a block
+    blocks = []
+    layer = dp._layer
+
+    def counted(m, space, nxt, t, states, greedy=True):
+        values, rules = layer(m, space, nxt, t, states, greedy)
+        blocks.append((greedy, len(states), len(values),
+                       len(rules) if greedy else None))
+        return values, rules
+
+    monkeypatch.setattr(dp, "_layer", counted)
+    blocked = solve(m, space, w, True)
+    assert any(greedy for greedy, *_ in blocks)
+    assert all(k == n and r == (n if greedy else None)
+               for greedy, n, k, r in blocks)
     assert blocked[1] == whole[1]
     assert same_table(blocked[0].table, whole[0].table)
     assert blocked[2].slices == whole[2].slices
+    assert blocked[2].sweeps == whole[2].sweeps
 
 
 # -- backward induction on the reachable states only ---------------------------

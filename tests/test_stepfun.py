@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmdp import (AdditiveWealth, DiscountedWealth, OrdinalWealth,
                   StepFunction, combine, pointwise_max, shift, sup_distance,
                   target_utility)
-from qmdp.stepfun import restrict
+from qmdp.stepfun import _merge_values, restrict
 
 
 def random_step(rng, max_pieces=6, lo=-5.0, hi=5.0):
@@ -264,6 +265,37 @@ def test_threshold_merge_tolerance():
     f = StepFunction(0.0, [1.0, 1.0 + 1e-12], [True, True], [0.4, 0.8])
     assert len(f) == 1
     assert f(1.0) == 0.8    # last value of the merged run wins
+
+
+def merge_values_to_fixpoint(base, v, seg):
+    """The value merge written out: drop every cut equal to the value
+    before it, and repeat until nothing drops."""
+    keep = np.arange(len(v))
+    while True:
+        kept_v, kept_seg = v[keep], seg[keep]
+        prev = np.where(np.r_[True, kept_seg[1:] != kept_seg[:-1]],
+                        base[kept_seg], np.r_[0, kept_v[:-1]])
+        if (kept_v != prev).all():
+            return keep
+        keep = keep[kept_v != prev]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-1, 1),
+                          st.lists(st.integers(-1, 1), max_size=8)),
+                min_size=1, max_size=5))
+def test_exact_value_merge_takes_one_pass(rows):
+    # integer rules merge with tol 0 in a single pass; it must reach the
+    # fixpoint the repeated pass reaches
+    base = np.array([b for b, _ in rows], dtype=np.int64)
+    seg = np.repeat(np.arange(len(rows)), [len(v) for _, v in rows])
+    v = np.array([x for _, vs in rows for x in vs], dtype=np.int64)
+    x = np.arange(len(v), dtype=np.float64)
+    e = np.zeros(len(v), dtype=np.uint8)
+    keep = merge_values_to_fixpoint(base, v, seg)
+    mx, me, mv, mseg = _merge_values(base, x, e, v, 0, seg)
+    assert np.array_equal(mx, x[keep]) and np.array_equal(me, e[keep])
+    assert np.array_equal(mv, v[keep]) and np.array_equal(mseg, seg[keep])
 
 
 def test_adjacent_values_distinct_invariant():

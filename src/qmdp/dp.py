@@ -47,14 +47,22 @@ iterate the converged sweep read.  Wealth then moves one way from
 one clipped run at target t holds the value at ``w0`` of every target
 above t (nonpositive rewards) or below t (nonnegative rewards).
 
-Ordinal wealth over n classes also has a dense form: a slice is a
-length-n vector, and the slices of many targets stack into one array, so
-one batched backward induction gives the optimal exceedance probability
-of every class threshold, and one at a single threshold the policy
-(:class:`OrdinalSweep`).
+Where slices are vectors, the DP runs dense (:class:`_DenseSweep`): each
+step is one gather of the successor values through a (pair, edge, cell)
+index table, a sum over edges and a max over actions.  Ordinal wealth
+over n classes has n cells, and the slices of many targets stack into
+one array, so one batched backward induction gives the optimal
+exceedance probability of every class threshold, and one at a single
+threshold the policy (:class:`OrdinalSweep`).  An infinite run whose
+rewards, target and ``w0`` lie on one lattice of step δ, not much finer
+than the wealth sums its cut tables would hold, has one cell per
+multiple of δ from the target to ``w0`` (:class:`_LatticeSweep`); it
+gives the cut loop's rules, cuts and sweep count, with values within
+float rounding.
 """
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -180,6 +188,12 @@ class _Cuts(NamedTuple):
         """The state of every cut."""
         return np.repeat(np.arange(len(self.base)), np.diff(self.off))
 
+    @property
+    def laid(self):
+        """The segment ids and the :func:`_layout` of the table."""
+        seg = self.seg()
+        return seg, _layout(self, seg)
+
     def steps(self):
         """The value change at every cut."""
         prev = np.empty_like(self.v)
@@ -187,6 +201,23 @@ class _Cuts(NamedTuple):
         opened = self.off[:-1] < self.off[1:]
         prev[self.off[:-1][opened]] = self.base[opened]
         return self.v - prev
+
+
+class _Laid(_Cuts):
+    """A cut table that keeps the segment ids it was built with (``ids``,
+    set by its builder), and its layout once made.
+
+    :func:`_restrict` hands its ids on.  A value-iteration residual reads
+    every iterate twice, as the new table of one sweep and as the old one
+    of the next, so each iterate is laid out once.
+    """
+
+    def seg(self):
+        return self.ids
+
+    @functools.cached_property
+    def laid(self):
+        return self.ids, _layout(self, self.ids)
 
 
 def _offsets(seg, n):
@@ -247,16 +278,23 @@ def _at_classes(c, n):
     return np.where(k > 0, last, c.base[:, None])
 
 
-def _on_classes(rows):
+def _on_classes(rows, keys=None, strict=False):
     """The table of the rows of ``rows``: row i takes ``rows[i, k]`` at
-    class key k, with an inclusive cut wherever the value changes.
+    the key ``keys[k]`` (the class key k by default).
 
-    Integer rows are canonical as built, and each row's function is then
+    A value change between columns k - 1 and k is an inclusive cut at
+    ``keys[k]``, so that column k holds the value on
+    ``[keys[k], keys[k + 1])``; with ``strict`` it is an exclusive cut at
+    ``keys[k - 1]``, and column k holds the value on
+    ``(keys[k - 1], keys[k]]``.  Integer rows are canonical as built, and
+    with the default keys each row's function is then
     :meth:`StepFunction.on_classes` of it.
     """
     seg, k = np.nonzero(rows[:, 1:] != rows[:, :-1])
-    return _Cuts(rows[:, 0], _offsets(seg, len(rows)), k + 1.0,
-                 np.zeros(len(k), dtype=np.uint8), rows[seg, k + 1])
+    at = k if strict else k + 1
+    return _Cuts(rows[:, 0], _offsets(seg, len(rows)),
+                 at.astype(np.float64) if keys is None else keys[at],
+                 np.full(len(k), strict, dtype=np.uint8), rows[seg, k + 1])
 
 
 def _pulled(m, space, nxt, t):
@@ -459,49 +497,32 @@ def backward_induction(m, space, w, strict, reachable_only=False):
     return WealthMarkovPolicy(_join(rules), S), float(p), vf
 
 
-class OrdinalSweep:
-    """Dense backward induction over the n classes of an ordinal space.
+class _DenseSweep:
+    """Dense backward steps over n wealth cells per state.
 
-    A slice over n classes is a length-n vector, so the slices of J
-    targets stack into one (S * n, J) array.  Each layer gathers the
-    successor values through the class-transition table, mixes them per
+    A slice over n cells is a length-n vector, so the slices of J targets
+    stack into one (S * n, J) array.  Each step gathers the successor
+    values through the cell every edge moves wealth to, mixes them per
     (s, a) and takes the max over actions.  The gather tables are built
-    once, from every edge of m: ``idx[sa, i, k]`` is the flat
-    (state, class) row that edge i of pair sa reaches from class k, and
-    ``prob[sa, i]`` its probability.  Pairs with fewer edges than the
-    widest one are padded with zero-probability edges, so a plain sum over
-    edge slots mixes the successors.  One loop (:meth:`_sweep`) serves
-    both the batched exceedance curve and the single-target policy.
+    once, from every edge of m and its row of the (E, n) table ``moves``
+    (edge j moves cell k to cell ``moves[j, k]``): ``idx[sa, i, k]`` is
+    the flat (state, cell) row that edge i of pair sa reaches from cell
+    k, and ``prob[sa, i]`` its probability.  Pairs with fewer edges than
+    the widest one are padded with zero-probability edges, so a plain sum
+    over edge slots mixes the successors.
     """
 
-    def __init__(self, m, space):
-        if m.horizon is None:
-            raise ConfigurationError("the dense ordinal sweep needs a finite horizon")
-        if not isinstance(space, OrdinalWealth):
-            raise ConfigurationError("the dense ordinal sweep needs ordinal wealth")
+    def __init__(self, m, moves):
         self.m = m
-        self.n = n = len(space.classes)
-        self.row0 = m.initial_state * n + space.index(space.w0)
+        self.n = n = moves.shape[1]
         counts = np.diff(m.starts)
         real = np.arange(counts.max()) < counts[:, None]
         self.idx = np.zeros(real.shape + (n,), dtype=np.intp)
-        self.idx[real] = m.succ[:, None] * n + space.edge_moves(m.rewards)
+        self.idx[real] = m.succ[:, None] * n + moves
         self.prob = np.zeros(real.shape + (1, 1))
         self.prob[real, 0, 0] = m.prob
 
-    def _sweep(self, targets, strict, best=None):
-        """The (S * n, J) layer-0 slices of the class ``targets``, from
-        terminal slices 1 on the classes above each target.  With ``best``,
-        a (T, S, n) array for one target, ``best[t]`` gets layer t's rule.
-        """
-        k = np.arange(self.n)[:, None]
-        hit = (k > targets) if strict else (k >= targets)
-        V = np.tile(hit.astype(np.float64), (self.m.n_states, 1))
-        for t in range(self.m.horizon - 1, -1, -1):
-            V = self._step(V, None if best is None else best[t])
-        return V
-
-    def _step(self, V, rule):
+    def _step(self, V, rule=None):
         """One backward step of the slices V; the greedy rule (the lowest
         action within ``VALUE_TOL`` of the best, as in :func:`_layer`) goes
         into ``rule`` unless it is None.
@@ -517,6 +538,36 @@ class OrdinalSweep:
         if rule is not None:
             rule[:] = _first_best(np.moveaxis(q[..., 0], 1, 0), top[..., 0])
         return top.reshape(V.shape)
+
+
+class OrdinalSweep(_DenseSweep):
+    """Dense backward induction over the n classes of an ordinal space.
+
+    The cells are the classes, and an edge moves them through the
+    class-transition table of its reward label.  One loop
+    (:meth:`_sweep`) serves both the batched exceedance curve and the
+    single-target policy.
+    """
+
+    def __init__(self, m, space):
+        if m.horizon is None:
+            raise ConfigurationError("the dense ordinal sweep needs a finite horizon")
+        if not isinstance(space, OrdinalWealth):
+            raise ConfigurationError("the dense ordinal sweep needs ordinal wealth")
+        super().__init__(m, space.edge_moves(m.rewards))
+        self.row0 = m.initial_state * self.n + space.index(space.w0)
+
+    def _sweep(self, targets, strict, best=None):
+        """The (S * n, J) layer-0 slices of the class ``targets``, from
+        terminal slices 1 on the classes above each target.  With ``best``,
+        a (T, S, n) array for one target, ``best[t]`` gets layer t's rule.
+        """
+        k = np.arange(self.n)[:, None]
+        hit = (k > targets) if strict else (k >= targets)
+        V = np.tile(hit.astype(np.float64), (self.m.n_states, 1))
+        for t in range(self.m.horizon - 1, -1, -1):
+            V = self._step(V, None if best is None else best[t])
+        return V
 
     def exceedance(self, targets, strict):
         """Optimal exceedance probability from (s0, w0) at every class target.
@@ -566,7 +617,8 @@ def _restrict(c, lo, hi):
 
     The ``hi`` side trims a suffix of each slice's cuts; the ``lo`` side
     makes the value at lo the new base and keeps the cuts above it.  A
-    canonical table stays canonical.
+    canonical table stays canonical.  The result keeps its segment ids
+    (:class:`_Laid`).
     """
     seg = c.seg()
     keep = np.ones(len(c.x), dtype=bool)
@@ -580,8 +632,10 @@ def _restrict(c, lo, hi):
         base = base.copy()
         base[moved] = c.v[c.off[:-1][moved] + n_below[moved] - 1]
         keep &= ~below
-    return _Cuts(base, _offsets(seg[keep], len(base)),
-                 c.x[keep], c.e[keep], c.v[keep])
+    out = _Laid(base, _offsets(seg[keep], len(base)),
+                c.x[keep], c.e[keep], c.v[keep])
+    out.ids = seg[keep]
+    return out
 
 
 def translate(table, c, lo=None, hi=None):
@@ -630,8 +684,7 @@ def _residual(f, g):
     value on every merged piece; as in :func:`~qmdp.stepfun.sup_distance`,
     a run of identical keys keeps its last cut.
     """
-    sf, sg = f.seg(), g.seg()
-    (ef, hf, pf), (eg, hg, pg) = _layout(f, sf), _layout(g, sg)
+    (sf, (ef, hf, pf)), (sg, (eg, hg, pg)) = f.laid, g.laid
     state = np.concatenate((sf, sg))
     x = np.concatenate((f.x, g.x))
     e = np.concatenate((f.e, g.e))
@@ -645,6 +698,114 @@ def _residual(f, g):
     return float(max(np.abs(f.base - g.base).max(), gap.max(initial=0.0)))
 
 
+class _LatticeSweep(_DenseSweep):
+    """Value iteration on a reward lattice, every slice a dense vector.
+
+    When the rewards, the target t and w0 are integer multiples of one δ,
+    every slice of the cut loop changes value only at multiples of δ.
+    Cell c of a slice then holds its value at the key
+    ``t + sign * (c - 1) * δ``, with sign +1 for nonpositive rewards and
+    -1 for nonnegative ones.  Cell 0 lies past the target on the side
+    wealth never returns from, so its value (0, or 1 for nonnegative
+    rewards) never changes; cell 1 is the target and cell ``w0_cell`` is
+    w0.  Edge j moves cell c to ``clip(c + sign * r_j / δ, 0, w0_cell)``:
+    below cell 0 the value is the same absorbing one, and past w0 the
+    iterate is constant at its value there, as :func:`reachable_window`
+    clips the cut loop's.  The grid runs ``max|r| / δ`` cells past w0,
+    where the greedy rules still change (past them every edge reads w0's
+    cell); the iterate is read on cells 0 to ``w0_cell`` only.
+    """
+
+    @classmethod
+    def fit(cls, m, space, w, strict, window):
+        """The lattice sweep of an infinite run at target w, or None where
+        the cut loop runs instead (see :func:`value_iteration`)."""
+        sign = 1 if window[0] is None else -1
+        rewards, edge_reward = np.unique(np.asarray(m.rewards, dtype=np.float64),
+                                         return_inverse=True)
+        exact = [space.key(w), space.key(space.w0)] + rewards.tolist()
+        if not all(map(math.isfinite, exact)):
+            return None
+        # every float is n / d with d a power of two; times 2^k, an integer
+        ratios = [x.as_integer_ratio() for x in exact]
+        k = max(d.bit_length() for _, d in ratios) - 1
+        scaled = [n << (k + 1 - d.bit_length()) for n, d in ratios]
+        g = math.gcd(*scaled) or 1
+        t, x0, *units = (n // g for n in scaled)
+        steps = sign * (x0 - t)
+        reach = max(map(abs, units))
+        n_cells = steps + 2 + reach
+        # the target on the reachable side, every key exact in float64
+        if steps < 0 or max(map(abs, scaled)) + (reach + 1) * g >= 1 << 53:
+            return None
+        # no more cells than distinct wealth sums the cut loop could hold
+        nonzero = [abs(u) for u in units if u]
+        most = steps // min(nonzero) if nonzero else 0
+        fewest = min(most, len(nonzero))
+        if not (fewest >= (steps + 1).bit_length()
+                or math.comb(most + len(nonzero), fewest) > steps):
+            return None
+        counts = np.diff(m.starts)
+        if len(counts) * counts.max() * n_cells > BLOCK_FLOATS:
+            return None
+        cells = np.arange(n_cells)
+        moves = np.clip(cells + sign * np.array(units)[edge_reward][:, None],
+                        0, steps + 1)
+        return cls(m, moves, (t + sign * (cells - 1.0)) * math.ldexp(g, -k),
+                   steps + 1, sign, strict)
+
+    def __init__(self, m, moves, keys, w0_cell, sign, strict):
+        super().__init__(m, moves)
+        self.keys, self.w0_cell = keys, w0_cell
+        self.sign, self.strict = sign, strict
+
+    def start(self):
+        """The target utility on every cell of every state."""
+        above = self.sign * (np.arange(self.n) - 1)
+        hit = above > 0 if self.strict else above >= 0
+        return np.tile(hit.astype(np.float64), self.m.n_states)[:, None]
+
+    def residual(self, new, old):
+        """``max |new - old|`` over the cells up to w0."""
+        gap = (new - old).reshape(self.m.n_states, -1)[:, :self.w0_cell + 1]
+        return float(np.abs(gap).max())
+
+    def rules(self, V):
+        """The table of the greedy rules of one step from V."""
+        rule = np.empty((self.m.n_states, self.n), dtype=np.intp)
+        self._step(V, rule)
+        return self._table(rule)
+
+    def values(self, V):
+        """The table of the slices V up to w0, in canonical form."""
+        c = self._table(V.reshape(self.m.n_states, -1)[:, :self.w0_cell + 1])
+        return _value_merged(c.base, c.x, c.e, c.v, c.seg(), VALUE_TOL)
+
+    def _table(self, rows):
+        """The table of the rows of the first cells, by increasing key."""
+        up = slice(None, None, self.sign)
+        return _on_classes(rows[:, up], self.keys[:rows.shape[1]][up],
+                           self.strict)
+
+
+def _iterate(step, residual, V, eps_conv, max_sweeps):
+    """Apply ``step`` until ``residual(new, old) <= eps_conv``.
+
+    Returns ``(V_{k-1}, V_k, k)`` for the first sweep k that passes;
+    raises :class:`ConvergenceError` after ``max_sweeps`` sweeps.
+    """
+    for sweep in range(1, max_sweeps + 1):
+        new = step(V)
+        gap = residual(new, V)
+        if gap <= eps_conv:
+            return V, new, sweep
+        V = new
+    raise ConvergenceError(
+        f"no convergence after {max_sweeps} sweeps "
+        f"(last residual {gap:.3g} > {eps_conv:.3g})",
+        residual=gap, sweeps=max_sweeps)
+
+
 def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
     """Infinite-horizon variant: iterate the sweep until the slices settle.
 
@@ -656,11 +817,32 @@ def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
     slices, clipped to :func:`reachable_window`, and ``vf.sweeps`` the
     number of sweeps.  The policy is the greedy rule of the last sweep,
     taken against the iterate within ``eps_conv`` of the returned slices.
+    ``eps_conv`` must be finite and at least 0 (lattice iterates can
+    reach an exact fixpoint), ``max_sweeps`` at least 1.
 
-    The sweeps compute the value table only (:func:`_layer` without
-    ``greedy``).  Once the residual passes, one more kernel run on the
-    iterate the converged sweep read builds the rules; the kernel is
-    deterministic in its inputs, so they are that sweep's own.
+    The sweeps compute the value table only.  Once the residual passes,
+    one more step on the iterate the converged sweep read builds the
+    rules; the step is deterministic in its inputs, so they are that
+    sweep's own.
+
+    Two loops make the sweeps, picked from the input.  The lattice sweep
+    (:class:`_LatticeSweep`) runs when all of these hold:
+
+    1. the rewards, the target key and the w0 key are integer multiples
+       of one δ = g / 2^k, and every key of the grid times 2^k is an
+       integer below 2^53, so that every key is exact in float64;
+    2. the target lies on the reachable side of w0;
+    3. the cells from the target to w0 are no more than
+       ``math.comb(n + k, k)``, the count of wealth sums of at most
+       n = ⌊|w0 - t| / min nonzero |r|⌋ of the k distinct nonzero
+       rewards, which bounds the cuts of a slice of the cut loop;
+    4. its gather fits ``BLOCK_FLOATS``.
+
+    Each of its sweeps is one dense gather, sum and max
+    (:meth:`_DenseSweep._step`).  Otherwise the cut loop runs
+    :func:`_layer` without ``greedy`` on cut tables, as for rewards off
+    any lattice.  Both give the same rules and the same cuts, values
+    within float rounding, and the same sweep count.
     """
     if m.horizon is not None:
         raise ConfigurationError(
@@ -670,28 +852,35 @@ def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
         raise ConfigurationError(
             "the stationary sweep needs a time-homogeneous wealth update: "
             "only undiscounted additive wealth is supported")
+    if not 0.0 <= eps_conv < math.inf:
+        raise ConfigurationError(
+            f"eps_conv must be finite and at least 0, got {eps_conv}")
+    if max_sweeps < 1:
+        raise ConfigurationError(
+            f"max_sweeps must be at least 1, got {max_sweeps}")
     # Slices only ever get evaluated on the reachable side of w0;
     # collapsing the other side is exact there and is what makes the
     # sup-residual converge.
     window = reachable_window(m, space)
-    V = _pack([restrict(target_utility(space.key(w), strict), *window)]
-              * m.n_states)
-    states = np.arange(m.n_states)
-    residual = np.inf
-    for sweep in range(1, max_sweeps + 1):
-        values, _ = _layer(m, space, V, 0, states, greedy=False)
-        new_V = _restrict(_join(values), *window)
-        residual = _residual(new_V, V)
-        if residual <= eps_conv:
-            # the rules of this sweep: the kernel again, on its input
-            rules = _layer(m, space, V, 0, states)[1]
-            policy = WealthMarkovPolicy(_join(rules), m.n_states,
-                                        stationary=True)
-            vf = ValueFunction([new_V], sweeps=sweep)
-            p = vf.slice(0, m.initial_state)(space.key(space.w0))
-            return policy, float(p), vf
-        V = new_V
-    raise ConvergenceError(
-        f"no convergence after {max_sweeps} sweeps "
-        f"(last residual {residual:.3g} > {eps_conv:.3g})",
-        residual=residual, sweeps=max_sweeps)
+    lattice = _LatticeSweep.fit(m, space, w, strict, window)
+    if lattice is None:
+        states = np.arange(m.n_states)
+
+        def step(V):
+            values, _ = _layer(m, space, V, 0, states, greedy=False)
+            return _restrict(_join(values), *window)
+
+        V, new_V, sweeps = _iterate(
+            step, _residual,
+            _pack([restrict(target_utility(space.key(w), strict), *window)]
+                  * m.n_states), eps_conv, max_sweeps)
+        # the rules of the converged sweep: the kernel again, on its input
+        rules = _join(_layer(m, space, V, 0, states)[1])
+    else:
+        V, new_V, sweeps = _iterate(lattice._step, lattice.residual,
+                                    lattice.start(), eps_conv, max_sweeps)
+        rules, new_V = lattice.rules(V), lattice.values(new_V)
+    vf = ValueFunction([new_V], sweeps=sweeps)
+    p = vf.slice(0, m.initial_state)(space.key(space.w0))
+    return (WealthMarkovPolicy(rules, m.n_states, stationary=True), float(p),
+            vf)

@@ -176,6 +176,17 @@ def test_solve_without_convergence_exits_5(tmp_path, capsys):
     assert "last residual 1 > 1e-06" in err
 
 
+@pytest.mark.parametrize("flag", ["--eps-conv=nan", "--eps-conv=-1",
+                                  "--eps-conv=inf", "--max-sweeps=0",
+                                  "--max-sweeps=-3"])
+def test_solve_bad_convergence_settings_exit_2(tmp_path, capsys, flag):
+    problem = tmp_path / "p.json"
+    write_infinite_problem(problem)
+    assert run("solve", "--problem", problem, "--tau", 0.5, "--horizon",
+               "inf", "--bounds", "-3,0", flag) == 2
+    assert flag[2:].split("=")[0].replace("-", "_") in capsys.readouterr().err
+
+
 def _write_ordinal_problem(path, table):
     path.write_text(json.dumps({
         "mdp": {"n_states": 2, "n_actions": 1,

@@ -687,3 +687,114 @@ def test_class_rows_table_equals_on_classes(exact, data):
             assert same_bits(f, StepFunction.on_classes(row))
         else:
             assert len(f) == np.count_nonzero(row[1:] != row[:-1])
+
+
+# -- value iteration on a reward lattice ------------------------------------------
+
+POSITIVE_LATTICE = (0.25, 0.5, 0.75, 1.0)
+
+
+def lattice_case(seed, sign):
+    """(m, space, sign of the targets): a lattice instance of either sign."""
+    if sign == "nonpositive":
+        return random_lattice_mdp(seed), AdditiveWealth(-10.0, 0.0), -1
+    return (random_lattice_mdp(seed, lattice=POSITIVE_LATTICE),
+            AdditiveWealth(0.0, 10.0), 1)
+
+
+def by_both_loops(monkeypatch, solve):
+    """``solve()`` as it runs, then with the lattice sweep switched off;
+    a ConvergenceError is returned rather than raised."""
+    def outcome():
+        try:
+            return solve()
+        except ConvergenceError as exc:
+            return exc
+
+    dense = outcome()
+    with monkeypatch.context() as mp:
+        mp.setattr(dp._LatticeSweep, "fit", classmethod(lambda cls, *a: None))
+        return dense, outcome()
+
+
+def takes_the_lattice_sweep(m, space, w, strict=False):
+    return dp._LatticeSweep.fit(m, space, w, strict,
+                                dp.reachable_window(m, space)) is not None
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("sign", ["nonpositive", "nonnegative"])
+@pytest.mark.parametrize("seed", range(6))
+def test_lattice_sweep_matches_the_cut_loop(monkeypatch, seed, sign, strict):
+    m, space, sign = lattice_case(seed, sign)
+    for target in (1.25, 3.5, 10.0):
+        w = sign * target
+        assert takes_the_lattice_sweep(m, space, w, strict)
+        dense, cut = by_both_loops(
+            monkeypatch, lambda: value_iteration(m, space, w, strict))
+        assert same_table(dense[0].table, cut[0].table)
+        assert dense[0].table.base.dtype == cut[0].table.base.dtype
+        a, b = dense[2].tables[0], cut[2].tables[0]
+        for field in ("off", "x", "e"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert np.abs(a.base - b.base).max() <= 1e-12
+        assert np.abs(a.v - b.v).max(initial=0.0) <= 1e-12
+        assert abs(dense[1] - cut[1]) <= 1e-12
+        assert dense[2].sweeps == cut[2].sweeps
+    # out of sweeps: the same error from both
+    dense, cut = by_both_loops(monkeypatch, lambda: value_iteration(
+        m, space, sign * 3.5, strict, max_sweeps=2))
+    assert isinstance(dense, ConvergenceError) and isinstance(cut, ConvergenceError)
+    assert dense.sweeps == cut.sweeps == 2
+    assert abs(dense.residual - cut.residual) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lattice_iterates_reach_an_exact_fixpoint(monkeypatch, seed):
+    # eps_conv = 0 is a valid setting: nonpositive lattice costs settle
+    m, space, _ = lattice_case(seed, "nonpositive")
+    dense, cut = by_both_loops(
+        monkeypatch, lambda: value_iteration(m, space, -3.5, True, eps_conv=0.0))
+    assert same_table(dense[0].table, cut[0].table)
+    assert dense[2].sweeps == cut[2].sweeps
+
+
+@pytest.mark.parametrize("case, dense", [
+    ("quarter lattice", True),
+    ("target off the lattice", False),
+    ("sparse lattice", False),
+    ("target above w0", False),
+    ("decimal rewards", False),
+    ("gather above BLOCK_FLOATS", False),
+])
+def test_lattice_sweep_is_picked_from_the_input(monkeypatch, case, dense):
+    m, space, w = random_lattice_mdp(0), AdditiveWealth(-10.0, 0.0), -1.25
+    if case == "target off the lattice":
+        w = -1.3
+    elif case == "sparse lattice":
+        # 40,002 cells of 0.25 to w0 against at most 715 wealth sums
+        m = random_lattice_mdp(0, lattice=(-1000.25, -1000.5, -1000.75, -1001.0))
+        space, w = AdditiveWealth(-20000.0, 0.0), -10000.0
+    elif case == "target above w0":
+        space, w = AdditiveWealth(-10.0, 1.0), 0.5
+    elif case == "decimal rewards":
+        m = random_lattice_mdp(0, lattice=(-0.1, -0.2, -0.3))
+        w = -1.0
+    elif case == "gather above BLOCK_FLOATS":
+        monkeypatch.setattr(dp, "BLOCK_FLOATS", 100)
+    assert takes_the_lattice_sweep(m, space, w) == dense
+    layers = []
+    layer = dp._layer
+    monkeypatch.setattr(dp, "_layer", lambda *a, **kw: layers.append(1)
+                        or layer(*a, **kw))
+    value_iteration(m, space, w, False)
+    assert (len(layers) == 0) == dense
+
+
+@pytest.mark.parametrize("setting", [
+    {"eps_conv": float("nan")}, {"eps_conv": -1e-9}, {"eps_conv": float("inf")},
+    {"max_sweeps": 0}, {"max_sweeps": -3}])
+def test_value_iteration_rejects_bad_convergence_settings(setting):
+    with pytest.raises(ConfigurationError, match=next(iter(setting))):
+        value_iteration(random_lattice_mdp(0), AdditiveWealth(-10.0, 0.0),
+                        -1.25, False, **setting)

@@ -53,12 +53,13 @@ index table, a sum over edges and a max over actions.  Ordinal wealth
 over n classes has n cells, and the slices of many targets stack into
 one array, so one batched backward induction gives the optimal
 exceedance probability of every class threshold, and one at a single
-threshold the policy (:class:`OrdinalSweep`).  An infinite run whose
-rewards, target and ``w0`` lie on one lattice of step δ, not much finer
-than the wealth sums its cut tables would hold, has one cell per
-multiple of δ from the target to ``w0`` (:class:`_LatticeSweep`); it
-gives the cut loop's rules, cuts and sweep count, with values within
-float rounding.
+threshold the policy (:class:`OrdinalSweep`); :func:`backward_induction`
+on ordinal wealth runs that sweep too, so :func:`_layer` is numeric-only.
+An infinite run whose rewards, target and ``w0`` lie on one lattice of
+step δ, not much finer than the wealth sums its cut tables would hold,
+has one cell per multiple of δ from the target to ``w0``
+(:class:`_LatticeSweep`); it gives the cut loop's rules, cuts and sweep
+count, with values within float rounding.
 """
 
 import functools
@@ -265,19 +266,6 @@ def _join(blocks):
     return _Cuts(base, off, x, e, v)
 
 
-def _at_classes(c, n):
-    """(S, n) values of every slice of c at the class keys 0..n-1."""
-    S = len(c.base)
-    # a cut is in force at every integer key from this one up
-    opens = np.where(c.e == 0, np.ceil(c.x), np.floor(c.x) + 1.0)
-    opens = np.clip(opens, 0, n).astype(np.intp)
-    counts = np.bincount(c.seg() * (n + 1) + opens,
-                         minlength=S * (n + 1)).reshape(S, n + 1)
-    k = np.cumsum(counts[:, :n], axis=1)
-    last = np.append(c.v, 0.0)[np.maximum(c.off[:-1, None] + k - 1, 0)]
-    return np.where(k > 0, last, c.base[:, None])
-
-
 def _on_classes(rows, keys=None, strict=False):
     """The table of the rows of ``rows``: row i takes ``rows[i, k]`` at
     the key ``keys[k]`` (the class key k by default).
@@ -288,7 +276,8 @@ def _on_classes(rows, keys=None, strict=False):
     ``keys[k - 1]``, and column k holds the value on
     ``(keys[k - 1], keys[k]]``.  Integer rows are canonical as built, and
     with the default keys each row's function is then
-    :meth:`StepFunction.on_classes` of it.
+    :meth:`StepFunction.on_classes` of it.  Ordinal
+    :func:`backward_induction` tables its dense class sweep's rows so.
     """
     seg, k = np.nonzero(rows[:, 1:] != rows[:, :-1])
     at = k if strict else k + 1
@@ -297,25 +286,10 @@ def _on_classes(rows, keys=None, strict=False):
                  np.full(len(k), strict, dtype=np.uint8), rows[seg, k + 1])
 
 
-def _pulled(m, space, nxt, t):
-    """Every edge's successor slice, pulled back through the edge's wealth move.
-
-    Returns ``(src, rows, delta)``: edge j's pulled slice is row
-    ``rows[j]`` of the table ``src``, every cut moved down by
-    ``delta[j]``.  Numeric spaces translate the successor's slice by the
-    ``shift_delta`` of the edge's reward at timestep t; ordinal ones
-    evaluate it at each class's successor class, one row per edge, as
-    :func:`~qmdp.stepfun.shift` does.
-    """
-    E = len(m.succ)
-    if isinstance(space, OrdinalWealth):
-        pulled = _at_classes(nxt, len(space.classes))[
-            m.succ[:, None], space.edge_moves(m.rewards)]
-        return _on_classes(pulled), np.arange(E), np.zeros(E)
-    if not m.numeric_rewards:
-        raise ConfigurationError(
-            f"{space.kind} wealth spaces accumulate numeric rewards")
-    return nxt, m.succ, space.accumulate_keys(np.zeros(E), m.rewards, t)
+def _tol_merged(c):
+    """The float table c in canonical form: every cut whose value change
+    is within ``VALUE_TOL`` merged into the piece before it."""
+    return _value_merged(c.base, c.x, c.e, c.v, c.seg(), VALUE_TOL)
 
 
 def _edges(m, states):
@@ -337,18 +311,18 @@ def _edges(m, states):
 def _layer(m, space, nxt, t, states, greedy=True):
     """One backward step of the sorted ``states``, from the layer-(t+1) table.
 
-    Every cut of every edge's pulled successor slice (:func:`_pulled`)
-    becomes an entry: its threshold and side, the action of its edge, and
-    the value step ``prob * (v - previous v)``.  Sorting the entries of a
-    state by (threshold, side) merges the cut partitions of all its
-    actions, and a cumulative sum of the steps along each action's row
-    gives that action's value on every merged piece.  The max and the
-    argmax (the lowest action within ``VALUE_TOL`` of the max) over the
-    rows are the slice and the greedy rule.  The segmented merges of
-    :mod:`qmdp.stepfun` put them in canonical form.  Slice and rule share
-    their keys, so one threshold merge serves both; it collapses each run
-    of identical keys onto its last entry, the one past every step at
-    that key.
+    Numeric wealth only: every cut of every edge's successor slice, moved
+    down by the edge's ``accumulate_keys`` increment, becomes an entry: its
+    threshold and side, the action of its edge, and the value step
+    ``prob * (v - previous v)``.  Sorting the entries of a state by
+    (threshold, side) merges the cut partitions of all its actions, and a
+    cumulative sum of the steps along each action's row gives that
+    action's value on every merged piece.  The max and the argmax (the
+    lowest action within ``VALUE_TOL`` of the max) over the rows are the
+    slice and the greedy rule.  The segmented merges of :mod:`qmdp.stepfun`
+    put them in canonical form.  Slice and rule share their keys, so one
+    threshold merge serves both; it collapses each run of identical keys
+    onto its last entry, the one past every step at that key.
 
     A state reads only its own edges, so its slice and rule do not depend
     on which other states are in ``states``.  The states go in blocks
@@ -358,10 +332,13 @@ def _layer(m, space, nxt, t, states, greedy=True):
     no rule is computed and ``rules`` is None.
     """
     S, A = m.n_states, m.n_actions
-    src, rows, delta = _pulled(m, space, nxt, t)
-    count = np.diff(src.off)[rows]
-    steps = src.steps()
-    base_sa = np.bincount(m.pair, weights=m.prob * src.base[rows],
+    if not m.numeric_rewards:
+        raise ConfigurationError(
+            f"{space.kind} wealth spaces accumulate numeric rewards")
+    delta = space.accumulate_keys(np.zeros(len(m.succ)), m.rewards, t)
+    count = np.diff(nxt.off)[m.succ]
+    steps = nxt.steps()
+    base_sa = np.bincount(m.pair, weights=m.prob * nxt.base[m.succ],
                           minlength=S * A).reshape(S, A)
     per_state = np.bincount(m.pair // A, weights=count,
                             minlength=S).astype(np.intp)[states]
@@ -374,12 +351,12 @@ def _layer(m, space, nxt, t, states, greedy=True):
         span = _edges(m, chunk)
         cnt = count[span]
         edge = np.repeat(span, cnt)
-        idx = np.repeat(src.off[rows[span]], cnt) + _ranks(cnt)
+        idx = np.repeat(nxt.off[m.succ[span]], cnt) + _ranks(cnt)
         # edges come in pair order, so the entries of a state are one run
         n_ent = per_state[b0:b0 + block]
         state, pos = np.repeat(np.arange(n), n_ent), _ranks(n_ent)
-        X, E, col = _sort_rows(state, pos, src.x[idx] - delta[edge],
-                               src.e[idx], (n, max(1, n_ent.max())))
+        X, E, col = _sort_rows(state, pos, nxt.x[idx] - delta[edge],
+                               nxt.e[idx], (n, max(1, n_ent.max())))
         # D[a, s, k]: the value of action a in state s from sorted key k on
         D = np.zeros((A,) + X.shape)
         D[m.pair[edge] % A, state, col] = m.prob[edge] * steps[idx]
@@ -471,11 +448,13 @@ def backward_induction(m, space, w, strict, reachable_only=False):
     and vf the per-timestep value tables, ``vf.slices[t][s]`` for t in
     0..T.  The policy's table holds the T·S greedy rules.
 
-    By default every layer t < T is computed on every state.  With
-    ``reachable_only``, layer t is computed only on the states reachable
-    from the initial state in exactly t steps; every other (t, s) is not
-    computed and gets the constant rule 0 and the constant slice 0.0.
-    Reachable states read only reachable successors, so p, the
+    Numeric wealth computes each layer with :func:`_layer`; ordinal wealth
+    runs the dense class sweep (:class:`OrdinalSweep`) once and tables its
+    value and rule rows.  By default layer t < T keeps every state.  With
+    ``reachable_only``, layer t keeps only the states reachable from the
+    initial state in exactly t steps (numeric wealth computes no other);
+    every other (t, s) gets the constant rule 0 and the constant slice
+    0.0.  Reachable states read only reachable successors, so p, the
     initial-state slice and every reachable rule are identical to the
     full run's.
     """
@@ -488,10 +467,20 @@ def backward_induction(m, space, w, strict, reachable_only=False):
     tables = [None] * (T + 1)
     tables[T] = _pack([target_utility(space.key(w), strict)] * S)
     rules = [None] * T
+    if ordinal := isinstance(space, OrdinalWealth):
+        sweep = OrdinalSweep(m, space)
+        best = np.empty((T, S, sweep.n), dtype=np.intp)
+        V = np.empty((T, S * sweep.n, 1))
+        sweep._sweep(np.array([space.key(w)]), strict, best, V)
     for t in range(T - 1, -1, -1):
-        values, layer_rules = _layer(m, space, tables[t + 1], t, layers[t])
-        tables[t] = _spread(_join(values), layers[t], S)
-        rules[t] = _spread(_join(layer_rules), layers[t], S)
+        if ordinal:
+            value = _tol_merged(_on_classes(V[t].reshape(S, -1)[layers[t]]))
+            rule = _on_classes(best[t, layers[t]])
+        else:
+            value, rule = map(_join, _layer(m, space, tables[t + 1], t,
+                                            layers[t]))
+        tables[t] = _spread(value, layers[t], S)
+        rules[t] = _spread(rule, layers[t], S)
     vf = ValueFunction(tables)
     p = vf.slice(0, m.initial_state)(space.key(space.w0))
     return WealthMarkovPolicy(_join(rules), S), float(p), vf
@@ -544,9 +533,9 @@ class OrdinalSweep(_DenseSweep):
     """Dense backward induction over the n classes of an ordinal space.
 
     The cells are the classes, and an edge moves them through the
-    class-transition table of its reward label.  One loop
-    (:meth:`_sweep`) serves both the batched exceedance curve and the
-    single-target policy.
+    class-transition table of its reward label.  One loop (:meth:`_sweep`)
+    serves the batched exceedance curve, the single-target policy and
+    ordinal :func:`backward_induction`.
     """
 
     def __init__(self, m, space):
@@ -557,16 +546,18 @@ class OrdinalSweep(_DenseSweep):
         super().__init__(m, space.edge_moves(m.rewards))
         self.row0 = m.initial_state * self.n + space.index(space.w0)
 
-    def _sweep(self, targets, strict, best=None):
+    def _sweep(self, targets, strict, best=None, values=None):
         """The (S * n, J) layer-0 slices of the class ``targets``, from
         terminal slices 1 on the classes above each target.  With ``best``,
-        a (T, S, n) array for one target, ``best[t]`` gets layer t's rule.
-        """
+        a (T, S, n) array for one target, ``best[t]`` gets layer t's rule,
+        and with ``values``, a (T, S * n, J) array, its slices."""
         k = np.arange(self.n)[:, None]
         hit = (k > targets) if strict else (k >= targets)
         V = np.tile(hit.astype(np.float64), (self.m.n_states, 1))
         for t in range(self.m.horizon - 1, -1, -1):
             V = self._step(V, None if best is None else best[t])
+            if values is not None:
+                values[t] = V
         return V
 
     def exceedance(self, targets, strict):
@@ -778,14 +769,24 @@ class _LatticeSweep(_DenseSweep):
 
     def values(self, V):
         """The table of the slices V up to w0, in canonical form."""
-        c = self._table(V.reshape(self.m.n_states, -1)[:, :self.w0_cell + 1])
-        return _value_merged(c.base, c.x, c.e, c.v, c.seg(), VALUE_TOL)
+        return _tol_merged(self._table(
+            V.reshape(self.m.n_states, -1)[:, :self.w0_cell + 1]))
 
     def _table(self, rows):
         """The table of the rows of the first cells, by increasing key."""
         up = slice(None, None, self.sign)
         return _on_classes(rows[:, up], self.keys[:rows.shape[1]][up],
                            self.strict)
+
+
+def check_convergence(eps_conv, max_sweeps):
+    """Reject an ``eps_conv`` outside [0, inf) or a ``max_sweeps`` below 1."""
+    if not 0.0 <= eps_conv < math.inf:
+        raise ConfigurationError(
+            f"eps_conv must be finite and at least 0, got {eps_conv}")
+    if max_sweeps < 1:
+        raise ConfigurationError(
+            f"max_sweeps must be at least 1, got {max_sweeps}")
 
 
 def _iterate(step, residual, V, eps_conv, max_sweeps):
@@ -852,12 +853,7 @@ def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
         raise ConfigurationError(
             "the stationary sweep needs a time-homogeneous wealth update: "
             "only undiscounted additive wealth is supported")
-    if not 0.0 <= eps_conv < math.inf:
-        raise ConfigurationError(
-            f"eps_conv must be finite and at least 0, got {eps_conv}")
-    if max_sweeps < 1:
-        raise ConfigurationError(
-            f"max_sweeps must be at least 1, got {max_sweeps}")
+    check_convergence(eps_conv, max_sweeps)
     # Slices only ever get evaluated on the reachable side of w0;
     # collapsing the other side is exact there and is what makes the
     # sup-residual converge.

@@ -31,7 +31,8 @@ its greedy rules), or at the bracket bottom when no j passes, and attains
 the optimum.
 
 A solve returns a policy and its quantile, and keeps no value function;
-``qmdp solve --dump-slices`` runs its own DP at ``report.log[0].w``.
+``qmdp solve --dump-slices`` runs its own DP at ``report.log[0].w``, on
+ordinal wealth the same dense class sweep as the policy pass.
 """
 
 import math
@@ -40,7 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dp import (OrdinalSweep, WealthMarkovPolicy, backward_induction,
-                 reachable_window, translate, value_iteration)
+                 check_convergence, reachable_window, translate,
+                 value_iteration)
 from .errors import ConfigurationError, ValidationError
 from .evaluate import QUANT_ATOL, exact_distribution
 from .mdp import validate
@@ -108,6 +110,7 @@ def solve_quantile(m, space, query, *, eps_conv=1e-6, max_sweeps=10000):
     threshold the policy targets.
     """
     query.check()
+    check_convergence(eps_conv, max_sweeps)
     violations = validate(m)
     if violations:
         raise ValidationError(violations)

@@ -187,6 +187,19 @@ def test_solve_bad_convergence_settings_exit_2(tmp_path, capsys, flag):
     assert flag[2:].split("=")[0].replace("-", "_") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--eps-conv=nan"], ["--eps-conv=-1"],
+                                   ["--max-sweeps=0"],
+                                   ["--eps-conv=nan", "--max-sweeps=-3"]])
+def test_finite_solve_bad_convergence_settings_exit_2(tmp_path, capsys, flags):
+    # a finite solve never iterates, but it still rejects the settings
+    problem = tmp_path / "p.json"
+    run("generate", "garnet", "--states", 6, "--actions", 2, "--seed", 1,
+        "--horizon", 5, "--out", problem)
+    capsys.readouterr()
+    assert run("solve", "--problem", problem, "--tau", 0.5, *flags) == 2
+    assert flags[0][2:].split("=")[0].replace("-", "_") in capsys.readouterr().err
+
+
 def _write_ordinal_problem(path, table):
     path.write_text(json.dumps({
         "mdp": {"n_states": 2, "n_actions": 1,

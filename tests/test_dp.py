@@ -254,8 +254,6 @@ def step_functions(draw):
 def layer_cases(draw, case):
     """(m, space, nxt, t): a random kernel, wealth space and next layer."""
     S, A = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    labels = case == "sas-ordinal"
-    reward = st.sampled_from(sorted(LABELS)) if labels else GRID
     transitions, rewards = [], []
     for _ in range(S):
         trow, rrow = [], []
@@ -265,17 +263,16 @@ def layer_cases(draw, case):
             w = draw(st.lists(st.integers(1, 4), min_size=len(succ),
                               max_size=len(succ)))
             trow.append([(sp, wi / sum(w)) for sp, wi in zip(succ, w)])
-            rrow.append(draw(st.lists(reward, min_size=len(succ),
+            rrow.append(draw(st.lists(GRID, min_size=len(succ),
                                       max_size=len(succ)))
-                        if case.startswith("sas") else draw(reward))
+                        if case.startswith("sas") else draw(GRID))
         transitions.append(trow)
         rewards.append(rrow)
     kind = "sas" if case.startswith("sas") else "sa"
     m = Mdp(S, A, transitions, {"kind": kind, "values": rewards}, 0, 3)
     space = {"sa-additive": AdditiveWealth(),
              "sa-discounted": DiscountedWealth(0.75),
-             "sas-additive": AdditiveWealth(),
-             "sas-ordinal": ordinal_space(draw(st.integers(2, 5)))}[case]
+             "sas-additive": AdditiveWealth()}[case]
     nxt = [draw(step_functions()) for _ in range(S)]
     return m, space, nxt, draw(st.integers(0, 2))
 
@@ -300,7 +297,7 @@ def per_pair_update(m, space, nxt, t):
 
 
 @pytest.mark.parametrize("case", ["sa-additive", "sa-discounted",
-                                  "sas-additive", "sas-ordinal"])
+                                  "sas-additive"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_flat_layer_matches_per_pair_algebra(case, data):
@@ -401,15 +398,10 @@ def test_value_iteration_builds_the_converged_sweeps_rules_once(
     assert in_solve == len(calls) > 0
 
 
-@pytest.mark.parametrize("build", ["garnet", "discounted", "ordinal",
-                                   "infinite"])
+@pytest.mark.parametrize("build", ["garnet", "discounted", "infinite"])
 def test_layer_blocks_give_the_same_tables(monkeypatch, build):
     solve = backward_induction
-    if build == "ordinal":
-        from conftest import two_policy_ordinal_instance
-        m, space = two_policy_ordinal_instance()
-        w = "w2"
-    elif build == "infinite":
+    if build == "infinite":
         m, space, w = random_lattice_mdp(3), AdditiveWealth(-10.0, 0.0), -1.3
         solve = value_iteration
     else:
@@ -521,6 +513,38 @@ def test_reachable_only_matches_the_full_run(kind, wealth, data):
         want = exact_distribution(m, space, full_policy)
         assert got.keys.tobytes() == want.keys.tobytes()
         assert got.probs.tobytes() == want.probs.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["sa", "sas"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_ordinal_backward_induction_matches_per_slice_algebra(kind, data):
+    # the dense class sweep against T layers of shift, combine and
+    # pointwise_max composed from the target utility
+    m, space, w = data.draw(horizon_cases(kind, "ordinal"))
+    strict = data.draw(st.booleans())
+    policy, p, vf = backward_induction(m, space, w, strict)
+    nxt = [target_utility(space.key(w), strict)] * m.n_states
+    keys = np.arange(-1.0, len(space.classes) + 1)
+    keys = np.concatenate((keys, keys + 0.5))
+    for t in range(m.horizon - 1, -1, -1):
+        nxt, qs = per_pair_update(m, space, nxt, t)
+        for s, (g, row) in enumerate(zip(nxt, qs)):
+            f, rule = vf.slices[t][s], policy.rule(t, s)
+            assert np.array_equal(f.x, g.x) and np.array_equal(f.e, g.e)
+            assert abs(f.base - g.base) <= 1e-12
+            assert np.abs(f.v - g.v).max(initial=0.0) <= 1e-12
+            assert isinstance(rule.base, int) and rule.v.dtype == np.int64
+            for x in keys:
+                assert row[rule(x)](x) >= g(x) - VALUE_TOL
+    assert abs(p - nxt[m.initial_state](space.key(space.w0))) <= 1e-12
+
+
+def test_label_rewards_on_numeric_wealth_are_rejected():
+    m = Mdp(1, 1, [[[(0, 1.0)]]], {"kind": "sa", "values": [["up"]]}, 0, 2)
+    for space in (AdditiveWealth(), DiscountedWealth(0.75)):
+        with pytest.raises(ConfigurationError, match="numeric rewards"):
+            backward_induction(m, space, 0.0, True)
 
 
 @pytest.mark.parametrize("build", ["garnet", "discounted", "ordinal"])
@@ -673,9 +697,9 @@ def test_translate_clips_to_infinite_windows(exact):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_class_rows_table_equals_on_classes(exact, data):
-    # the ordinal sweep's policy (integer argmax rows) and the ordinal
-    # layer's pulled slices (float rows, some steps below VALUE_TOL) as
-    # one table; float rows keep every change, merging none
+    # the dense sweeps' rules (integer argmax rows) and value rows (float
+    # rows, some steps below VALUE_TOL) as one table; float rows keep every
+    # change, and ordinal backward induction merges them afterwards
     n = data.draw(st.integers(1, 5))
     value = (st.integers(0, 2) if exact else
              st.sampled_from([0.0, 1e-13, 2e-13, 0.5, 0.5 + 1e-13, 1.0]))

@@ -731,3 +731,24 @@ def test_infinite_rejects_mixed_signs():
     with pytest.raises(ConfigurationError):
         solve_quantile(m, space, QuantileQuery(tau=0.3, criterion="upper",
                                                quantile_bounds=(-5.0, 5.0)))
+
+
+@pytest.mark.parametrize("horizon", [5, None])
+@pytest.mark.parametrize("setting", [
+    {"eps_conv": float("nan")}, {"eps_conv": -1.0}, {"eps_conv": float("inf")},
+    {"max_sweeps": 0}, {"max_sweeps": -3}])
+def test_bad_convergence_settings_rejected_at_every_horizon(setting, horizon):
+    # finite solves never iterate, yet a bad setting is a usage error there too
+    m = random_lattice_mdp(0, horizon=horizon)
+    query = QuantileQuery(tau=0.5, quantile_bounds=(-3.0, 0.0))
+    with pytest.raises(ConfigurationError, match=next(iter(setting))):
+        solve_quantile(m, AdditiveWealth(-10.0, 0.0), query, **setting)
+
+
+def test_zero_convergence_tolerance_is_valid_at_every_horizon():
+    m = random_lattice_mdp(0)
+    query = QuantileQuery(tau=0.5, quantile_bounds=(-3.0, 0.0))
+    for horizon in (5, None):
+        report = solve_quantile(m.with_horizon(horizon), AdditiveWealth(-10.0, 0.0),
+                                query, eps_conv=0.0, max_sweeps=1000)
+        assert report.stationary == (horizon is None)

@@ -133,28 +133,12 @@ def cmd_solve(args):
 
 # -- eval -----------------------------------------------------------------
 
-def _check_policy_fits(policy, m):
-    """Reject a policy with too few steps or an action the problem lacks."""
-    if not policy.stationary and m.horizon is not None and policy.steps < m.horizon:
-        raise ConfigurationError(
-            f"policy has {policy.steps} steps, the problem's horizon is "
-            f"{m.horizon}")
-    c = policy.table
-    low = min(c.base.min(), c.v.min(initial=0))
-    high = max(c.base.max(), c.v.max(initial=0))
-    if low < 0 or high >= m.n_actions:
-        raise ConfigurationError(
-            f"policy action {low if low < 0 else high} does not fit a problem "
-            f"with {m.n_actions} actions")
-
-
 def cmd_eval(args):
     m, space = load_problem(args.problem)
     violations = validate(m)
     if violations:
         raise ValidationError(violations)
     policy = load_policy(args.policy, space, m.n_states)
-    _check_policy_fits(policy, m)
     seed = args.seed if args.seed is not None else _default_seed()
     mode = "exact"
     episodes = None

@@ -64,6 +64,7 @@ count, with values within float rounding.
 
 import functools
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -75,13 +76,8 @@ from .errors import ConfigurationError, ConvergenceError
 from .stepfun import (VALUE_TOL, StepFunction, _merge_values, _ranks,
                       _threshold_runs, combine, pointwise_max, restrict, shift,
                       sup_distance, target_utility)
-from .wealth import AdditiveWealth, OrdinalWealth
+from .wealth import BLOCK_FLOATS, AdditiveWealth, Lattice, OrdinalWealth
 
-# Float64-sized values in the working arrays of one block: the layer
-# kernel's entries of a block of states, and the (pairs x edges per pair x
-# classes x thresholds) gather of the dense ordinal sweep for a block of
-# thresholds.
-BLOCK_FLOATS = 1 << 20
 # What one entry of the layer kernel holds besides its value for every
 # action: keys, indices, sort order and sorted copies.
 _ENTRY_FLOATS = 16
@@ -714,27 +710,21 @@ class _LatticeSweep(_DenseSweep):
         sign = 1 if window[0] is None else -1
         rewards, edge_reward = np.unique(np.asarray(m.rewards, dtype=np.float64),
                                          return_inverse=True)
-        exact = [space.key(w), space.key(space.w0)] + rewards.tolist()
-        if not all(map(math.isfinite, exact)):
+        lattice = Lattice.of([space.key(w), space.key(space.w0)],
+                             rewards.tolist())
+        if lattice is None:
             return None
-        # every float is n / d with d a power of two; times 2^k, an integer
-        ratios = [x.as_integer_ratio() for x in exact]
-        k = max(d.bit_length() for _, d in ratios) - 1
-        scaled = [n << (k + 1 - d.bit_length()) for n, d in ratios]
-        g = math.gcd(*scaled) or 1
-        t, x0, *units = (n // g for n in scaled)
+        (t, x0), units = lattice.anchors, lattice.units
         steps = sign * (x0 - t)
         reach = max(map(abs, units))
         n_cells = steps + 2 + reach
-        # the target on the reachable side, every key exact in float64
-        if steps < 0 or max(map(abs, scaled)) + (reach + 1) * g >= 1 << 53:
-            return None
+        # the target on the reachable side, every key exact in float64, and
         # no more cells than distinct wealth sums the cut loop could hold
         nonzero = [abs(u) for u in units if u]
-        most = steps // min(nonzero) if nonzero else 0
-        fewest = min(most, len(nonzero))
-        if not (fewest >= (steps + 1).bit_length()
-                or math.comb(most + len(nonzero), fewest) > steps):
+        if (steps < 0
+                or not lattice.exact(max(abs(t), abs(x0), reach) + reach + 1)
+                or not lattice.dense(steps + 1, steps // min(nonzero)
+                                     if nonzero else 0)):
             return None
         counts = np.diff(m.starts)
         if len(counts) * counts.max() * n_cells > BLOCK_FLOATS:
@@ -742,7 +732,7 @@ class _LatticeSweep(_DenseSweep):
         cells = np.arange(n_cells)
         moves = np.clip(cells + sign * np.array(units)[edge_reward][:, None],
                         0, steps + 1)
-        return cls(m, moves, (t + sign * (cells - 1.0)) * math.ldexp(g, -k),
+        return cls(m, moves, (t + sign * (cells - 1.0)) * lattice.step,
                    steps + 1, sign, strict)
 
     def __init__(self, m, moves, keys, w0_cell, sign, strict):
@@ -780,13 +770,15 @@ class _LatticeSweep(_DenseSweep):
 
 
 def check_convergence(eps_conv, max_sweeps):
-    """Reject an ``eps_conv`` outside [0, inf) or a ``max_sweeps`` below 1."""
+    """Reject an ``eps_conv`` outside [0, inf) or a ``max_sweeps`` that is
+    not an integer (bools are not) of at least 1."""
     if not 0.0 <= eps_conv < math.inf:
         raise ConfigurationError(
             f"eps_conv must be finite and at least 0, got {eps_conv}")
-    if max_sweeps < 1:
+    if (isinstance(max_sweeps, bool)
+            or not isinstance(max_sweeps, numbers.Integral) or max_sweeps < 1):
         raise ConfigurationError(
-            f"max_sweeps must be at least 1, got {max_sweeps}")
+            f"max_sweeps must be an integer of at least 1, got {max_sweeps!r}")
 
 
 def _iterate(step, residual, V, eps_conv, max_sweeps):
@@ -830,8 +822,9 @@ def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
     (:class:`_LatticeSweep`) runs when all of these hold:
 
     1. the rewards, the target key and the w0 key are integer multiples
-       of one δ = g / 2^k, and every key of the grid times 2^k is an
-       integer below 2^53, so that every key is exact in float64;
+       of one δ = g / 2^k (:class:`~qmdp.wealth.Lattice`), and every key
+       of the grid times 2^k is an integer below 2^53, so that every key
+       is exact in float64;
     2. the target lies on the reachable side of w0;
     3. the cells from the target to w0 are no more than
        ``math.comb(n + k, k)``, the count of wealth sums of at most

@@ -7,8 +7,13 @@ terminal-wealth distribution, whose cumulatives and quantiles follow by
 partial sums; the brute-force oracle enumerates every deterministic
 wealth-Markovian policy of a small instance through the same forward step;
 and classic backward induction supplies the expectation-optimal baseline.
-The forward step and :func:`simulate` read the kernel's edge table
-(``succ``, ``prob``, ``starts``), one per-edge wealth move and the
+A stationary policy whose wealth lives on a small grid (ordinal classes,
+or additive rewards on one lattice) is a fixed Markov chain on (state,
+wealth cell), and exact evaluation pushes a mass vector through its
+operator instead (:class:`_WealthChain`); non-stationary policies,
+discounted wealth and rewards off any lattice keep the atom path.
+The forward step, the chain and :func:`simulate` read the kernel's edge
+table (``succ``, ``prob``, ``starts``), one per-edge wealth move and the
 policy's cut table; none of them uses the functional DP of ``qmdp.dp``,
 so they check it.
 """
@@ -20,7 +25,7 @@ import numpy as np
 from .dp import WealthMarkovPolicy
 from .errors import ConfigurationError, ResourceLimitError, ValidationError
 from .stepfun import _ranks
-from .wealth import WEALTH_TOL
+from .wealth import BLOCK_FLOATS, WEALTH_TOL, Lattice
 
 QUANT_ATOL = 1e-12   # slack when comparing partial sums against tau
 
@@ -170,6 +175,12 @@ def _edge_move(m, space):
     return lambda keys, edges, t: space.accumulate_keys(keys, rewards[edges], t)
 
 
+def _empty_row_error(m, pair, t):
+    s, a = divmod(int(pair), m.n_actions)
+    return ValidationError(
+        f"(s={s}, a={a}): empty transition row, taken at t={t}")
+
+
 def _step(m, move, t, states, keys, masses, actions):
     """Advance atoms one timestep under per-atom actions; returns merged atoms.
 
@@ -179,9 +190,7 @@ def _step(m, move, t, states, keys, masses, actions):
     pair = states * m.n_actions + actions
     degree = m.starts[pair + 1] - m.starts[pair]
     if not degree.all():
-        s, a = divmod(int(pair[degree.argmin()]), m.n_actions)
-        raise ValidationError(
-            f"(s={s}, a={a}): empty transition row, taken at t={t}")
+        raise _empty_row_error(m, pair[degree.argmin()], t)
     edge = np.repeat(m.starts[pair], degree) + _ranks(degree)
     order = np.argsort(edge, kind="stable")
     atom, edge = np.repeat(np.arange(len(pair)), degree)[order], edge[order]
@@ -194,25 +203,172 @@ def _initial_atoms(m, space):
             np.array([space.key(space.w0)]), np.ones(1))
 
 
+def _check_policy_fits(m, policy):
+    """Reject a policy with another state count, too few steps or an
+    action the problem lacks."""
+    if policy.n_states != m.n_states:
+        raise ConfigurationError(
+            f"policy has {policy.n_states} states, the problem has "
+            f"{m.n_states}")
+    if not policy.stationary and m.horizon is not None and policy.steps < m.horizon:
+        raise ConfigurationError(
+            f"policy has {policy.steps} steps, the problem's horizon is "
+            f"{m.horizon}")
+    c = policy.table
+    low = min(c.base.min(), c.v.min(initial=0))
+    high = max(c.base.max(), c.v.max(initial=0))
+    if low < 0 or high >= m.n_actions:
+        raise ConfigurationError(
+            f"policy action {low if low < 0 else high} does not fit a problem "
+            f"with {m.n_actions} actions")
+
+
 def exact_distribution(m, space, policy, atom_cap=10_000_000):
     """Forward pass over reachable (t, state, wealth) atoms under a policy.
 
     Exact atom bookkeeping with tolerance merging per state; raises
     :class:`ResourceLimitError` when the reachable atom count exceeds
-    ``atom_cap`` (use :func:`simulate` for a Monte Carlo estimate then).
+    ``atom_cap`` (use :func:`simulate` for a Monte Carlo estimate then),
+    and :class:`ConfigurationError` when the policy does not fit m
+    (:func:`_check_policy_fits`).
+
+    A stationary policy runs on a wealth grid when it has one
+    (:meth:`_WealthChain.fit`): the n classes of ordinal wealth, or, for
+    additive wealth, the multiples of one δ > ``WEALTH_TOL`` that the
+    rewards and w0 share, where every key within T rewards of w0 is exact
+    in float64 and the grid has no more cells than the wealth sums of T
+    steps; its operator must also fit ``BLOCK_FLOATS``.  Then each step is
+    one pass of the mass vector through the chain's operator, with the
+    same keys, the same errors at the same step and probabilities within
+    float rounding of the atom path.  Non-stationary policies, discounted
+    wealth and rewards off any lattice take the atom path.
     """
+    _check_policy_fits(m, policy)
     if m.horizon is None:
         raise ConfigurationError("exact_distribution needs a finite horizon")
+    chain = _WealthChain.fit(m, space, policy)
+    if chain is None:
+        return _atom_distribution(m, space, policy, atom_cap)
+    return chain.distribution(space, atom_cap)
+
+
+def _atom_cap_error(count, t, atom_cap):
+    return ResourceLimitError(
+        f"{count} reachable atoms at step {t + 1} exceed the cap "
+        f"{atom_cap}; use simulate() for a Monte Carlo estimate")
+
+
+def _atom_distribution(m, space, policy, atom_cap):
+    """:func:`exact_distribution` on the atom path: T forward steps of the
+    reachable atoms."""
     move = _edge_move(m, space)
     states, keys, masses = _initial_atoms(m, space)
     for t in range(m.horizon):
         actions = _actions(policy, t, states, keys)
         states, keys, masses = _step(m, move, t, states, keys, masses, actions)
         if len(keys) > atom_cap:
-            raise ResourceLimitError(
-                f"{len(keys)} reachable atoms at step {t + 1} exceed the cap "
-                f"{atom_cap}; use simulate() for a Monte Carlo estimate")
+            raise _atom_cap_error(len(keys), t, atom_cap)
     return WealthDistribution(space, keys, masses)
+
+
+def _wealth_grid(m, space):
+    """``(keys, w0_cell, move)`` of the wealth cells of m, or None: the
+    cell keys in increasing order, the cell of w0 and ``move(edges,
+    cells)``, each cell after its edge.
+
+    Ordinal wealth has a cell per class.  Additive wealth on a lattice of
+    step δ (:class:`~qmdp.wealth.Lattice`) has ``C = T * (hi - lo) + 1``
+    cells, with lo and hi the least and the greatest of 0 and the rewards
+    in steps of δ; w0 is cell ``T * -lo``, and T steps from it never leave
+    the grid.
+    """
+    if space.kind == "ordinal":
+        table = space.edge_moves(m.rewards)
+        return (np.arange(table.shape[1], dtype=np.float64),
+                space.index(space.w0), lambda edges, cells: table[edges, cells])
+    if space.kind != "additive":
+        return None
+    rewards, edge_reward = np.unique(np.asarray(m.rewards, dtype=np.float64),
+                                     return_inverse=True)
+    lattice = Lattice.of([space.key(space.w0)], rewards.tolist())
+    if lattice is None:
+        return None
+    T, (x0,), units = m.horizon, lattice.anchors, lattice.units
+    lo, hi = min(0, *units), max(0, *units)
+    n_cells = T * (hi - lo) + 1
+    # every key exact and a merge of atoms never joining two cells, so
+    # that the grid holds the atom path's keys exactly
+    if not (lattice.exact(abs(x0) + T * max(-lo, hi))
+            and lattice.step > WEALTH_TOL and lattice.dense(n_cells, T)):
+        return None
+    unit = np.array(units)[edge_reward]
+    w0_cell = T * -lo
+    return ((x0 - w0_cell + np.arange(n_cells)) * lattice.step, w0_cell,
+            lambda edges, cells: cells + unit[edges])
+
+
+class _WealthChain:
+    """A stationary policy as one Markov chain on (state, wealth cell).
+
+    Row ``s * C + c`` of the mass vector is the mass at state s in cell c
+    of C.  The policy picks one action for every row (:func:`_actions`
+    once on the whole grid), so a step sends row ``src[i]`` the share
+    ``prob[i]`` of its mass to row ``dest[i]``, for every edge of the pair
+    it takes.  The entries are in (edge, cell) order, the order in which
+    the atom path lists the masses one destination receives; its
+    ``np.add.reduceat`` groups a sum of three or more of them otherwise
+    than ``np.bincount`` does, so probabilities agree within rounding.
+    """
+
+    @classmethod
+    def fit(cls, m, space, policy):
+        """The chain of ``policy`` on m, or None where the atom path runs
+        (see :func:`exact_distribution`)."""
+        if not policy.stationary:
+            return None
+        grid = _wealth_grid(m, space)
+        if (grid is None or m.n_states * len(grid[0])
+                * np.diff(m.starts).max(initial=0) > BLOCK_FLOATS):
+            return None
+        return cls(m, policy, *grid)
+
+    def __init__(self, m, policy, keys, w0_cell, move):
+        self.m, self.keys = m, keys
+        S, C = m.n_states, len(keys)
+        self.start = m.initial_state * C + w0_cell
+        states = np.repeat(np.arange(S), C)
+        self.pair = pair = states * m.n_actions + _actions(
+            policy, 0, states, np.tile(keys, S))
+        degree = m.starts[pair + 1] - m.starts[pair]
+        self.empty = np.flatnonzero(degree == 0)
+        edge = np.repeat(m.starts[pair], degree) + _ranks(degree)
+        order = np.argsort(edge, kind="stable")
+        src, edge = np.repeat(np.arange(S * C), degree)[order], edge[order]
+        cell = move(edge, src % C)
+        # an entry leaves an additive grid only from a cell that w0 does not
+        # reach in T - 1 steps; such a cell first gets mass at step T, which
+        # no step moves on, so the entry carries none
+        on = (cell >= 0) & (cell < C)
+        self.dest = m.succ[edge[on]] * C + cell[on]
+        self.src, self.prob = src[on], m.prob[edge[on]]
+
+    def distribution(self, space, atom_cap):
+        """The terminal-wealth distribution after T steps from (s0, w0),
+        with the atom path's errors at the same step."""
+        mass = np.zeros(len(self.pair))
+        mass[self.start] = 1.0
+        for t in range(self.m.horizon):
+            if len(self.empty) and mass[self.empty].any():
+                row = self.empty[np.flatnonzero(mass[self.empty])[0]]
+                raise _empty_row_error(self.m, self.pair[row], t)
+            mass = np.bincount(self.dest, weights=self.prob * mass[self.src],
+                               minlength=len(mass))
+            count = np.count_nonzero(mass)
+            if count > atom_cap:
+                raise _atom_cap_error(count, t, atom_cap)
+        rows = np.flatnonzero(mass)
+        return WealthDistribution(space, self.keys[rows % len(self.keys)],
+                                  mass[rows])
 
 
 def _pick_edges(m, pair, u):
@@ -248,6 +404,7 @@ def simulate(m, space, policy, n, seed=0):
     each episode along the edge its draw picks (:func:`_pick_edges`).
     Returns a float array of wealth keys (class indices for ordinal spaces).
     """
+    _check_policy_fits(m, policy)
     if m.horizon is None:
         raise ConfigurationError("simulate needs a finite horizon")
     if n < 1:

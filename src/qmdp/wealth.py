@@ -19,10 +19,13 @@ and ``distance`` accept and return public values (class labels for ordinal
 spaces); the key protocol works on keys.  It also says how each edge of
 an edge table moves wealth (``accumulate_keys``, ``OrdinalWealth.edge_moves``),
 for the functional DP of ``qmdp.dp`` and the forward step of ``qmdp.evaluate``
-alike, so the forward step needs nothing from ``qmdp.dp``.
+alike, so the forward step needs nothing from ``qmdp.dp``.  For the same
+two, :class:`Lattice` says when numeric wealth lives on a grid of
+multiples of one step, where both run dense.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +34,63 @@ from .errors import ConfigurationError
 # Absolute tolerance used downstream when merging wealth atoms / step-function
 # thresholds.  Comparisons inside this module are exact.
 WEALTH_TOL = 1e-9
+
+# Float64-sized values in the working arrays of one block: the layer
+# kernel's entries of a block of states, the (pairs x edges per pair x
+# cells x thresholds) gather of a dense sweep for a block of thresholds,
+# and the entries of a stationary policy's forward operator.
+BLOCK_FLOATS = 1 << 20
+
+
+class Lattice(NamedTuple):
+    """Anchor keys and rewards as integer multiples of one step δ.
+
+    Every finite float is n / 2^j, so the keys times 2^``shift``, the
+    largest j, are integers; δ = ``scale`` / 2^``shift`` with ``scale``
+    their gcd.  ``anchors`` and ``units`` are those integers divided by
+    ``scale``: the keys in steps of δ, as Python integers of any size.
+    """
+
+    scale: int
+    shift: int
+    anchors: tuple
+    units: tuple
+
+    @classmethod
+    def of(cls, anchors, rewards):
+        """The coarsest lattice of the anchor keys and the rewards (floats),
+        or None when one of them is not finite."""
+        exact = [*anchors, *rewards]
+        if not all(map(math.isfinite, exact)):
+            return None
+        ratios = [x.as_integer_ratio() for x in exact]
+        k = max(d.bit_length() for _, d in ratios) - 1
+        scaled = [n << (k + 1 - d.bit_length()) for n, d in ratios]
+        g = math.gcd(*scaled) or 1
+        steps = [n // g for n in scaled]
+        return cls(g, k, tuple(steps[:len(anchors)]), tuple(steps[len(anchors):]))
+
+    @property
+    def step(self):
+        """δ as a float; exact once :meth:`exact` holds for any reach."""
+        return math.ldexp(self.scale, -self.shift)
+
+    def exact(self, reach):
+        """Whether every multiple of δ at most ``reach`` steps from 0 is
+        exact in float64: times 2^shift, an integer below 2^53.  Sums of
+        such keys are then exact too, wherever they stay in that range."""
+        return reach * self.scale < 1 << 53
+
+    def dense(self, cells, n):
+        """Whether ``cells`` cells are no more than ``math.comb(n + k, k)``,
+        the count of wealth sums of at most n of the k distinct nonzero
+        units: a dense grid then holds no more values than the sums that
+        step functions or atoms over the same wealth could."""
+        k = len({u for u in self.units if u})
+        fewest = min(n, k)
+        # comb(n + k, k) >= 2^min(n, k), so the first test skips big combs
+        return (fewest >= cells.bit_length()
+                or math.comb(n + k, fewest) >= cells)
 
 
 class WealthSpace:

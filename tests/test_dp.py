@@ -817,7 +817,8 @@ def test_lattice_sweep_is_picked_from_the_input(monkeypatch, case, dense):
 
 @pytest.mark.parametrize("setting", [
     {"eps_conv": float("nan")}, {"eps_conv": -1e-9}, {"eps_conv": float("inf")},
-    {"max_sweeps": 0}, {"max_sweeps": -3}])
+    {"max_sweeps": 0}, {"max_sweeps": -3}, {"max_sweeps": float("nan")},
+    {"max_sweeps": 2.5}, {"max_sweeps": True}])
 def test_value_iteration_rejects_bad_convergence_settings(setting):
     with pytest.raises(ConfigurationError, match=next(iter(setting))):
         value_iteration(random_lattice_mdp(0), AdditiveWealth(-10.0, 0.0),

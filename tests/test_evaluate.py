@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmdp import (AdditiveWealth, ConfigurationError, DiscountedWealth,
                   GarnetConfig, Mdp, OrdinalWealth, ResourceLimitError,
@@ -9,7 +10,7 @@ from qmdp import (AdditiveWealth, ConfigurationError, DiscountedWealth,
                   standard_backward_induction, ValidationError)
 from qmdp.dp import _pack
 from qmdp.evaluate import merge_atoms
-from conftest import two_state_discounted_mdp
+from conftest import random_lattice_mdp, two_state_discounted_mdp
 
 
 def example1_distribution():
@@ -593,3 +594,163 @@ def test_simulate_matches_the_per_state_lookup(monkeypatch, reward_kind, ordinal
     want = exact_distribution(m, space, policy)
     assert exact.keys.tobytes() == want.keys.tobytes()
     assert exact.probs.tobytes() == want.probs.tobytes()
+
+
+# -- a stationary policy as one Markov chain ----------------------------------
+
+def random_stationary_policy(m, rng, keys):
+    """A stationary policy whose rules cut at random ``keys``, on either side."""
+    rules = []
+    for _ in range(m.n_states):
+        n = int(rng.integers(0, 4))
+        rules.append(StepFunction(int(rng.integers(m.n_actions)),
+                                  rng.choice(keys, n), rng.random(n) < 0.5,
+                                  rng.integers(0, m.n_actions, n)))
+    return WealthMarkovPolicy(_pack(rules, np.int64), m.n_states, stationary=True)
+
+
+def outcome(evaluate):
+    try:
+        return evaluate()
+    except (ValidationError, ResourceLimitError) as exc:
+        return exc
+
+
+def assert_same_outcome(m, space, policy, atom_cap):
+    """The chain and the atom path give the same keys, probabilities within
+    float rounding and the same quantiles, or the same error at one step."""
+    from qmdp.evaluate import _atom_distribution, _WealthChain
+    chain = _WealthChain.fit(m, space, policy)
+    assert chain is not None
+    got = outcome(lambda: chain.distribution(space, atom_cap))
+    want = outcome(lambda: _atom_distribution(m, space, policy, atom_cap))
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert np.array_equal(got.keys, want.keys)
+    assert np.abs(got.probs - want.probs).max() <= 1e-15
+    for tau in (0.1, 0.25, 0.5, 0.75, 0.9):
+        for criterion in ("lower", "upper"):
+            assert got.quantile(tau, criterion) == want.quantile(tau, criterion)
+
+
+UNITS = {"nonpositive": [-3, -2, -1], "nonnegative": [1, 2, 3],
+         "mixed": [-2, -1, 1, 2]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_chain_matches_the_atom_path_on_a_reward_lattice(data):
+    sign = data.draw(st.sampled_from(sorted(UNITS)))
+    delta = data.draw(st.sampled_from([0.25, 0.375, 3.0]))
+    units = data.draw(st.lists(st.sampled_from(UNITS[sign] + [0]), min_size=1,
+                               max_size=4, unique=True))
+    if sign == "mixed":
+        units += [-1, 1]
+    S, A = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 3))
+    T = data.draw(st.integers(3, 7))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    transitions, rewards = [], []
+    for s in range(S):
+        rows, values = [], []
+        for _ in range(A):
+            n = int(rng.integers(1, min(3, S) + 1))
+            cuts = np.sort(rng.random(n - 1))
+            rows.append((np.sort(rng.choice(S, n, replace=False)),
+                         np.diff(np.concatenate(([0.0], cuts, [1.0])))))
+            values.append((delta * rng.choice(units, n)).tolist())
+        transitions.append(rows)
+        rewards.append(values)
+    if data.draw(st.booleans()):
+        # an empty row, which the chain and the atom path name at one step
+        s, a = int(rng.integers(S)), int(rng.integers(A))
+        transitions[s][a], rewards[s][a] = [], []
+    m = Mdp(S, A, transitions, {"kind": "sas", "values": rewards}, 0, T)
+    reach = T * max(map(abs, units))
+    policy = random_stationary_policy(
+        m, rng, delta * np.arange(-reach, reach + 0.5, 0.5))
+    atom_cap = data.draw(st.sampled_from([1, 5, 20, 10_000_000]))
+    assert_same_outcome(m, AdditiveWealth(-np.inf, np.inf), policy, atom_cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_chain_matches_the_atom_path_on_ordinal_wealth(data):
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    reward_kind = data.draw(st.sampled_from(["sa", "sas"]))
+    m, space = relabelled_garnet(seed % 1000, reward_kind, ordinal=True)
+    rng = np.random.default_rng(seed)
+    if data.draw(st.booleans()):
+        policy = WealthMarkovPolicy.from_markov(
+            rng.integers(0, m.n_actions, m.n_states).tolist(), stationary=True)
+    else:
+        policy = random_stationary_policy(m, rng, np.arange(0.0, 5.0, 0.5))
+    atom_cap = data.draw(st.sampled_from([2, 8, 10_000_000]))
+    assert_same_outcome(m, space, policy, atom_cap)
+
+
+def test_exact_distribution_takes_the_chain_on_a_lattice(monkeypatch):
+    # the control for the cases below: a stationary policy on the quarter
+    # lattice of random_lattice_mdp never reaches the atom path
+    from qmdp import evaluate
+    m = random_lattice_mdp(0, horizon=6)
+    policy = random_stationary_policy(m, np.random.default_rng(0),
+                                      -0.25 * np.arange(20))
+    monkeypatch.setattr(evaluate, "_atom_distribution", None)
+    assert exact_distribution(m, AdditiveWealth.for_mdp(m), policy).total() == \
+        pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("case", ["float rewards", "discounted wealth",
+                                  "non-stationary policy", "cells past the sums",
+                                  "cells within WEALTH_TOL",
+                                  "operator above BLOCK_FLOATS"])
+def test_these_inputs_keep_the_atom_path(monkeypatch, case):
+    from qmdp import evaluate
+    m = random_lattice_mdp(0, horizon=6)
+    space = AdditiveWealth.for_mdp(m)
+    policy = WealthMarkovPolicy.from_markov([0] * m.n_states, stationary=True)
+    if case == "float rewards":
+        m = generate_garnet(GarnetConfig(5, 2, 3, seed=0), horizon=6)
+        space = AdditiveWealth.for_mdp(m)
+    elif case == "discounted wealth":
+        space = DiscountedWealth(0.5)
+    elif case == "non-stationary policy":
+        policy = WealthMarkovPolicy.from_markov([[0] * m.n_states] * 6)
+    elif case == "cells past the sums":
+        # 4,001 cells of 0.25 against the 7 sums of up to 6 steps of -1000
+        m = random_lattice_mdp(0, lattice=(-1000.0, -0.25), horizon=6)
+    elif case == "cells within WEALTH_TOL":
+        # the atom path merges keys 2^-31 apart; the grid would keep them
+        m = random_lattice_mdp(0, lattice=(-2.0**-31, -2.0**-30), horizon=6)
+    else:
+        monkeypatch.setattr(evaluate, "BLOCK_FLOATS", 100)
+    assert evaluate._WealthChain.fit(m, space, policy) is None
+    calls = []
+    atoms = evaluate._atom_distribution
+    monkeypatch.setattr(evaluate, "_atom_distribution",
+                        lambda *a: calls.append(1) or atoms(*a))
+    exact_distribution(m, space, policy)
+    assert calls == [1]
+
+
+# -- a policy that does not fit its problem -----------------------------------
+
+@pytest.mark.parametrize("case", ["action past the last", "too few steps",
+                                  "another state count"])
+def test_a_policy_that_does_not_fit_raises(case):
+    m = generate_garnet(GarnetConfig(4, 2, 2, seed=1), horizon=1)
+    space = AdditiveWealth.for_mdp(m)
+    if case == "action past the last":
+        # (s0, action 2) used to read the edges of (s1, action 0)
+        policy = WealthMarkovPolicy.from_markov([[2, 0, 0, 0]])
+    elif case == "too few steps":
+        # used to escape as a bare IndexError
+        m = m.with_horizon(3)
+        policy = WealthMarkovPolicy.from_markov([[0] * 4] * 2)
+    else:
+        policy = WealthMarkovPolicy.from_markov([[0] * 3])
+    with pytest.raises(ConfigurationError):
+        exact_distribution(m, space, policy)
+    with pytest.raises(ConfigurationError):
+        simulate(m, space, policy, 10)

@@ -13,14 +13,24 @@ probability, F, G) for plotting with any tool.
 
 import csv
 
-from qmdp import (AdditiveWealth, GarnetConfig, QuantileQuery,
+import numpy as np
+
+from qmdp import (AdditiveWealth, GarnetConfig, Mdp, QuantileQuery,
                   WealthMarkovPolicy, exact_distribution, generate_garnet,
-                  skew_rewards, solve_quantile, standard_backward_induction)
+                  solve_quantile, standard_backward_induction)
 
 TAU = 0.1
 
 base = generate_garnet(GarnetConfig(100, 5, 7, seed=3), horizon=5)
-m = skew_rewards(base, fraction=0.8, scale=0.05, seed=3)
+# a seeded 80% of the state-action rewards shrink 20-fold: most rewards
+# become small, a few stay large
+rewards = base.reward_table.copy()
+rewards[np.random.default_rng(3).random(rewards.shape) < 0.8] *= 0.05
+m = Mdp(base.n_states, base.n_actions,
+        [[(base.successors(s, a), base.probabilities(s, a))
+          for a in range(base.n_actions)] for s in range(base.n_states)],
+        {"kind": "sa", "values": rewards.tolist()}, base.initial_state,
+        base.horizon)
 space = AdditiveWealth.for_mdp(m)
 
 print("solving the lower 0.1-quantile (epsilon = 1e-3) ...")

@@ -20,7 +20,7 @@ from .evaluate import (WealthDistribution, brute_force_distributions,
                        brute_force_optimal_quantile, exact_distribution,
                        simulate, standard_backward_induction)
 from .mdp import (DataCenterConfig, GarnetConfig, Mdp, default_branching,
-                  generate_datacenter, generate_garnet, skew_rewards, validate)
+                  generate_datacenter, generate_garnet, validate)
 from .serialize import (load_policy, load_problem, policy_from_payload,
                         policy_to_payload, problem_from_dict, problem_to_dict,
                         save_policy, save_problem)
@@ -43,7 +43,7 @@ __all__ = [
     "load_policy", "load_problem", "pointwise_max", "policy_from_payload",
     "policy_to_payload",
     "problem_from_dict", "problem_to_dict", "quantile_certificate",
-    "save_policy", "save_problem", "shift", "simulate", "skew_rewards",
-    "solve_quantile", "standard_backward_induction", "sup_distance",
-    "target_utility", "validate", "value_iteration",
+    "save_policy", "save_problem", "shift", "simulate", "solve_quantile",
+    "standard_backward_induction", "sup_distance", "target_utility",
+    "validate", "value_iteration",
 ]

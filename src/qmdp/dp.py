@@ -331,7 +331,7 @@ def _layer(m, space, nxt, t, states, greedy=True):
     if not m.numeric_rewards:
         raise ConfigurationError(
             f"{space.kind} wealth spaces accumulate numeric rewards")
-    delta = space.accumulate_keys(np.zeros(len(m.succ)), m.rewards, t)
+    delta = space.accumulate_keys(0.0, m.rewards, t)
     count = np.diff(nxt.off)[m.succ]
     steps = nxt.steps()
     base_sa = np.bincount(m.pair, weights=m.prob * nxt.base[m.succ],
@@ -435,6 +435,15 @@ def _spread(c, states, n):
     return _Cuts(base, off, c.x, c.e, c.v)
 
 
+def _target_key(space, w):
+    """The key of target wealth w; no wealth exceeds a NaN target, so
+    asking for one is a usage error, not a probability of 0."""
+    key = space.key(w)
+    if math.isnan(key):
+        raise ConfigurationError(f"the target wealth must not be NaN, got {w!r}")
+    return key
+
+
 def backward_induction(m, space, w, strict, reachable_only=False):
     """Maximize the probability of terminal wealth above ``w``.
 
@@ -442,7 +451,8 @@ def backward_induction(m, space, w, strict, reachable_only=False):
     non-strict is the upper-quantile mode.  Returns ``(policy, p, vf)``
     where p is the optimal exceedance probability from the initial state
     and vf the per-timestep value tables, ``vf.slices[t][s]`` for t in
-    0..T.  The policy's table holds the T·S greedy rules.
+    0..T.  The policy's table holds the T·S greedy rules.  A NaN ``w``
+    raises :class:`ConfigurationError`.
 
     Numeric wealth computes each layer with :func:`_layer`; ordinal wealth
     runs the dense class sweep (:class:`OrdinalSweep`) once and tables its
@@ -459,15 +469,16 @@ def backward_induction(m, space, w, strict, reachable_only=False):
             "backward_induction needs a finite horizon; "
             "use value_iteration for infinite-horizon problems")
     T, S = m.horizon, m.n_states
+    target = _target_key(space, w)
     layers = _reachable(m) if reachable_only else [np.arange(S)] * T
     tables = [None] * (T + 1)
-    tables[T] = _pack([target_utility(space.key(w), strict)] * S)
+    tables[T] = _pack([target_utility(target, strict)] * S)
     rules = [None] * T
     if ordinal := isinstance(space, OrdinalWealth):
         sweep = OrdinalSweep(m, space)
         best = np.empty((T, S, sweep.n), dtype=np.intp)
         V = np.empty((T, S * sweep.n, 1))
-        sweep._sweep(np.array([space.key(w)]), strict, best, V)
+        sweep._sweep(np.array([target]), strict, best, V)
     for t in range(T - 1, -1, -1):
         if ordinal:
             value = _tol_merged(_on_classes(V[t].reshape(S, -1)[layers[t]]))
@@ -708,8 +719,7 @@ class _LatticeSweep(_DenseSweep):
         """The lattice sweep of an infinite run at target w, or None where
         the cut loop runs instead (see :func:`value_iteration`)."""
         sign = 1 if window[0] is None else -1
-        rewards, edge_reward = np.unique(np.asarray(m.rewards, dtype=np.float64),
-                                         return_inverse=True)
+        rewards, edge_reward = np.unique(m.rewards, return_inverse=True)
         lattice = Lattice.of([space.key(w), space.key(space.w0)],
                              rewards.tolist())
         if lattice is None:
@@ -770,11 +780,13 @@ class _LatticeSweep(_DenseSweep):
 
 
 def check_convergence(eps_conv, max_sweeps):
-    """Reject an ``eps_conv`` outside [0, inf) or a ``max_sweeps`` that is
-    not an integer (bools are not) of at least 1."""
-    if not 0.0 <= eps_conv < math.inf:
+    """Reject an ``eps_conv`` that is not a real number in [0, inf) or a
+    ``max_sweeps`` that is not an integer of at least 1 (bools are
+    neither)."""
+    if (isinstance(eps_conv, bool) or not isinstance(eps_conv, numbers.Real)
+            or not 0.0 <= eps_conv < math.inf):
         raise ConfigurationError(
-            f"eps_conv must be finite and at least 0, got {eps_conv}")
+            f"eps_conv must be a finite number of at least 0, got {eps_conv!r}")
     if (isinstance(max_sweeps, bool)
             or not isinstance(max_sweeps, numbers.Integral) or max_sweeps < 1):
         raise ConfigurationError(
@@ -811,7 +823,8 @@ def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
     number of sweeps.  The policy is the greedy rule of the last sweep,
     taken against the iterate within ``eps_conv`` of the returned slices.
     ``eps_conv`` must be finite and at least 0 (lattice iterates can
-    reach an exact fixpoint), ``max_sweeps`` at least 1.
+    reach an exact fixpoint), ``max_sweeps`` at least 1, and ``w`` not
+    NaN.
 
     The sweeps compute the value table only.  Once the residual passes,
     one more step on the iterate the converged sweep read builds the
@@ -847,6 +860,7 @@ def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
             "the stationary sweep needs a time-homogeneous wealth update: "
             "only undiscounted additive wealth is supported")
     check_convergence(eps_conv, max_sweeps)
+    target = _target_key(space, w)
     # Slices only ever get evaluated on the reachable side of w0;
     # collapsing the other side is exact there and is what makes the
     # sup-residual converge.
@@ -861,7 +875,7 @@ def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
 
         V, new_V, sweeps = _iterate(
             step, _residual,
-            _pack([restrict(target_utility(space.key(w), strict), *window)]
+            _pack([restrict(target_utility(target, strict), *window)]
                   * m.n_states), eps_conv, max_sweeps)
         # the rules of the converged sweep: the kernel again, on its input
         rules = _join(_layer(m, space, V, 0, states)[1])

@@ -171,8 +171,7 @@ def _edge_move(m, space):
     if space.kind == "ordinal":
         table = space.edge_moves(m.rewards).astype(np.float64)
         return lambda keys, edges, t: table[edges, keys.astype(np.int64)]
-    rewards = np.asarray(m.rewards, dtype=np.float64)
-    return lambda keys, edges, t: space.accumulate_keys(keys, rewards[edges], t)
+    return lambda keys, edges, t: space.accumulate_keys(keys, m.rewards[edges], t)
 
 
 def _empty_row_error(m, pair, t):
@@ -288,8 +287,7 @@ def _wealth_grid(m, space):
                 space.index(space.w0), lambda edges, cells: table[edges, cells])
     if space.kind != "additive":
         return None
-    rewards, edge_reward = np.unique(np.asarray(m.rewards, dtype=np.float64),
-                                     return_inverse=True)
+    rewards, edge_reward = np.unique(m.rewards, return_inverse=True)
     lattice = Lattice.of([space.key(space.w0)], rewards.tolist())
     if lattice is None:
         return None
@@ -526,7 +524,7 @@ def standard_backward_induction(m):
 
     # "sa" reads the table: summing p * r over a pair's edges rounds
     rbar = (m.reward_table if m.reward_kind == "sa" else
-            pair_sums(m.prob * np.asarray(m.rewards, dtype=np.float64)))
+            pair_sums(m.prob * m.rewards))
     values = np.zeros((T + 1, S))
     actions = np.zeros((T, S), dtype=np.int64)
     for t in range(T - 1, -1, -1):

@@ -1,12 +1,13 @@
 """Finite MDP data model, validation, and the two benchmark generators.
 
-An :class:`Mdp` stores its transition kernel as one flat edge table: every
-edge (s, a, s') is an entry of a successor array, a probability array and
-a reward list, and each state-action pair owns one contiguous span of
-them.  Rewards are per edge ("sas", needed when rewards depend on next
-states) or per state-action pair ("sa", repeated along each pair's edges).
-Reward values are numeric for additive/discounted wealth, or string
-labels for ordinal wealth spaces.
+An :class:`Mdp` stores its transition kernel once, as one flat edge
+table: every edge (s, a, s') is an entry of a successor array, a
+probability array and a reward array, and each state-action pair owns one
+contiguous span of them.  Rewards are per edge ("sas", needed when rewards
+depend on next states) or per state-action pair ("sa", repeated along each
+pair's edges).  Reward values are numeric (a float64 array) for
+additive/discounted wealth, or labels (an object array) for ordinal
+wealth spaces.
 
 Generators:
 
@@ -92,11 +93,12 @@ class Mdp:
 
     Pair ``i = s * n_actions + a`` owns the edges ``starts[i]:starts[i + 1]``
     of ``succ`` (int64 successor states), ``prob`` (float64 probabilities)
-    and ``rewards`` (a list of edge rewards: floats, or labels);
-    ``pair[e]`` is the pair that edge e belongs to.  "sa" problems also
-    keep their n_states x n_actions ``reward_table`` (a float64 array when
-    numeric, nested lists of labels otherwise); "sas" problems have none.
-    The per-pair accessors return views of the table built once here.
+    and ``rewards`` (float64 edge rewards, or an object array of labels);
+    ``pair[e]`` is the pair that edge e belongs to.  The three edge arrays
+    are read-only.  "sa" problems also keep their n_states x n_actions
+    ``reward_table`` (a float64 array when numeric, nested lists of labels
+    otherwise); "sas" problems have none.  The per-pair accessors slice
+    the edge arrays on demand.
 
     Parameters
     ----------
@@ -144,8 +146,6 @@ class Mdp:
         self.prob = np.concatenate(prob).astype(np.float64, copy=False)
         self.starts = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
         self.pair = np.repeat(np.arange(len(counts)), counts)
-        # the per-pair accessors hand out views of these
-        self.succ.flags.writeable = self.prob.flags.writeable = False
 
         self.reward_kind = rewards["kind"]
         self.reward_table = None
@@ -160,9 +160,8 @@ class Mdp:
                     f"'sa' rewards must be an n_states x n_actions = {S} "
                     f"x {A} table, got row lengths {lengths}")
             self.reward_table = [list(row) for row in values]
-            per_pair = [v for row in self.reward_table for v in row]
-            edge = [r for r, n in zip(per_pair, counts) for _ in range(n)]
-            self.numeric_rewards = all(_is_number(v) for v in per_pair)
+            # one value per pair here; repeated along the edges below
+            edge = [v for row in self.reward_table for v in row]
         elif self.reward_kind == "sas":
             values = rewards["values"]
             edge = []
@@ -174,29 +173,26 @@ class Mdp:
                         f"(s={s}, a={a}): {len(row)} 'sas' rewards for "
                         f"{n} successors")
                 edge.extend(row)
-            self.numeric_rewards = all(_is_number(v) for v in edge)
         else:
             raise ConfigurationError(
                 f"reward kind must be 'sa' or 'sas', got {rewards['kind']!r}")
+        self.numeric_rewards = all(_is_number(v) for v in edge)
         if self.numeric_rewards:
             try:
-                edge = [float(r) for r in edge]
-                if self.reward_table is not None:
-                    self.reward_table = np.asarray(self.reward_table,
-                                                   dtype=np.float64)
+                edge = np.array(edge, dtype=np.float64)
             except OverflowError:
                 raise ValidationError("a reward does not fit a float") from None
+            if self.reward_table is not None:
+                self.reward_table = edge.reshape(S, A)
+        else:
+            # fromiter keeps a tuple label one element
+            edge = np.fromiter(edge, dtype=object, count=len(edge))
+        if self.reward_kind == "sa":
+            edge = np.repeat(edge, counts)
         self.rewards = edge
-
-        cuts = self.starts.tolist()
-
-        def by_pair(edges):
-            flat = [edges[i:j] for i, j in zip(cuts, cuts[1:])]
-            return [flat[s * A:(s + 1) * A] for s in range(S)]
-
-        self._next_states = by_pair(self.succ)
-        self._next_probs = by_pair(self.prob)
-        self._next_rewards = by_pair(self.rewards)
+        # the per-pair accessors hand out views of these
+        for edges in (self.succ, self.prob, self.rewards):
+            edges.flags.writeable = False
 
     @classmethod
     def from_rows(cls, n_states, n_actions, rows, rewards, initial_state,
@@ -242,11 +238,15 @@ class Mdp:
 
     # -- accessors -------------------------------------------------------
 
+    def _span(self, s, a):
+        i = s * self.n_actions + a
+        return slice(self.starts[i], self.starts[i + 1])
+
     def successors(self, s, a):
-        return self._next_states[s][a]
+        return self.succ[self._span(s, a)]
 
     def probabilities(self, s, a):
-        return self._next_probs[s][a]
+        return self.prob[self._span(s, a)]
 
     def reward(self, s, a):
         """State-action reward ('sa' kind only)."""
@@ -255,15 +255,19 @@ class Mdp:
         return self.reward_table[s][a]
 
     def edge_rewards(self, s, a):
-        """Rewards aligned with the successor list of (s, a)."""
-        return self._next_rewards[s][a]
+        """Rewards aligned with the successor list of (s, a), as a list."""
+        return self.rewards[self._span(s, a)].tolist()
 
     def reward_bounds(self):
+        """Least and greatest reward, skipping NaN (:func:`validate`
+        reports it), so that a NaN reward reads the same at every edge."""
         if not self.numeric_rewards:
             raise ConfigurationError(
                 "reward bounds are only defined for numeric rewards")
-        return ((min(self.rewards), max(self.rewards)) if self.rewards
-                else (0.0, 0.0))
+        if not len(self.rewards):
+            return 0.0, 0.0
+        return (float(np.fmin.reduce(self.rewards)),
+                float(np.fmax.reduce(self.rewards)))
 
     def reward_sign(self):
         """'nonpositive', 'nonnegative' (zero counts as both -> 'zero'), or 'mixed'."""
@@ -333,9 +337,9 @@ def validate(m):
         s, a = divmod(int(i), m.n_actions)
         out.append(f"(s={s}, a={a}): {what}")
     if m.numeric_rewards:
-        bad = np.flatnonzero(~np.isfinite(np.asarray(m.rewards, dtype=np.float64)))
+        bad = np.flatnonzero(~np.isfinite(m.rewards))
         if len(bad):
-            out.append(f"non-finite reward {m.rewards[bad[0]]!r}")
+            out.append(f"non-finite reward {m.rewards[bad[0]].item()!r}")
     return out
 
 
@@ -391,27 +395,6 @@ def generate_garnet(cfg, horizon=5):
     return Mdp(cfg.n_states, cfg.n_actions, transitions,
                {"kind": "sa", "values": rewards.tolist()},
                initial_state=0, horizon=horizon)
-
-
-def skew_rewards(m, fraction=0.8, scale=0.05, seed=0):
-    """Push a seeded fraction of state-action rewards toward 0.
-
-    Returns a copy of ``m`` where each reward is multiplied by ``scale``
-    with probability ``fraction``.  This makes the wealth distribution of
-    good policies right-skewed: most rewards become small, a few stay
-    large.  It is a documented knob, not a reproduction of any particular
-    published instance.
-    """
-    if m.reward_kind != "sa" or not m.numeric_rewards:
-        raise ConfigurationError("skew_rewards needs numeric 'sa' rewards")
-    rng = np.random.default_rng(seed)
-    r = m.reward_table.copy()
-    mask = rng.random(r.shape) < fraction
-    r[mask] *= scale
-    transitions = [[(m.successors(s, a), m.probabilities(s, a))
-                    for a in range(m.n_actions)] for s in range(m.n_states)]
-    return Mdp(m.n_states, m.n_actions, transitions, {"kind": "sa", "values": r},
-               m.initial_state, m.horizon)
 
 
 # -- data-center control problem ------------------------------------------

@@ -60,7 +60,7 @@ def mdp_to_dict(m):
     rows = [list(edge) for edge in zip(s.tolist(), a.tolist(), m.succ.tolist(),
                                        m.prob.tolist())]
     if m.reward_kind == "sas":
-        values = list(m.rewards)
+        values = m.rewards.tolist()
     elif m.numeric_rewards:
         values = m.reward_table.tolist()
     else:
@@ -152,7 +152,7 @@ def problem_from_dict(d):
     space = space_from_dict(d["wealth_space"], m)
     if isinstance(space, OrdinalWealth):
         # the table must move every class to a class on every reward label
-        for r in m.rewards:
+        for r in m.rewards.tolist():
             try:
                 space.move_table(r)
             except ConfigurationError as exc:

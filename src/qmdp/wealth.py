@@ -306,7 +306,9 @@ class OrdinalWealth(WealthSpace):
 
     def edge_moves(self, labels):
         """(E, n) index table whose row e is ``move_table(labels[e])``:
-        how every edge of an edge table (``Mdp.rewards``) moves wealth."""
+        how every edge of an edge table moves wealth, for its reward array
+        ``labels`` (``Mdp.rewards``), read as Python objects."""
+        labels = labels.tolist()
         rows = {r: i for i, r in enumerate(dict.fromkeys(labels))}
         moves = np.array([self.move_table(r) for r in rows], dtype=np.intp)
         return moves.reshape(len(rows), len(self.classes))[

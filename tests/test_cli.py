@@ -264,6 +264,19 @@ def test_nan_probability_exit_code(tmp_path, capsys):
     assert "probability is NaN" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("s, a", [(0, 0), (3, 1)])
+def test_nan_reward_exit_code(tmp_path, capsys, s, a):
+    # a NaN reward is a validation error at the first edge as at any other
+    problem = tmp_path / "p.json"
+    assert run("generate", "garnet", "--states", 4, "--actions", 2,
+               "--seed", 1, "--out", problem) == 0
+    payload = json.loads(problem.read_text())
+    payload["mdp"]["rewards"]["values"][s][a] = float("nan")
+    problem.write_text(json.dumps(payload))
+    assert run("solve", "--problem", problem, "--tau", 0.5) == 3
+    assert "non-finite reward nan" in capsys.readouterr().err
+
+
 def test_generate_datacenter_large_rate(tmp_path):
     out = tmp_path / "dc.json"
     assert run("generate", "datacenter", "--servers", 1, "--lambdas",

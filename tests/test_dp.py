@@ -818,8 +818,20 @@ def test_lattice_sweep_is_picked_from_the_input(monkeypatch, case, dense):
 @pytest.mark.parametrize("setting", [
     {"eps_conv": float("nan")}, {"eps_conv": -1e-9}, {"eps_conv": float("inf")},
     {"max_sweeps": 0}, {"max_sweeps": -3}, {"max_sweeps": float("nan")},
-    {"max_sweeps": 2.5}, {"max_sweeps": True}])
+    {"max_sweeps": 2.5}, {"max_sweeps": True},
+    {"eps_conv": None}, {"eps_conv": "1e-6"}, {"eps_conv": True}])
 def test_value_iteration_rejects_bad_convergence_settings(setting):
     with pytest.raises(ConfigurationError, match=next(iter(setting))):
         value_iteration(random_lattice_mdp(0), AdditiveWealth(-10.0, 0.0),
                         -1.25, False, **setting)
+
+
+def test_nan_target_raises():
+    # no wealth exceeds NaN, so an answer of p = 0.0 would hide the mistake
+    m = generate_garnet(GarnetConfig(4, 2, 2, seed=0), horizon=2)
+    with pytest.raises(ConfigurationError, match="NaN"):
+        backward_induction(m, AdditiveWealth.for_mdp(m), float("nan"), True)
+    m = generate_garnet(GarnetConfig(4, 2, 2, reward_low=-1.0, reward_high=0.0,
+                                     seed=0), horizon=None)
+    with pytest.raises(ConfigurationError, match="NaN"):
+        value_iteration(m, AdditiveWealth.for_mdp(m), float("nan"), True)

@@ -7,7 +7,7 @@ import pytest
 
 from qmdp import (ConfigurationError, DataCenterConfig, GarnetConfig, Mdp,
                   ValidationError, default_branching, generate_datacenter,
-                  generate_garnet, skew_rewards, validate)
+                  generate_garnet, validate)
 from qmdp.mdp import MAX_HORIZON
 from conftest import two_state_discounted_mdp
 
@@ -62,7 +62,8 @@ def test_validate_bad_successor_index():
 def test_validate_nonfinite_reward():
     m = Mdp(2, 1, [[[(1, 1.0)]], [[(1, 1.0)]]],
             {"kind": "sa", "values": [[float("inf")], [0.0]]}, 0, 3)
-    assert any("non-finite" in v for v in validate(m))
+    # the value reads as a Python float, not as a numpy scalar's repr
+    assert validate(m) == ["non-finite reward inf"]
 
 
 def test_validate_reports_each_violation_in_order():
@@ -139,19 +140,39 @@ def test_array_rows_misaligned():
 
 # -- edge table ------------------------------------------------------------------
 
+def labelled_mdp(kind):
+    """Two states with label rewards of ``kind``; one label is a tuple."""
+    transitions = [[[(0, 0.5), (1, 0.5)], [(1, 1.0)]], [[(1, 1.0)], [(0, 1.0)]]]
+    values = ([[("up", 1), "down"], ["up", "down"]] if kind == "sa" else
+              [[[("up", 1), "down"], ["up"]], [["down"], [("up", 1)]]])
+    return Mdp(2, 2, transitions, {"kind": kind, "values": values}, 0, 2)
+
+
 @pytest.mark.parametrize("m", [
     generate_garnet(GarnetConfig(6, 3, 2, seed=1)),
     generate_datacenter(DataCenterConfig(2)),
     two_state_discounted_mdp(),
-], ids=["garnet", "datacenter", "sas"])
+    labelled_mdp("sa"),
+    labelled_mdp("sas"),
+], ids=["garnet", "datacenter", "sas", "sa-labels", "sas-labels"])
 def test_edge_table_matches_accessors(m):
+    assert isinstance(m.rewards, np.ndarray)
+    assert m.rewards.shape == (len(m.succ),)
+    assert m.rewards.dtype == (np.float64 if m.numeric_rewards else object)
+    assert not m.rewards.flags.writeable
+    if not m.numeric_rewards:
+        # a tuple label stays one element
+        assert m.rewards[0] == ("up", 1)
     for s in range(m.n_states):
         for a in range(m.n_actions):
             i = s * m.n_actions + a
             span = slice(m.starts[i], m.starts[i + 1])
             assert np.array_equal(m.succ[span], m.successors(s, a))
             assert np.array_equal(m.prob[span], m.probabilities(s, a))
-            assert m.rewards[span] == m.edge_rewards(s, a)
+            assert np.shares_memory(m.successors(s, a), m.succ)
+            assert np.shares_memory(m.probabilities(s, a), m.prob)
+            assert type(m.edge_rewards(s, a)) is list
+            assert m.rewards[span].tolist() == m.edge_rewards(s, a)
             assert (m.pair[span] == i).all()
             if m.reward_kind == "sa":
                 assert m.edge_rewards(s, a) == [m.reward(s, a)] * len(
@@ -336,22 +357,9 @@ def test_reward_sign():
     assert m3.reward_sign() == "mixed"
 
 
-def test_skew_rewards():
-    m = generate_garnet(GarnetConfig(10, 2, 3, seed=4))
-    sk = skew_rewards(m, fraction=1.0, scale=0.5, seed=0)
-    for s in range(10):
-        for a in range(2):
-            assert sk.reward(s, a) == pytest.approx(0.5 * m.reward(s, a))
-    same = skew_rewards(m, fraction=0.0, seed=0)
-    assert kernels_equal(m, same)
-    one = skew_rewards(m, fraction=0.5, scale=0.05, seed=1)
-    two = skew_rewards(m, fraction=0.5, scale=0.05, seed=1)
-    assert kernels_equal(one, two)
-
-
 def test_with_horizon_shares_kernel():
     m = generate_garnet(GarnetConfig(5, 2, 2, seed=0), horizon=5)
     m2 = m.with_horizon(None)
     assert m2.horizon is None
     assert m.horizon == 5
-    assert m2.successors(0, 0) is m.successors(0, 0)
+    assert m2.succ is m.succ and m2.rewards is m.rewards

@@ -736,7 +736,8 @@ def test_infinite_rejects_mixed_signs():
 @pytest.mark.parametrize("horizon", [5, None])
 @pytest.mark.parametrize("setting", [
     {"eps_conv": float("nan")}, {"eps_conv": -1.0}, {"eps_conv": float("inf")},
-    {"max_sweeps": 0}, {"max_sweeps": -3}])
+    {"max_sweeps": 0}, {"max_sweeps": -3},
+    {"eps_conv": None}, {"eps_conv": "1e-6"}, {"eps_conv": True}])
 def test_bad_convergence_settings_rejected_at_every_horizon(setting, horizon):
     # finite solves never iterate, yet a bad setting is a usage error there too
     m = random_lattice_mdp(0, horizon=horizon)

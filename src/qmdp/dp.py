@@ -140,14 +140,12 @@ class WealthMarkovPolicy:
         """The policy whose rule i is ``base[i]`` below the cuts ``seg == i``.
 
         The cuts (thresholds ``x``, ``inclusive`` flags, ``actions``) come
-        in any order; one sort by (rule, threshold, side) and the
-        segmented canonical merge give every rule the encoding the
+        in any order; :func:`_canonical` gives every rule the encoding the
         :class:`StepFunction` constructor would.
         """
         e = np.where(inclusive, 0, 1).astype(np.uint8)
-        order = np.lexsort((e, x, seg))
-        return cls(_canonical(base, x[order], e[order], actions[order],
-                              seg[order], 0), n_states, stationary)
+        return cls(_canonical(base, seg, x, e, actions, 0), n_states,
+                   stationary)
 
     @property
     def steps(self):
@@ -185,12 +183,6 @@ class _Cuts(NamedTuple):
         """The state of every cut."""
         return np.repeat(np.arange(len(self.base)), np.diff(self.off))
 
-    @property
-    def laid(self):
-        """The segment ids and the :func:`_layout` of the table."""
-        seg = self.seg()
-        return seg, _layout(self, seg)
-
     def steps(self):
         """The value change at every cut."""
         prev = np.empty_like(self.v)
@@ -198,23 +190,6 @@ class _Cuts(NamedTuple):
         opened = self.off[:-1] < self.off[1:]
         prev[self.off[:-1][opened]] = self.base[opened]
         return self.v - prev
-
-
-class _Laid(_Cuts):
-    """A cut table that keeps the segment ids it was built with (``ids``,
-    set by its builder), and its layout once made.
-
-    :func:`_restrict` hands its ids on.  A value-iteration residual reads
-    every iterate twice, as the new table of one sweep and as the old one
-    of the next, so each iterate is laid out once.
-    """
-
-    def seg(self):
-        return self.ids
-
-    @functools.cached_property
-    def laid(self):
-        return self.ids, _layout(self, self.ids)
 
 
 def _offsets(seg, n):
@@ -374,8 +349,14 @@ def _layer(m, space, nxt, t, states, greedy=True):
     return values, rules
 
 
-def _canonical(base, x, e, v, seg, tol):
-    """The table of sorted cuts of the segments ``seg``, in canonical form."""
+def _canonical(base, seg, x, e, v, tol):
+    """The table of the cuts of the segments ``seg``, in canonical form.
+
+    The cuts come in any order: one sort by (segment, threshold, side)
+    precedes the segmented threshold and value merges.
+    """
+    order = np.lexsort((e, x, seg))
+    seg, x, e, v = seg[order], x[order], e[order], v[order]
     first, last = _threshold_runs(x, e, seg)
     return _value_merged(base, x[first], e[first], v[last], seg[first], tol)
 
@@ -436,8 +417,13 @@ def _spread(c, states, n):
 
 
 def _target_key(space, w):
-    """The key of target wealth w; no wealth exceeds a NaN target, so
-    asking for one is a usage error, not a probability of 0."""
+    """The key of target wealth w, which on numeric wealth must be a real
+    number (not a bool or a string ``float`` parses); no wealth exceeds a
+    NaN target, so asking for one is a usage error, not a probability of 0."""
+    if not isinstance(space, OrdinalWealth) and (
+            isinstance(w, bool) or not isinstance(w, numbers.Real)):
+        raise ConfigurationError(
+            f"the target wealth must be a real number, got {w!r}")
     key = space.key(w)
     if math.isnan(key):
         raise ConfigurationError(f"the target wealth must not be NaN, got {w!r}")
@@ -615,8 +601,7 @@ def _restrict(c, lo, hi):
 
     The ``hi`` side trims a suffix of each slice's cuts; the ``lo`` side
     makes the value at lo the new base and keeps the cuts above it.  A
-    canonical table stays canonical.  The result keeps its segment ids
-    (:class:`_Laid`).
+    canonical table stays canonical; the result is a plain :class:`_Cuts`.
     """
     seg = c.seg()
     keep = np.ones(len(c.x), dtype=bool)
@@ -630,30 +615,24 @@ def _restrict(c, lo, hi):
         base = base.copy()
         base[moved] = c.v[c.off[:-1][moved] + n_below[moved] - 1]
         keep &= ~below
-    out = _Laid(base, _offsets(seg[keep], len(base)),
-                c.x[keep], c.e[keep], c.v[keep])
-    out.ids = seg[keep]
-    return out
+    return _Cuts(base, _offsets(seg[keep], len(base)),
+                 c.x[keep], c.e[keep], c.v[keep])
 
 
 def translate(table, c, lo=None, hi=None):
     """Every function of the table moved up by c, ``g(x) = f(x - c)``.
 
-    Every cut moves up by c, and one sort by (function, threshold, side)
-    restores the cut order, which the shift can break where a cut and one
-    of the other side less than an ulp above it round onto the same
-    threshold.  The segmented canonical merges (exact for an integer
-    table of rules, within ``VALUE_TOL`` for slices) and :func:`_restrict`
-    to ``[lo, hi]`` follow.  Each function of the result equals
+    :func:`_canonical` sorts the moved cuts, whose order the shift can
+    break where a cut and one of the other side less than an ulp above it
+    round onto the same threshold, and merges them (exactly for an integer
+    table of rules, within ``VALUE_TOL`` for slices); :func:`_restrict` to
+    ``[lo, hi]`` follows.  Each function of the result equals
     ``restrict(StepFunction(f.base, f.x + c, f.e == 0, f.v), lo, hi)``
     (no restrict without a window) bit for bit.
     """
     exact = table.base.dtype.kind in "iu"
-    seg = table.seg()
-    x = table.x + c
-    order = np.lexsort((table.e, x, seg))
-    moved = _canonical(table.base, x[order], table.e[order], table.v[order],
-                       seg, 0 if exact else VALUE_TOL)
+    moved = _canonical(table.base, table.seg(), table.x + c, table.e, table.v,
+                       0 if exact else VALUE_TOL)
     if lo is not None or hi is not None:
         moved = _restrict(moved, lo, hi)
     return moved
@@ -676,13 +655,15 @@ def _layout(c, seg):
 def _residual(f, g):
     """``max_s sup_distance(f[s], g[s])`` over two tables, in one pass.
 
-    The cuts of both tables are sorted together by (state, threshold,
-    side).  A cut of one table leaves the other's value where it was, so
-    a running max of each table's positions (:func:`_layout`) gives its
-    value on every merged piece; as in :func:`~qmdp.stepfun.sup_distance`,
-    a run of identical keys keeps its last cut.
+    Each table is laid out here (:func:`_layout`) from its own segment
+    ids, and the cuts of both are sorted together by (state, threshold,
+    side).  A cut of one table leaves the other's value where it was, so a
+    running max of each table's positions gives its value on every merged
+    piece; as in :func:`~qmdp.stepfun.sup_distance`, a run of identical
+    keys keeps its last cut.
     """
-    (sf, (ef, hf, pf)), (sg, (eg, hg, pg)) = f.laid, g.laid
+    sf, sg = f.seg(), g.seg()
+    (ef, hf, pf), (eg, hg, pg) = _layout(f, sf), _layout(g, sg)
     state = np.concatenate((sf, sg))
     x = np.concatenate((f.x, g.x))
     e = np.concatenate((f.e, g.e))

@@ -362,6 +362,11 @@ class GarnetConfig:
             raise ConfigurationError(
                 f"branching must be in [1, n_states], got {self.branching} "
                 f"with n_states={self.n_states}")
+        if not (math.isfinite(self.reward_low)
+                and math.isfinite(self.reward_high)):
+            raise ConfigurationError(
+                f"reward_low and reward_high must be finite, got "
+                f"{self.reward_low} and {self.reward_high}")
         if self.reward_low > self.reward_high:
             raise ConfigurationError("reward_low must be <= reward_high")
 
@@ -435,6 +440,12 @@ class DataCenterConfig:
                 f"{self.n_servers} servers give {9 * self.n_servers ** 4} "
                 f"edges, above the cap of {MAX_DATACENTER_EDGES}")
         lam, (t1, t2) = self.resolved()
+        if not all(map(math.isfinite, (*lam, self.alpha, self.beta,
+                                       self.kappa))):
+            raise ConfigurationError(
+                f"arrival rates, alpha, beta and kappa must be finite, got "
+                f"rates {lam}, alpha {self.alpha}, beta {self.beta}, "
+                f"kappa {self.kappa}")
         if any(v <= 0 for v in lam):
             raise ConfigurationError(f"arrival rates must be positive, got {lam}")
         if not 0 <= t1 <= t2 <= 3 * self.n_servers:

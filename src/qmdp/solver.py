@@ -36,6 +36,7 @@ ordinal wealth the same dense class sweep as the policy pass.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,19 +59,33 @@ class QuantileQuery:
     quantile_bounds: tuple = None     # (w_lo, w_hi) bracket override
 
     def check(self):
+        """Reject a setting no solve can answer: a criterion other than
+        'lower' or 'upper', a ``tau`` or ``epsilon`` that is not a real
+        number (bools are not), a ``tau`` outside the criterion's range, an
+        ``epsilon`` that is not finite and positive, or ``quantile_bounds``
+        that are not a (w_lo, w_hi) tuple or list."""
         if self.criterion not in ("lower", "upper"):
             raise ConfigurationError(
                 f"criterion must be 'lower' or 'upper', got {self.criterion!r}")
+        for name in ("tau", "epsilon"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigurationError(
+                    f"{name} must be a real number, got {value!r}")
         if self.criterion == "lower" and not 0.0 < self.tau <= 1.0:
             raise ConfigurationError(
                 f"the lower criterion needs tau in (0, 1], got {self.tau}")
         if self.criterion == "upper" and not 0.0 <= self.tau < 1.0:
             raise ConfigurationError(
                 f"the upper criterion needs tau in [0, 1), got {self.tau}")
-        if not self.epsilon > 0.0:
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-        if self.quantile_bounds is not None and len(self.quantile_bounds) != 2:
-            raise ConfigurationError("quantile_bounds must be a (w_lo, w_hi) pair")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ConfigurationError(
+                f"epsilon must be a finite positive number, got {self.epsilon}")
+        bounds = self.quantile_bounds
+        if bounds is not None and not (isinstance(bounds, (tuple, list))
+                                       and len(bounds) == 2):
+            raise ConfigurationError(
+                f"quantile_bounds must be a (w_lo, w_hi) pair, got {bounds!r}")
 
 
 @dataclass
@@ -286,8 +301,10 @@ def quantile_certificate(m, space, report, query):
     the lower one at tau = 1.  Reports flagged ``at_bottom`` carry no
     successful test to certify against; for those every policy's quantile
     lies inside the final bracket, so the check degrades to bracket width
-    plus containment of the policy's own quantile.
+    plus containment of the policy's own quantile.  A query that
+    :meth:`QuantileQuery.check` rejects raises :class:`ConfigurationError`.
     """
+    query.check()
     if m.horizon is None:
         raise ConfigurationError(
             "the certificate recomputes an exact distribution and therefore "

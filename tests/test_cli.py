@@ -286,6 +286,31 @@ def test_generate_datacenter_large_rate(tmp_path):
     assert validate(m) == []
 
 
+@pytest.mark.parametrize("generator, flags", [
+    ("garnet", ["--states", 4, "--reward-low", "nan"]),
+    ("garnet", ["--states", 4, "--reward-high", "inf"]),
+    ("datacenter", ["--servers", 2, "--lambdas", "1,nan,3"]),
+    ("datacenter", ["--servers", 2, "--lambdas", "1,inf,3"]),
+    ("datacenter", ["--servers", 2, "--beta", "inf"])])
+def test_generate_non_finite_setting_exit_2(tmp_path, capsys, generator, flags):
+    out = tmp_path / "p.json"
+    assert run("generate", generator, *flags, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "nan", "0", "-1"])
+def test_solve_epsilon_not_finite_positive_exit_2(tmp_path, capsys, epsilon):
+    problem = tmp_path / "p.json"
+    run("generate", "garnet", "--states", 5, "--actions", 2, "--branching", 2,
+        "--horizon", 2, "--out", problem)
+    capsys.readouterr()
+    assert run("solve", "--problem", problem, "--tau", 0.1,
+               f"--epsilon={epsilon}") == 2
+    assert "epsilon" in capsys.readouterr().err
+
+
 def test_generate_datacenter_above_the_edge_cap(tmp_path, capsys):
     out = tmp_path / "dc.json"
     assert run("generate", "datacenter", "--servers", 100, "--out", out) == 2

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from qmdp import (AdditiveWealth, ConfigurationError, ConvergenceError,
                   DiscountedWealth, GarnetConfig, Mdp, OrdinalWealth,
-                  StepFunction, backward_induction, exact_distribution,
-                  generate_garnet, value_iteration)
+                  QuantileQuery, StepFunction, backward_induction,
+                  exact_distribution, generate_garnet, solve_quantile,
+                  value_iteration)
 from qmdp import dp
 from qmdp.stepfun import (VALUE_TOL, combine, pointwise_max, restrict, shift,
                           sup_distance, target_utility)
@@ -826,12 +827,62 @@ def test_value_iteration_rejects_bad_convergence_settings(setting):
                         -1.25, False, **setting)
 
 
+NOT_REAL_TARGETS = [None, "0.5", "x", True]
+
+
 def test_nan_target_raises():
     # no wealth exceeds NaN, so an answer of p = 0.0 would hide the mistake
     m = generate_garnet(GarnetConfig(4, 2, 2, seed=0), horizon=2)
     with pytest.raises(ConfigurationError, match="NaN"):
         backward_induction(m, AdditiveWealth.for_mdp(m), float("nan"), True)
+    # a target that is not a real number is a usage error, even one that
+    # float() would read as a number
+    discounted = two_state_discounted_mdp()
+    for m_w, space in ((m, AdditiveWealth.for_mdp(m)),
+                       (discounted, DiscountedWealth.for_mdp(discounted, 0.9))):
+        for w in NOT_REAL_TARGETS:
+            with pytest.raises(ConfigurationError, match="real number"):
+                backward_induction(m_w, space, w, True)
     m = generate_garnet(GarnetConfig(4, 2, 2, reward_low=-1.0, reward_high=0.0,
                                      seed=0), horizon=None)
     with pytest.raises(ConfigurationError, match="NaN"):
         value_iteration(m, AdditiveWealth.for_mdp(m), float("nan"), True)
+    for w in NOT_REAL_TARGETS:
+        with pytest.raises(ConfigurationError, match="real number"):
+            value_iteration(m, AdditiveWealth.for_mdp(m), w, True)
+
+
+def test_infinite_targets_stay_valid():
+    # +-inf are real targets: no wealth exceeds +inf, every wealth -inf
+    # (the cut at an infinite target takes inf - inf steps on the way)
+    m = generate_garnet(GarnetConfig(4, 2, 2, seed=0), horizon=2)
+    space = AdditiveWealth.for_mdp(m)
+    with np.errstate(invalid="ignore"):
+        assert backward_induction(m, space, np.inf, True)[1] == 0.0
+        assert backward_induction(m, space, -np.inf, True)[1] == 1.0
+
+
+def test_the_dp_hands_out_one_table_class(monkeypatch):
+    # every table the DP hands out is a plain cut table, whichever loop or
+    # path made it
+    m = generate_garnet(GarnetConfig(4, 2, 2, seed=0), horizon=3)
+    space = AdditiveWealth.for_mdp(m)
+    tables = [solve_quantile(m, space, QuantileQuery(0.5)).policy.table]
+    # infinite solves through the cut loop (rewards off any lattice) and
+    # through the lattice sweep
+    off_lattice = generate_garnet(GarnetConfig(4, 2, 2, reward_low=-1.0,
+                                               reward_high=0.0, seed=0), None)
+    for m_inf in (off_lattice, random_lattice_mdp(0)):
+        tables.append(solve_quantile(
+            m_inf, AdditiveWealth(-10.0, 0.0),
+            QuantileQuery(0.5, quantile_bounds=(-3.0, 0.0))).policy.table)
+    m_inf, space_inf = random_lattice_mdp(0), AdditiveWealth(-10.0, 0.0)
+    dense, cut = by_both_loops(
+        monkeypatch, lambda: value_iteration(m_inf, space_inf, -1.25, False))
+    tables += [dense[2].tables[0], cut[2].tables[0]]
+    policy = backward_induction(m, space, 0.0, True)[0]
+    tables.append(dp.translate(policy.table, -0.5, -1.0, 1.0))
+    tables.append(dp.WealthMarkovPolicy.from_cuts(
+        np.array([0, 1]), np.array([1, 0, 1]), np.array([2.0, 1.0, 0.5]),
+        np.array([True, False, True]), np.array([0, 1, 1]), 2).table)
+    assert [type(t) for t in tables] == [dp._Cuts] * len(tables)

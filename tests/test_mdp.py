@@ -237,6 +237,12 @@ def test_garnet_config_validation():
         generate_garnet(GarnetConfig(4, 2, 0, seed=0))
     with pytest.raises(ConfigurationError):
         generate_garnet(GarnetConfig(4, 2, 2, reward_low=1.0, reward_high=0.0))
+    # a non-finite reward bound is a usage error, not a numpy OverflowError
+    for low, high in ((math.nan, 1.0), (0.0, math.nan), (0.0, math.inf),
+                      (-math.inf, 0.0), (-math.inf, math.inf)):
+        with pytest.raises(ConfigurationError, match="finite"):
+            generate_garnet(GarnetConfig(4, 2, 2, reward_low=low,
+                                         reward_high=high))
 
 
 # -- data center ---------------------------------------------------------------
@@ -325,6 +331,13 @@ def test_datacenter_config_validation():
     with pytest.raises(ConfigurationError):
         generate_datacenter(DataCenterConfig(2, threshold_low_mid=5,
                                              threshold_mid_high=3))
+    # every float setting must be finite: a NaN or infinite rate or cost
+    # gives a problem that fails validation
+    for bad in ({"lambda_mid": math.nan}, {"lambda_mid": math.inf},
+                {"lambda_low": math.nan}, {"alpha": math.nan},
+                {"beta": math.inf}, {"kappa": -math.inf}):
+        with pytest.raises(ConfigurationError, match="finite"):
+            generate_datacenter(DataCenterConfig(2, **bad))
 
 
 def test_datacenter_edge_cap():

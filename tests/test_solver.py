@@ -38,6 +38,35 @@ def test_query_tau_ranges():
         QuantileQuery(tau=0.5, epsilon=0.0).check()
 
 
+@pytest.mark.parametrize("setting, match", [
+    ({"epsilon": math.inf}, "epsilon"), ({"epsilon": math.nan}, "epsilon"),
+    ({"epsilon": -1.0}, "epsilon"), ({"epsilon": None}, "epsilon"),
+    ({"epsilon": "1e-3"}, "epsilon"), ({"epsilon": True}, "epsilon"),
+    ({"tau": "0.5"}, "tau"), ({"tau": None}, "tau"), ({"tau": True}, "tau"),
+    ({"tau": math.nan}, "tau"),
+    ({"quantile_bounds": 5}, "quantile_bounds"),
+    ({"quantile_bounds": (1.0,)}, "quantile_bounds"),
+    ({"quantile_bounds": "ab"}, "quantile_bounds")])
+def test_query_rejects_bad_settings(setting, match):
+    # with an infinite epsilon the policy sits far below the quantile the
+    # report claims, so neither the solve nor the certificate may take it
+    query = QuantileQuery(**{"tau": 0.1, **setting})
+    with pytest.raises(ConfigurationError, match=match):
+        query.check()
+    m, space = small_instance(0)
+    with pytest.raises(ConfigurationError, match=match):
+        solve_quantile(m, space, query)
+    report = solve_quantile(m, space, QuantileQuery(tau=0.1))
+    with pytest.raises(ConfigurationError, match=match):
+        quantile_certificate(m, space, report, query)
+
+
+def test_query_accepts_numpy_numbers():
+    QuantileQuery(tau=np.float64(0.5), epsilon=np.float32(1e-3),
+                  quantile_bounds=[0.0, 1.0]).check()
+    QuantileQuery(tau=1, epsilon=1).check()
+
+
 def test_invalid_mdp_rejected():
     m = Mdp(2, 1, [[[(0, 0.5), (1, 0.4)]], [[(1, 1.0)]]],
             {"kind": "sa", "values": [[0.0], [0.0]]}, 0, 2)

@@ -416,20 +416,6 @@ def _spread(c, states, n):
     return _Cuts(base, off, c.x, c.e, c.v)
 
 
-def _target_key(space, w):
-    """The key of target wealth w, which on numeric wealth must be a real
-    number (not a bool or a string ``float`` parses); no wealth exceeds a
-    NaN target, so asking for one is a usage error, not a probability of 0."""
-    if not isinstance(space, OrdinalWealth) and (
-            isinstance(w, bool) or not isinstance(w, numbers.Real)):
-        raise ConfigurationError(
-            f"the target wealth must be a real number, got {w!r}")
-    key = space.key(w)
-    if math.isnan(key):
-        raise ConfigurationError(f"the target wealth must not be NaN, got {w!r}")
-    return key
-
-
 def backward_induction(m, space, w, strict, reachable_only=False):
     """Maximize the probability of terminal wealth above ``w``.
 
@@ -437,8 +423,8 @@ def backward_induction(m, space, w, strict, reachable_only=False):
     non-strict is the upper-quantile mode.  Returns ``(policy, p, vf)``
     where p is the optimal exceedance probability from the initial state
     and vf the per-timestep value tables, ``vf.slices[t][s]`` for t in
-    0..T.  The policy's table holds the T·S greedy rules.  A NaN ``w``
-    raises :class:`ConfigurationError`.
+    0..T.  The policy's table holds the T·S greedy rules.  A ``w`` that
+    ``space.key`` rejects, NaN included, raises :class:`ConfigurationError`.
 
     Numeric wealth computes each layer with :func:`_layer`; ordinal wealth
     runs the dense class sweep (:class:`OrdinalSweep`) once and tables its
@@ -455,7 +441,7 @@ def backward_induction(m, space, w, strict, reachable_only=False):
             "backward_induction needs a finite horizon; "
             "use value_iteration for infinite-horizon problems")
     T, S = m.horizon, m.n_states
-    target = _target_key(space, w)
+    target = space.key(w)
     layers = _reachable(m) if reachable_only else [np.arange(S)] * T
     tables = [None] * (T + 1)
     tables[T] = _pack([target_utility(target, strict)] * S)
@@ -804,8 +790,8 @@ def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
     number of sweeps.  The policy is the greedy rule of the last sweep,
     taken against the iterate within ``eps_conv`` of the returned slices.
     ``eps_conv`` must be finite and at least 0 (lattice iterates can
-    reach an exact fixpoint), ``max_sweeps`` at least 1, and ``w`` not
-    NaN.
+    reach an exact fixpoint), ``max_sweeps`` at least 1, and ``w`` a
+    wealth value (``space.key``), not NaN.
 
     The sweeps compute the value table only.  Once the residual passes,
     one more step on the iterate the converged sweep read builds the
@@ -841,7 +827,7 @@ def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
             "the stationary sweep needs a time-homogeneous wealth update: "
             "only undiscounted additive wealth is supported")
     check_convergence(eps_conv, max_sweeps)
-    target = _target_key(space, w)
+    target = space.key(w)
     # Slices only ever get evaluated on the reachable side of w0;
     # collapsing the other side is exact there and is what makes the
     # sup-residual converge.

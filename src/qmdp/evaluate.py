@@ -24,7 +24,7 @@ import numpy as np
 
 from .dp import WealthMarkovPolicy
 from .errors import ConfigurationError, ResourceLimitError, ValidationError
-from .stepfun import _ranks
+from .stepfun import _ranks, _threshold_runs
 from .wealth import BLOCK_FLOATS, WEALTH_TOL, Lattice
 
 QUANT_ATOL = 1e-12   # slack when comparing partial sums against tau
@@ -34,10 +34,9 @@ def merge_atoms(states, keys, masses):
     """Collapse (state, wealth key, mass) atom arrays; returns the three arrays.
 
     Atoms of zero mass are dropped and the rest sorted by (state, key).
-    Within one state, a run of keys each at most ``WEALTH_TOL`` above the
-    one before it becomes one atom at the run's smallest key carrying the
-    run's total mass (``stepfun._threshold_runs`` finds runs of cuts the
-    same way).
+    Within one state, a run of keys that :func:`stepfun._threshold_runs`
+    finds equal becomes one atom at the run's smallest key carrying the
+    run's total mass, as a run of cuts becomes one cut.
     """
     live = masses != 0
     states, keys, masses = states[live], keys[live], masses[live]
@@ -45,8 +44,8 @@ def merge_atoms(states, keys, masses):
         return states, keys, masses
     order = np.lexsort((keys, states))
     states, keys, masses = states[order], keys[order], masses[order]
-    first = np.flatnonzero(np.concatenate(
-        ([True], (np.diff(states) != 0) | (np.diff(keys) > WEALTH_TOL))))
+    first, _ = _threshold_runs(keys, np.zeros(len(keys), dtype=np.uint8),
+                               states)
     return states[first], keys[first], np.add.reduceat(masses, first)
 
 

@@ -213,10 +213,7 @@ def _intervals_to_cuts(intervals, space):
         if item["from"] is None:
             base = a
             continue
-        k = space.key(item["from"])
-        if k != k:
-            raise ConfigurationError("policy interval starts at NaN")
-        keys.append(k)
+        keys.append(space.key(item["from"]))
         inclusive.append(bool(item["inclusive_from"]))
         actions.append(a)
     return base, keys, inclusive, actions

@@ -17,7 +17,7 @@ All target utilities are indicators, and none of the operations below
 piecewise-constant subclass of piecewise-linear functions is closed under
 the whole backward-induction update.
 
-Canonical form: thresholds within ``THRESH_TOL`` of the same side merge
+Canonical form: thresholds within ``WEALTH_TOL`` of the same side merge
 (first position, last value wins), then cuts whose value matches the
 preceding piece are dropped — within ``VALUE_TOL`` for float values,
 exactly for integer ones.  Two functions that are pointwise equal have
@@ -26,7 +26,8 @@ identical encodings.
 
 import numpy as np
 
-THRESH_TOL = 1e-9   # threshold merge, absorbs float noise from discounted shifts
+from .wealth import WEALTH_TOL
+
 VALUE_TOL = 1e-12   # adjacent-piece value merge (float values)
 
 
@@ -36,20 +37,25 @@ def _ranks(counts):
 
 
 def _threshold_runs(x, e, seg):
-    """The runs of cuts closer than THRESH_TOL on the same side (single pass).
+    """The runs of sorted keys each at most WEALTH_TOL above the one before
+    it on the same side (single pass): the one rule for equal wealth keys.
 
-    A run merges into one cut: the first (smallest) threshold and side of
-    the run and the value after its last cut.  A run's successor is
-    guaranteed to sit more than THRESH_TOL above the kept representative,
-    so one pass reaches a fixpoint.
+    A run of cuts merges into one cut: the first (smallest) threshold and
+    side of the run and the value after its last cut; a run of atoms into
+    one atom (:func:`qmdp.evaluate.merge_atoms`, all sides equal).  A
+    run's successor sits more than WEALTH_TOL above the kept
+    representative, so one pass reaches a fixpoint.  Equal keys, ±inf
+    too, are 0 apart.
 
-    ``seg`` holds the nondecreasing segment id of every cut (the cuts of
+    ``seg`` holds the nondecreasing segment id of every key (the cuts of
     many functions, laid end to end); no run crosses a segment boundary.
     Returns ``(first, last)``, the index of every run's first and last
     cut; ``x[first], e[first], v[last], seg[first]`` are the merged cuts.
     """
     keep = np.ones(len(x), dtype=bool)
-    keep[1:] = ((np.diff(x) > THRESH_TOL) | (e[1:] != e[:-1])
+    hi, lo = x[1:], x[:-1]
+    gap = np.subtract(hi, lo, out=np.zeros(len(lo)), where=hi != lo)
+    keep[1:] = ((gap > WEALTH_TOL) | (e[1:] != e[:-1])
                 | (seg[1:] != seg[:-1]))
     first = np.flatnonzero(keep)
     last = np.empty_like(first)

@@ -12,8 +12,8 @@ supported:
   ``w_1 < ... < w_m``; accumulation is a user-supplied class-transition table
   over (class, reward-label) pairs, distance is the index gap ``|j - i|``.
 
-Internally every wealth value maps to a float *key* (the value itself for
-numeric kinds, the class index for the ordinal kind) so that downstream
+Internally every wealth value maps to a float *key* (:func:`numeric_key`
+for numeric kinds, the class index for the ordinal kind) so that downstream
 code can compare and sort wealths uniformly.  ``accumulate``, ``compare``
 and ``distance`` accept and return public values (class labels for ordinal
 spaces); the key protocol works on keys.  It also says how each edge of
@@ -25,14 +25,15 @@ multiples of one step, where both run dense.
 """
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError
 
-# Absolute tolerance used downstream when merging wealth atoms / step-function
-# thresholds.  Comparisons inside this module are exact.
+# The one tolerance within which wealth keys are equal, for step-function cuts
+# and distribution atoms alike (``stepfun._threshold_runs``).
 WEALTH_TOL = 1e-9
 
 # Float64-sized values in the working arrays of one block: the layer
@@ -40,6 +41,19 @@ WEALTH_TOL = 1e-9
 # cells x thresholds) gather of a dense sweep for a block of thresholds,
 # and the entries of a stationary policy's forward operator.
 BLOCK_FLOATS = 1 << 20
+
+
+def numeric_key(w):
+    """The key of numeric wealth value ``w``, a Python float: ``w`` must be
+    a real number, not a bool and not NaN; ±inf stay valid."""
+    if type(w) is not float:
+        if isinstance(w, bool) or not isinstance(w, numbers.Real):
+            raise ConfigurationError(
+                f"a numeric wealth value must be a real number, got {w!r}")
+        w = float(w)
+    if w != w:
+        raise ConfigurationError("a numeric wealth value must not be NaN")
+    return w
 
 
 class Lattice(NamedTuple):
@@ -153,11 +167,10 @@ class AdditiveWealth(WealthSpace):
     kind = "additive"
 
     def __init__(self, w_min=-math.inf, w_max=math.inf):
-        if not w_min <= w_max:
+        self.w_min, self.w_max = numeric_key(w_min), numeric_key(w_max)
+        if not self.w_min <= self.w_max:
             raise ConfigurationError(f"w_min {w_min} > w_max {w_max}")
         self.w0 = 0.0
-        self.w_min = float(w_min)
-        self.w_max = float(w_max)
 
     @classmethod
     def for_mdp(cls, mdp):
@@ -175,10 +188,10 @@ class AdditiveWealth(WealthSpace):
         return cls(mdp.horizon * r_min, mdp.horizon * r_max)
 
     def accumulate(self, w, r, t=0):
-        return float(w) + self._check_numeric_reward(r)
+        return numeric_key(w) + self._check_numeric_reward(r)
 
     def key(self, w):
-        return float(w)
+        return numeric_key(w)
 
     def unkey(self, k):
         return float(k)
@@ -201,12 +214,11 @@ class DiscountedWealth(WealthSpace):
     def __init__(self, gamma, w_min=-math.inf, w_max=math.inf):
         if not 0.0 < gamma <= 1.0:
             raise ConfigurationError(f"gamma must be in (0, 1], got {gamma}")
-        if not w_min <= w_max:
+        self.w_min, self.w_max = numeric_key(w_min), numeric_key(w_max)
+        if not self.w_min <= self.w_max:
             raise ConfigurationError(f"w_min {w_min} > w_max {w_max}")
         self.gamma = float(gamma)
         self.w0 = 0.0
-        self.w_min = float(w_min)
-        self.w_max = float(w_max)
 
     @classmethod
     def for_mdp(cls, mdp, gamma):
@@ -224,10 +236,10 @@ class DiscountedWealth(WealthSpace):
         return cls(gamma, geo * r_min, geo * r_max)
 
     def accumulate(self, w, r, t=0):
-        return float(w) + self.gamma ** t * self._check_numeric_reward(r)
+        return numeric_key(w) + self.gamma ** t * self._check_numeric_reward(r)
 
     def key(self, w):
-        return float(w)
+        return numeric_key(w)
 
     def unkey(self, k):
         return float(k)

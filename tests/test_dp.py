@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -589,7 +591,7 @@ def test_the_solver_computes_only_the_reachable_states():
 
 # -- translating many step functions as one table ------------------------------
 
-from qmdp.stepfun import THRESH_TOL  # noqa: E402
+from qmdp.wealth import WEALTH_TOL  # noqa: E402
 
 
 def translated(fs, c, lo=None, hi=None):
@@ -608,7 +610,7 @@ def translated_one_by_one(fs, c, lo, hi):
 @st.composite
 def near_cuts(draw, exact):
     """A step function whose cuts come in pairs that a shift can bring
-    together: one ulp apart on opposite sides, or just over THRESH_TOL
+    together: one ulp apart on opposite sides, or just over WEALTH_TOL
     apart on one side."""
     xs, sides = [], []
     for x in draw(st.lists(GRID, max_size=3)):
@@ -620,7 +622,7 @@ def near_cuts(draw, exact):
             xs.append(np.nextafter(x, np.inf))
             sides.append(not side)
         elif partner == "tol":
-            xs.append(x + THRESH_TOL * 1.000001)
+            xs.append(x + WEALTH_TOL * 1.000001)
             sides.append(side)
     value = (st.integers(0, 3) if exact else
              st.one_of(st.integers(0, 8).map(lambda v: v / 8), st.floats(0, 1)))
@@ -670,7 +672,7 @@ def test_translate_sorts_cuts_that_collide(exact):
 @pytest.mark.parametrize("exact", [True, False])
 def test_translate_merges_cuts_the_shift_brings_within_tolerance(exact):
     a, b = (1, 2) if exact else (0.25, 0.75)
-    gap = THRESH_TOL * 1.000001
+    gap = WEALTH_TOL * 1.000001
     f = StepFunction(0 if exact else 0.0, [0.5, 0.5 + gap], [True, True], [a, b])
     assert len(f) == 2
     merged = False
@@ -853,13 +855,20 @@ def test_nan_target_raises():
 
 
 def test_infinite_targets_stay_valid():
-    # +-inf are real targets: no wealth exceeds +inf, every wealth -inf
-    # (the cut at an infinite target takes inf - inf steps on the way)
+    # +-inf are real targets: no wealth exceeds +inf, every wealth -inf.
+    # Cuts at an infinite target are 0 apart in the run rule, with no
+    # inf - inf on the way
     m = generate_garnet(GarnetConfig(4, 2, 2, seed=0), horizon=2)
     space = AdditiveWealth.for_mdp(m)
-    with np.errstate(invalid="ignore"):
-        assert backward_induction(m, space, np.inf, True)[1] == 0.0
-        assert backward_induction(m, space, -np.inf, True)[1] == 1.0
+    m_inf = generate_garnet(GarnetConfig(4, 2, 2, reward_low=-1.0,
+                                         reward_high=0.0, seed=0), None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for strict in (True, False):
+            assert backward_induction(m, space, np.inf, strict)[1] == 0.0
+            assert backward_induction(m, space, -np.inf, strict)[1] == 1.0
+            assert value_iteration(m_inf, AdditiveWealth.for_mdp(m_inf),
+                                   -np.inf, strict)[1] == 1.0
 
 
 def test_the_dp_hands_out_one_table_class(monkeypatch):

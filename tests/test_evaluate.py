@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from qmdp import (AdditiveWealth, ConfigurationError, DiscountedWealth,
                   standard_backward_induction, ValidationError)
 from qmdp.dp import _pack
 from qmdp.evaluate import merge_atoms
+from qmdp.wealth import WEALTH_TOL
 from conftest import random_lattice_mdp, two_state_discounted_mdp
 
 
@@ -224,6 +227,42 @@ def test_atom_merge_keeps_smaller_representative():
     assert len(d) == 1
     assert d.keys[0] == 1.0
     assert d.probs[0] == 1.0
+
+
+@pytest.mark.parametrize("gap,n", [(WEALTH_TOL * 1.000001, 2),
+                                   (0.5 * WEALTH_TOL, 1)])
+def test_atoms_and_cuts_share_one_tolerance(gap, n):
+    # just over WEALTH_TOL apart stays two atoms, half of it merges into
+    # the smaller one, as for two cuts on one side
+    keys = np.array([0.5, 0.5 + gap])
+    states, merged, masses = merge_atoms(np.zeros(2, dtype=np.int64), keys,
+                                         np.array([0.25, 0.75]))
+    assert merged.tolist() == keys[:n].tolist()
+    assert masses.tolist() == ([0.25, 0.75] if n == 2 else [1.0])
+    d = WealthDistribution(AdditiveWealth(), keys, [0.25, 0.75])
+    assert len(d) == n
+    assert len(StepFunction(0.0, keys, [True, True], [0.25, 0.75])) == n
+
+
+def test_infinite_atoms_merge_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states, keys, masses = merge_atoms(
+            np.array([0, 0, 0, 1, 1]),
+            np.array([np.inf, -np.inf, np.inf, -np.inf, -np.inf]),
+            np.full(5, 0.2))
+    assert states.tolist() == [0, 0, 1]
+    assert keys.tolist() == [-np.inf, np.inf, -np.inf]
+    assert masses.tolist() == [0.2, 0.4, 0.4]
+
+
+@pytest.mark.parametrize("w", ["0.5", None, True, float("nan")], ids=repr)
+def test_cumulatives_read_wealth_values_only(w):
+    # a string float() would parse and a bool are not wealth values
+    d = WealthDistribution.from_atoms(AdditiveWealth(), {0.0: 0.5, 1.0: 0.5})
+    for f in (d.cdf, d.decumulative, d.strict_decumulative):
+        with pytest.raises(ConfigurationError, match="real number|NaN"):
+            f(w)
 
 
 def test_from_atoms_validation():

@@ -171,6 +171,8 @@ def test_found_problem_tracebacks(tmp_path, name, path, value, code):
     ("sa-additive", [0, "intervals", 1, "from"], float("nan")),
     ("sa-additive", [0, "intervals", 0, "action"], 2**63),
     ("sas-ordinal", [0, "intervals", 1, "from"], [1]),
+    ("sa-additive", [0, "intervals", 1, "from"], "0.5"),
+    ("sa-additive", [0, "intervals", 1, "from"], True),
 ])
 def test_found_policy_tracebacks(tmp_path, name, path, value):
     policy = copy.deepcopy(POLICIES[name])

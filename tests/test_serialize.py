@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from qmdp import (AdditiveWealth, ConfigurationError, DiscountedWealth,
                   generate_garnet, load_policy, load_problem,
                   policy_from_payload, policy_to_payload,
                   problem_to_dict, save_policy, save_problem, solve_quantile)
-from qmdp.stepfun import THRESH_TOL
+from qmdp.wealth import WEALTH_TOL
 from conftest import two_policy_ordinal_instance, two_state_discounted_mdp
 
 
@@ -151,8 +152,23 @@ def test_missing_entry_takes_action_zero():
     assert policy.rule(1, 0).intervals() == [(None, True, 2)]
 
 
-# thresholds on a coarse grid, some moved by less than THRESH_TOL
-FROMS = st.builds(lambda x, nudge: x + nudge * THRESH_TOL / 3,
+def test_cuts_at_infinity_load_without_warnings():
+    # two cuts at Infinity in one rule are 0 apart: one run, no inf - inf
+    payload = json.loads(
+        '[{"t": 0, "s": 0, "intervals": ['
+        '{"from": null, "inclusive_from": true, "action": 0}, '
+        '{"from": Infinity, "inclusive_from": true, "action": 1}, '
+        '{"from": Infinity, "inclusive_from": true, "action": 2}, '
+        '{"from": -Infinity, "inclusive_from": false, "action": 3}]}]')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        policy = policy_from_payload(payload, AdditiveWealth(), 1)
+    assert policy.rule(0, 0).intervals() == [
+        (None, True, 0), (-float("inf"), False, 3), (float("inf"), True, 2)]
+
+
+# thresholds on a coarse grid, some moved by less than WEALTH_TOL
+FROMS = st.builds(lambda x, nudge: x + nudge * WEALTH_TOL / 3,
                   st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
                   st.integers(-4, 4))
 INTERVAL = st.tuples(st.one_of(st.none(), FROMS), st.booleans(),
@@ -163,7 +179,7 @@ INTERVAL = st.tuples(st.one_of(st.none(), FROMS), st.booleans(),
 @given(data=st.data())
 def test_loaded_rules_equal_the_step_function_constructor(data):
     # interval lists out of order, with repeated "from" values, cuts within
-    # THRESH_TOL of each other and null "from" anywhere in the list
+    # WEALTH_TOL of each other and null "from" anywhere in the list
     space = AdditiveWealth()
     S, T = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     payload, want = [], {}

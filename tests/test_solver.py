@@ -11,7 +11,8 @@ from qmdp import (AdditiveWealth, ConfigurationError, DiscountedWealth,
                   quantile_certificate, solve_quantile,
                   validate, value_iteration)
 from qmdp.dp import OrdinalSweep, _pack
-from conftest import random_lattice_mdp, two_policy_ordinal_instance
+from conftest import (random_lattice_mdp, two_policy_ordinal_instance,
+                      two_state_discounted_mdp)
 
 
 NEG_LATTICE = (-0.25, -0.5, -0.75, -1.0)
@@ -631,6 +632,19 @@ def test_threshold_test_at_exact_ties(probs, rewards, tau, criterion):
 def _flip(rule, n_actions):
     return StepFunction(n_actions - 1 - rule.base, rule.x, rule.e == 0,
                         n_actions - 1 - rule.v)
+
+
+@pytest.mark.parametrize("bounds", [("-1", "3"), (True, 3.0), (None, 1.0),
+                                    (-1.0, math.nan)], ids=repr)
+def test_quantile_bounds_are_wealth_values(bounds):
+    # numeric bounds are wealth values: a string float() would parse, a
+    # bool, None and NaN are usage errors
+    m = generate_garnet(GarnetConfig(4, 2, 2, seed=0), horizon=2)
+    discounted = two_state_discounted_mdp()
+    for m_w, space in ((m, AdditiveWealth.for_mdp(m)),
+                       (discounted, DiscountedWealth.for_mdp(discounted, 0.9))):
+        with pytest.raises(ConfigurationError, match="real number|NaN"):
+            solve_quantile(m_w, space, QuantileQuery(0.5, quantile_bounds=bounds))
 
 
 # -- infinite horizon ---------------------------------------------------------------

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -166,6 +169,43 @@ def test_gamma_validation():
 def test_bounds_validation():
     with pytest.raises(ConfigurationError):
         AdditiveWealth(1.0, 0.0)
+
+
+# -- numeric wealth values ---------------------------------------------------------
+
+NOT_WEALTH = [None, "0.5", "x", True, math.nan]
+WEALTH = [1, 1.5, np.float64(0.25), np.int64(3), math.inf, -math.inf]
+
+
+def bounded(kind, w_min, w_max):
+    if kind == "additive":
+        return AdditiveWealth(w_min, w_max)
+    return DiscountedWealth(0.9, w_min, w_max)
+
+
+@pytest.mark.parametrize("kind", ["additive", "discounted"])
+@pytest.mark.parametrize("w", NOT_WEALTH, ids=repr)
+def test_numeric_wealth_values_are_real_numbers(kind, w):
+    # one definition of a numeric wealth value: key, accumulate and both
+    # bounds reject a string float() would parse, a bool and NaN alike
+    sp = make_space(kind)
+    for use in (sp.key, lambda w: sp.accumulate(w, 1.0, 1),
+                lambda w: bounded(kind, w, 10.0),
+                lambda w: bounded(kind, -10.0, w)):
+        with pytest.raises(ConfigurationError, match="real number|NaN"):
+            use(w)
+
+
+@pytest.mark.parametrize("kind", ["additive", "discounted"])
+@pytest.mark.parametrize("w", WEALTH, ids=repr)
+def test_numeric_wealth_accepts_real_numbers(kind, w):
+    sp = make_space(kind)
+    k = sp.key(w)
+    assert type(k) is float and k == w
+    assert sp.accumulate(w, 0.0, 1) == w
+    b = bounded(kind, w, w)
+    assert type(b.w_min) is float and type(b.w_max) is float
+    assert b.w_min == b.w_max == w
 
 
 def test_ordinal_unkey_rejects_keys_outside_the_classes():

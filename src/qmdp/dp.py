@@ -48,13 +48,16 @@ one clipped run at target t holds the value at ``w0`` of every target
 above t (nonpositive rewards) or below t (nonnegative rewards).
 
 Where slices are vectors, the DP runs dense (:class:`_DenseSweep`): each
-step is one gather of the successor values through a (pair, edge, cell)
+step is one gather of the successor values through an (edge, pair, cell)
 index table, a sum over edges and a max over actions.  Ordinal wealth
 over n classes has n cells, and the slices of many targets stack into
 one array, so one batched backward induction gives the optimal
 exceedance probability of every class threshold, and one at a single
 threshold the policy (:class:`OrdinalSweep`); :func:`backward_induction`
 on ordinal wealth runs that sweep too, so :func:`_layer` is numeric-only.
+The batched sweep reads only (s0, w0) at t = 0, so layer t computes only
+the classes w0 reaches in t steps, and targets that split those terminal
+classes alike share one column: the same sums of the same products.
 An infinite run whose rewards, target and ``w0`` lie on one lattice of
 step δ, not much finer than the wealth sums its cut tables would hold,
 has one cell per multiple of δ from the target to ``w0``
@@ -450,7 +453,7 @@ def backward_induction(m, space, w, strict, reachable_only=False):
         sweep = OrdinalSweep(m, space)
         best = np.empty((T, S, sweep.n), dtype=np.intp)
         V = np.empty((T, S * sweep.n, 1))
-        sweep._sweep(np.array([target]), strict, best, V)
+        sweep._sweep([target + strict], best=best, values=V)
     for t in range(T - 1, -1, -1):
         if ordinal:
             value = _tol_merged(_on_classes(V[t].reshape(S, -1)[layers[t]]))
@@ -473,11 +476,12 @@ class _DenseSweep:
     values through the cell every edge moves wealth to, mixes them per
     (s, a) and takes the max over actions.  The gather tables are built
     once, from every edge of m and its row of the (E, n) table ``moves``
-    (edge j moves cell k to cell ``moves[j, k]``): ``idx[sa, i, k]`` is
+    (edge j moves cell k to cell ``moves[j, k]``): ``idx[i, sa, k]`` is
     the flat (state, cell) row that edge i of pair sa reaches from cell
-    k, and ``prob[sa, i]`` its probability.  Pairs with fewer edges than
+    k, and ``prob[i, sa]`` its probability.  Pairs with fewer edges than
     the widest one are padded with zero-probability edges, so a plain sum
-    over edge slots mixes the successors.
+    over edge slots mixes the successors.  The slot is the outer axis, so
+    the sum adds edges in slot order whatever the other axes hold.
     """
 
     def __init__(self, m, moves):
@@ -485,27 +489,27 @@ class _DenseSweep:
         self.n = n = moves.shape[1]
         counts = np.diff(m.starts)
         real = np.arange(counts.max()) < counts[:, None]
-        self.idx = np.zeros(real.shape + (n,), dtype=np.intp)
-        self.idx[real] = m.succ[:, None] * n + moves
-        self.prob = np.zeros(real.shape + (1, 1))
-        self.prob[real, 0, 0] = m.prob
+        self.idx = np.zeros(real.shape[::-1] + (n,), dtype=np.intp)
+        self.idx.swapaxes(0, 1)[real] = m.succ[:, None] * n + moves
+        self.prob = np.zeros(real.shape[::-1] + (1, 1))
+        self.prob.swapaxes(0, 1)[real, 0, 0] = m.prob
 
-    def _step(self, V, rule=None):
+    def _step(self, V, rule=None, idx=None):
         """One backward step of the slices V; the greedy rule (the lowest
         action within ``VALUE_TOL`` of the best, as in :func:`_layer`) goes
-        into ``rule`` unless it is None.
+        into ``rule`` unless it is None; ``idx`` replaces ``self.idx``.
 
         No array of a step outlives it: with two steps' arrays alive at
         once, malloc returns the memory to the system after every step and
         faults it back in (about 500 page faults per ordinal solve).
         """
-        g = V[self.idx]
+        g = V[self.idx if idx is None else idx]
         g *= self.prob
-        q = g.sum(axis=1).reshape(self.m.n_states, self.m.n_actions, self.n, -1)
+        q = g.sum(axis=0).reshape(self.m.n_states, self.m.n_actions, -1, V.shape[1])
         top = q.max(axis=1)
         if rule is not None:
             rule[:] = _first_best(np.moveaxis(q[..., 0], 1, 0), top[..., 0])
-        return top.reshape(V.shape)
+        return top.reshape(-1, V.shape[1])
 
 
 class OrdinalSweep(_DenseSweep):
@@ -514,7 +518,8 @@ class OrdinalSweep(_DenseSweep):
     The cells are the classes, and an edge moves them through the
     class-transition table of its reward label.  One loop (:meth:`_sweep`)
     serves the batched exceedance curve, the single-target policy and
-    ordinal :func:`backward_induction`.
+    ordinal :func:`backward_induction`; only the curve's sweep skips the
+    classes w0 cannot reach (:meth:`_reach`).
     """
 
     def __init__(self, m, space):
@@ -522,19 +527,36 @@ class OrdinalSweep(_DenseSweep):
             raise ConfigurationError("the dense ordinal sweep needs a finite horizon")
         if not isinstance(space, OrdinalWealth):
             raise ConfigurationError("the dense ordinal sweep needs ordinal wealth")
-        super().__init__(m, space.edge_moves(m.rewards))
-        self.row0 = m.initial_state * self.n + space.index(space.w0)
+        self.moves = space.edge_moves(m.rewards)
+        super().__init__(m, self.moves)
+        self.k0 = space.index(space.w0)
 
-    def _sweep(self, targets, strict, best=None, values=None):
-        """The (S * n, J) layer-0 slices of the class ``targets``, from
-        terminal slices 1 on the classes above each target.  With ``best``,
-        a (T, S, n) array for one target, ``best[t]`` gets layer t's rule,
-        and with ``values``, a (T, S * n, J) array, its slices."""
-        k = np.arange(self.n)[:, None]
-        hit = (k > targets) if strict else (k >= targets)
+    def _reach(self):
+        """``(R_T, gathers)``: ``R_0 = {w0}``, ``R_{t+1}`` every class a
+        real edge moves a class of ``R_t`` to (in any state), and layer t's
+        gather table over ``R_t``: row (s, k) reads row ``succ * |R_{t+1}|``
+        plus the position of ``move(k)`` in ``R_{t+1}``; padding, row 0."""
+        T = self.m.horizon
+        reach = [np.array([self.k0])]
+        for _ in range(T):
+            reach.append(np.unique(self.moves[:, reach[-1]]))
+        gathers = []
+        for here, there in zip(reach, reach[1:]):
+            succ, k = np.divmod(self.idx[:, :, here], self.n)
+            gathers.append(succ * len(there) + np.searchsorted(there, k))
+        return reach[T], gathers
+
+    def _sweep(self, splits, reach=None, best=None, values=None):
+        """The layer-0 slices of the terminal columns 1 from position
+        ``splits[j]`` of the classes of ``reach`` (:meth:`_reach`) or of
+        all, where target k splits at ``k + strict``.  With ``best``, a (T,
+        S, n) array for one column, ``best[t]`` gets layer t's rule, and
+        with ``values``, a (T, S * n, J) array, its slices (all classes)."""
+        classes, gathers = reach or (range(self.n), [None] * self.m.horizon)
+        hit = np.arange(len(classes))[:, None] >= np.asarray(splits)
         V = np.tile(hit.astype(np.float64), (self.m.n_states, 1))
         for t in range(self.m.horizon - 1, -1, -1):
-            V = self._step(V, None if best is None else best[t])
+            V = self._step(V, None if best is None else best[t], gathers[t])
             if values is not None:
                 values[t] = V
         return V
@@ -542,15 +564,24 @@ class OrdinalSweep(_DenseSweep):
     def exceedance(self, targets, strict):
         """Optimal exceedance probability from (s0, w0) at every class target.
 
-        Entry j equals ``backward_induction(m, space, class targets[j],
-        strict)[1]``.
+        Entry j is :meth:`backward_induction`'s p at class ``targets[j]``
+        bit for bit (:func:`backward_induction`'s within ``VALUE_TOL``):
+        the sweep keeps only the classes w0 reaches (:meth:`_reach`), one
+        column per distinct ``np.searchsorted`` split of them, in blocks
+        whose largest gather holds about ``BLOCK_FLOATS`` floats.
         """
-        targets = np.asarray(targets, dtype=np.intp)
-        block = max(1, BLOCK_FLOATS // self.idx.size)
-        p = np.empty(len(targets))
-        for b in range(0, len(targets), block):
-            p[b:b + block] = self._sweep(targets[b:b + block], strict)[self.row0]
-        return p
+        reach = self._reach()
+        splits, col = np.unique(np.searchsorted(
+            reach[0], targets, side="right" if strict else "left"),
+            return_inverse=True)
+        block = max(1, BLOCK_FLOATS // max((g.size for g in reach[1]),
+                                           default=1))
+        p = np.empty(len(splits))
+        for b in range(0, len(p), block):
+            # layer 0 holds w0 alone, so the row of (s0, w0) is s0
+            p[b:b + block] = self._sweep(splits[b:b + block], reach)[
+                self.m.initial_state]
+        return p[col]
 
     def backward_induction(self, target, strict):
         """:func:`backward_induction`'s policy and p at one class target.
@@ -560,9 +591,9 @@ class OrdinalSweep(_DenseSweep):
         """
         T, S = self.m.horizon, self.m.n_states
         best = np.empty((T, S, self.n), dtype=np.intp)
-        V = self._sweep(np.array([target]), strict, best)
+        V = self._sweep([target + strict], best=best)
         return (WealthMarkovPolicy(_on_classes(best.reshape(T * S, -1)), S),
-                float(V[self.row0, 0]))
+                float(V[self.m.initial_state * self.n + self.k0, 0]))
 
 
 def reachable_window(m, space):

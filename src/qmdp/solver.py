@@ -22,8 +22,9 @@ threshold in the bracket maps onto that side.
 Ordinal wealth has no translation, but over m classes a slice is a dense
 length-m vector, so one batched backward induction over every class
 threshold j of the bracket gives the exceedance curve p(j) directly
-(:meth:`~qmdp.dp.OrdinalSweep.exceedance`).  The lower quantile is one above
-the largest passing j below the bracket top, the upper quantile the
+(:meth:`~qmdp.dp.OrdinalSweep.exceedance`), on only the classes w0 reaches
+and one column per distinct split of them.  The lower quantile is one
+above the largest passing j below the bracket top, the upper quantile the
 largest passing j above the bracket bottom; both are exact.  The policy
 comes from a second, single-threshold pass at the largest passing j
 (:meth:`~qmdp.dp.OrdinalSweep.backward_induction`, the same loop keeping

@@ -45,12 +45,16 @@ BLOCK_FLOATS = 1 << 20
 
 def numeric_key(w):
     """The key of numeric wealth value ``w``, a Python float: ``w`` must be
-    a real number, not a bool and not NaN; ±inf stay valid."""
+    a real number in float range, not a bool and not NaN; ±inf stay valid."""
     if type(w) is not float:
         if isinstance(w, bool) or not isinstance(w, numbers.Real):
             raise ConfigurationError(
                 f"a numeric wealth value must be a real number, got {w!r}")
-        w = float(w)
+        try:
+            w = float(w)
+        except OverflowError:
+            raise ConfigurationError(f"a numeric wealth value must be a real "
+                                     f"number in float range, got {w!r}") from None
     if w != w:
         raise ConfigurationError("a numeric wealth value must not be NaN")
     return w
@@ -153,12 +157,11 @@ class WealthSpace:
         return None
 
     def _check_numeric_reward(self, r):
-        if not isinstance(r, (int, float)):
-            raise ConfigurationError(
-                f"{self.kind} wealth spaces accumulate numeric rewards, "
-                f"got {r!r}"
-            )
-        return float(r)
+        try:
+            return numeric_key(r)
+        except ConfigurationError:
+            raise ConfigurationError(f"{self.kind} wealth spaces accumulate "
+                                     f"numeric rewards, got {r!r}") from None
 
 
 class AdditiveWealth(WealthSpace):
@@ -274,6 +277,9 @@ class OrdinalWealth(WealthSpace):
             raise ConfigurationError("ordinal wealth classes must be distinct")
         self.classes = classes
         self._index = {c: i for i, c in enumerate(classes)}
+        # whether a bool would find a class 0 or 1 that is not a bool
+        self._bool_hits = (0 in self._index or 1 in self._index) and not any(
+            isinstance(c, (bool, np.bool_)) for c in classes)
         self.transition_table = transition_table
         if w0 is None:
             w0 = classes[0]
@@ -286,6 +292,8 @@ class OrdinalWealth(WealthSpace):
         self._moves = {}
 
     def index(self, w):
+        if self._bool_hits and isinstance(w, (bool, np.bool_)):
+            raise ConfigurationError(f"{w!r} is not a wealth class")
         try:
             return self._index[w]
         except KeyError:

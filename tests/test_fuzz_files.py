@@ -183,3 +183,30 @@ def test_found_policy_tracebacks(tmp_path, name, path, value):
     policy_path.write_text(json.dumps(policy))
     assert main(["eval", "--problem", str(problem_path),
                  "--policy", str(policy_path)]) == 2
+
+
+def test_bool_is_not_an_integer_class(tmp_path, monkeypatch, capsys):
+    # on integer class labels a dict lookup would read true as class 1.  A
+    # problem file's table is keyed by strings, so the integer-class
+    # problem is built here and handed to the CLI in place of the file's
+    from qmdp import Mdp, OrdinalWealth, cli
+    table = {0: {"up": 1, "down": 0}, 1: {"up": 2, "down": 0},
+             2: {"up": 2, "down": 1}}
+    space = OrdinalWealth([0, 1, 2], table, w0=1)
+    m = Mdp(2, 2, [[[(0, 0.5), (1, 0.5)], [(1, 1.0)]],
+                   [[(1, 1.0)], [(0, 1.0)]]],
+            {"kind": "sas", "values": [[["up", "down"], ["up"]],
+                                       [["down"], ["up"]]]}, 0, 2)
+    monkeypatch.setattr(cli, "load_problem", lambda path: (m, space))
+    report = solve_quantile(m, space, QuantileQuery(tau=0.5, epsilon=1.0))
+    policy = json.loads(json.dumps(policy_to_payload(report.policy, space)))
+    policy[0]["intervals"].append(
+        dict(policy[0]["intervals"][-1], **{"from": 2}))
+    policy_path = tmp_path / "policy.json"
+    args = ["eval", "--problem", "unused.json", "--policy", str(policy_path)]
+    policy_path.write_text(json.dumps(policy))
+    assert main(args) == 0
+    policy[0]["intervals"][-1]["from"] = True
+    policy_path.write_text(json.dumps(policy))
+    assert main(args) == 2
+    assert "Traceback" not in capsys.readouterr().err

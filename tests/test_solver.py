@@ -11,6 +11,7 @@ from qmdp import (AdditiveWealth, ConfigurationError, DiscountedWealth,
                   quantile_certificate, solve_quantile,
                   validate, value_iteration)
 from qmdp.dp import OrdinalSweep, _pack
+from qmdp.stepfun import VALUE_TOL
 from conftest import (random_lattice_mdp, two_policy_ordinal_instance,
                       two_state_discounted_mdp)
 
@@ -404,6 +405,78 @@ def many_class_instance(n_classes=300, seed=0):
     return m, space
 
 
+def restricted_sweep_instance(seed):
+    """Random ordinal MDP on 10 classes whose start reaches only some of
+    them: "sa" or "sas" labels by seed parity, w0 at the bottom, middle or
+    top class, T from 1 to 6, pairs of 1 to 3 successors (so the gather
+    table has padding), saturating steps of -2..+2 and, on most seeds, a
+    label that maps the classes in no order."""
+    rng = np.random.default_rng(seed)
+    n = 10
+    classes = [f"k{i}" for i in range(n)]
+    maps = {f"step{d}": [min(n - 1, max(0, i + d)) for i in range(n)]
+            for d in (-2, -1, 0, 1, 2)}
+    if seed % 4:
+        maps["shuffle"] = rng.integers(0, n, n).tolist()
+    table = {c: {label: classes[to[i]] for label, to in maps.items()}
+             for i, c in enumerate(classes)}
+    w0 = classes[(0, n // 2, n - 1)[seed // 2 % 3]]
+    space = OrdinalWealth(classes, table, w0=w0)
+    labels = list(maps)
+    n_s, n_a = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+    transitions, values = [], []
+    for s in range(n_s):
+        trow, vrow = [], []
+        for a in range(n_a):
+            k = int(rng.integers(1, min(3, n_s) + 1))
+            succ = np.sort(rng.choice(n_s, k, replace=False)).astype(np.int64)
+            trow.append((succ, rng.dirichlet(np.ones(k))))
+            vrow.append([labels[i] for i in rng.integers(0, len(labels), k)])
+        transitions.append(trow)
+        values.append(vrow)
+    if seed % 2:
+        rewards = {"kind": "sas", "values": values}
+    else:
+        rewards = {"kind": "sa", "values": [[row[0] for row in vrow]
+                                            for vrow in values]}
+    return Mdp(n_s, n_a, transitions, rewards, 0, 1 + seed % 6), space
+
+
+def test_restricted_sweep_equals_backward_induction(monkeypatch):
+    # the sweep computes only the classes w0 reaches, one column per
+    # distinct terminal split, in blocks of two columns; every p(j) is
+    # bit-identical to the single-target pass over every class.
+    # backward_induction reads p off the canonical slice, where a class
+    # within VALUE_TOL of the one below it carries that class's value
+    from qmdp import dp
+    seen = set()
+    for seed in range(48):
+        m, space = restricted_sweep_instance(seed)
+        assert validate(m) == []
+        classes = np.arange(len(space.classes))
+        reach, gathers = OrdinalSweep(m, space)._reach()
+        monkeypatch.setattr(dp, "BLOCK_FLOATS",
+                            2 * max(g.size for g in gathers))
+        for strict in (True, False):
+            sweep = OrdinalSweep(m, space)
+            full = [sweep.backward_induction(j, strict)[1] for j in classes]
+            # targets in any order, repeats included
+            twice = sweep.exceedance(np.r_[classes[::-1], classes], strict)
+            assert twice.tolist() == full[::-1] + full, (seed, strict)
+            p = twice[len(classes):]
+            for j in classes:
+                p_j = backward_induction(m, space, space.unkey(j), strict)[1]
+                assert abs(p[j] - p_j) <= VALUE_TOL, (seed, strict, j)
+            splits = np.searchsorted(reach, classes,
+                                     side="right" if strict else "left")
+            if len(np.unique(splits)) > 2:
+                seen.add("blocks")
+        seen.update(where for where, hit in (
+            ("below", classes[0] < reach[0]), ("above", reach[-1] < classes[-1]),
+            ("gap", len(reach) < reach[-1] - reach[0] + 1)) if hit)
+    assert seen == {"blocks", "below", "above", "gap"}
+
+
 @pytest.mark.parametrize("block_floats", [1, 100_000])
 def test_ordinal_blocks_give_the_same_report(monkeypatch, block_floats):
     from qmdp import dp
@@ -635,10 +708,11 @@ def _flip(rule, n_actions):
 
 
 @pytest.mark.parametrize("bounds", [("-1", "3"), (True, 3.0), (None, 1.0),
-                                    (-1.0, math.nan)], ids=repr)
+                                    (-1.0, math.nan), (0.0, 10**400)],
+                         ids=lambda bounds: repr(bounds)[:16])
 def test_quantile_bounds_are_wealth_values(bounds):
     # numeric bounds are wealth values: a string float() would parse, a
-    # bool, None and NaN are usage errors
+    # bool, None, NaN and an integer past float range are usage errors
     m = generate_garnet(GarnetConfig(4, 2, 2, seed=0), horizon=2)
     discounted = two_state_discounted_mdp()
     for m_w, space in ((m, AdditiveWealth.for_mdp(m)),

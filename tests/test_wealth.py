@@ -208,6 +208,57 @@ def test_numeric_wealth_accepts_real_numbers(kind, w):
     assert b.w_min == b.w_max == w
 
 
+@pytest.mark.parametrize("kind", ["additive", "discounted"])
+def test_numeric_wealth_values_fit_a_float(kind):
+    # float() of an integer past float range raises OverflowError; a key
+    # names the value in a usage error instead
+    sp = make_space(kind)
+    for w in (10**400, -(10**400)):
+        for use in (sp.key, lambda w: sp.accumulate(w, 1.0, 1),
+                    lambda w: bounded(kind, w, 10.0)):
+            with pytest.raises(ConfigurationError, match="float range") as err:
+                use(w)
+            assert str(w) in str(err.value)
+
+
+@pytest.mark.parametrize("kind", ["additive", "discounted"])
+@pytest.mark.parametrize("r", [True, False, math.nan, "1", None, 10**400],
+                         ids=lambda r: repr(r)[:8])
+def test_numeric_rewards_are_wealth_values(kind, r):
+    # a reward is held to the same rule as a wealth value
+    sp = make_space(kind)
+    for use in (lambda r: sp.accumulate(0.0, r, 1),
+                lambda r: sp.shift_delta(r, 1)):
+        with pytest.raises(ConfigurationError, match="numeric rewards"):
+            use(r)
+
+
+@pytest.mark.parametrize("kind", ["additive", "discounted"])
+@pytest.mark.parametrize("r", [1, -2.5, np.int64(1), np.int32(-3),
+                               np.float64(0.25), np.float32(0.5), math.inf],
+                         ids=repr)
+def test_numeric_rewards_accept_real_numbers(kind, r):
+    sp = make_space(kind)
+    step = 0.9 if kind == "discounted" else 1.0
+    assert sp.accumulate(0.0, r, 1) == step * float(r)
+    delta = sp.shift_delta(r, 1)
+    assert type(delta) is float and delta == step * float(r)
+
+
+def test_ordinal_bools_are_not_integer_classes():
+    # a dict lookup reads True as 1 and False as 0
+    sp = OrdinalWealth([0, 1, 2])
+    for w in (True, False, np.True_):
+        with pytest.raises(ConfigurationError, match="not a wealth class"):
+            sp.key(w)
+        with pytest.raises(ConfigurationError, match="not a wealth class"):
+            sp.index(w)
+    assert sp.key(1) == 1.0 and sp.index(2) == 2
+    assert sp.key(np.int64(2)) == 2.0
+    assert OrdinalWealth([False, True]).key(True) == 1.0
+    assert OrdinalWealth(["a", "b"]).key("b") == 1.0
+
+
 def test_ordinal_unkey_rejects_keys_outside_the_classes():
     # a negative index must not wrap around to the top class
     sp = make_space("ordinal")

@@ -47,22 +47,23 @@ iterate the converged sweep read.  Wealth then moves one way from
 one clipped run at target t holds the value at ``w0`` of every target
 above t (nonpositive rewards) or below t (nonnegative rewards).
 
-Where slices are vectors, the DP runs dense (:class:`_DenseSweep`): each
-step is one gather of the successor values through an (edge, pair, cell)
-index table, a sum over edges and a max over actions.  Ordinal wealth
-over n classes has n cells, and the slices of many targets stack into
-one array, so one batched backward induction gives the optimal
-exceedance probability of every class threshold, and one at a single
-threshold the policy (:class:`OrdinalSweep`); :func:`backward_induction`
-on ordinal wealth runs that sweep too, so :func:`_layer` is numeric-only.
-The batched sweep reads only (s0, w0) at t = 0, so layer t computes only
-the classes w0 reaches in t steps, and targets that split those terminal
-classes alike share one column: the same sums of the same products.
-An infinite run whose rewards, target and ``w0`` lie on one lattice of
-step δ, not much finer than the wealth sums its cut tables would hold,
-has one cell per multiple of δ from the target to ``w0``
-(:class:`_LatticeSweep`); it gives the cut loop's rules, cuts and sweep
-count, with values within float rounding.
+Where slices are vectors over the cells of a :class:`~qmdp.wealth.Grid`,
+the DP runs dense (:class:`_DenseSweep`): each step is one gather through
+an (edge, pair, cell) index table of the grid's moves, a sum over edges
+and a max over actions.  Ordinal wealth over n classes has n cells, and
+the slices of many targets stack into one array, so one batched backward
+induction gives the optimal exceedance probability of every class
+threshold, and one at a single threshold the policy (:class:`OrdinalSweep`);
+:func:`backward_induction` on ordinal wealth runs that sweep too, so
+:func:`_layer` is numeric-only.  The batched sweep reads only (s0, w0) at
+t = 0, so layer t computes only the classes w0 reaches in t steps, and
+targets that split those terminal classes alike share one column: the
+same sums of the same products.  An infinite run whose rewards, target
+and ``w0`` lie on one lattice of step δ, not much finer than the wealth
+sums its cut tables would hold, has one cell per multiple of δ from the
+target to ``w0`` and a few past it (:class:`_LatticeSweep`); it gives the
+cut loop's rules, cuts and sweep count, with values within float
+rounding.
 """
 
 import functools
@@ -79,7 +80,7 @@ from .errors import ConfigurationError, ConvergenceError
 from .stepfun import (VALUE_TOL, StepFunction, _merge_values, _ranks,
                       _threshold_runs, combine, pointwise_max, restrict, shift,
                       sup_distance, target_utility)
-from .wealth import BLOCK_FLOATS, AdditiveWealth, Lattice, OrdinalWealth
+from .wealth import BLOCK_FLOATS, AdditiveWealth, Grid, OrdinalWealth
 
 # What one entry of the layer kernel holds besides its value for every
 # action: keys, indices, sort order and sorted copies.
@@ -430,14 +431,14 @@ def backward_induction(m, space, w, strict, reachable_only=False):
     ``space.key`` rejects, NaN included, raises :class:`ConfigurationError`.
 
     Numeric wealth computes each layer with :func:`_layer`; ordinal wealth
-    runs the dense class sweep (:class:`OrdinalSweep`) once and tables its
-    value and rule rows.  By default layer t < T keeps every state.  With
-    ``reachable_only``, layer t keeps only the states reachable from the
-    initial state in exactly t steps (numeric wealth computes no other);
-    every other (t, s) gets the constant rule 0 and the constant slice
-    0.0.  Reachable states read only reachable successors, so p, the
-    initial-state slice and every reachable rule are identical to the
-    full run's.
+    runs the dense class sweep (:class:`OrdinalSweep`) once, reads p off
+    it and tables its value and rule rows.  By default layer t < T keeps
+    every state.  With ``reachable_only``, layer t keeps only the states
+    reachable from the initial state in exactly t steps (numeric wealth
+    computes no other); every other (t, s) gets the constant rule 0 and
+    the constant slice 0.0.  Reachable states read only reachable
+    successors, so p, the initial-state slice and every reachable rule
+    are identical to the full run's.
     """
     if m.horizon is None:
         raise ConfigurationError(
@@ -464,19 +465,20 @@ def backward_induction(m, space, w, strict, reachable_only=False):
         tables[t] = _spread(value, layers[t], S)
         rules[t] = _spread(rule, layers[t], S)
     vf = ValueFunction(tables)
-    p = vf.slice(0, m.initial_state)(space.key(space.w0))
+    p = (V[0, m.initial_state * sweep.n + sweep.grid.w0, 0] if ordinal
+         else vf.slice(0, m.initial_state)(space.key(space.w0)))
     return WealthMarkovPolicy(_join(rules), S), float(p), vf
 
 
 class _DenseSweep:
-    """Dense backward steps over n wealth cells per state.
+    """Dense backward steps over the n cells of a wealth grid per state.
 
     A slice over n cells is a length-n vector, so the slices of J targets
     stack into one (S * n, J) array.  Each step gathers the successor
     values through the cell every edge moves wealth to, mixes them per
     (s, a) and takes the max over actions.  The gather tables are built
-    once, from every edge of m and its row of the (E, n) table ``moves``
-    (edge j moves cell k to cell ``moves[j, k]``): ``idx[i, sa, k]`` is
+    once, from every edge of m and its row of the grid's moves (edge j
+    moves cell k to ``grid.moves[grid.row[j], k]``): ``idx[i, sa, k]`` is
     the flat (state, cell) row that edge i of pair sa reaches from cell
     k, and ``prob[i, sa]`` its probability.  Pairs with fewer edges than
     the widest one are padded with zero-probability edges, so a plain sum
@@ -484,13 +486,13 @@ class _DenseSweep:
     the sum adds edges in slot order whatever the other axes hold.
     """
 
-    def __init__(self, m, moves):
-        self.m = m
-        self.n = n = moves.shape[1]
+    def __init__(self, m, grid):
+        self.m, self.grid = m, grid
+        self.n = n = len(grid.keys)
         counts = np.diff(m.starts)
         real = np.arange(counts.max()) < counts[:, None]
         self.idx = np.zeros(real.shape[::-1] + (n,), dtype=np.intp)
-        self.idx.swapaxes(0, 1)[real] = m.succ[:, None] * n + moves
+        self.idx.swapaxes(0, 1)[real] = m.succ[:, None] * n + grid.moves[grid.row]
         self.prob = np.zeros(real.shape[::-1] + (1, 1))
         self.prob.swapaxes(0, 1)[real, 0, 0] = m.prob
 
@@ -515,8 +517,8 @@ class _DenseSweep:
 class OrdinalSweep(_DenseSweep):
     """Dense backward induction over the n classes of an ordinal space.
 
-    The cells are the classes, and an edge moves them through the
-    class-transition table of its reward label.  One loop (:meth:`_sweep`)
+    The cells are the classes, moved through the class-transition table
+    (:meth:`~qmdp.wealth.Grid.of_classes`).  One loop (:meth:`_sweep`)
     serves the batched exceedance curve, the single-target policy and
     ordinal :func:`backward_induction`; only the curve's sweep skips the
     classes w0 cannot reach (:meth:`_reach`).
@@ -527,9 +529,7 @@ class OrdinalSweep(_DenseSweep):
             raise ConfigurationError("the dense ordinal sweep needs a finite horizon")
         if not isinstance(space, OrdinalWealth):
             raise ConfigurationError("the dense ordinal sweep needs ordinal wealth")
-        self.moves = space.edge_moves(m.rewards)
-        super().__init__(m, self.moves)
-        self.k0 = space.index(space.w0)
+        super().__init__(m, Grid.of_classes(space, m.rewards))
 
     def _reach(self):
         """``(R_T, gathers)``: ``R_0 = {w0}``, ``R_{t+1}`` every class a
@@ -537,9 +537,9 @@ class OrdinalSweep(_DenseSweep):
         gather table over ``R_t``: row (s, k) reads row ``succ * |R_{t+1}|``
         plus the position of ``move(k)`` in ``R_{t+1}``; padding, row 0."""
         T = self.m.horizon
-        reach = [np.array([self.k0])]
+        reach = [np.array([self.grid.w0])]
         for _ in range(T):
-            reach.append(np.unique(self.moves[:, reach[-1]]))
+            reach.append(np.unique(self.grid.moves[:, reach[-1]]))
         gathers = []
         for here, there in zip(reach, reach[1:]):
             succ, k = np.divmod(self.idx[:, :, here], self.n)
@@ -593,7 +593,7 @@ class OrdinalSweep(_DenseSweep):
         best = np.empty((T, S, self.n), dtype=np.intp)
         V = self._sweep([target + strict], best=best)
         return (WealthMarkovPolicy(_on_classes(best.reshape(T * S, -1)), S),
-                float(V[self.m.initial_state * self.n + self.k0, 0]))
+                float(V[self.m.initial_state * self.n + self.grid.w0, 0]))
 
 
 def reachable_window(m, space):
@@ -698,83 +698,67 @@ class _LatticeSweep(_DenseSweep):
     """Value iteration on a reward lattice, every slice a dense vector.
 
     When the rewards, the target t and w0 are integer multiples of one δ,
-    every slice of the cut loop changes value only at multiples of δ.
-    Cell c of a slice then holds its value at the key
-    ``t + sign * (c - 1) * δ``, with sign +1 for nonpositive rewards and
-    -1 for nonnegative ones.  Cell 0 lies past the target on the side
-    wealth never returns from, so its value (0, or 1 for nonnegative
-    rewards) never changes; cell 1 is the target and cell ``w0_cell`` is
-    w0.  Edge j moves cell c to ``clip(c + sign * r_j / δ, 0, w0_cell)``:
-    below cell 0 the value is the same absorbing one, and past w0 the
-    iterate is constant at its value there, as :func:`reachable_window`
-    clips the cut loop's.  The grid runs ``max|r| / δ`` cells past w0,
-    where the greedy rules still change (past them every edge reads w0's
-    cell); the iterate is read on cells 0 to ``w0_cell`` only.
+    every slice of the cut loop changes value only at multiples of δ: it
+    is a vector over a :class:`~qmdp.wealth.Grid` of them.  Moves clip to
+    the cells from w0 to one past t, whose value (0 for nonpositive
+    rewards, 1 for nonnegative ones) never changes; past w0 the iterate
+    is constant at its value there, as :func:`reachable_window` clips the
+    cut loop's.  The iterate is read on that clip range, and the grid
+    runs ``max|r| / δ`` cells on past w0, where the greedy rules still
+    change (past them every edge reads w0's cell).
     """
 
     @classmethod
     def fit(cls, m, space, w, strict, window):
         """The lattice sweep of an infinite run at target w, or None where
         the cut loop runs instead (see :func:`value_iteration`)."""
-        sign = 1 if window[0] is None else -1
-        rewards, edge_reward = np.unique(m.rewards, return_inverse=True)
-        lattice = Lattice.of([space.key(w), space.key(space.w0)],
-                             rewards.tolist())
-        if lattice is None:
-            return None
-        (t, x0), units = lattice.anchors, lattice.units
-        steps = sign * (x0 - t)
-        reach = max(map(abs, units))
-        n_cells = steps + 2 + reach
-        # the target on the reachable side, every key exact in float64, and
-        # no more cells than distinct wealth sums the cut loop could hold
-        nonzero = [abs(u) for u in units if u]
-        if (steps < 0
-                or not lattice.exact(max(abs(t), abs(x0), reach) + reach + 1)
-                or not lattice.dense(steps + 1, steps // min(nonzero)
-                                     if nonzero else 0)):
-            return None
-        counts = np.diff(m.starts)
-        if len(counts) * counts.max() * n_cells > BLOCK_FLOATS:
-            return None
-        cells = np.arange(n_cells)
-        moves = np.clip(cells + sign * np.array(units)[edge_reward][:, None],
-                        0, steps + 1)
-        return cls(m, moves, (t + sign * (cells - 1.0)) * lattice.step,
-                   steps + 1, sign, strict)
+        gather = m.n_states * m.n_actions * int(np.diff(m.starts).max())
 
-    def __init__(self, m, moves, keys, w0_cell, sign, strict):
-        super().__init__(m, moves)
-        self.keys, self.w0_cell = keys, w0_cell
-        self.sign, self.strict = sign, strict
+        def cells(lattice):
+            (x0, t), units = lattice.anchors, lattice.units
+            reach = max(map(abs, units))
+            lo, hi = (t - 1, x0) if window[0] is None else (x0, t + 1)
+            steps = hi - lo - 1
+            # the target on the reachable side, every key exact in float64, no
+            # more cells than the cut loop's wealth sums, a gather in BLOCK_FLOATS
+            nonzero = [abs(u) for u in units if u]
+            if (steps >= 0
+                    and lattice.exact(max(abs(t), abs(x0), reach) + reach + 1)
+                    and lattice.dense(steps + 1, steps // min(nonzero)
+                                      if nonzero else 0)
+                    and gather * (steps + 2 + reach) <= BLOCK_FLOATS):
+                return lo - reach * (x0 == lo), hi + reach * (x0 == hi), lo, hi
+
+        grid = Grid.on_lattice([space.key(space.w0), space.key(w)], m.rewards,
+                               cells)
+        return None if grid is None else cls(m, grid, space.key(w), strict)
+
+    def __init__(self, m, grid, target, strict):
+        super().__init__(m, grid)
+        self.target, self.strict = target, strict
 
     def start(self):
         """The target utility on every cell of every state."""
-        above = self.sign * (np.arange(self.n) - 1)
-        hit = above > 0 if self.strict else above >= 0
-        return np.tile(hit.astype(np.float64), self.m.n_states)[:, None]
+        above = np.greater if self.strict else np.greater_equal
+        hit = above(self.grid.keys, self.target).astype(np.float64)
+        return np.tile(hit, self.m.n_states)[:, None]
 
     def residual(self, new, old):
-        """``max |new - old|`` over the cells up to w0."""
-        gap = (new - old).reshape(self.m.n_states, -1)[:, :self.w0_cell + 1]
+        """``max |new - old|`` over the clip range."""
+        gap = (new - old).reshape(self.m.n_states, -1)[:, self.grid.clip]
         return float(np.abs(gap).max())
 
     def rules(self, V):
         """The table of the greedy rules of one step from V."""
         rule = np.empty((self.m.n_states, self.n), dtype=np.intp)
         self._step(V, rule)
-        return self._table(rule)
+        return _on_classes(rule, self.grid.keys, self.strict)
 
     def values(self, V):
-        """The table of the slices V up to w0, in canonical form."""
-        return _tol_merged(self._table(
-            V.reshape(self.m.n_states, -1)[:, :self.w0_cell + 1]))
-
-    def _table(self, rows):
-        """The table of the rows of the first cells, by increasing key."""
-        up = slice(None, None, self.sign)
-        return _on_classes(rows[:, up], self.keys[:rows.shape[1]][up],
-                           self.strict)
+        """The table of the slices V on the clip range, in canonical form."""
+        clip = self.grid.clip
+        return _tol_merged(_on_classes(V.reshape(self.m.n_states, -1)[:, clip],
+                                       self.grid.keys[clip], self.strict))
 
 
 def check_convergence(eps_conv, max_sweeps):

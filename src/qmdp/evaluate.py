@@ -8,10 +8,11 @@ partial sums; the brute-force oracle enumerates every deterministic
 wealth-Markovian policy of a small instance through the same forward step;
 and classic backward induction supplies the expectation-optimal baseline.
 A stationary policy whose wealth lives on a small grid (ordinal classes,
-or additive rewards on one lattice) is a fixed Markov chain on (state,
-wealth cell), and exact evaluation pushes a mass vector through its
-operator instead (:class:`_WealthChain`); non-stationary policies,
-discounted wealth and rewards off any lattice keep the atom path.
+or additive rewards on one lattice: the :class:`~qmdp.wealth.Grid` the
+dense DP reads too) is a fixed Markov chain on (state, wealth cell), and
+exact evaluation pushes a mass vector through its operator instead
+(:class:`_WealthChain`); non-stationary policies, discounted wealth and
+rewards off any lattice keep the atom path.
 The forward step, the chain and :func:`simulate` read the kernel's edge
 table (``succ``, ``prob``, ``starts``), one per-edge wealth move and the
 policy's cut table; none of them uses the functional DP of ``qmdp.dp``,
@@ -25,7 +26,7 @@ import numpy as np
 from .dp import WealthMarkovPolicy
 from .errors import ConfigurationError, ResourceLimitError, ValidationError
 from .stepfun import _ranks, _threshold_runs
-from .wealth import BLOCK_FLOATS, WEALTH_TOL, Lattice
+from .wealth import BLOCK_FLOATS, WEALTH_TOL, Grid
 
 QUANT_ATOL = 1e-12   # slack when comparing partial sums against tau
 
@@ -168,7 +169,8 @@ def _actions(policy, t, states, keys):
 def _edge_move(m, space):
     """``move(keys, edges, t)``: each key after its edge's reward at step t."""
     if space.kind == "ordinal":
-        table = space.edge_moves(m.rewards).astype(np.float64)
+        grid = Grid.of_classes(space, m.rewards)
+        table = grid.keys[grid.moves][grid.row]
         return lambda keys, edges, t: table[edges, keys.astype(np.int64)]
     return lambda keys, edges, t: space.accumulate_keys(keys, m.rewards[edges], t)
 
@@ -269,41 +271,6 @@ def _atom_distribution(m, space, policy, atom_cap):
     return WealthDistribution(space, keys, masses)
 
 
-def _wealth_grid(m, space):
-    """``(keys, w0_cell, move)`` of the wealth cells of m, or None: the
-    cell keys in increasing order, the cell of w0 and ``move(edges,
-    cells)``, each cell after its edge.
-
-    Ordinal wealth has a cell per class.  Additive wealth on a lattice of
-    step δ (:class:`~qmdp.wealth.Lattice`) has ``C = T * (hi - lo) + 1``
-    cells, with lo and hi the least and the greatest of 0 and the rewards
-    in steps of δ; w0 is cell ``T * -lo``, and T steps from it never leave
-    the grid.
-    """
-    if space.kind == "ordinal":
-        table = space.edge_moves(m.rewards)
-        return (np.arange(table.shape[1], dtype=np.float64),
-                space.index(space.w0), lambda edges, cells: table[edges, cells])
-    if space.kind != "additive":
-        return None
-    rewards, edge_reward = np.unique(m.rewards, return_inverse=True)
-    lattice = Lattice.of([space.key(space.w0)], rewards.tolist())
-    if lattice is None:
-        return None
-    T, (x0,), units = m.horizon, lattice.anchors, lattice.units
-    lo, hi = min(0, *units), max(0, *units)
-    n_cells = T * (hi - lo) + 1
-    # every key exact and a merge of atoms never joining two cells, so
-    # that the grid holds the atom path's keys exactly
-    if not (lattice.exact(abs(x0) + T * max(-lo, hi))
-            and lattice.step > WEALTH_TOL and lattice.dense(n_cells, T)):
-        return None
-    unit = np.array(units)[edge_reward]
-    w0_cell = T * -lo
-    return ((x0 - w0_cell + np.arange(n_cells)) * lattice.step, w0_cell,
-            lambda edges, cells: cells + unit[edges])
-
-
 class _WealthChain:
     """A stationary policy as one Markov chain on (state, wealth cell).
 
@@ -321,33 +288,45 @@ class _WealthChain:
     def fit(cls, m, space, policy):
         """The chain of ``policy`` on m, or None where the atom path runs
         (see :func:`exact_distribution`)."""
-        if not policy.stationary:
-            return None
-        grid = _wealth_grid(m, space)
-        if (grid is None or m.n_states * len(grid[0])
-                * np.diff(m.starts).max(initial=0) > BLOCK_FLOATS):
-            return None
-        return cls(m, policy, *grid)
+        T, size = m.horizon, m.n_states * int(np.diff(m.starts).max(initial=0))
 
-    def __init__(self, m, policy, keys, w0_cell, move):
-        self.m, self.keys = m, keys
-        S, C = m.n_states, len(keys)
-        self.start = m.initial_state * C + w0_cell
+        def cells(lattice):
+            # T steps from w0 either way, every key exact and a merge of
+            # atoms never joining two cells: the atom path's keys exactly
+            (x0,), units = lattice.anchors, lattice.units
+            lo, hi = min(0, *units), max(0, *units)
+            n_cells = T * (hi - lo) + 1
+            if (lattice.exact(abs(x0) + T * max(-lo, hi))
+                    and lattice.step > WEALTH_TOL and lattice.dense(n_cells, T)
+                    and size * n_cells <= BLOCK_FLOATS):
+                return (x0 + T * lo, x0 + T * hi) * 2
+
+        if not policy.stationary or space.kind not in ("ordinal", "additive"):
+            return None
+        if space.kind == "ordinal":
+            fits = size * len(space.classes) <= BLOCK_FLOATS
+            grid = Grid.of_classes(space, m.rewards) if fits else None
+        else:
+            grid = Grid.on_lattice([space.key(space.w0)], m.rewards, cells)
+        return None if grid is None else cls(m, policy, grid)
+
+    def __init__(self, m, policy, grid):
+        self.m, self.grid = m, grid
+        S, C = m.n_states, len(grid.keys)
+        self.start = m.initial_state * C + grid.w0
         states = np.repeat(np.arange(S), C)
         self.pair = pair = states * m.n_actions + _actions(
-            policy, 0, states, np.tile(keys, S))
+            policy, 0, states, np.tile(grid.keys, S))
         degree = m.starts[pair + 1] - m.starts[pair]
         self.empty = np.flatnonzero(degree == 0)
         edge = np.repeat(m.starts[pair], degree) + _ranks(degree)
         order = np.argsort(edge, kind="stable")
-        src, edge = np.repeat(np.arange(S * C), degree)[order], edge[order]
-        cell = move(edge, src % C)
-        # an entry leaves an additive grid only from a cell that w0 does not
+        self.src, edge = np.repeat(np.arange(S * C), degree)[order], edge[order]
+        # a move clips only from a cell of an additive grid that w0 does not
         # reach in T - 1 steps; such a cell first gets mass at step T, which
-        # no step moves on, so the entry carries none
-        on = (cell >= 0) & (cell < C)
-        self.dest = m.succ[edge[on]] * C + cell[on]
-        self.src, self.prob = src[on], m.prob[edge[on]]
+        # no step moves on, so a clipped entry carries none
+        self.dest = m.succ[edge] * C + grid.moves[grid.row[edge], self.src % C]
+        self.prob = m.prob[edge]
 
     def distribution(self, space, atom_cap):
         """The terminal-wealth distribution after T steps from (s0, w0),
@@ -364,8 +343,8 @@ class _WealthChain:
             if count > atom_cap:
                 raise _atom_cap_error(count, t, atom_cap)
         rows = np.flatnonzero(mass)
-        return WealthDistribution(space, self.keys[rows % len(self.keys)],
-                                  mass[rows])
+        keys = self.grid.keys
+        return WealthDistribution(space, keys[rows % len(keys)], mass[rows])
 
 
 def _pick_edges(m, pair, u):

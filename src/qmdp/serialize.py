@@ -100,6 +100,11 @@ def space_to_dict(space):
     if isinstance(space, DiscountedWealth):
         return {"kind": "discounted", "gamma": space.gamma}
     if isinstance(space, OrdinalWealth):
+        table = space.transition_table or {}
+        if not all(isinstance(x, str) for x in [*space.classes, *table, *(
+                r for row in table.values() for r in row)]):
+            raise ConfigurationError("ordinal classes and reward labels must "
+                                     "be strings, the keys of a JSON object")
         out = {"kind": "ordinal", "classes": list(space.classes)}
         if space.transition_table is not None:
             out["transition_table"] = space.transition_table

@@ -17,11 +17,11 @@ for numeric kinds, the class index for the ordinal kind) so that downstream
 code can compare and sort wealths uniformly.  ``accumulate``, ``compare``
 and ``distance`` accept and return public values (class labels for ordinal
 spaces); the key protocol works on keys.  It also says how each edge of
-an edge table moves wealth (``accumulate_keys``, ``OrdinalWealth.edge_moves``),
-for the functional DP of ``qmdp.dp`` and the forward step of ``qmdp.evaluate``
-alike, so the forward step needs nothing from ``qmdp.dp``.  For the same
-two, :class:`Lattice` says when numeric wealth lives on a grid of
-multiples of one step, where both run dense.
+an edge table moves wealth (``accumulate_keys``, or a :class:`Grid` of
+a few cells: ordinal classes, or multiples of one step, :class:`Lattice`)
+for the functional DP of ``qmdp.dp`` and the forward step of
+``qmdp.evaluate`` alike, so the forward step needs nothing from
+``qmdp.dp``; the dense engines of both read one grid type.
 """
 
 import math
@@ -111,6 +111,48 @@ class Lattice(NamedTuple):
                 or math.comb(n + k, fewest) >= cells)
 
 
+class Grid(NamedTuple):
+    """Wealth on a few cells: cell c has the key ``keys[c]``, increasing,
+    and w0 is cell ``w0``.  Row r of ``moves`` takes each cell to its cell
+    after the r-th distinct reward (or label), clipped into the cells of
+    the slice ``clip``; ``row[e]`` is the row of edge e."""
+
+    keys: np.ndarray
+    w0: int
+    moves: np.ndarray
+    row: np.ndarray
+    clip: slice
+
+    @classmethod
+    def of_classes(cls, space, labels):
+        """The classes of the ordinal ``space``, for the reward labels of
+        every edge (``Mdp.rewards``): row r is ``move_table`` of label r."""
+        labels = labels.tolist()
+        rows = {r: i for i, r in enumerate(dict.fromkeys(labels))}
+        n = len(space.classes)
+        moves = np.array([space.move_table(r) for r in rows], dtype=np.intp)
+        return cls(np.arange(n, dtype=np.float64), space.index(space.w0),
+                   moves.reshape(len(rows), n),
+                   np.array([rows[r] for r in labels], dtype=np.intp),
+                   slice(0, n))
+
+    @classmethod
+    def on_lattice(cls, anchors, rewards, cells):
+        """Multiples ``first`` to ``last`` of the step of the :class:`Lattice`
+        of ``anchors`` (keys, w0's first) and the ``rewards`` of every edge,
+        moves clipped to ``lo`` to ``hi``: ``cells(lattice)`` gives the four,
+        or None for no grid, as does a missing lattice."""
+        rewards, row = np.unique(rewards, return_inverse=True)
+        lattice = Lattice.of(anchors, rewards.tolist())
+        if lattice is None or (span := cells(lattice)) is None:
+            return None
+        first, last, lo, hi = span
+        c = np.arange(first, last + 1)
+        to = np.minimum(np.maximum(c + np.array(lattice.units)[:, None], lo), hi)
+        return cls(c * lattice.step, lattice.anchors[0] - first, to - first,
+                   row, slice(lo - first, hi - first + 1))
+
+
 class WealthSpace:
     """Base class; concrete kinds implement the abstract hooks."""
 
@@ -145,7 +187,7 @@ class WealthSpace:
         """accumulate() on an array of keys (numeric kinds).
 
         ``r`` is a scalar reward or an array aligned with ``karr``.
-        Ordinal spaces move keys through :meth:`OrdinalWealth.edge_moves`.
+        Ordinal spaces move keys through :meth:`Grid.of_classes`.
         """
         raise NotImplementedError
 
@@ -323,16 +365,6 @@ class OrdinalWealth(WealthSpace):
                 moves.append(self.index(row[r]))
             self._moves[r] = moves
         return self._moves[r]
-
-    def edge_moves(self, labels):
-        """(E, n) index table whose row e is ``move_table(labels[e])``:
-        how every edge of an edge table moves wealth, for its reward array
-        ``labels`` (``Mdp.rewards``), read as Python objects."""
-        labels = labels.tolist()
-        rows = {r: i for i, r in enumerate(dict.fromkeys(labels))}
-        moves = np.array([self.move_table(r) for r in rows], dtype=np.intp)
-        return moves.reshape(len(rows), len(self.classes))[
-            [rows[r] for r in labels]]
 
     def accumulate(self, w, r, t=0):
         return self.label(self.move_table(r)[self.index(w)])

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmdp import (AdditiveWealth, ConfigurationError, DiscountedWealth,
-                  GarnetConfig, QuantileQuery, StepFunction, exact_distribution,
+                  GarnetConfig, Mdp, OrdinalWealth, QuantileQuery,
+                  StepFunction, exact_distribution,
                   generate_garnet, load_policy, load_problem,
                   policy_from_payload, policy_to_payload,
                   problem_to_dict, save_policy, save_problem, solve_quantile)
@@ -46,6 +47,25 @@ def test_problem_round_trip_ordinal(tmp_path):
     assert space2.classes == ["w1", "w2", "w3"]
     assert m2.edge_rewards(0, 1) == ["to_w2", "to_w3"]
     assert space2.accumulate("w1", "to_w2") == "w2"
+    # string classes and labels re-save to the same bytes
+    save_problem(tmp_path / "p2.json", m2, space2)
+    assert path.read_bytes() == (tmp_path / "p2.json").read_bytes()
+
+
+@pytest.mark.parametrize("case", ["int classes", "int reward labels"])
+def test_a_problem_file_that_would_not_load_is_not_written(tmp_path, case):
+    # JSON object keys are strings: a table keyed by int classes or labels
+    # would come back keyed by "0", "1", ... and fail to load
+    classes, labels = ([0, 1, 2], ["up", "stay"]) if case == "int classes" \
+        else (["w1", "w2", "w3"], [1, 0])
+    table = {c: {labels[0]: classes[min(i + 1, 2)], labels[1]: c}
+             for i, c in enumerate(classes)}
+    m = Mdp(1, 2, [[[(0, 1.0)], [(0, 1.0)]]],
+            {"kind": "sa", "values": [labels]}, 0, 2)
+    path = tmp_path / "p.json"
+    with pytest.raises(ConfigurationError, match="strings"):
+        save_problem(path, m, OrdinalWealth(classes, table))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_infinite_horizon_round_trip(tmp_path):

@@ -11,7 +11,6 @@ from qmdp import (AdditiveWealth, ConfigurationError, DiscountedWealth,
                   quantile_certificate, solve_quantile,
                   validate, value_iteration)
 from qmdp.dp import OrdinalSweep, _pack
-from qmdp.stepfun import VALUE_TOL
 from conftest import (random_lattice_mdp, two_policy_ordinal_instance,
                       two_state_discounted_mdp)
 
@@ -445,9 +444,8 @@ def restricted_sweep_instance(seed):
 def test_restricted_sweep_equals_backward_induction(monkeypatch):
     # the sweep computes only the classes w0 reaches, one column per
     # distinct terminal split, in blocks of two columns; every p(j) is
-    # bit-identical to the single-target pass over every class.
-    # backward_induction reads p off the canonical slice, where a class
-    # within VALUE_TOL of the one below it carries that class's value
+    # bit-identical to the single-target pass over every class, and so to
+    # backward_induction's p, which it reads off the same sweep
     from qmdp import dp
     seen = set()
     for seed in range(48):
@@ -466,7 +464,7 @@ def test_restricted_sweep_equals_backward_induction(monkeypatch):
             p = twice[len(classes):]
             for j in classes:
                 p_j = backward_induction(m, space, space.unkey(j), strict)[1]
-                assert abs(p[j] - p_j) <= VALUE_TOL, (seed, strict, j)
+                assert p[j] == p_j, (seed, strict, j)
             splits = np.searchsorted(reach, classes,
                                      side="right" if strict else "left")
             if len(np.unique(splits)) > 2:
@@ -475,6 +473,20 @@ def test_restricted_sweep_equals_backward_induction(monkeypatch):
             ("below", classes[0] < reach[0]), ("above", reach[-1] < classes[-1]),
             ("gap", len(reach) < reach[-1] - reach[0] + 1)) if hit)
     assert seen == {"blocks", "below", "above", "gap"}
+
+
+def test_ordinal_backward_induction_p_is_the_sweeps():
+    # backward_induction reads p off its dense class sweep, not off the
+    # merged slice table (where a class within VALUE_TOL of the one below
+    # it carries that class's value): the float OrdinalSweep hands out
+    for seed in range(200):
+        m, space = restricted_sweep_instance(seed)
+        sweep = OrdinalSweep(m, space)
+        for strict in (True, False):
+            for j, c in enumerate(space.classes):
+                want = sweep.backward_induction(j, strict)[1]
+                got = backward_induction(m, space, c, strict)[1]
+                assert got.hex() == want.hex(), (seed, strict, j)
 
 
 @pytest.mark.parametrize("block_floats", [1, 100_000])

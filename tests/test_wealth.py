@@ -1,11 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qmdp import (AdditiveWealth, ConfigurationError, DiscountedWealth, Mdp,
-                  OrdinalWealth)
+                  OrdinalWealth, WealthMarkovPolicy, dp, evaluate)
+from qmdp.wealth import Grid, Lattice
+from conftest import random_lattice_mdp
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -76,19 +79,94 @@ def test_numeric_accumulate_rejects_labels():
 
 
 @pytest.mark.parametrize("kind", ["sa", "sas"])
-def test_edge_moves_rows_are_move_tables(kind):
-    # the per-edge class table the backward layer, the dense sweep and the
-    # forward step all read
+def test_ordinal_grid_rows_are_move_tables(kind):
+    # the class grid the dense sweeps, the chain and the atom path all read
     sp = make_space("ordinal")
     transitions = [[[(0, 0.5), (1, 0.5)], [(1, 1.0)]],
                    [[(0, 1.0)], [(0, 0.25), (1, 0.75)]]]
     values = ([["up", "stay"], ["stay", "up"]] if kind == "sa" else
               [[["up", "stay"], ["stay"]], [["up"], ["stay", "up"]]])
     m = Mdp(2, 2, transitions, {"kind": kind, "values": values}, 0, 2)
-    table = sp.edge_moves(m.rewards)
-    assert table.shape == (len(m.succ), len(sp.classes))
+    grid = Grid.of_classes(sp, m.rewards)
+    assert grid.keys.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert grid.w0 == sp.index(sp.w0)
+    assert grid.clip == slice(0, len(sp.classes))
+    assert grid.moves.shape == (2, len(sp.classes))
+    assert len(grid.row) == len(m.succ)
     for e, r in enumerate(m.rewards):
-        assert table[e].tolist() == sp.move_table(r)
+        assert grid.moves[grid.row[e]].tolist() == sp.move_table(r)
+
+
+def assert_lattice_grid(grid, anchors, rewards):
+    """Every key of a lattice grid is (first + c) * δ exactly, for the step
+    δ of the lattice of ``anchors`` (w0's first) and the ``rewards`` of
+    every edge; w0's cell holds w0's key; every move lands in the clip
+    range, on the key of its cell plus the edge's reward, clipped."""
+    lattice = Lattice.of(anchors, np.unique(rewards).tolist())
+    step = Fraction(lattice.step)
+    first = Fraction(grid.keys[0]) / step
+    assert first.denominator == 1
+    keys = [Fraction(k) for k in grid.keys]
+    assert keys == [(first + c) * step for c in range(len(keys))]
+    assert grid.keys[grid.w0] == anchors[0]
+    lo, hi = grid.clip.start, grid.clip.stop - 1
+    assert 0 <= lo <= grid.w0 <= hi < len(keys)
+    assert lo <= grid.moves.min() and grid.moves.max() <= hi
+    for e, r in enumerate(rewards.tolist()):
+        for c, k in enumerate(keys):
+            want = min(max(k + Fraction(r), keys[lo]), keys[hi])
+            assert keys[grid.moves[grid.row[e], c]] == want
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("seed", range(3))
+def test_lattice_sweep_grid_keys_and_moves(seed, sign, strict):
+    # the value-iteration grid: from just past the target to w0 and
+    # max|r| / δ cells on past w0, for either reward sign
+    lattice = (-0.25, -0.5, -0.75, -1.0) if sign < 0 else (0.25, 0.5, 1.0)
+    m = random_lattice_mdp(seed, lattice=lattice)
+    space = AdditiveWealth(*sorted((0.0, 10.0 * sign)))
+    for w in (0.0, 1.25 * sign, 3.5 * sign):
+        sweep = dp._LatticeSweep.fit(m, space, w, strict,
+                                     dp.reachable_window(m, space))
+        grid, anchors = sweep.grid, [space.key(space.w0), w]
+        assert_lattice_grid(grid, anchors, m.rewards)
+        # the clip range ends one cell past the target, on the side away
+        # from w0, and the grid runs max|r| / δ cells on past w0
+        step = Lattice.of(anchors, np.unique(m.rewards).tolist()).step
+        lo, hi = grid.clip.start, grid.clip.stop - 1
+        assert grid.keys[hi if sign > 0 else lo] == w + sign * step
+        assert grid.w0 == (lo if sign > 0 else hi)
+        assert len(grid.keys) == hi - lo + 1 + round(
+            np.abs(m.rewards).max() / step)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_chain_grid_keys_and_moves(data):
+    # the exact-evaluation grid: T steps from w0 either way, any sign
+    units = data.draw(st.sampled_from([[-3, -1, 0], [1, 2], [-2, 1], [0]]))
+    delta = data.draw(st.sampled_from([0.25, 0.375, 3.0]))
+    T = data.draw(st.integers(1, 5))
+    labels = data.draw(st.lists(st.sampled_from(units), min_size=4,
+                                max_size=4))
+    rewards = (delta * np.array(labels, dtype=np.float64)).reshape(2, 2)
+    m = Mdp(2, 2, [[[(0, 0.5), (1, 0.5)], [(1, 1.0)]],
+                   [[(0, 1.0)], [(0, 0.25), (1, 0.75)]]],
+            {"kind": "sa", "values": rewards.tolist()}, 0, T)
+    space = AdditiveWealth()
+    chain = evaluate._WealthChain.fit(
+        m, space, WealthMarkovPolicy.from_markov([0, 1], stationary=True))
+    # a grid with more cells than the wealth sums of T steps is not built
+    assume(chain is not None)
+    grid = chain.grid
+    assert_lattice_grid(grid, [space.key(space.w0)], m.rewards)
+    assert grid.clip == slice(0, len(grid.keys))
+    units = Lattice.of([0.0], np.unique(m.rewards).tolist()).units
+    lo, hi = min(0, *units), max(0, *units)
+    assert len(grid.keys) == T * (hi - lo) + 1
+    assert grid.w0 == T * -lo
 
 
 @given(st.lists(finite_floats, min_size=1, max_size=8))

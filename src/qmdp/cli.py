@@ -46,6 +46,15 @@ def _parse_floats(text):
     return [float(x) for x in text.split(",") if x.strip()]
 
 
+def _parse_taus(text):
+    """``--taus``, where a NaN or a tau outside [0, 1] would check nothing."""
+    taus = _parse_floats(text)
+    for tau in taus:
+        if not 0.0 <= tau <= 1.0:
+            raise ConfigurationError(f"--taus: tau {tau!r} is not in [0, 1]")
+    return taus
+
+
 def _parse_ints(text):
     return [int(x) for x in text.split(",") if x.strip()]
 
@@ -134,6 +143,7 @@ def cmd_solve(args):
 # -- eval -----------------------------------------------------------------
 
 def cmd_eval(args):
+    taus = _parse_taus(args.taus)
     m, space = load_problem(args.problem)
     violations = validate(m)
     if violations:
@@ -162,7 +172,7 @@ def cmd_eval(args):
     if space.kind != "ordinal":
         summary["mean"] = dist.mean()
     quantiles = {}
-    for tau in _parse_floats(args.taus):
+    for tau in taus:
         entry = {}
         entry["lower"] = dist.quantile(tau, "lower") if 0 < tau <= 1 else None
         entry["upper"] = dist.quantile(tau, "upper") if 0 <= tau < 1 else None
@@ -179,7 +189,7 @@ def cmd_eval(args):
 
 def cmd_oracle_check(args):
     seed = args.seed if args.seed is not None else _default_seed()
-    taus = _parse_floats(args.taus)
+    taus = _parse_taus(args.taus)
     failures = 0
     for i in range(args.instances):
         cfg = GarnetConfig(4, 2, 2, seed=seed + i)

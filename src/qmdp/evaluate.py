@@ -7,11 +7,11 @@ terminal-wealth distribution, whose cumulatives and quantiles follow by
 partial sums; the brute-force oracle enumerates every deterministic
 wealth-Markovian policy of a small instance through the same forward step;
 and classic backward induction supplies the expectation-optimal baseline.
-A stationary policy whose wealth lives on a small grid (ordinal classes,
-or additive rewards on one lattice: the :class:`~qmdp.wealth.Grid` the
-dense DP reads too) is a fixed Markov chain on (state, wealth cell), and
-exact evaluation pushes a mass vector through its operator instead
-(:class:`_WealthChain`); non-stationary policies, discounted wealth and
+A policy whose wealth lives on a small grid (ordinal classes, or additive
+rewards on one lattice: the :class:`~qmdp.wealth.Grid` the dense DP reads
+too) is a Markov chain on (state, wealth cell), and exact evaluation
+pushes a mass vector through it instead (:class:`_WealthChain`), over the
+rows that hold mass unless the policy is stationary; discounted wealth and
 rewards off any lattice keep the atom path.
 The forward step, the chain and :func:`simulate` read the kernel's edge
 table (``succ``, ``prob``, ``starts``), one per-edge wealth move and the
@@ -232,16 +232,16 @@ def exact_distribution(m, space, policy, atom_cap=10_000_000):
     and :class:`ConfigurationError` when the policy does not fit m
     (:func:`_check_policy_fits`).
 
-    A stationary policy runs on a wealth grid when it has one
+    The policy runs on a wealth grid when it has one
     (:meth:`_WealthChain.fit`): the n classes of ordinal wealth, or, for
     additive wealth, the multiples of one δ > ``WEALTH_TOL`` that the
     rewards and w0 share, where every key within T rewards of w0 is exact
     in float64 and the grid has no more cells than the wealth sums of T
-    steps; its operator must also fit ``BLOCK_FLOATS``.  Then each step is
-    one pass of the mass vector through the chain's operator, with the
-    same keys, the same errors at the same step and probabilities within
-    float rounding of the atom path.  Non-stationary policies, discounted
-    wealth and rewards off any lattice take the atom path.
+    steps.  What one step holds must fit ``BLOCK_FLOATS``: a stationary
+    policy's operator, a non-stationary one's mass vector.  Then each step
+    is one ``np.bincount`` of the mass vector, with the same keys, the same
+    errors at the same step and probabilities within float rounding of the
+    atom path.  Discounted wealth and rewards off any lattice do not fit.
     """
     _check_policy_fits(m, policy)
     if m.horizon is None:
@@ -272,23 +272,25 @@ def _atom_distribution(m, space, policy, atom_cap):
 
 
 class _WealthChain:
-    """A stationary policy as one Markov chain on (state, wealth cell).
+    """A policy as a Markov chain on (state, wealth cell).
 
     Row ``s * C + c`` of the mass vector is the mass at state s in cell c
-    of C.  The policy picks one action for every row (:func:`_actions`
-    once on the whole grid), so a step sends row ``src[i]`` the share
-    ``prob[i]`` of its mass to row ``dest[i]``, for every edge of the pair
-    it takes.  The entries are in (edge, cell) order, the order in which
-    the atom path lists the masses one destination receives; its
-    ``np.add.reduceat`` groups a sum of three or more of them otherwise
-    than ``np.bincount`` does, so probabilities agree within rounding.
-    """
+    of C.  A step sends row ``src[i]`` the share ``prob[i]`` of its mass
+    to row ``dest[i]``, for every edge of the pair of its action
+    (:meth:`actions`), and one ``np.bincount`` adds the entries up: a
+    stationary policy builds them once for every row, a non-stationary
+    one at each step for the live rows, those that hold mass.  The atom
+    path adds them in another order, so probabilities agree within
+    rounding."""
 
     @classmethod
     def fit(cls, m, space, policy):
         """The chain of ``policy`` on m, or None where the atom path runs
         (see :func:`exact_distribution`)."""
-        T, size = m.horizon, m.n_states * int(np.diff(m.starts).max(initial=0))
+        T, S = m.horizon, m.n_states
+        # a step holds the operator (every edge of every row) or the masses
+        size = S * (int(np.diff(m.starts).max(initial=0))
+                    if policy.stationary else 1)
 
         def cells(lattice):
             # T steps from w0 either way, every key exact and a merge of
@@ -301,50 +303,85 @@ class _WealthChain:
                     and size * n_cells <= BLOCK_FLOATS):
                 return (x0 + T * lo, x0 + T * hi) * 2
 
-        if not policy.stationary or space.kind not in ("ordinal", "additive"):
+        if space.kind not in ("ordinal", "additive"):
             return None
+        r = m.rewards
         if space.kind == "ordinal":
             fits = size * len(space.classes) <= BLOCK_FLOATS
-            grid = Grid.of_classes(space, m.rewards) if fits else None
+            grid = Grid.of_classes(space, r) if fits else None
+        # a mantissa with fewer than log2(T) trailing zeros fails
+        # Lattice.exact (T times its odd part reaches 2^53): no lattice
+        elif np.modf(np.ldexp(np.frexp(r)[0], 54 - T.bit_length()))[0].any():
+            return None
         else:
-            grid = Grid.on_lattice([space.key(space.w0)], m.rewards, cells)
+            grid = Grid.on_lattice([space.key(space.w0)], r, cells)
         return None if grid is None else cls(m, policy, grid)
 
     def __init__(self, m, policy, grid):
-        self.m, self.grid = m, grid
+        self.m, self.policy, self.grid = m, policy, grid
         S, C = m.n_states, len(grid.keys)
         self.start = m.initial_state * C + grid.w0
-        states = np.repeat(np.arange(S), C)
-        self.pair = pair = states * m.n_actions + _actions(
-            policy, 0, states, np.tile(grid.keys, S))
-        degree = m.starts[pair + 1] - m.starts[pair]
-        self.empty = np.flatnonzero(degree == 0)
+        # a cut's grid position is the first cell it covers: an inclusive
+        # cut covers a cell at its threshold, an exclusive one does not
+        c = policy.table
+        at = np.where(c.e == 0, np.searchsorted(grid.keys, c.x, "left"),
+                      np.searchsorted(grid.keys, c.x, "right"))
+        self.cuts = c.seg() * (C + 1) + at
+        if policy.stationary:
+            rows = np.arange(S * C)
+            self.pair = rows // C * m.n_actions + self.actions(0, rows)
+            degree = m.starts[self.pair + 1] - m.starts[self.pair]
+            self.empty = np.flatnonzero(degree == 0)
+            self.operator = self._entries(rows, self.pair, degree)
+
+    def actions(self, t, rows):
+        """Each row's action at step t: the last cut at or below
+        ``rule * (C + 1) + cell`` among the cuts' ``rule * (C + 1) +
+        position``, unless it is another rule's, or else the base."""
+        c, C = self.policy.table, len(self.grid.keys)
+        states, cells = np.divmod(rows, C)
+        rule = states if self.policy.stationary else t * self.m.n_states + states
+        if not len(self.cuts):
+            return c.base[rule]
+        at = np.searchsorted(self.cuts, rule * (C + 1) + cells, "right") - 1
+        return np.where(at >= c.off[rule], c.v[at], c.base[rule])
+
+    def _entries(self, rows, pair, degree):
+        """``(src, dest, prob)`` of every edge of the rows' pairs."""
+        m, grid, C = self.m, self.grid, len(self.grid.keys)
         edge = np.repeat(m.starts[pair], degree) + _ranks(degree)
-        order = np.argsort(edge, kind="stable")
-        self.src, edge = np.repeat(np.arange(S * C), degree)[order], edge[order]
+        src = np.repeat(rows, degree)
         # a move clips only from a cell of an additive grid that w0 does not
         # reach in T - 1 steps; such a cell first gets mass at step T, which
         # no step moves on, so a clipped entry carries none
-        self.dest = m.succ[edge] * C + grid.moves[grid.row[edge], self.src % C]
-        self.prob = m.prob[edge]
+        return (src, m.succ[edge] * C + grid.moves[grid.row[edge], src % C],
+                m.prob[edge])
 
     def distribution(self, space, atom_cap):
         """The terminal-wealth distribution after T steps from (s0, w0),
         with the atom path's errors at the same step."""
-        mass = np.zeros(len(self.pair))
+        m, C = self.m, len(self.grid.keys)
+        mass = np.zeros(m.n_states * C)
         mass[self.start] = 1.0
-        for t in range(self.m.horizon):
-            if len(self.empty) and mass[self.empty].any():
-                row = self.empty[np.flatnonzero(mass[self.empty])[0]]
-                raise _empty_row_error(self.m, self.pair[row], t)
-            mass = np.bincount(self.dest, weights=self.prob * mass[self.src],
-                               minlength=len(mass))
+        for t in range(m.horizon):
+            if self.policy.stationary:
+                if len(self.empty) and mass[self.empty].any():
+                    row = self.empty[np.flatnonzero(mass[self.empty])[0]]
+                    raise _empty_row_error(m, self.pair[row], t)
+                src, dest, prob = self.operator
+            else:
+                live = np.flatnonzero(mass)
+                pair = live // C * m.n_actions + self.actions(t, live)
+                degree = m.starts[pair + 1] - m.starts[pair]
+                if not degree.all():
+                    raise _empty_row_error(m, pair[degree.argmin()], t)
+                src, dest, prob = self._entries(live, pair, degree)
+            mass = np.bincount(dest, weights=prob * mass[src], minlength=len(mass))
             count = np.count_nonzero(mass)
             if count > atom_cap:
                 raise _atom_cap_error(count, t, atom_cap)
         rows = np.flatnonzero(mass)
-        keys = self.grid.keys
-        return WealthDistribution(space, keys[rows % len(keys)], mass[rows])
+        return WealthDistribution(space, self.grid.keys[rows % C], mass[rows])
 
 
 def _pick_edges(m, pair, u):

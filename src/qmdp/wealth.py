@@ -39,7 +39,8 @@ WEALTH_TOL = 1e-9
 # Float64-sized values in the working arrays of one block: the layer
 # kernel's entries of a block of states, the (pairs x edges per pair x
 # cells x thresholds) gather of a dense sweep for a block of thresholds,
-# and the entries of a stationary policy's forward operator.
+# the entries of a stationary policy's forward operator, and the
+# (state, cell) mass vector of a non-stationary policy's forward step.
 BLOCK_FLOATS = 1 << 20
 
 

@@ -513,6 +513,29 @@ def test_oracle_check_passes():
                "--seed", 0) == 0
 
 
+@pytest.mark.parametrize("tau", ["nan", "1.5", "-0.2"])
+@pytest.mark.parametrize("command", ["eval", "oracle-check"])
+def test_a_tau_outside_the_unit_interval_is_a_usage_error(tmp_path, capsys,
+                                                          command, tau):
+    # such a tau used to check nothing: oracle-check skipped it and reported
+    # agreement, eval wrote null for both of its quantiles, both exiting 0
+    summary = tmp_path / "s.json"
+    if command == "eval":
+        problem, policy = tmp_path / "p.json", tmp_path / "pol.json"
+        run("generate", "garnet", "--states", 4, "--actions", 2, "--seed", 1,
+            "--out", problem)
+        run("solve", "--problem", problem, "--tau", 0.5, "--out", policy)
+        argv = ("eval", "--problem", problem, "--policy", policy,
+                "--taus", f"0.5,{tau}", "--summary", summary)
+    else:
+        argv = ("oracle-check", "--instances", 1, "--taus", tau)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"tau {tau} " in err and "Traceback" not in err
+    assert not summary.exists()
+
+
 def test_env_seed_default(tmp_path, monkeypatch):
     monkeypatch.setenv("QMDP_SEED", "123")
     a = tmp_path / "a.json"

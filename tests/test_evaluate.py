@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmdp import (AdditiveWealth, ConfigurationError, DiscountedWealth,
-                  GarnetConfig, Mdp, OrdinalWealth, ResourceLimitError,
-                  StepFunction, WealthDistribution, WealthMarkovPolicy,
-                  backward_induction, brute_force_optimal_quantile,
-                  exact_distribution, generate_garnet, simulate,
-                  standard_backward_induction, ValidationError)
+                  GarnetConfig, Mdp, OrdinalWealth, QuantileQuery,
+                  ResourceLimitError, StepFunction, WealthDistribution,
+                  WealthMarkovPolicy, backward_induction,
+                  brute_force_optimal_quantile, exact_distribution,
+                  generate_garnet, simulate, solve_quantile,
+                  standard_backward_induction, validate, ValidationError)
 from qmdp.dp import _pack
 from qmdp.evaluate import merge_atoms
 from qmdp.wealth import WEALTH_TOL
@@ -627,25 +628,89 @@ def test_simulate_matches_the_per_state_lookup(monkeypatch, reward_kind, ordinal
     m, space = relabelled_garnet(4, reward_kind, ordinal)
     policy = random_wealth_policy(m, space, np.random.default_rng(4))
     got = simulate(m, space, policy, 20_000, seed=9)
-    exact = exact_distribution(m, space, policy)
+    # the ordinal policy takes the chain in exact_distribution; the atom
+    # path is the one that reads _actions
+    exact = evaluate._atom_distribution(m, space, policy, 10_000_000)
     monkeypatch.setattr(evaluate, "_actions", actions_per_state)
     assert got.tobytes() == simulate(m, space, policy, 20_000, seed=9).tobytes()
-    want = exact_distribution(m, space, policy)
+    want = evaluate._atom_distribution(m, space, policy, 10_000_000)
     assert exact.keys.tobytes() == want.keys.tobytes()
     assert exact.probs.tobytes() == want.probs.tobytes()
 
 
-# -- a stationary policy as one Markov chain ----------------------------------
+# -- a policy as one Markov chain on a wealth grid ----------------------------
 
-def random_stationary_policy(m, rng, keys):
-    """A stationary policy whose rules cut at random ``keys``, on either side."""
+def random_grid_policy(m, rng, keys, stationary=True):
+    """A stationary or a per-(t, s) policy whose rules cut at random
+    ``keys``, on either side."""
     rules = []
-    for _ in range(m.n_states):
+    for _ in range(m.n_states if stationary else m.horizon * m.n_states):
         n = int(rng.integers(0, 4))
         rules.append(StepFunction(int(rng.integers(m.n_actions)),
                                   rng.choice(keys, n), rng.random(n) < 0.5,
                                   rng.integers(0, m.n_actions, n)))
-    return WealthMarkovPolicy(_pack(rules, np.int64), m.n_states, stationary=True)
+    return WealthMarkovPolicy(_pack(rules, np.int64), m.n_states, stationary)
+
+
+def draw_grid_policy(data, m, space, rng, keys):
+    """A policy for the chain tests: random cuts at ``keys`` or none,
+    stationary or per (t, s), or the solver's policy, whose cuts translate
+    has moved off the grid (when m has no empty row)."""
+    kind = data.draw(st.sampled_from(["markov", "stationary markov", "per step",
+                                      "stationary", "solver"]))
+    stationary = kind.startswith("stationary")
+    if kind == "solver" and not validate(m):
+        query = QuantileQuery(data.draw(st.sampled_from([0.1, 0.5, 0.9])),
+                              data.draw(st.sampled_from(["lower", "upper"])),
+                              1e-3)
+        return solve_quantile(m, space, query).policy
+    if kind.endswith("markov"):
+        shape = m.n_states if stationary else (m.horizon, m.n_states)
+        return WealthMarkovPolicy.from_markov(
+            rng.integers(0, m.n_actions, shape).tolist(), stationary)
+    return random_grid_policy(m, rng, keys, stationary)
+
+
+@pytest.mark.parametrize("kind", ["cuts", "stationary cuts", "no cuts"])
+@pytest.mark.parametrize("ordinal", [False, True], ids=["lattice", "ordinal"])
+def test_cell_actions_equal_per_rule_lookup(kind, ordinal):
+    from qmdp.evaluate import _WealthChain
+    rng = np.random.default_rng(5)
+    if ordinal:
+        m, space = relabelled_garnet(5, "sas", ordinal=True)
+    else:
+        m = random_lattice_mdp(1, horizon=5)
+        space = AdditiveWealth.for_mdp(m)
+    stationary = kind == "stationary cuts"
+    markov = WealthMarkovPolicy.from_markov(
+        rng.integers(0, m.n_actions, (m.horizon, m.n_states)).tolist())
+    keys = _WealthChain.fit(m, space, markov).grid.keys
+    rules = []
+    for i in range(m.n_states if stationary else m.horizon * m.n_states):
+        # cuts at cell k - 1 (exclusive), between k - 1 and k, just below
+        # and at k all cover cell k first; past both ends and at both
+        # infinities they cover every cell or none
+        k = int(rng.integers(1, len(keys)))
+        pool = [keys[k - 1], (keys[k - 1] + keys[k]) / 2,
+                np.nextafter(keys[k], -np.inf), keys[k],
+                np.nextafter(keys[k], np.inf), keys[0] - 1, keys[-1] + 1,
+                -np.inf, np.inf]
+        if i % m.n_states == 0:
+            rules.append(StepFunction(0, pool[:4], [False, True, True, True],
+                                      [1, 0, 1, 0]))
+            continue
+        n = int(rng.integers(0, 7))
+        rules.append(StepFunction(int(rng.integers(m.n_actions)),
+                                  rng.choice(pool, n), rng.random(n) < 0.5,
+                                  rng.integers(0, m.n_actions, n)))
+    policy = (markov if kind == "no cuts" else
+              WealthMarkovPolicy(_pack(rules, np.int64), m.n_states, stationary))
+    chain = _WealthChain.fit(m, space, policy)
+    C = len(keys)
+    rows = np.arange(m.n_states * C)
+    for t in range(m.horizon):
+        want = actions_per_state(policy, t, rows // C, keys[rows % C])
+        assert chain.actions(t, rows).tolist() == want.tolist()
 
 
 def outcome(evaluate):
@@ -705,9 +770,12 @@ def test_chain_matches_the_atom_path_on_a_reward_lattice(data):
         s, a = int(rng.integers(S)), int(rng.integers(A))
         transitions[s][a], rewards[s][a] = [], []
     m = Mdp(S, A, transitions, {"kind": "sas", "values": rewards}, 0, T)
-    reach = T * max(map(abs, units))
-    policy = random_stationary_policy(
-        m, rng, delta * np.arange(-reach, reach + 0.5, 0.5))
+    # cuts on cells, between them, past both ends of the grid and at both
+    # infinities
+    reach = T * max(map(abs, units)) + 2
+    keys = np.concatenate((delta * np.arange(-reach, reach + 0.5, 0.5),
+                           [-np.inf, np.inf]))
+    policy = draw_grid_policy(data, m, AdditiveWealth.for_mdp(m), rng, keys)
     atom_cap = data.draw(st.sampled_from([1, 5, 20, 10_000_000]))
     assert_same_outcome(m, AdditiveWealth(-np.inf, np.inf), policy, atom_cap)
 
@@ -719,12 +787,9 @@ def test_chain_matches_the_atom_path_on_ordinal_wealth(data):
     reward_kind = data.draw(st.sampled_from(["sa", "sas"]))
     m, space = relabelled_garnet(seed % 1000, reward_kind, ordinal=True)
     rng = np.random.default_rng(seed)
-    if data.draw(st.booleans()):
-        policy = WealthMarkovPolicy.from_markov(
-            rng.integers(0, m.n_actions, m.n_states).tolist(), stationary=True)
-    else:
-        policy = random_stationary_policy(m, rng, np.arange(0.0, 5.0, 0.5))
-    atom_cap = data.draw(st.sampled_from([2, 8, 10_000_000]))
+    keys = np.concatenate((np.arange(-1.0, 6.0, 0.5), [-np.inf, np.inf]))
+    policy = draw_grid_policy(data, m, space, rng, keys)
+    atom_cap = data.draw(st.sampled_from([1, 2, 8, 10_000_000]))
     assert_same_outcome(m, space, policy, atom_cap)
 
 
@@ -733,17 +798,52 @@ def test_exact_distribution_takes_the_chain_on_a_lattice(monkeypatch):
     # lattice of random_lattice_mdp never reaches the atom path
     from qmdp import evaluate
     m = random_lattice_mdp(0, horizon=6)
-    policy = random_stationary_policy(m, np.random.default_rng(0),
-                                      -0.25 * np.arange(20))
+    policy = random_grid_policy(m, np.random.default_rng(0),
+                                -0.25 * np.arange(20))
     monkeypatch.setattr(evaluate, "_atom_distribution", None)
     assert exact_distribution(m, AdditiveWealth.for_mdp(m), policy).total() == \
         pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("ordinal", [False, True], ids=["lattice", "ordinal"])
+def test_exact_distribution_takes_the_chain_for_a_non_stationary_policy(
+        monkeypatch, ordinal):
+    # the same control for per-(t, s) rules, which a finite solve returns
+    from qmdp import evaluate
+    rng = np.random.default_rng(0)
+    if ordinal:
+        m, space = relabelled_garnet(0, "sas", ordinal=True)
+        policy = random_wealth_policy(m, space, rng)
+    else:
+        m = random_lattice_mdp(0, horizon=6)
+        space = AdditiveWealth.for_mdp(m)
+        policy = random_grid_policy(m, rng, -0.25 * np.arange(20),
+                                    stationary=False)
+    monkeypatch.setattr(evaluate, "_atom_distribution", None)
+    assert exact_distribution(m, space, policy).total() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", [2**52 - 1, 2**52 + 1])
+def test_the_cheap_lattice_test_agrees_with_lattice_exact(monkeypatch, n):
+    # one reward n * 2^-52 over T = 2 steps: the grid is exact while 2 * n
+    # stays below 2^53; past it, float rewards stop before the lattice
+    from qmdp import evaluate
+    m = Mdp(1, 1, [[[(0, 1.0)]]], {"kind": "sa", "values": [[n * 2.0**-52]]},
+            0, 2)
+    calls = []
+    on_lattice = evaluate.Grid.on_lattice
+    monkeypatch.setattr(evaluate.Grid, "on_lattice",
+                        lambda *a: calls.append(1) or on_lattice(*a))
+    policy = WealthMarkovPolicy.from_markov([[0]] * 2)
+    chain = evaluate._WealthChain.fit(m, AdditiveWealth.for_mdp(m), policy)
+    assert (chain is not None) == (2 * n < 2**53) == (calls == [1])
+
+
 @pytest.mark.parametrize("case", ["float rewards", "discounted wealth",
-                                  "non-stationary policy", "cells past the sums",
+                                  "cells past the sums",
                                   "cells within WEALTH_TOL",
-                                  "operator above BLOCK_FLOATS"])
+                                  "operator above BLOCK_FLOATS",
+                                  "mass vector above BLOCK_FLOATS"])
 def test_these_inputs_keep_the_atom_path(monkeypatch, case):
     from qmdp import evaluate
     m = random_lattice_mdp(0, horizon=6)
@@ -754,8 +854,10 @@ def test_these_inputs_keep_the_atom_path(monkeypatch, case):
         space = AdditiveWealth.for_mdp(m)
     elif case == "discounted wealth":
         space = DiscountedWealth(0.5)
-    elif case == "non-stationary policy":
+    elif case == "mass vector above BLOCK_FLOATS":
+        # a step of per-(t, s) rules holds the 5 x 19 mass vector
         policy = WealthMarkovPolicy.from_markov([[0] * m.n_states] * 6)
+        monkeypatch.setattr(evaluate, "BLOCK_FLOATS", 94)
     elif case == "cells past the sums":
         # 4,001 cells of 0.25 against the 7 sums of up to 6 steps of -1000
         m = random_lattice_mdp(0, lattice=(-1000.0, -0.25), horizon=6)
@@ -763,7 +865,8 @@ def test_these_inputs_keep_the_atom_path(monkeypatch, case):
         # the atom path merges keys 2^-31 apart; the grid would keep them
         m = random_lattice_mdp(0, lattice=(-2.0**-31, -2.0**-30), horizon=6)
     else:
-        monkeypatch.setattr(evaluate, "BLOCK_FLOATS", 100)
+        # the 5 x 2 x 19 operator; the mass vector alone would fit
+        monkeypatch.setattr(evaluate, "BLOCK_FLOATS", 189)
     assert evaluate._WealthChain.fit(m, space, policy) is None
     calls = []
     atoms = evaluate._atom_distribution

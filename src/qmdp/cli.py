@@ -190,6 +190,12 @@ def cmd_eval(args):
 def cmd_oracle_check(args):
     seed = args.seed if args.seed is not None else _default_seed()
     taus = _parse_taus(args.taus)
+    # no instance or no tau would check nothing and still report agreement
+    if args.instances < 1:
+        raise ConfigurationError(
+            f"--instances: {args.instances} checks no instance; give 1 or more")
+    if not taus:
+        raise ConfigurationError(f"--taus: {args.taus!r} lists no tau")
     failures = 0
     for i in range(args.instances):
         cfg = GarnetConfig(4, 2, 2, seed=seed + i)

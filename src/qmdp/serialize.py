@@ -18,16 +18,23 @@ Policy files are a JSON list of ``{"t": ..., "s": ..., "intervals":
 [{"from": <wealth|null>, "inclusive_from": ..., "action": <int>}]}``;
 stationary policies omit "t".  A null "from" opens the bottom interval.
 A policy moves between a file and its one cut table
-(:class:`~qmdp.dp.WealthMarkovPolicy`) without a step function per rule:
-writing reads the table's arrays, one ``tolist()`` each; reading checks
+(:class:`~qmdp.dp.WealthMarkovPolicy`) without a step function per rule.
+Writing is one text pass over the table's arrays, one ``tolist()`` each:
+every distinct cut key is formatted once and every interval is one string
+format, with no dict per interval, and the text is what ``json.dumps``
+writes for the entry list, byte for byte.  :func:`policy_to_payload` is
+that text parsed back, so the format has one encoder.  Reading checks
 every entry and interval, then builds the table in one sort and one
-canonical merge.  A (t, s) listed more than once takes its last copy; a
-(t, s) with no entry takes action 0.
+canonical merge.  A cut's "inclusive_from" is a JSON bool.  A (t, s)
+listed more than once takes its last copy; a (t, s) with no entry takes
+action 0.
 
 All writes are whole-file atomic (write to a temp file, then rename).
 """
 
+import itertools
 import json
+import math
 import numbers
 import os
 import tempfile
@@ -180,22 +187,45 @@ def load_problem(path):
 
 # -- policies ---------------------------------------------------------------
 
-def policy_to_payload(policy, space):
+_HEAD = ('{"t": %d, "s": %d, "intervals": '
+         '[{"from": null, "inclusive_from": true, "action": %d}')
+_STATIONARY_HEAD = ('{"s": %d, "intervals": '
+                    '[{"from": null, "inclusive_from": true, "action": %d}')
+_CUT = '{"from": %s, "inclusive_from": %s, "action": %d}'
+
+
+def _policy_text(policy, space):
+    """The policy file, ``json.dumps`` of its entry list, byte for byte.
+
+    One text pass over the table's arrays.  Each distinct cut key is
+    formatted once, told apart from the others by its bits (so -0.0 is not
+    0.0): a finite float as ``float.__repr__`` writes it, as ``json`` does,
+    and any other wealth value (an infinity, an ordinal label) by
+    ``json.dumps``.
+    """
     c, S = policy.table, policy.n_states
-    froms = [space.unkey(k) for k in c.x.tolist()]
-    inclusive = (c.e == 0).tolist()
-    actions = c.v.tolist()
-    cuts = c.off.tolist()
-    entries = []
-    for i, (base, j, k) in enumerate(zip(c.base.tolist(), cuts, cuts[1:])):
-        intervals = [{"from": None, "inclusive_from": True, "action": base}]
-        intervals.extend({"from": f, "inclusive_from": inc, "action": a}
-                         for f, inc, a in zip(froms[j:k], inclusive[j:k],
-                                              actions[j:k]))
-        t, s = divmod(i, S)
-        entries.append({"s": s, "intervals": intervals} if policy.stationary
-                       else {"t": t, "s": s, "intervals": intervals})
-    return entries
+    bits = c.x.view(np.int64).tolist()
+    distinct = dict(zip(bits, c.x.tolist()))
+    text = dict(zip(distinct, [
+        float.__repr__(w) if type(w) is float and math.isfinite(w)
+        else json.dumps(w) for w in map(space.unkey, distinct.values())]))
+    cuts = [_CUT % (text[b], "false" if e else "true", a)
+            for b, e, a in zip(bits, c.e.tolist(), c.v.tolist())]
+    base = c.base.tolist()
+    if policy.stationary:
+        heads = [_STATIONARY_HEAD % sa for sa in enumerate(base)]
+    else:
+        steps = itertools.product(range(len(base) // S), range(S))
+        heads = [_HEAD % (t, s, a) for (t, s), a in zip(steps, base)]
+    off = c.off.tolist()
+    return "[%s]" % ", ".join([
+        "%s]}" % ", ".join([head, *cuts[j:k]])
+        for head, j, k in zip(heads, off, off[1:])])
+
+
+def policy_to_payload(policy, space):
+    """The policy file's entry list: its text, parsed back."""
+    return json.loads(_policy_text(policy, space))
 
 
 def _is_int(x):
@@ -218,8 +248,13 @@ def _intervals_to_cuts(intervals, space):
         if item["from"] is None:
             base = a
             continue
+        inc = item["inclusive_from"]
+        if not isinstance(inc, (bool, np.bool_)):
+            # bool() would read "false" as inclusive and 0 or null as not
+            raise ConfigurationError(
+                f"policy inclusive_from {inc!r} is not true or false")
         keys.append(space.key(item["from"]))
-        inclusive.append(bool(item["inclusive_from"]))
+        inclusive.append(bool(inc))
         actions.append(a)
     return base, keys, inclusive, actions
 
@@ -267,7 +302,7 @@ def _policy_from_entries(payload, space, n_states):
 
 
 def save_policy(path, policy, space):
-    atomic_write_text(path, json.dumps(policy_to_payload(policy, space)))
+    atomic_write_text(path, _policy_text(policy, space))
 
 
 def load_policy(path, space, n_states):

@@ -513,6 +513,21 @@ def test_oracle_check_passes():
                "--seed", 0) == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--instances", 0), "--instances: 0 checks no instance"),
+    (("--instances", -3), "--instances: -3 checks no instance"),
+    (("--taus", ","), "--taus: ',' lists no tau"),
+    (("--taus", ""), "--taus: '' lists no tau"),
+])
+def test_an_oracle_check_of_nothing_is_a_usage_error(capsys, argv, message):
+    # it used to print "all 0 instances agree" (or run no query) and exit 0
+    capsys.readouterr()
+    assert run("oracle-check", *argv) == 2
+    out, err = capsys.readouterr()
+    assert message in err and "Traceback" not in err
+    assert out == ""    # raised before any instance is built
+
+
 @pytest.mark.parametrize("tau", ["nan", "1.5", "-0.2"])
 @pytest.mark.parametrize("command", ["eval", "oracle-check"])
 def test_a_tau_outside_the_unit_interval_is_a_usage_error(tmp_path, capsys,

@@ -57,7 +57,7 @@ HUGE_OR_NEGATIVE = st.sampled_from([-1, -7, 2**31, 2**63, 10**8, 10**400])
 def _policy_for(problem):
     m, space = problem_from_dict(copy.deepcopy(problem))
     report = solve_quantile(m, space, QuantileQuery(tau=0.5, epsilon=1.0))
-    return json.loads(json.dumps(policy_to_payload(report.policy, space)))
+    return policy_to_payload(report.policy, space)
 
 
 POLICIES = {name: _policy_for(base) for name, base in BASES.items()}
@@ -199,7 +199,7 @@ def test_bool_is_not_an_integer_class(tmp_path, monkeypatch, capsys):
                                        [["down"], ["up"]]]}, 0, 2)
     monkeypatch.setattr(cli, "load_problem", lambda path: (m, space))
     report = solve_quantile(m, space, QuantileQuery(tau=0.5, epsilon=1.0))
-    policy = json.loads(json.dumps(policy_to_payload(report.policy, space)))
+    policy = policy_to_payload(report.policy, space)
     policy[0]["intervals"].append(
         dict(policy[0]["intervals"][-1], **{"from": 2}))
     policy_path = tmp_path / "policy.json"

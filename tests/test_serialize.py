@@ -1,12 +1,14 @@
 import json
+import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmdp import (AdditiveWealth, ConfigurationError, DiscountedWealth,
                   GarnetConfig, Mdp, OrdinalWealth, QuantileQuery,
-                  StepFunction, exact_distribution,
+                  StepFunction, WealthMarkovPolicy, exact_distribution,
                   generate_garnet, load_policy, load_problem,
                   policy_from_payload, policy_to_payload,
                   problem_to_dict, save_policy, save_problem, solve_quantile)
@@ -93,7 +95,6 @@ def test_policy_round_trip(tmp_path):
 
 def test_stationary_policy_payload_omits_t():
     m, = [two_state_discounted_mdp(horizon=None)]
-    from qmdp import WealthMarkovPolicy
     pol = WealthMarkovPolicy.from_markov([1, 0], stationary=True)
     space = AdditiveWealth(-5, 5)
     payload = policy_to_payload(pol, space)
@@ -220,3 +221,94 @@ def test_loaded_rules_equal_the_step_function_constructor(data):
         assert type(got.base) is int and got.base == f.base
         for a, b in ((got.x, f.x), (got.e, f.e), (got.v, f.v)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [], {}, 0.0])
+def test_inclusive_from_is_a_bool(flag):
+    # bool() used to read "false" as an inclusive cut, 0, null and [] as
+    # exclusive ones
+    space = AdditiveWealth(-5, 5)
+    payload = [_entry(0, 0, 1, [(0.5, flag, 2)])]
+    with pytest.raises(ConfigurationError, match="inclusive_from"):
+        policy_from_payload(payload, space, 1)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_inclusive_from_takes_python_and_numpy_bools(flag):
+    policy = policy_from_payload([_entry(0, 0, 1, [(0.5, flag, 2)])],
+                                 AdditiveWealth(-5, 5), 1)
+    assert policy.rule(0, 0).intervals() == [(None, True, 1), (0.5, bool(flag), 2)]
+
+
+# -- the policy encoder -------------------------------------------------------
+
+def _reference_payload(policy, space):
+    """The policy file's entry list, one dict per interval."""
+    c, S = policy.table, policy.n_states
+    froms = [space.unkey(k) for k in c.x.tolist()]
+    inclusive = (c.e == 0).tolist()
+    actions = c.v.tolist()
+    cuts = c.off.tolist()
+    entries = []
+    for i, (base, j, k) in enumerate(zip(c.base.tolist(), cuts, cuts[1:])):
+        intervals = [{"from": None, "inclusive_from": True, "action": base}]
+        intervals.extend({"from": f, "inclusive_from": inc, "action": a}
+                         for f, inc, a in zip(froms[j:k], inclusive[j:k],
+                                              actions[j:k]))
+        t, s = divmod(i, S)
+        entries.append({"s": s, "intervals": intervals} if policy.stationary
+                       else {"t": t, "s": s, "intervals": intervals})
+    return entries
+
+
+NUMERIC_KEYS = st.one_of(
+    st.sampled_from([math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300,
+                     -1e300, 0.1, 1 / 3, 1e16, 1e-7]),
+    st.floats(allow_nan=False))
+# labels needing JSON escapes, and labels only a space held in memory has
+LABELS = st.one_of(
+    st.text(alphabet=st.sampled_from('a"\\\n\t\x00\x1f\x7fé€\U0001f600 '),
+            max_size=4),
+    st.text(max_size=3), st.integers(-10**20, 10**20), st.none(),
+    st.floats(allow_nan=False))
+
+
+@st.composite
+def _spaces_and_keys(draw):
+    kind = draw(st.sampled_from(["additive", "discounted", "ordinal"]))
+    if kind == "additive":
+        return AdditiveWealth(), NUMERIC_KEYS
+    if kind == "discounted":
+        return DiscountedWealth(0.9), NUMERIC_KEYS
+    # distinct as a dict sees them: 1 and 1.0 are one class
+    classes = list(dict.fromkeys(draw(st.lists(LABELS, min_size=1,
+                                               max_size=6))))
+    return OrdinalWealth(classes), st.integers(
+        0, len(classes) - 1).map(float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_written_file_is_json_dumps_of_the_reference_payload(
+        tmp_path_factory, data):
+    space, keys = data.draw(_spaces_and_keys())
+    stationary = data.draw(st.booleans())
+    S = data.draw(st.integers(1, 3))
+    n = S * (1 if stationary else data.draw(st.integers(1, 3)))
+    base = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=n,
+                              max_size=n))
+    # rules with no cuts, and keys repeated across rules
+    cuts = data.draw(st.lists(st.tuples(st.integers(0, n - 1), keys,
+                                        st.booleans(), st.integers(0, 5)),
+                              max_size=12))
+    seg, x, inclusive, actions = (list(col) for col in zip(*cuts)) \
+        if cuts else ([], [], [], [])
+    policy = WealthMarkovPolicy.from_cuts(
+        np.array(base, dtype=np.int64), np.array(seg, dtype=np.intp),
+        np.array(x, dtype=np.float64), np.array(inclusive, dtype=bool),
+        np.array(actions, dtype=np.int64), S, stationary)
+    path = tmp_path_factory.mktemp("policy") / "policy.json"
+    save_policy(path, policy, space)
+    text = path.read_bytes().decode("ascii")
+    assert text == json.dumps(_reference_payload(policy, space))
+    assert policy_to_payload(policy, space) == json.loads(text)

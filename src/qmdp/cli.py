@@ -63,7 +63,8 @@ def _parse_ints(text):
 
 def cmd_generate_garnet(args):
     seed = args.seed if args.seed is not None else _default_seed()
-    branching = args.branching or default_branching(args.states)
+    branching = (default_branching(args.states) if args.branching is None
+                 else args.branching)
     cfg = GarnetConfig(args.states, args.actions, branching,
                        args.reward_low, args.reward_high, seed)
     m = generate_garnet(cfg, horizon=args.horizon)
@@ -100,6 +101,10 @@ def cmd_solve(args):
     if args.horizon is not None:
         m = m.with_horizon(None if args.horizon in ("inf", "infinite")
                            else int(args.horizon))
+        # a horizon below 1 would give the rebuilt space an empty range
+        violations = validate(m)
+        if violations:
+            raise ValidationError(violations)
         space = space_from_dict(space_to_dict(space), m)
     bounds = None
     if args.bounds:
@@ -143,6 +148,12 @@ def cmd_solve(args):
 # -- eval -----------------------------------------------------------------
 
 def cmd_eval(args):
+    # a cap below 1 would switch to Monte Carlo at once, and no episodes
+    # sample nothing
+    for name in ("atom_cap", "mc_episodes"):
+        if getattr(args, name) < 1:
+            raise ConfigurationError(f"--{name.replace('_', '-')} must be at "
+                                     f"least 1, got {getattr(args, name)}")
     taus = _parse_taus(args.taus)
     m, space = load_problem(args.problem)
     violations = validate(m)

@@ -58,12 +58,18 @@ threshold, and one at a single threshold the policy (:class:`OrdinalSweep`);
 :func:`_layer` is numeric-only.  The batched sweep reads only (s0, w0) at
 t = 0, so layer t computes only the classes w0 reaches in t steps, and
 targets that split those terminal classes alike share one column: the
-same sums of the same products.  An infinite run whose rewards, target
-and ``w0`` lie on one lattice of step δ, not much finer than the wealth
-sums its cut tables would hold, has one cell per multiple of δ from the
-target to ``w0`` and a few past it (:class:`_LatticeSweep`); it gives the
-cut loop's rules, cuts and sweep count, with values within float
-rounding.
+same sums of the same products.  A finite run on additive wealth whose
+rewards and target lie on one lattice of step δ, with no more cells than
+the wealth sums of T steps and a gather within ``DENSE_FLOATS``, runs
+the same sweep over the multiples of δ from which T steps can reach the
+target (:meth:`_DenseSweep.fit`).  Either finite dense run tables the
+value and greedy rows of all its layers at once; on a lattice it gives
+the cut loop's rules and cuts, with values within float rounding.  An
+infinite run whose rewards, target and ``w0`` lie on one lattice of step
+δ, not much finer than the wealth sums its cut tables would hold, has
+one cell per multiple of δ from the target to ``w0`` and a few past it
+(:class:`_LatticeSweep`); it gives the cut loop's rules, cuts and sweep
+count, with values within float rounding.
 """
 
 import functools
@@ -85,6 +91,16 @@ from .wealth import BLOCK_FLOATS, AdditiveWealth, Grid, OrdinalWealth
 # What one entry of the layer kernel holds besides its value for every
 # action: keys, indices, sort order and sorted copies.
 _ENTRY_FLOATS = 16
+
+# The largest gather (edge slots x pairs x cells) of one step of a finite
+# lattice sweep.  Its time grows with the gather, the cut loop's with the
+# pieces per slice.  Measured in one process on a 2-core VM (Python 3.11,
+# numpy 2.4), one reachable-only backward induction on a dense grid against
+# the cut loop: data centers with 2 servers took 0.68x the cut loop's time
+# at H=4 (12,528 floats per step), 0.65x at H=8 (24,624), 0.92x at H=12
+# (36,720) and 1.12x at H=16 (48,816); with 3 servers, 2.6x at H=2
+# (76,545) and 3.1x at H=4 (150,903).
+DENSE_FLOATS = 1 << 15
 
 
 class ValueFunction:
@@ -420,6 +436,13 @@ def _spread(c, states, n):
     return _Cuts(base, off, c.x, c.e, c.v)
 
 
+def _segments(c, i, n):
+    """The table of segments i to i + n of c, sharing its arrays."""
+    j, k = c.off[i], c.off[i + n]
+    return _Cuts(c.base[i:i + n], c.off[i:i + n + 1] - j, c.x[j:k], c.e[j:k],
+                 c.v[j:k])
+
+
 def backward_induction(m, space, w, strict, reachable_only=False):
     """Maximize the probability of terminal wealth above ``w``.
 
@@ -430,15 +453,39 @@ def backward_induction(m, space, w, strict, reachable_only=False):
     0..T.  The policy's table holds the T·S greedy rules.  A ``w`` that
     ``space.key`` rejects, NaN included, raises :class:`ConfigurationError`.
 
-    Numeric wealth computes each layer with :func:`_layer`; ordinal wealth
-    runs the dense class sweep (:class:`OrdinalSweep`) once, reads p off
-    it and tables its value and rule rows.  By default layer t < T keeps
-    every state.  With ``reachable_only``, layer t keeps only the states
-    reachable from the initial state in exactly t steps (numeric wealth
-    computes no other); every other (t, s) gets the constant rule 0 and
-    the constant slice 0.0.  Reachable states read only reachable
-    successors, so p, the initial-state slice and every reachable rule
-    are identical to the full run's.
+    By default layer t < T keeps every state.  With ``reachable_only``,
+    layer t keeps only the states reachable from the initial state in
+    exactly t steps; every other (t, s) gets the constant rule 0 and the
+    constant slice 0.0.  Reachable states read only reachable successors,
+    so p, the initial-state slice and every reachable rule are identical
+    to the full run's.
+
+    Two loops make the layers, picked from the input.  A dense sweep over
+    the cells of a :class:`~qmdp.wealth.Grid` (:class:`_DenseSweep`) runs
+    on ordinal wealth, over its classes (:class:`OrdinalSweep`), and on
+    additive wealth when the rewards and the target key lie on one
+    lattice of step δ (:meth:`_DenseSweep.fit`) and:
+
+    1. the cells run from T steps of the largest reward below the target
+       to T of the smallest above it, and one more cell each side; |t|
+       plus T times the largest |r| and one cell, times 2^k, is an
+       integer below 2^53 (δ = g / 2^k), so that every cell key is exact
+       in float64, as every threshold of the cut loop then is;
+    2. δ is above ``WEALTH_TOL``, within which the cut loop would merge
+       two cuts a cell apart;
+    3. the cells are no more than ``math.comb(T + k, k)``, the count of
+       wealth sums of at most T of the k distinct nonzero rewards, which
+       bounds the cuts of a slice of the cut loop;
+    4. one step's gather holds at most ``DENSE_FLOATS`` floats;
+    5. the target is not -0.0, a sign no cell key keeps.
+
+    The sweep steps every state and tables the rows of all layers at
+    once, the rows of unreachable (t, s) zeroed; its p is the sweep's own
+    value at (s0, w0).  Otherwise each layer is one :func:`_layer` call
+    on cut tables over the states the layer keeps (numeric wealth
+    computes no other), as for discounted wealth and rewards off any
+    lattice.  On a lattice both give the same rules and the same cuts,
+    values within float rounding.
     """
     if m.horizon is None:
         raise ConfigurationError(
@@ -447,26 +494,24 @@ def backward_induction(m, space, w, strict, reachable_only=False):
     T, S = m.horizon, m.n_states
     target = space.key(w)
     layers = _reachable(m) if reachable_only else [np.arange(S)] * T
-    tables = [None] * (T + 1)
-    tables[T] = _pack([target_utility(target, strict)] * S)
-    rules = [None] * T
-    if ordinal := isinstance(space, OrdinalWealth):
-        sweep = OrdinalSweep(m, space)
-        best = np.empty((T, S, sweep.n), dtype=np.intp)
-        V = np.empty((T, S * sweep.n, 1))
-        sweep._sweep([target + strict], best=best, values=V)
+    terminal = _pack([target_utility(target, strict)] * S)
+    sweep = (OrdinalSweep(m, space) if isinstance(space, OrdinalWealth)
+             else _DenseSweep.fit(m, space, target))
+    if sweep is not None:
+        live = None
+        if reachable_only:
+            live = np.zeros((T, S), dtype=bool)
+            for t, states in enumerate(layers):
+                live[t, states] = True
+        rules, p, tables = sweep._tables(target, strict, live, values=True)
+        return WealthMarkovPolicy(rules, S), p, ValueFunction(tables + [terminal])
+    tables, rules = [terminal], []
     for t in range(T - 1, -1, -1):
-        if ordinal:
-            value = _tol_merged(_on_classes(V[t].reshape(S, -1)[layers[t]]))
-            rule = _on_classes(best[t, layers[t]])
-        else:
-            value, rule = map(_join, _layer(m, space, tables[t + 1], t,
-                                            layers[t]))
-        tables[t] = _spread(value, layers[t], S)
-        rules[t] = _spread(rule, layers[t], S)
+        value, rule = map(_join, _layer(m, space, tables[0], t, layers[t]))
+        tables.insert(0, _spread(value, layers[t], S))
+        rules.insert(0, _spread(rule, layers[t], S))
     vf = ValueFunction(tables)
-    p = (V[0, m.initial_state * sweep.n + sweep.grid.w0, 0] if ordinal
-         else vf.slice(0, m.initial_state)(space.key(space.w0)))
+    p = vf.slice(0, m.initial_state)(space.key(space.w0))
     return WealthMarkovPolicy(_join(rules), S), float(p), vf
 
 
@@ -484,7 +529,30 @@ class _DenseSweep:
     the widest one are padded with zero-probability edges, so a plain sum
     over edge slots mixes the successors.  The slot is the outer axis, so
     the sum adds edges in slot order whatever the other axes hold.
+
+    Cell c stands for the wealth ``keys[c]``; a table cuts where a row
+    changes, on the criterion's side (:func:`_on_classes`), as the cut
+    loop's tables do.
     """
+
+    # whether a strict table cuts on the exclusive side; class cuts are
+    # inclusive at every class key, strict or not
+    strict_cuts = True
+
+    @classmethod
+    def fit(cls, m, space, target):
+        """The dense sweep of a finite run at the ``target`` key on additive
+        wealth, or None where the cut loop runs (see
+        :func:`backward_induction`).  Its grid's end cells are 0 and 1 at
+        every layer under either criterion, so clipping moves into them is
+        exact."""
+        if not (isinstance(space, AdditiveWealth) and m.numeric_rewards):
+            return None
+        gather = m.n_states * m.n_actions * int(np.diff(m.starts).max(initial=1))
+        grid = Grid.over_horizon([space.key(space.w0), target], m.rewards,
+                                 m.horizon, DENSE_FLOATS // gather,
+                                 backward=True)
+        return None if grid is None else cls(m, grid)
 
     def __init__(self, m, grid):
         self.m, self.grid = m, grid
@@ -505,7 +573,7 @@ class _DenseSweep:
         once, malloc returns the memory to the system after every step and
         faults it back in (about 500 page faults per ordinal solve).
         """
-        g = V[self.idx if idx is None else idx]
+        g = np.take(V, self.idx if idx is None else idx, axis=0)
         g *= self.prob
         q = g.sum(axis=0).reshape(self.m.n_states, self.m.n_actions, -1, V.shape[1])
         top = q.max(axis=1)
@@ -513,16 +581,63 @@ class _DenseSweep:
             rule[:] = _first_best(np.moveaxis(q[..., 0], 1, 0), top[..., 0])
         return top.reshape(-1, V.shape[1])
 
+    def _sweep(self, splits, reach=None, best=None, values=None):
+        """The layer-0 slices of the terminal columns 1 from position
+        ``splits[j]`` of the cells of ``reach`` (:meth:`OrdinalSweep._reach`)
+        or of all.  With ``best``, a (T, S, n) array for one column,
+        ``best[t]`` gets layer t's rule, and with ``values``, a (T, S * n,
+        J) array, its slices (all cells)."""
+        cells, gathers = reach or (range(self.n), [None] * self.m.horizon)
+        hit = np.arange(len(cells))[:, None] >= np.asarray(splits)
+        V = np.tile(hit.astype(np.float64), (self.m.n_states, 1))
+        for t in range(self.m.horizon - 1, -1, -1):
+            V = self._step(V, None if best is None else best[t], gathers[t])
+            if values is not None:
+                values[t] = V
+        return V
+
+    def _tables(self, target, strict, live=None, values=False):
+        """``(rules, p, tables)`` of :func:`backward_induction` at the
+        ``target`` key: the table of the T·S greedy rules, p at (s0, w0)
+        and, with ``values``, the T value tables (else None).  The rows of
+        the (t, s) where the (T, S) mask ``live`` is False are zeroed.
+        Each is tabled over the rows of all layers at once."""
+        T, S, n = self.m.horizon, self.m.n_states, self.n
+        best = np.empty((T, S, n), dtype=np.intp)
+        V = np.empty((T, S * n, 1)) if values else None
+        # the terminal value is 1 from the first cell above the target (at
+        # or above it without strict)
+        split = np.searchsorted(self.grid.keys, target,
+                                "right" if strict else "left")
+        top = self._sweep([split], best=best, values=V)
+        # w0 below (above) the grid holds its first (last) cell's value
+        p = float(top[self.m.initial_state * n
+                      + min(max(self.grid.w0, 0), n - 1), 0])
+        if live is not None:
+            best[~live] = 0
+            if values:
+                V.reshape(T, S, n)[~live] = 0.0
+        side = strict and self.strict_cuts
+        rules = _on_classes(best.reshape(T * S, n), self.grid.keys, side)
+        if not values:
+            return rules, p, None
+        flat = _tol_merged(_on_classes(V.reshape(T * S, n), self.grid.keys, side))
+        return rules, p, [_segments(flat, t * S, S) for t in range(T)]
+
 
 class OrdinalSweep(_DenseSweep):
     """Dense backward induction over the n classes of an ordinal space.
 
     The cells are the classes, moved through the class-transition table
-    (:meth:`~qmdp.wealth.Grid.of_classes`).  One loop (:meth:`_sweep`)
-    serves the batched exceedance curve, the single-target policy and
-    ordinal :func:`backward_induction`; only the curve's sweep skips the
-    classes w0 cannot reach (:meth:`_reach`).
+    (:meth:`~qmdp.wealth.Grid.of_classes`).  One loop
+    (:meth:`_DenseSweep._sweep`) serves the batched exceedance curve, the
+    single-target policy and ordinal :func:`backward_induction`; only the
+    curve's sweep skips the classes w0 cannot reach (:meth:`_reach`).
+    Strict at class j is non-strict at j + 1, so every table cuts
+    inclusively at class keys.
     """
+
+    strict_cuts = False
 
     def __init__(self, m, space):
         if m.horizon is None:
@@ -545,21 +660,6 @@ class OrdinalSweep(_DenseSweep):
             succ, k = np.divmod(self.idx[:, :, here], self.n)
             gathers.append(succ * len(there) + np.searchsorted(there, k))
         return reach[T], gathers
-
-    def _sweep(self, splits, reach=None, best=None, values=None):
-        """The layer-0 slices of the terminal columns 1 from position
-        ``splits[j]`` of the classes of ``reach`` (:meth:`_reach`) or of
-        all, where target k splits at ``k + strict``.  With ``best``, a (T,
-        S, n) array for one column, ``best[t]`` gets layer t's rule, and
-        with ``values``, a (T, S * n, J) array, its slices (all classes)."""
-        classes, gathers = reach or (range(self.n), [None] * self.m.horizon)
-        hit = np.arange(len(classes))[:, None] >= np.asarray(splits)
-        V = np.tile(hit.astype(np.float64), (self.m.n_states, 1))
-        for t in range(self.m.horizon - 1, -1, -1):
-            V = self._step(V, None if best is None else best[t], gathers[t])
-            if values is not None:
-                values[t] = V
-        return V
 
     def exceedance(self, targets, strict):
         """Optimal exceedance probability from (s0, w0) at every class target.
@@ -589,11 +689,8 @@ class OrdinalSweep(_DenseSweep):
         Returns ``(policy, p)``: the (T, S, n) greedy rows become the
         policy's table in one pass (:func:`_on_classes`).
         """
-        T, S = self.m.horizon, self.m.n_states
-        best = np.empty((T, S, self.n), dtype=np.intp)
-        V = self._sweep([target + strict], best=best)
-        return (WealthMarkovPolicy(_on_classes(best.reshape(T * S, -1)), S),
-                float(V[self.m.initial_state * self.n + self.grid.w0, 0]))
+        rules, p, _ = self._tables(target, strict)
+        return WealthMarkovPolicy(rules, self.m.n_states), p
 
 
 def reachable_window(m, space):

@@ -237,8 +237,10 @@ def exact_distribution(m, space, policy, atom_cap=10_000_000):
     additive wealth, the multiples of one δ > ``WEALTH_TOL`` that the
     rewards and w0 share, where every key within T rewards of w0 is exact
     in float64 and the grid has no more cells than the wealth sums of T
-    steps.  What one step holds must fit ``BLOCK_FLOATS``: a stationary
-    policy's operator, a non-stationary one's mass vector.  Then each step
+    steps (:meth:`~qmdp.wealth.Grid.over_horizon`, the tests finite
+    backward induction makes too).  What one step holds must fit
+    ``BLOCK_FLOATS``: a stationary policy's operator, a non-stationary
+    one's mass vector.  Then each step
     is one ``np.bincount`` of the mass vector, with the same keys, the same
     errors at the same step and probabilities within float rounding of the
     atom path.  Discounted wealth and rewards off any lattice do not fit.
@@ -287,34 +289,19 @@ class _WealthChain:
     def fit(cls, m, space, policy):
         """The chain of ``policy`` on m, or None where the atom path runs
         (see :func:`exact_distribution`)."""
-        T, S = m.horizon, m.n_states
         # a step holds the operator (every edge of every row) or the masses
-        size = S * (int(np.diff(m.starts).max(initial=0))
-                    if policy.stationary else 1)
-
-        def cells(lattice):
-            # T steps from w0 either way, every key exact and a merge of
-            # atoms never joining two cells: the atom path's keys exactly
-            (x0,), units = lattice.anchors, lattice.units
-            lo, hi = min(0, *units), max(0, *units)
-            n_cells = T * (hi - lo) + 1
-            if (lattice.exact(abs(x0) + T * max(-lo, hi))
-                    and lattice.step > WEALTH_TOL and lattice.dense(n_cells, T)
-                    and size * n_cells <= BLOCK_FLOATS):
-                return (x0 + T * lo, x0 + T * hi) * 2
-
-        if space.kind not in ("ordinal", "additive"):
-            return None
-        r = m.rewards
+        size = m.n_states * (int(np.diff(m.starts).max(initial=0))
+                             if policy.stationary else 1)
         if space.kind == "ordinal":
             fits = size * len(space.classes) <= BLOCK_FLOATS
-            grid = Grid.of_classes(space, r) if fits else None
-        # a mantissa with fewer than log2(T) trailing zeros fails
-        # Lattice.exact (T times its odd part reaches 2^53): no lattice
-        elif np.modf(np.ldexp(np.frexp(r)[0], 54 - T.bit_length()))[0].any():
-            return None
+            grid = Grid.of_classes(space, m.rewards) if fits else None
+        elif space.kind == "additive":
+            # T steps from w0 either way, every key exact and a merge of
+            # atoms never joining two cells: the atom path's keys exactly
+            grid = Grid.over_horizon([space.key(space.w0)], m.rewards,
+                                     m.horizon, BLOCK_FLOATS // max(size, 1))
         else:
-            grid = Grid.on_lattice([space.key(space.w0)], r, cells)
+            return None
         return None if grid is None else cls(m, policy, grid)
 
     def __init__(self, m, policy, grid):

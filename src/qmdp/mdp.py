@@ -371,6 +371,15 @@ class GarnetConfig:
             raise ConfigurationError("reward_low must be <= reward_high")
 
 
+def _check_generated_horizon(horizon):
+    """Reject a generator's horizon below 1.  ``Mdp`` itself takes one, so
+    that :func:`validate` reports it, but a generated problem with it
+    would be one that no later command accepts."""
+    if horizon is not None and horizon < 1:
+        raise ConfigurationError(
+            f"horizon must be positive or None, got {horizon}")
+
+
 def default_branching(n_states):
     """The ceil(log2 n_states) branching used by the benchmark grid."""
     return max(1, math.ceil(math.log2(n_states)))
@@ -384,6 +393,7 @@ def generate_garnet(cfg, horizon=5):
     cut points; rewards are i.i.d. uniform on [reward_low, reward_high].
     """
     cfg.check()
+    _check_generated_horizon(horizon)
     rng = np.random.default_rng(cfg.seed)
     b = cfg.branching
     transitions = []
@@ -479,6 +489,7 @@ def generate_datacenter(cfg, horizon=5):
     cannot underflow and every rate gives a finite, normalized row.
     """
     cfg.check()
+    _check_generated_horizon(horizon)
     n = cfg.n_servers
     J = cfg.n_jobs
     lam, (t1, t2) = cfg.resolved()

@@ -142,7 +142,11 @@ class Grid(NamedTuple):
         """Multiples ``first`` to ``last`` of the step of the :class:`Lattice`
         of ``anchors`` (keys, w0's first) and the ``rewards`` of every edge,
         moves clipped to ``lo`` to ``hi``: ``cells(lattice)`` gives the four,
-        or None for no grid, as does a missing lattice."""
+        or None for no grid, as does a missing lattice or a -0.0 target (an
+        anchor past w0): its cuts keep the sign, and a cell's key 0 is +0.0.
+        A step from w0 adds a reward, which drops a -0.0 sign."""
+        if any(a == 0 and math.copysign(1.0, a) < 0 for a in anchors[1:]):
+            return None
         rewards, row = np.unique(rewards, return_inverse=True)
         lattice = Lattice.of(anchors, rewards.tolist())
         if lattice is None or (span := cells(lattice)) is None:
@@ -152,6 +156,41 @@ class Grid(NamedTuple):
         to = np.minimum(np.maximum(c + np.array(lattice.units)[:, None], lo), hi)
         return cls(c * lattice.step, lattice.anchors[0] - first, to - first,
                    row, slice(lo - first, hi - first + 1))
+
+    @classmethod
+    def over_horizon(cls, anchors, rewards, horizon, max_cells,
+                     backward=False):
+        """The lattice grid of T = ``horizon`` steps of the ``rewards``
+        (:meth:`on_lattice`), moves clipped into it, or None.
+
+        Forward, its cells are the wealth T steps reach from the last of
+        the ``anchors``; ``backward``, the wealth from which T steps reach
+        it, and one cell more at each end, past which T steps cannot
+        cross it.  No grid holds more than ``max_cells`` cells, a key
+        not exact in float64, a step δ of at most ``WEALTH_TOL`` (where
+        cuts and atoms a cell apart would merge) or more cells than
+        :meth:`Lattice.dense` allows; a horizon below 1 has none.
+        """
+        if horizon < 1 or max_cells < 1:
+            return None
+        # a mantissa with fewer than log2(T) trailing zeros fails
+        # Lattice.exact (T times its odd part reaches 2^53): no lattice
+        if np.modf(np.ldexp(np.frexp(rewards)[0],
+                            54 - horizon.bit_length()))[0].any():
+            return None
+
+        def cells(lattice):
+            x, units = lattice.anchors[-1], lattice.units
+            lo, hi = horizon * min((0, *units)), horizon * max((0, *units))
+            first, last = (x - hi - 1, x - lo + 1) if backward else (x + lo, x + hi)
+            n = last - first + 1
+            # every key lies within T rewards of x, or an end cell past them
+            reach = abs(x) + max(-lo, hi) + (1 if backward else 0)
+            if (n <= max_cells and lattice.exact(reach)
+                    and lattice.step > WEALTH_TOL and lattice.dense(n, horizon)):
+                return first, last, first, last
+
+        return cls.on_lattice(anchors, rewards, cells)
 
 
 class WealthSpace:

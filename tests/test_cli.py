@@ -311,6 +311,60 @@ def test_solve_epsilon_not_finite_positive_exit_2(tmp_path, capsys, epsilon):
     assert "epsilon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("generator, flags, message", [
+    ("garnet", ["--states", 4, "--horizon", 0], "horizon must be positive"),
+    ("garnet", ["--states", 4, "--horizon", -3], "horizon must be positive"),
+    ("datacenter", ["--servers", 2, "--horizon", 0], "horizon must be positive"),
+    ("datacenter", ["--servers", 2, "--horizon", -1], "horizon must be positive"),
+    ("garnet", ["--states", 4, "--branching", 0], "branching must be in [1,"),
+    ("garnet", ["--states", 4, "--branching", 9], "branching must be in [1,")])
+def test_generate_bad_horizon_or_branching_exit_2(tmp_path, capsys, generator,
+                                                  flags, message):
+    # a horizon below 1 used to write a problem every later command rejects
+    # (or fail on the wealth range it gave), and --branching 0 to take the
+    # default branching, each exiting 0
+    out = tmp_path / "p.json"
+    assert run("generate", generator, *flags, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("horizon", [0, -2])
+def test_solve_horizon_below_one_is_a_validation_error(tmp_path, capsys,
+                                                       horizon):
+    # -2 used to fail on the wealth range it gives, "w_min 21.0 > w_max 1.0"
+    problem = tmp_path / "p.json"
+    run("generate", "datacenter", "--servers", 2, "--out", problem)
+    capsys.readouterr()
+    assert run("solve", "--problem", problem, "--tau", 0.5,
+               "--horizon", horizon) == 3
+    err = capsys.readouterr().err
+    assert f"horizon must be positive or None, got {horizon}" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--atom-cap", 0), ("--atom-cap", -1), ("--mc-episodes", 0),
+    ("--mc-episodes", -4)])
+def test_eval_limits_below_one_are_usage_errors(tmp_path, capsys, flag, value):
+    # an atom cap below 1 used to switch to Monte Carlo at once, and a
+    # negative episode count went unread whenever exact evaluation worked
+    problem, policy = tmp_path / "p.json", tmp_path / "pol.json"
+    run("generate", "garnet", "--states", 4, "--actions", 2, "--seed", 1,
+        "--out", problem)
+    run("solve", "--problem", problem, "--tau", 0.5, "--out", policy)
+    summary = tmp_path / "s.json"
+    capsys.readouterr()
+    assert run("eval", "--problem", problem, "--policy", policy,
+               "--summary", summary, flag, value) == 2
+    out, err = capsys.readouterr()
+    assert f"{flag} must be at least 1, got {value}" in err
+    assert out == "" and not summary.exists()
+    # raised before anything loads
+    assert run("eval", "--problem", tmp_path / "missing.json", "--policy",
+               policy, flag, value) == 2
+
+
 def test_generate_datacenter_above_the_edge_cap(tmp_path, capsys):
     out = tmp_path / "dc.json"
     assert run("generate", "datacenter", "--servers", 100, "--out", out) == 2

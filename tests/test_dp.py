@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmdp import (AdditiveWealth, ConfigurationError, ConvergenceError,
-                  DiscountedWealth, GarnetConfig, Mdp, OrdinalWealth,
-                  QuantileQuery, StepFunction, backward_induction,
-                  exact_distribution, generate_garnet, solve_quantile,
-                  value_iteration)
+                  DataCenterConfig, DiscountedWealth, GarnetConfig, Mdp,
+                  OrdinalWealth, QuantileQuery, StepFunction,
+                  backward_induction, exact_distribution, generate_datacenter,
+                  generate_garnet, solve_quantile, value_iteration)
 from qmdp import dp
+from qmdp.serialize import _policy_text
 from qmdp.stepfun import (VALUE_TOL, combine, pointwise_max, restrict, shift,
                           sup_distance, target_utility)
 from conftest import random_lattice_mdp, two_state_discounted_mdp
@@ -895,3 +897,160 @@ def test_the_dp_hands_out_one_table_class(monkeypatch):
         np.array([0, 1]), np.array([1, 0, 1]), np.array([2.0, 1.0, 0.5]),
         np.array([True, False, True]), np.array([0, 1, 1]), 2).table)
     assert [type(t) for t in tables] == [dp._Cuts] * len(tables)
+
+
+# -- finite backward induction on a reward lattice ---------------------------------
+
+def by_finite_loops(solve):
+    """``solve()`` as it runs, then with the finite lattice sweep switched
+    off (the cut loop on every layer)."""
+    dense = solve()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dp._DenseSweep, "fit", classmethod(lambda cls, *a: None))
+        return dense, solve()
+
+
+def takes_the_finite_grid(m, space, w):
+    return dp._DenseSweep.fit(m, space, space.key(w)) is not None
+
+
+@st.composite
+def finite_lattice_cases(draw):
+    """(m, space, target, on_lattice): random rewards g * 2^-k of either sign
+    or both, zeros among them, and a target on their lattice, off it or
+    infinite."""
+    S, A, T = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    k = draw(st.integers(0, 3))
+    lo, hi = draw(st.sampled_from([(-6, 0), (0, 6), (-6, 6), (-2, 5)]))
+    reward = st.integers(lo, hi).map(lambda g: math.ldexp(g, -k))
+    kind = draw(st.sampled_from(["sa", "sas"]))
+    transitions, rewards = [], []
+    for _ in range(S):
+        trow, rrow = [], []
+        for _ in range(A):
+            succ = draw(st.lists(st.integers(0, S - 1), min_size=1,
+                                 max_size=3, unique=True))
+            w = draw(st.lists(st.integers(1, 4), min_size=len(succ),
+                              max_size=len(succ)))
+            trow.append([(sp, wi / sum(w)) for sp, wi in zip(succ, w)])
+            rrow.append(draw(st.lists(reward, min_size=len(succ),
+                                      max_size=len(succ)))
+                        if kind == "sas" else draw(reward))
+        transitions.append(trow)
+        rewards.append(rrow)
+    m = Mdp(S, A, transitions, {"kind": kind, "values": rewards},
+            draw(st.integers(0, S - 1)), T)
+    where = draw(st.sampled_from(["on", "on", "on", "off", "inf"]))
+    on = math.ldexp(draw(st.integers(-6 * T, 6 * T)), -k)
+    target = {"on": on, "off": on + math.ldexp(1.0, -k) / 3,
+              "inf": draw(st.sampled_from([-math.inf, math.inf]))}[where]
+    return m, AdditiveWealth.for_mdp(m), target, where == "on"
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=finite_lattice_cases(), strict=st.booleans(),
+       reachable_only=st.booleans(), tau=st.sampled_from([0.1, 0.5, 0.9]))
+def test_finite_lattice_sweep_matches_the_cut_loop(case, strict,
+                                                    reachable_only, tau):
+    m, space, w, on_lattice = case
+    if not on_lattice:
+        assert not takes_the_finite_grid(m, space, w)
+    dense, cut = by_finite_loops(
+        lambda: backward_induction(m, space, w, strict, reachable_only))
+    assert dense[0].table.base.dtype == cut[0].table.base.dtype
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(dense[0].table, cut[0].table))
+    assert abs(dense[1] - cut[1]) <= 1e-12
+    assert len(dense[2].tables) == len(cut[2].tables) == m.horizon + 1
+    for a, b in zip(dense[2].tables, cut[2].tables):
+        for field in ("off", "x", "e"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert np.abs(a.base - b.base).max() <= 1e-12
+        assert np.abs(a.v - b.v).max(initial=0.0) <= 1e-12
+    # the solver sweeps at target 0, on the grid wherever one fits
+    query = QuantileQuery(tau, "lower" if strict else "upper")
+    dense, cut = by_finite_loops(lambda: solve_quantile(m, space, query))
+    assert dense.quantile == cut.quantile
+    assert dense.bracket == cut.bracket
+    assert dense.at_bottom == cut.at_bottom
+    assert _policy_text(dense.policy, space) == _policy_text(cut.policy, space)
+
+
+@pytest.mark.parametrize("case, grid", [
+    ("benchmark data center", True),
+    ("data center, H=5", True),
+    ("float Garnet", False),
+    ("data center n=3, H=4", False),
+    ("sparse lattice", False),
+    ("target off the lattice", False),
+    ("infinite target", False),
+    ("discounted wealth", False),
+    ("gather above DENSE_FLOATS", False),
+    ("quarter lattice", True),
+    ("step within WEALTH_TOL", False),
+])
+def test_finite_lattice_sweep_is_picked_from_the_input(monkeypatch, case, grid):
+    # the data-center instance of the benchmark: n=2 servers, H=4
+    m = generate_datacenter(DataCenterConfig(
+        2, lambda_low=1, lambda_mid=3, lambda_high=6, alpha=2.0, beta=5.0,
+        kappa=2.0), horizon=4)
+    w = 0.0
+    if case == "data center, H=5":
+        # `qmdp generate datacenter --servers 2`: 108 cells, 15,552 floats
+        m = generate_datacenter(DataCenterConfig(2), horizon=5)
+    elif case == "float Garnet":
+        m = generate_garnet(GarnetConfig(10, 2, 4, seed=1), horizon=5)
+    elif case == "data center n=3, H=4":
+        # 207 cells, 150,903 floats per step
+        m = generate_datacenter(DataCenterConfig(3), horizon=4)
+    elif case == "sparse lattice":
+        # 87 cells against comb(4 + 4, 4) = 70 wealth sums
+        m = generate_datacenter(DataCenterConfig(2), horizon=4)
+    elif case == "target off the lattice":
+        w = 0.3
+    elif case == "infinite target":
+        w = -math.inf
+    elif case == "gather above DENSE_FLOATS":
+        monkeypatch.setattr(dp, "DENSE_FLOATS", 1000)
+    elif case == "quarter lattice":
+        m = random_lattice_mdp(0, horizon=4)
+    elif case == "step within WEALTH_TOL":
+        # the same instance in steps of 2^-32: the cut loop merges cuts a
+        # cell apart, which a grid would keep
+        m = random_lattice_mdp(0, horizon=4, lattice=tuple(
+            math.ldexp(k, -32) for k in (-1, -2, -3, -4)))
+    space = (DiscountedWealth.for_mdp(m, 0.9) if case == "discounted wealth"
+             else AdditiveWealth.for_mdp(m))
+    assert takes_the_finite_grid(m, space, w) == grid
+    layers = []
+    layer = dp._layer
+    monkeypatch.setattr(dp, "_layer", lambda *a, **kw: layers.append(1)
+                        or layer(*a, **kw))
+    for reachable_only in (False, True):
+        backward_induction(m, space, w, True, reachable_only)
+    assert len(layers) == (0 if grid else 2 * m.horizon)
+
+
+def test_a_negative_zero_target_keeps_the_cut_loops_bits(monkeypatch):
+    # at -0.0 the cut loop's thresholds along zero-reward paths are -0.0,
+    # and a grid's cell key 0 is +0.0: both lattice engines decline it
+    def same(dense, cut):
+        tables = [(dense[0].table, cut[0].table),
+                  *zip(dense[2].tables, cut[2].tables)]
+        assert all(x.tobytes() == y.tobytes()
+                   for a, b in tables for x, y in zip(a, b))
+        return any(np.signbit(b.x[b.x == 0]).any() for _, b in tables)
+
+    m = random_lattice_mdp(0, horizon=4)
+    space = AdditiveWealth.for_mdp(m)
+    assert takes_the_finite_grid(m, space, 0.0)
+    assert not takes_the_finite_grid(m, space, -0.0)
+    assert any([same(*by_finite_loops(
+        lambda: backward_induction(m, space, -0.0, strict)))
+        for strict in (True, False)])
+    m, space = random_lattice_mdp(0), AdditiveWealth(-10.0, 0.0)
+    assert takes_the_lattice_sweep(m, space, 0.0)
+    assert not takes_the_lattice_sweep(m, space, -0.0)
+    assert any([same(*by_both_loops(
+        monkeypatch, lambda: value_iteration(m, space, -0.0, strict)))
+        for strict in (True, False)])

@@ -805,6 +805,22 @@ def test_exact_distribution_takes_the_chain_on_a_lattice(monkeypatch):
         pytest.approx(1.0)
 
 
+def test_a_negative_zero_w0_keeps_the_chain():
+    # a step adds a reward to w0, which drops its sign: only a -0.0 target
+    # declines a grid, so the chain still runs from -0.0, with the atom
+    # path's keys bit for bit
+    from qmdp.evaluate import _atom_distribution
+    m = random_lattice_mdp(0, horizon=6)
+    space = AdditiveWealth.for_mdp(m)
+    space.w0 = -0.0
+    policy = random_grid_policy(m, np.random.default_rng(0),
+                                -0.25 * np.arange(20))
+    assert_same_outcome(m, space, policy, 10_000_000)
+    got = exact_distribution(m, space, policy)
+    assert got.keys.tobytes() == \
+        _atom_distribution(m, space, policy, 10_000_000).keys.tobytes()
+
+
 @pytest.mark.parametrize("ordinal", [False, True], ids=["lattice", "ordinal"])
 def test_exact_distribution_takes_the_chain_for_a_non_stationary_policy(
         monkeypatch, ordinal):

@@ -376,3 +376,16 @@ def test_with_horizon_shares_kernel():
     assert m2.horizon is None
     assert m.horizon == 5
     assert m2.succ is m.succ and m2.rewards is m.rewards
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_generators_reject_a_horizon_below_one(horizon):
+    # Mdp itself keeps such a horizon, for validate to report
+    with pytest.raises(ConfigurationError, match="horizon must be positive"):
+        generate_garnet(GarnetConfig(4, 2, 2), horizon=horizon)
+    with pytest.raises(ConfigurationError, match="horizon must be positive"):
+        generate_datacenter(DataCenterConfig(2), horizon=horizon)
+    m = Mdp(1, 1, [[[(0, 1.0)]]], {"kind": "sa", "values": [[0.0]]}, 0, horizon)
+    assert validate(m) == [f"horizon must be positive or None, got {horizon}"]
+    for h in (None, 1):
+        assert generate_garnet(GarnetConfig(4, 2, 2), horizon=h).horizon == h

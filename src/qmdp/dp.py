@@ -27,7 +27,9 @@ single rule or slice is a :class:`~qmdp.stepfun.StepFunction` view of
 its segment, made on demand.
 
 Each layer is computed on a sorted set of states; a state reads only
-its own edges, so its slice and rule do not depend on the set.  Finite
+its own edges, so its slice and rule do not depend on the set.  One
+kernel call writes the layer's S-state value and rule tables in one
+pass, every state outside the set holding the constant 0.  Finite
 horizons run T layers (:func:`backward_induction`), on every state by
 default.  With ``reachable_only`` layer t holds only the states reachable
 from the initial state in exactly t steps (one frontier step gathers
@@ -85,7 +87,7 @@ from .errors import ConfigurationError, ConvergenceError
 # benchmark's tracer) that reach them through this module
 from .stepfun import (VALUE_TOL, StepFunction, _merge_values, _ranks,
                       _threshold_runs, combine, pointwise_max, restrict, shift,
-                      sup_distance, target_utility)
+                      sup_distance)
 from .wealth import BLOCK_FLOATS, AdditiveWealth, Grid, OrdinalWealth
 
 # What one entry of the layer kernel holds besides its value for every
@@ -119,7 +121,7 @@ class ValueFunction:
     @functools.cached_property
     def slices(self):
         """``slices[t][s]``: every slice as a step function."""
-        return [_unpack([c]) for c in self.tables]
+        return [_unpack(c) for c in self.tables]
 
     def slice(self, t, s):
         return _segment(self.tables[t], s)
@@ -215,7 +217,7 @@ class _Cuts(NamedTuple):
 def _offsets(seg, n):
     """Offsets of n segments from the segment id of every element."""
     off = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(seg, minlength=n), out=off[1:])
+    np.bincount(seg, minlength=n).cumsum(out=off[1:])
     return off
 
 
@@ -229,6 +231,13 @@ def _pack(fs, dtype=np.float64):
                  np.concatenate([f.v for f in fs]).astype(dtype, copy=False))
 
 
+def _target(target, strict, n):
+    """The table of n copies of :func:`~qmdp.stepfun.target_utility`."""
+    return _Cuts(np.zeros(n), np.arange(n + 1, dtype=np.intp),
+                 np.full(n, target, dtype=np.float64),
+                 np.full(n, strict, dtype=np.uint8), np.ones(n))
+
+
 def _segment(c, i):
     """Step function i of the table c, sharing its arrays."""
     j, k = c.off[i], c.off[i + 1]
@@ -236,24 +245,22 @@ def _segment(c, i):
                                  c.v[j:k])
 
 
-def _unpack(blocks):
-    """The step functions of consecutive tables; they share their arrays."""
-    out = []
-    for c in blocks:
-        cuts = c.off.tolist()
-        out.extend(StepFunction._trusted(b, c.x[i:j], c.e[i:j], c.v[i:j])
-                   for b, i, j in zip(c.base.tolist(), cuts, cuts[1:]))
-    return out
+def _unpack(c):
+    """The step functions of the table c; they share its arrays."""
+    cuts = c.off.tolist()
+    return [StepFunction._trusted(b, c.x[i:j], c.e[i:j], c.v[i:j])
+            for b, i, j in zip(c.base.tolist(), cuts, cuts[1:])]
 
 
-def _join(blocks):
+def _join(tables):
     """One table from consecutive tables."""
-    if len(blocks) == 1:
-        return blocks[0]
+    if len(tables) == 1:
+        return tables[0]
     base, x, e, v = (np.concatenate(f) for f in zip(
-        *((c.base, c.x, c.e, c.v) for c in blocks)))
+        *((c.base, c.x, c.e, c.v) for c in tables)))
     off = np.zeros(len(base) + 1, dtype=np.intp)
-    np.cumsum(np.concatenate([np.diff(c.off) for c in blocks]), out=off[1:])
+    np.concatenate([c.off[1:] - c.off[:-1] for c in tables]).cumsum(
+        out=off[1:])
     return _Cuts(base, off, x, e, v)
 
 
@@ -316,57 +323,69 @@ def _layer(m, space, nxt, t, states, greedy=True):
     onto its last entry, the one past every step at that key.
 
     A state reads only its own edges, so its slice and rule do not depend
-    on which other states are in ``states``.  The states go in blocks
-    whose working arrays hold about ``BLOCK_FLOATS`` floats.  Returns
-    ``(values, rules)``, each a list of the blocks' tables (see
-    :func:`_join`), one slice per state of ``states``; without ``greedy``
-    no rule is computed and ``rules`` is None.
+    on which other states are in ``states``.  Returns ``(values, rules)``,
+    the S-state tables of the slices and of the greedy rules; a state not
+    in ``states`` gets the constant 0 in both.  Without ``greedy`` no rule
+    is computed and ``rules`` is None.
     """
     S, A = m.n_states, m.n_actions
     if not m.numeric_rewards:
         raise ConfigurationError(
             f"{space.kind} wealth spaces accumulate numeric rewards")
     delta = space.accumulate_keys(0.0, m.rewards, t)
-    count = np.diff(nxt.off)[m.succ]
+    count = (nxt.off[1:] - nxt.off[:-1])[m.succ]
     steps = nxt.steps()
     base_sa = np.bincount(m.pair, weights=m.prob * nxt.base[m.succ],
                           minlength=S * A).reshape(S, A)
     per_state = np.bincount(m.pair // A, weights=count,
                             minlength=S).astype(np.intp)[states]
+    base_q = base_sa[states]
+    best = base_q.max(axis=1)
+    top = np.zeros(S)
+    top[states] = best
+    # the working arrays of one pass hold about BLOCK_FLOATS floats
     width = max(1, per_state.max(initial=0))
     block = max(1, BLOCK_FLOATS // ((A + _ENTRY_FLOATS) * width))
-    values, rules = [], [] if greedy else None
+    parts = []
     for b0 in range(0, len(states), block):
         chunk = states[b0:b0 + block]
         n = len(chunk)
         span = _edges(m, chunk)
         cnt = count[span]
-        edge = np.repeat(span, cnt)
-        idx = np.repeat(nxt.off[m.succ[span]], cnt) + _ranks(cnt)
+        edge = span.repeat(cnt)
+        idx = nxt.off[m.succ[span]].repeat(cnt) + _ranks(cnt)
         # edges come in pair order, so the entries of a state are one run
         n_ent = per_state[b0:b0 + block]
-        state, pos = np.repeat(np.arange(n), n_ent), _ranks(n_ent)
-        X, E, col = _sort_rows(state, pos, nxt.x[idx] - delta[edge],
-                               nxt.e[idx], (n, max(1, n_ent.max())))
+        w = max(1, n_ent.max())
+        state, pos = np.arange(n).repeat(n_ent), _ranks(n_ent)
+        # entry i sits at column pos[i] of row state[i]; once sorted, the
+        # entries of a state fill the first columns of its row in order
+        at = state * w + pos
+        x, e = nxt.x[idx] - delta[edge], nxt.e[idx]
+        order = _sort_rows(x, e, at, pos, (n, w))
+        x, e, edge, idx = x[order], e[order], edge[order], idx[order]
         # D[a, s, k]: the value of action a in state s from sorted key k on
-        D = np.zeros((A,) + X.shape)
-        D[m.pair[edge] % A, state, col] = m.prob[edge] * steps[idx]
-        base_q = base_sa[chunk]
-        D[:, :, 0] += base_q.T
-        np.cumsum(D, axis=2, out=D)
-        # the padding key (inf, 2) sorts last, so the sorted entries of a
-        # state fill the first n_ent columns of its row: (state, pos) again
-        x, e = X[state, pos], E[state, pos]
+        D = np.zeros((A, n * w))
+        D[m.pair[edge] % A, at] = m.prob[edge] * steps[idx]
+        D = D.reshape(A, n, w)
+        D[:, :, 0] += base_q[b0:b0 + block].T
+        D.cumsum(axis=2, out=D)
         first, last = _threshold_runs(x, e, state)
-        x, e, seg = x[first], e[first], state[first]
         # q[a, i]: the value of action a on merged piece i
-        q = D[:, state[last], pos[last]]
-        top, env = base_q.max(axis=1), q.max(axis=0)
-        values.append(_value_merged(top, x, e, env, seg, VALUE_TOL))
-        if greedy:
-            rules.append(_value_merged(_first_best(base_q.T, top), x, e,
-                                       _first_best(q, env), seg, 0))
-    return values, rules
+        q = D.reshape(A, -1).take(at[last], axis=1)
+        env = q.max(axis=0)
+        parts.append((x[first], e[first], chunk[state[first]], env,
+                      _first_best(q, env) if greedy else None))
+    x, e, seg, env, arg = (
+        parts[0] if len(parts) == 1
+        else [None if p[0] is None else np.concatenate(p)
+              for p in zip(*parts)])
+    values = _value_merged(top, x, e, env, seg, VALUE_TOL)
+    if not greedy:
+        return values, None
+    rule = np.zeros(S, dtype=np.intp)
+    rule[states] = _first_best(base_q.T, best)
+    return values, _value_merged(rule, x, e, arg, seg, 0)
 
 
 def _canonical(base, seg, x, e, v, tol):
@@ -397,22 +416,24 @@ def _first_best(q, best):
     return (q >= best - VALUE_TOL).argmax(axis=0)
 
 
-def _sort_rows(state, pos, x, e, shape):
-    """Sort the entries of each state by (threshold, side).
+def _sort_rows(x, e, at, pos, shape):
+    """The stable order that sorts the entries of each row by (threshold,
+    side), rows kept in order.
 
-    Entry i sits at ``[state[i], pos[i]]`` of a grid of ``shape``; the
-    rest of each row is padding with the key (inf, 2), which sorts last.
-    Returns the sorted keys ``(X, E)`` and each entry's sorted column.
+    The entries of a row are one run, and entry i sits at column ``pos[i]``
+    of its row: flat position ``at[i]`` of a grid of ``shape``.  A single
+    row is one sort; several sort in the grid, whose padding has the key
+    (inf, 2), which sorts last.
     """
+    if shape[0] == 1:
+        return np.lexsort((e, x))
     X = np.full(shape, np.inf)
-    X[state, pos] = x
+    X.put(at, x)
     E = np.full(shape, 2, dtype=np.uint8)
-    E[state, pos] = e
-    order = np.lexsort((E, X))
-    rows = np.arange(shape[0])[:, None]
-    col = np.empty_like(order)
-    col[rows, order] = np.arange(shape[1])
-    return X[rows, order], E[rows, order], col[state, pos]
+    E.put(at, e)
+    # the grid's sort gives each row's order by column; entry i's row
+    # starts at entry i - pos[i]
+    return np.lexsort((E, X)).ravel().take(at) + (np.arange(len(at)) - pos)
 
 
 def _reachable(m):
@@ -422,18 +443,6 @@ def _reachable(m):
     for _ in range(m.horizon - 1):
         layers.append(np.unique(m.succ[_edges(m, layers[-1])]))
     return layers
-
-
-def _spread(c, states, n):
-    """The n-state table holding the slices of c at the sorted ``states``
-    and the constant 0 at every other state."""
-    base = np.zeros(n, dtype=c.base.dtype)
-    base[states] = c.base
-    count = np.zeros(n, dtype=np.intp)
-    count[states] = np.diff(c.off)
-    off = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(count, out=off[1:])
-    return _Cuts(base, off, c.x, c.e, c.v)
 
 
 def _segments(c, i, n):
@@ -491,10 +500,13 @@ def backward_induction(m, space, w, strict, reachable_only=False):
         raise ConfigurationError(
             "backward_induction needs a finite horizon; "
             "use value_iteration for infinite-horizon problems")
+    if m.horizon < 1:
+        raise ConfigurationError(
+            f"backward_induction needs a horizon of at least 1, got {m.horizon}")
     T, S = m.horizon, m.n_states
     target = space.key(w)
     layers = _reachable(m) if reachable_only else [np.arange(S)] * T
-    terminal = _pack([target_utility(target, strict)] * S)
+    terminal = _target(target, strict, S)
     sweep = (OrdinalSweep(m, space) if isinstance(space, OrdinalWealth)
              else _DenseSweep.fit(m, space, target))
     if sweep is not None:
@@ -507,9 +519,9 @@ def backward_induction(m, space, w, strict, reachable_only=False):
         return WealthMarkovPolicy(rules, S), p, ValueFunction(tables + [terminal])
     tables, rules = [terminal], []
     for t in range(T - 1, -1, -1):
-        value, rule = map(_join, _layer(m, space, tables[0], t, layers[t]))
-        tables.insert(0, _spread(value, layers[t], S))
-        rules.insert(0, _spread(rule, layers[t], S))
+        value, rule = _layer(m, space, tables[0], t, layers[t])
+        tables.insert(0, value)
+        rules.insert(0, rule)
     vf = ValueFunction(tables)
     p = vf.slice(0, m.initial_state)(space.key(space.w0))
     return WealthMarkovPolicy(_join(rules), S), float(p), vf
@@ -950,14 +962,13 @@ def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
 
         def step(V):
             values, _ = _layer(m, space, V, 0, states, greedy=False)
-            return _restrict(_join(values), *window)
+            return _restrict(values, *window)
 
         V, new_V, sweeps = _iterate(
-            step, _residual,
-            _pack([restrict(target_utility(target, strict), *window)]
-                  * m.n_states), eps_conv, max_sweeps)
+            step, _residual, _restrict(_target(target, strict, m.n_states),
+                                       *window), eps_conv, max_sweeps)
         # the rules of the converged sweep: the kernel again, on its input
-        rules = _join(_layer(m, space, V, 0, states)[1])
+        rules = _layer(m, space, V, 0, states)[1]
     else:
         V, new_V, sweeps = _iterate(lattice._step, lattice.residual,
                                     lattice.start(), eps_conv, max_sweeps)

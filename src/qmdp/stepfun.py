@@ -33,7 +33,7 @@ VALUE_TOL = 1e-12   # adjacent-piece value merge (float values)
 
 def _ranks(counts):
     """The rank of every element within its group, for groups of ``counts``."""
-    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.arange(counts.sum()) - (counts.cumsum() - counts).repeat(counts)
 
 
 def _threshold_runs(x, e, seg):
@@ -52,12 +52,13 @@ def _threshold_runs(x, e, seg):
     Returns ``(first, last)``, the index of every run's first and last
     cut; ``x[first], e[first], v[last], seg[first]`` are the merged cuts.
     """
-    keep = np.ones(len(x), dtype=bool)
+    keep = np.empty(len(x), dtype=bool)
+    keep[:1] = True
     hi, lo = x[1:], x[:-1]
     gap = np.subtract(hi, lo, out=np.zeros(len(lo)), where=hi != lo)
     keep[1:] = ((gap > WEALTH_TOL) | (e[1:] != e[:-1])
                 | (seg[1:] != seg[:-1]))
-    first = np.flatnonzero(keep)
+    first = keep.nonzero()[0]
     last = np.empty_like(first)
     last[:-1] = first[1:] - 1
     last[-1:] = len(x) - 1
@@ -76,7 +77,8 @@ def _merge_values(base, x, e, v, tol, seg):
     while len(v):
         prev = np.empty_like(v)
         prev[1:] = v[:-1]
-        first = np.ones(len(v), dtype=bool)
+        first = np.empty(len(v), dtype=bool)
+        first[0] = True
         first[1:] = seg[1:] != seg[:-1]
         prev[first] = base[seg[first]]
         keep = np.abs(v - prev) > tol

@@ -329,7 +329,7 @@ def test_flat_restrict_and_residual_match_per_slice(data):
         sup_distance(a, b) for a, b in zip(f, g))
     lo, hi = sorted(data.draw(st.lists(GRID, min_size=2, max_size=2)))
     for window in ((lo, None), (None, hi), (lo, hi)):
-        clipped = dp._unpack([dp._restrict(dp._pack(f), *window)])
+        clipped = dp._unpack(dp._restrict(dp._pack(f), *window))
         assert clipped == [restrict(a, *window) for a in f]
 
 
@@ -341,7 +341,7 @@ def test_value_iteration_residual_is_max_sup_distance(monkeypatch, seed):
     def checked(new, old):
         r = flat(new, old)
         assert r == max(sup_distance(a, b) for a, b in
-                        zip(dp._unpack([new]), dp._unpack([old])))
+                        zip(dp._unpack(new), dp._unpack(old)))
         seen.append(r)
         return r
 
@@ -363,12 +363,12 @@ def value_iteration_every_sweep_greedy(m, space, w, strict, eps_conv=1e-6):
     while True:
         sweep += 1
         values, rules = dp._layer(m, space, V, 0, np.arange(m.n_states))
-        new_V = dp._restrict(dp._join(values), *window)
+        new_V = dp._restrict(values, *window)
         done = dp._residual(new_V, V) <= eps_conv
         V = new_V
         if done:
             p = dp._segment(V, m.initial_state)(space.key(space.w0))
-            return dp._join(rules), float(p), V, sweep
+            return rules, float(p), V, sweep
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -417,20 +417,26 @@ def test_layer_blocks_give_the_same_tables(monkeypatch, build):
     whole = solve(m, space, w, True)
     monkeypatch.setattr(dp, "BLOCK_FLOATS", 1)
     # every layer, value sweep and rule pass alike, goes one state a block
+    # (one edge gather each) and returns the tables of every state
     blocks = []
-    layer = dp._layer
+    layer, edges = dp._layer, dp._edges
 
     def counted(m, space, nxt, t, states, greedy=True):
+        chunks = []
+        monkeypatch.setattr(dp, "_edges", lambda m, chunk: chunks.append(
+            len(chunk)) or edges(m, chunk))
         values, rules = layer(m, space, nxt, t, states, greedy)
-        blocks.append((greedy, len(states), len(values),
-                       len(rules) if greedy else None))
+        monkeypatch.setattr(dp, "_edges", edges)
+        blocks.append((greedy, len(states), chunks, len(values.base),
+                       None if rules is None else len(rules.base)))
         return values, rules
 
     monkeypatch.setattr(dp, "_layer", counted)
     blocked = solve(m, space, w, True)
     assert any(greedy for greedy, *_ in blocks)
-    assert all(k == n and r == (n if greedy else None)
-               for greedy, n, k, r in blocks)
+    S = m.n_states
+    assert all(chunks == [1] * n and k == S and r == (S if greedy else None)
+               for greedy, n, chunks, k, r in blocks)
     assert blocked[1] == whole[1]
     assert same_table(blocked[0].table, whole[0].table)
     assert blocked[2].slices == whole[2].slices
@@ -599,7 +605,7 @@ from qmdp.wealth import WEALTH_TOL  # noqa: E402
 def translated(fs, c, lo=None, hi=None):
     """:func:`dp.translate` of the table of fs, as step functions."""
     dtype = np.int64 if isinstance(fs[0].base, int) else np.float64
-    return dp._unpack([dp.translate(dp._pack(fs, dtype), c, lo, hi)])
+    return dp._unpack(dp.translate(dp._pack(fs, dtype), c, lo, hi))
 
 
 def translated_one_by_one(fs, c, lo, hi):
@@ -710,7 +716,7 @@ def test_class_rows_table_equals_on_classes(exact, data):
              st.sampled_from([0.0, 1e-13, 2e-13, 0.5, 0.5 + 1e-13, 1.0]))
     rows = np.array(data.draw(st.lists(
         st.lists(value, min_size=n, max_size=n), min_size=1, max_size=4)))
-    for f, row in zip(dp._unpack([dp._on_classes(rows)]), rows):
+    for f, row in zip(dp._unpack(dp._on_classes(rows)), rows):
         assert f.eval_many(np.arange(n)).tolist() == row.tolist()
         if exact:
             assert same_bits(f, StepFunction.on_classes(row))
@@ -1054,3 +1060,122 @@ def test_a_negative_zero_target_keeps_the_cut_loops_bits(monkeypatch):
     assert any([same(*by_both_loops(
         monkeypatch, lambda: value_iteration(m, space, -0.0, strict)))
         for strict in (True, False)])
+
+
+# -- a bit-identity pin for the cut loop ---------------------------------------
+
+import hashlib  # noqa: E402
+
+
+def cut_loop_digest(policy, p, vf):
+    """sha256 of the rule table, every value table (each array's dtype and
+    bytes), p and the sweep count."""
+    h = hashlib.sha256()
+    for table in (policy.table, *vf.tables):
+        for a in table:
+            h.update(a.dtype.str.encode())
+            h.update(a.tobytes())
+    h.update(np.float64(p).tobytes())
+    h.update(repr(vf.sweeps).encode())
+    return h.hexdigest()
+
+
+def cut_loop_case(seed, kind):
+    """A float Garnet on the cut loop, and its wealth space and target."""
+    m = generate_garnet(GarnetConfig(10, 3, 3, seed=seed), horizon=4)
+    if kind == "additive":
+        space, w = AdditiveWealth.for_mdp(m), 2.0
+    else:
+        space, w = DiscountedWealth.for_mdp(m, 0.9), 1.5
+    return m, space, w
+
+
+# digests of the cut loop's tables, bit for bit, before its layer kernel
+# wrote S-state tables in one pass; keyed (seed, kind, strict, reachable_only)
+CUT_LOOP_DIGESTS = {
+    (0, 'additive', False, False):
+        "010132482b57be8baeda7a8dfc89e9fefd79c82dfc8b02d5980a9feb16697e11",
+    (0, 'additive', False, True):
+        "342a2183eb5e8a3da0eb277f64622619e5e922aface95c06b0c6a83ddb9b91f9",
+    (0, 'additive', True, False):
+        "ccae7113e1b829bb51ef5c9877742916ab8c94d57e798374a794014619dd76fe",
+    (0, 'additive', True, True):
+        "e0838dbf53151260f1aac071eab62537d9cf62699f661b36ac351530e23b8569",
+    (0, 'discounted', False, False):
+        "03ed064e5de9d716f80ee6e8faf79fcfe9f5e163fd185bd28ccfdd47a821863f",
+    (0, 'discounted', False, True):
+        "53c3d99252d21207c50871d82f825ef4ee02050171df9d1722ff7e4019428c49",
+    (0, 'discounted', True, False):
+        "a824c2006ac943d9bfb463adca8315d9a67bcebec31fecb691a11b5649bee9f9",
+    (0, 'discounted', True, True):
+        "6fdc078da389b09cf2cba6b81944505cdb7c22abe743cf92e35e1aa6727b47f2",
+    (1, 'additive', False, False):
+        "9a16ff9c031334f48cb26338c5d4baa2f758b4904b70eae6148038f957970b2e",
+    (1, 'additive', False, True):
+        "082896f63026fae4fd42a4acb099a6f572f9645d783fab302f8021a0ea6aad37",
+    (1, 'additive', True, False):
+        "7dcdee6c2c102f89541b08271376b3cbf5dfcd4cd376d57dfe2058d1497636d7",
+    (1, 'additive', True, True):
+        "939aa221a2c24151c946ce8de3955aa499ee2d6e4fb70a57c1436386148c354c",
+    (1, 'discounted', False, False):
+        "1da82bf80f69be85356d9e123bd7cf381051768972fa512595f92af73c60794c",
+    (1, 'discounted', False, True):
+        "741f49e5eaf52495ff6388b3a7cbb41359aa559af0ee2d39a4f78e0a6c22d000",
+    (1, 'discounted', True, False):
+        "44b1d04492f9dbd7c9ec25edd840e2dacab8414539d2177357faa88a702eb8e6",
+    (1, 'discounted', True, True):
+        "0e36d7411a3aa76bb8ee450399932d926c371e2df30e4a2cb544f56183e6dab6",
+}
+
+# the same for one cut-loop value iteration
+CUT_LOOP_VI_DIGEST = (
+    "610d3ee1b54aea2931593f6eb91688725fae187acfc20aed71fadc538ee7082b")
+
+
+@pytest.mark.parametrize("seed, kind, strict, reachable_only",
+                         sorted(CUT_LOOP_DIGESTS))
+def test_cut_loop_tables_keep_their_bits(seed, kind, strict, reachable_only):
+    m, space, w = cut_loop_case(seed, kind)
+    assert dp._DenseSweep.fit(m, space, space.key(w)) is None
+    got = backward_induction(m, space, w, strict, reachable_only)
+    assert cut_loop_digest(*got) == CUT_LOOP_DIGESTS[
+        seed, kind, strict, reachable_only]
+
+
+def test_cut_loop_value_iteration_keeps_its_bits():
+    # decimal costs lie on no dyadic lattice: the cut loop runs
+    m = random_lattice_mdp(2, n_states=6, lattice=(-0.3, -0.55, -0.8))
+    space = AdditiveWealth(-10.0, 0.0)
+    window = dp.reachable_window(m, space)
+    assert dp._LatticeSweep.fit(m, space, -1.3, True, window) is None
+    got = value_iteration(m, space, -1.3, True)
+    assert got[2].sweeps == 5
+    assert cut_loop_digest(*got) == CUT_LOOP_VI_DIGEST
+
+
+# -- horizon 0 ------------------------------------------------------------------
+
+def finite_engine_case(engine):
+    """An instance that ``engine`` solves at horizon 4, its space and target."""
+    if engine == "cut loop":
+        m = generate_garnet(GarnetConfig(5, 2, 2, seed=0), horizon=4)
+        space, w = AdditiveWealth.for_mdp(m), 0.5
+        assert not takes_the_finite_grid(m, space, w)
+    elif engine == "finite grid":
+        m = random_lattice_mdp(0, horizon=4)
+        space, w = AdditiveWealth.for_mdp(m), -1.0
+        assert takes_the_finite_grid(m, space, w)
+    else:
+        from conftest import two_policy_ordinal_instance
+        m, space = two_policy_ordinal_instance()
+        w = "w2"
+    return m, space, w
+
+
+@pytest.mark.parametrize("reachable_only", [False, True])
+@pytest.mark.parametrize("engine", ["cut loop", "finite grid", "ordinal"])
+def test_horizon_zero_is_a_configuration_error(engine, reachable_only):
+    m, space, w = finite_engine_case(engine)
+    backward_induction(m, space, w, True, reachable_only)
+    with pytest.raises(ConfigurationError, match="horizon of at least 1"):
+        backward_induction(m.with_horizon(0), space, w, True, reachable_only)

@@ -45,7 +45,7 @@ def _threshold_runs(x, e, seg):
     one atom (:func:`qmdp.evaluate.merge_atoms`, all sides equal).  A
     run's successor sits more than WEALTH_TOL above the kept
     representative, so one pass reaches a fixpoint.  Equal keys, ±inf
-    too, are 0 apart.
+    too, are 0 apart; finite keys whose gap overflows are inf apart.
 
     ``seg`` holds the nondecreasing segment id of every key (the cuts of
     many functions, laid end to end); no run crosses a segment boundary.
@@ -55,7 +55,8 @@ def _threshold_runs(x, e, seg):
     keep = np.empty(len(x), dtype=bool)
     keep[:1] = True
     hi, lo = x[1:], x[:-1]
-    gap = np.subtract(hi, lo, out=np.zeros(len(lo)), where=hi != lo)
+    with np.errstate(over="ignore"):
+        gap = np.subtract(hi, lo, out=np.zeros(len(lo)), where=hi != lo)
     keep[1:] = ((gap > WEALTH_TOL) | (e[1:] != e[:-1])
                 | (seg[1:] != seg[:-1]))
     first = keep.nonzero()[0]

@@ -192,6 +192,34 @@ class Grid(NamedTuple):
 
         return cls.on_lattice(anchors, rewards, cells)
 
+    @classmethod
+    def over_window(cls, anchors, rewards, downward, max_cells):
+        """The lattice grid of an infinite run from w0 (the first of the
+        ``anchors``) towards the target (the last), on the side of w0 that
+        wealth moves to (below it when ``downward``), or None.
+
+        Moves clip to the cells from w0 to one past the target, whose value
+        under uniformly signed rewards never changes; the grid runs
+        ``max|r| / δ`` cells on past w0, where greedy rules still change
+        (past them every edge reads w0's cell).  The tests are those of
+        :meth:`over_horizon`, with :meth:`Lattice.dense` over the cells
+        from the target to w0 and ⌊|w0 - t| / min nonzero |r|⌋ rewards,
+        and a target on the reachable side; any step δ is kept.
+        """
+        def cells(lattice):
+            (x0, t), units = lattice.anchors, lattice.units
+            reach = max(map(abs, units))
+            lo, hi = (t - 1, x0) if downward else (x0, t + 1)
+            steps = hi - lo - 1
+            nonzero = [abs(u) for u in units if u]
+            if (steps >= 0 and steps + 2 + reach <= max_cells
+                    and lattice.exact(max(abs(t), abs(x0), reach) + reach + 1)
+                    and lattice.dense(steps + 1, steps // min(nonzero)
+                                      if nonzero else 0)):
+                return lo - reach * (x0 == lo), hi + reach * (x0 == hi), lo, hi
+
+        return cls.on_lattice(anchors, rewards, cells)
+
 
 class WealthSpace:
     """Base class; concrete kinds implement the abstract hooks."""

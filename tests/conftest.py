@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qmdp import Mdp, DiscountedWealth, OrdinalWealth
+from qmdp.dp import _Cuts
 
 
 def two_state_discounted_mdp(horizon=2):
@@ -77,6 +78,17 @@ def random_lattice_mdp(seed, n_states=5, n_actions=2, branching=2,
     return Mdp(n_states, n_actions, transitions,
                {"kind": "sa", "values": rewards.tolist()},
                initial_state=0, horizon=horizon)
+
+
+def pack(fs, dtype=np.float64):
+    """The cut table of a list of step functions, with values of ``dtype``:
+    function i is segment i, as the DP lays out its slices and rules."""
+    off = np.zeros(len(fs) + 1, dtype=np.intp)
+    np.cumsum([len(f.x) for f in fs], out=off[1:])
+    return _Cuts(np.array([f.base for f in fs], dtype=dtype), off,
+                 np.concatenate([f.x for f in fs]),
+                 np.concatenate([f.e for f in fs]),
+                 np.concatenate([f.v for f in fs]).astype(dtype, copy=False))
 
 
 @pytest.fixture

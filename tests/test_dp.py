@@ -14,7 +14,7 @@ from qmdp import dp
 from qmdp.serialize import _policy_text
 from qmdp.stepfun import (VALUE_TOL, combine, pointwise_max, restrict, shift,
                           sup_distance, target_utility)
-from conftest import random_lattice_mdp, two_state_discounted_mdp
+from conftest import pack, random_lattice_mdp, two_state_discounted_mdp
 
 
 # -- backward induction on the two-state discounted example --------------------
@@ -177,7 +177,7 @@ def test_value_iteration_escape_chain_closed_form():
 def greedy_update(m, space, nxt, t):
     """One layer of every state from the list of slices ``nxt``: the
     slices and the greedy rules, as lists of step functions."""
-    values, rules = dp._layer(m, space, dp._pack(nxt), t, np.arange(m.n_states))
+    values, rules = dp._layer(m, space, pack(nxt), t, np.arange(m.n_states))
     return dp._unpack(values), dp._unpack(rules)
 
 
@@ -325,11 +325,11 @@ def test_flat_restrict_and_residual_match_per_slice(data):
     S = data.draw(st.integers(1, 4))
     f = [data.draw(step_functions()) for _ in range(S)]
     g = [data.draw(step_functions()) for _ in range(S)]
-    assert dp._residual(dp._pack(f), dp._pack(g)) == max(
+    assert dp._residual(pack(f), pack(g)) == max(
         sup_distance(a, b) for a, b in zip(f, g))
     lo, hi = sorted(data.draw(st.lists(GRID, min_size=2, max_size=2)))
     for window in ((lo, None), (None, hi), (lo, hi)):
-        clipped = dp._unpack(dp._restrict(dp._pack(f), *window))
+        clipped = dp._unpack(dp._restrict(pack(f), *window))
         assert clipped == [restrict(a, *window) for a in f]
 
 
@@ -357,8 +357,8 @@ def value_iteration_every_sweep_greedy(m, space, w, strict, eps_conv=1e-6):
     the converged sweep's rules are the policy.  Returns the policy table,
     p, the converged table and the sweep count."""
     window = dp.reachable_window(m, space)
-    V = dp._pack([restrict(target_utility(space.key(w), strict), *window)]
-                 * m.n_states)
+    V = pack([restrict(target_utility(space.key(w), strict), *window)]
+             * m.n_states)
     sweep = 0
     while True:
         sweep += 1
@@ -605,7 +605,7 @@ from qmdp.wealth import WEALTH_TOL  # noqa: E402
 def translated(fs, c, lo=None, hi=None):
     """:func:`dp.translate` of the table of fs, as step functions."""
     dtype = np.int64 if isinstance(fs[0].base, int) else np.float64
-    return dp._unpack(dp.translate(dp._pack(fs, dtype), c, lo, hi))
+    return dp._unpack(dp.translate(pack(fs, dtype), c, lo, hi))
 
 
 def translated_one_by_one(fs, c, lo, hi):
@@ -738,7 +738,7 @@ def lattice_case(seed, sign):
 
 
 def by_both_loops(monkeypatch, solve):
-    """``solve()`` as it runs, then with the lattice sweep switched off;
+    """``solve()`` as it runs, then with the dense sweep switched off;
     a ConvergenceError is returned rather than raised."""
     def outcome():
         try:
@@ -748,13 +748,13 @@ def by_both_loops(monkeypatch, solve):
 
     dense = outcome()
     with monkeypatch.context() as mp:
-        mp.setattr(dp._LatticeSweep, "fit", classmethod(lambda cls, *a: None))
+        mp.setattr(dp._DenseSweep, "fit", classmethod(lambda cls, *a: None))
         return dense, outcome()
 
 
-def takes_the_lattice_sweep(m, space, w, strict=False):
-    return dp._LatticeSweep.fit(m, space, w, strict,
-                                dp.reachable_window(m, space)) is not None
+def takes_the_lattice_sweep(m, space, w):
+    return dp._DenseSweep.fit(m, space, space.key(w),
+                              dp.reachable_window(m, space)) is not None
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -764,7 +764,7 @@ def test_lattice_sweep_matches_the_cut_loop(monkeypatch, seed, sign, strict):
     m, space, sign = lattice_case(seed, sign)
     for target in (1.25, 3.5, 10.0):
         w = sign * target
-        assert takes_the_lattice_sweep(m, space, w, strict)
+        assert takes_the_lattice_sweep(m, space, w)
         dense, cut = by_both_loops(
             monkeypatch, lambda: value_iteration(m, space, w, strict))
         assert same_table(dense[0].table, cut[0].table)
@@ -792,6 +792,32 @@ def test_lattice_iterates_reach_an_exact_fixpoint(monkeypatch, seed):
         monkeypatch, lambda: value_iteration(m, space, -3.5, True, eps_conv=0.0))
     assert same_table(dense[0].table, cut[0].table)
     assert dense[2].sweeps == cut[2].sweeps
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_lattice_sweep_is_scale_free_within_wealth_tol(seed, strict):
+    # costs and target times 2^-40, a step far within WEALTH_TOL: the grid
+    # is still taken (the cut loop would merge cuts a cell apart), and its
+    # answer is the unscaled one bit for bit, with every cut times 2^-40
+    scale = math.ldexp(1.0, -40)
+    m, space, _ = lattice_case(seed, "nonpositive")
+    tiny = random_lattice_mdp(seed, lattice=tuple(
+        scale * r for r in (-0.25, -0.5, -0.75, -1.0)))
+    assert np.array_equal(tiny.rewards, m.rewards * scale)
+    assert np.abs(tiny.rewards).max() <= WEALTH_TOL
+    tiny_space = AdditiveWealth(-10.0 * scale, 0.0)
+    for w in (-1.25, -3.5, -10.0):
+        assert takes_the_lattice_sweep(tiny, tiny_space, w * scale)
+        big = value_iteration(m, space, w, strict)
+        small = value_iteration(tiny, tiny_space, w * scale, strict)
+        assert small[1] == big[1]
+        assert small[2].sweeps == big[2].sweeps
+        for a, b in ((small[0].table, big[0].table),
+                     (small[2].tables[0], big[2].tables[0])):
+            assert np.array_equal(a.x, b.x * scale)
+            for field in ("base", "off", "e", "v"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
 @pytest.mark.parametrize("case, dense", [
@@ -1147,7 +1173,7 @@ def test_cut_loop_value_iteration_keeps_its_bits():
     m = random_lattice_mdp(2, n_states=6, lattice=(-0.3, -0.55, -0.8))
     space = AdditiveWealth(-10.0, 0.0)
     window = dp.reachable_window(m, space)
-    assert dp._LatticeSweep.fit(m, space, -1.3, True, window) is None
+    assert dp._DenseSweep.fit(m, space, -1.3, window) is None
     got = value_iteration(m, space, -1.3, True)
     assert got[2].sweeps == 5
     assert cut_loop_digest(*got) == CUT_LOOP_VI_DIGEST

@@ -11,10 +11,9 @@ from qmdp import (AdditiveWealth, ConfigurationError, DiscountedWealth,
                   brute_force_optimal_quantile, exact_distribution,
                   generate_garnet, simulate, solve_quantile,
                   standard_backward_induction, validate, ValidationError)
-from qmdp.dp import _pack
 from qmdp.evaluate import merge_atoms
 from qmdp.wealth import WEALTH_TOL
-from conftest import random_lattice_mdp, two_state_discounted_mdp
+from conftest import pack, random_lattice_mdp, two_state_discounted_mdp
 
 
 def example1_distribution():
@@ -121,7 +120,7 @@ def random_wealth_policy(m, space, rng):
                                     rng.random(n) < 0.5,
                                     rng.integers(0, m.n_actions, n)))
         rules.append(row)
-    return WealthMarkovPolicy(_pack([f for row in rules for f in row], np.int64),
+    return WealthMarkovPolicy(pack([f for row in rules for f in row], np.int64),
                               m.n_states)
 
 
@@ -255,6 +254,19 @@ def test_infinite_atoms_merge_without_warnings():
     assert states.tolist() == [0, 0, 1]
     assert keys.tolist() == [-np.inf, np.inf, -np.inf]
     assert masses.tolist() == [0.2, 0.4, 0.4]
+
+
+def test_keys_whose_gap_overflows_stay_apart_without_warnings():
+    # 1.7e308 - -1.7e308 overflows to inf: two cuts, two atoms
+    keys = np.array([-1.7e308, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = StepFunction(0.0, keys, [True, True], [0.5, 1.0])
+        _, merged, masses = merge_atoms(np.zeros(2, dtype=np.int64), keys,
+                                        np.array([0.5, 0.5]))
+    assert f.x.tolist() == keys.tolist()
+    assert merged.tolist() == keys.tolist()
+    assert masses.tolist() == [0.5, 0.5]
 
 
 @pytest.mark.parametrize("w", ["0.5", None, True, float("nan")], ids=repr)
@@ -604,7 +616,7 @@ def test_table_actions_equal_per_rule_lookup(seed, stationary):
                                     rng.random(n) < 0.5,
                                     rng.integers(0, 4, n)))
         rows.append(row)
-    policy = WealthMarkovPolicy(_pack([f for row in rows for f in row], np.int64),
+    policy = WealthMarkovPolicy(pack([f for row in rows for f in row], np.int64),
                                 S, stationary)
     cuts = np.unique(np.concatenate([f.x for row in rows for f in row]))
     # on every cut, between cuts, just off them and at both infinities
@@ -649,7 +661,7 @@ def random_grid_policy(m, rng, keys, stationary=True):
         rules.append(StepFunction(int(rng.integers(m.n_actions)),
                                   rng.choice(keys, n), rng.random(n) < 0.5,
                                   rng.integers(0, m.n_actions, n)))
-    return WealthMarkovPolicy(_pack(rules, np.int64), m.n_states, stationary)
+    return WealthMarkovPolicy(pack(rules, np.int64), m.n_states, stationary)
 
 
 def draw_grid_policy(data, m, space, rng, keys):
@@ -704,7 +716,7 @@ def test_cell_actions_equal_per_rule_lookup(kind, ordinal):
                                   rng.choice(pool, n), rng.random(n) < 0.5,
                                   rng.integers(0, m.n_actions, n)))
     policy = (markov if kind == "no cuts" else
-              WealthMarkovPolicy(_pack(rules, np.int64), m.n_states, stationary))
+              WealthMarkovPolicy(pack(rules, np.int64), m.n_states, stationary))
     chain = _WealthChain.fit(m, space, policy)
     C = len(keys)
     rows = np.arange(m.n_states * C)

@@ -10,8 +10,8 @@ from qmdp import (AdditiveWealth, ConfigurationError, DiscountedWealth,
                   backward_induction, exact_distribution, generate_garnet,
                   quantile_certificate, solve_quantile,
                   validate, value_iteration)
-from qmdp.dp import OrdinalSweep, _pack
-from conftest import (random_lattice_mdp, two_policy_ordinal_instance,
+from qmdp.dp import OrdinalSweep
+from conftest import (pack, random_lattice_mdp, two_policy_ordinal_instance,
                       two_state_discounted_mdp)
 
 
@@ -656,7 +656,7 @@ def test_certificate_rejects_bad_policy():
     # flip every action at every decision point of the first step
     flipped = [_flip(report.policy.rule(t, s), m.n_actions)
                for t in range(m.horizon) for s in range(m.n_states)]
-    report.policy = WealthMarkovPolicy(_pack(flipped, np.int64), m.n_states)
+    report.policy = WealthMarkovPolicy(pack(flipped, np.int64), m.n_states)
     d = exact_distribution(m, space, report.policy)
     lo = report.bracket[0]
     should_hold = d.cdf(lo) < tau

@@ -128,8 +128,7 @@ def test_lattice_sweep_grid_keys_and_moves(seed, sign, strict):
     m = random_lattice_mdp(seed, lattice=lattice)
     space = AdditiveWealth(*sorted((0.0, 10.0 * sign)))
     for w in (0.0, 1.25 * sign, 3.5 * sign):
-        sweep = dp._LatticeSweep.fit(m, space, w, strict,
-                                     dp.reachable_window(m, space))
+        sweep = dp._DenseSweep.fit(m, space, w, dp.reachable_window(m, space))
         grid, anchors = sweep.grid, [space.key(space.w0), w]
         assert_lattice_grid(grid, anchors, m.rewards)
         # the clip range ends one cell past the target, on the side away

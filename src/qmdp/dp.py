@@ -71,11 +71,12 @@ when a grid is admitted, over one of three grids:
 * the multiples of δ from the target to ``w0`` and a few past it, for an
   infinite run.
 
-A finite dense run tables the value and greedy rows of all its layers at
-once.  On a lattice the dense sweep gives the cut loop's rules and cuts,
-values within float rounding, and on an infinite run its sweep count,
-except where δ is within ``WEALTH_TOL``: there the infinite grid is
-exactly scale-free and the cut loop's absolute merge of cuts is not.
+A finite dense run tables the greedy rows of all its layers at once; its
+value rows are tabled on first read (:class:`ValueFunction`), a single
+slice alone.  On a lattice the dense sweep gives the cut loop's rules and
+cuts, values within float rounding, and on an infinite run its sweep
+count, except where δ is within ``WEALTH_TOL``: there the infinite grid
+is exactly scale-free and the cut loop's absolute merge of cuts is not.
 """
 
 import functools
@@ -116,11 +117,28 @@ class ValueFunction:
     of every state at timestep t, for t in 0..T; layer T is the terminal
     target utility.  A value-iteration result holds one stationary layer,
     ``tables[0]``, and the number of sweeps that produced it.
+
+    A dense sweep hands over its first L layers untabled: ``rows`` is an
+    (L, S, n) array of their value rows over the cells of its grid,
+    ``table`` tables any (k, n) run of rows, and the ``tables`` given are
+    the layers after them.  The rows are tabled on the first read of
+    ``tables`` or ``slices``; :meth:`slice` before that tables only its
+    own row.  A row tables alone as it does among the others, so either
+    read gives the same bits.
     """
 
-    def __init__(self, tables, sweeps=None):
-        self.tables = tables
+    def __init__(self, tables, sweeps=None, rows=None, table=None):
         self.sweeps = sweeps
+        if rows is None:
+            self.tables = tables
+        else:
+            self._rows, self._table, self._tail = rows, table, tables
+
+    @functools.cached_property
+    def tables(self):
+        L, S, n = self._rows.shape
+        flat = self._table(self._rows.reshape(L * S, n))
+        return [_segments(flat, t * S, S) for t in range(L)] + self._tail
 
     @functools.cached_property
     def slices(self):
@@ -128,6 +146,8 @@ class ValueFunction:
         return [_unpack(c) for c in self.tables]
 
     def slice(self, t, s):
+        if "tables" not in vars(self) and 0 <= t < len(self._rows):
+            return _segment(self._table(self._rows[t, s:s + 1]), 0)
         return _segment(self.tables[t], s)
 
 
@@ -431,12 +451,13 @@ def _sort_rows(x, e, at, pos, shape):
 
 
 def _reachable(m):
-    """The sorted states reachable from the initial state in exactly t steps,
-    for t = 0..T-1, over every edge of the kernel."""
-    layers = [np.array([m.initial_state])]
-    for _ in range(m.horizon - 1):
-        layers.append(np.unique(m.succ[_edges(m, layers[-1])]))
-    return layers
+    """The (T, S) mask of the states reachable from the initial state in
+    exactly t steps, for t = 0..T-1, over every edge of the kernel."""
+    live = np.zeros((m.horizon, m.n_states), dtype=bool)
+    live[0, m.initial_state] = True
+    for t in range(1, m.horizon):
+        live[t, m.succ[_edges(m, np.flatnonzero(live[t - 1]))]] = True
+    return live
 
 
 def _segments(c, i, n):
@@ -466,8 +487,9 @@ def backward_induction(m, space, w, strict, reachable_only=False):
     Two loops make the layers, picked from the input.  Where
     :meth:`_DenseSweep.fit` finds a grid (the classes of ordinal wealth,
     or a lattice of the rewards and the target key), the dense sweep
-    steps every state and tables the rows of all layers at once, the rows
-    of unreachable (t, s) zeroed; its p is the sweep's own value at
+    steps every state and tables the rules of all layers at once, the
+    rows of unreachable (t, s) zeroed; its value rows are tabled on first
+    read (:class:`ValueFunction`), and its p is the sweep's own value at
     (s0, w0).  Otherwise each layer is one :func:`_layer` call on cut
     tables over the states the layer keeps (numeric wealth computes no
     other), as for discounted wealth and rewards off any lattice.  On a
@@ -483,20 +505,17 @@ def backward_induction(m, space, w, strict, reachable_only=False):
             f"backward_induction needs a horizon of at least 1, got {m.horizon}")
     T, S = m.horizon, m.n_states
     target = space.key(w)
-    layers = _reachable(m) if reachable_only else [np.arange(S)] * T
+    live = _reachable(m) if reachable_only else None
     terminal = _target(target, strict, S)
     sweep = _DenseSweep.fit(m, space, target)
     if sweep is not None:
-        live = None
-        if reachable_only:
-            live = np.zeros((T, S), dtype=bool)
-            for t, states in enumerate(layers):
-                live[t, states] = True
-        rules, p, tables = sweep._tables(target, strict, live, values=True)
-        return WealthMarkovPolicy(rules, S), p, ValueFunction(tables + [terminal])
-    tables, rules = [terminal], []
+        rules, p, rows = sweep._tables(target, strict, live, values=True)
+        return (WealthMarkovPolicy(rules, S), p,
+                sweep._value_function(rows, strict, [terminal]))
+    tables, rules, every = [terminal], [], np.arange(S)
     for t in range(T - 1, -1, -1):
-        value, rule = _layer(m, space, tables[0], t, layers[t])
+        states = every if live is None else np.flatnonzero(live[t])
+        value, rule = _layer(m, space, tables[0], t, states)
         tables.insert(0, value)
         rules.insert(0, rule)
     vf = ValueFunction(tables)
@@ -596,12 +615,12 @@ class _DenseSweep:
         once, malloc returns the memory to the system after every step and
         faults it back in (about 500 page faults per ordinal solve).
         """
-        g = np.take(V, self.idx if idx is None else idx, axis=0)
+        g = V.take(self.idx if idx is None else idx, axis=0)
         g *= self.prob
         q = g.sum(axis=0).reshape(self.m.n_states, self.m.n_actions, -1, V.shape[1])
         top = q.max(axis=1)
         if rule is not None:
-            rule[:] = _first_best(np.moveaxis(q[..., 0], 1, 0), top[..., 0])
+            rule[:] = _first_best(q[..., 0].swapaxes(0, 1), top[..., 0])
         return top.reshape(-1, V.shape[1])
 
     def _sweep(self, splits, reach=None, best=None, values=None):
@@ -641,12 +660,22 @@ class _DenseSweep:
         gap = (new - old).reshape(self.m.n_states, -1)[:, self.grid.clip]
         return float(np.abs(gap).max())
 
+    def _value_function(self, rows, strict, tail, sweeps=None,
+                        cells=slice(None)):
+        """The :class:`ValueFunction` of the value ``rows`` (L, S, n)
+        followed by the tables ``tail``: a run of rows tables over the
+        cells ``cells`` on first read, each value change within
+        ``VALUE_TOL`` merged."""
+        return ValueFunction(
+            tail, sweeps, rows,
+            lambda run: _tol_merged(self._table(run, strict, cells)))
+
     def _tables(self, target, strict, live=None, values=False):
-        """``(rules, p, tables)`` of :func:`backward_induction` at the
-        ``target`` key: the table of the T·S greedy rules, p at (s0, w0)
-        and, with ``values``, the T value tables (else None).  The rows of
-        the (t, s) where the (T, S) mask ``live`` is False are zeroed.
-        Each is tabled over the rows of all layers at once."""
+        """``(rules, p, rows)`` of :func:`backward_induction` at the
+        ``target`` key: the table of the T·S greedy rules, tabled over the
+        rows of all layers at once, p at (s0, w0) and, with ``values``,
+        the (T, S, n) value rows, untabled (else None).  The rows of the
+        (t, s) where the (T, S) mask ``live`` is False are zeroed."""
         T, S, n = self.m.horizon, self.m.n_states, self.n
         best = np.empty((T, S, n), dtype=np.intp)
         V = np.empty((T, S * n, 1)) if values else None
@@ -654,15 +683,12 @@ class _DenseSweep:
         # w0 below (above) the grid holds its first (last) cell's value
         p = float(top[self.m.initial_state * n
                       + min(max(self.grid.w0, 0), n - 1), 0])
+        rows = None if V is None else V.reshape(T, S, n)
         if live is not None:
             best[~live] = 0
             if values:
-                V.reshape(T, S, n)[~live] = 0.0
-        rules = self._table(best.reshape(T * S, n), strict)
-        if not values:
-            return rules, p, None
-        flat = _tol_merged(self._table(V.reshape(T * S, n), strict))
-        return rules, p, [_segments(flat, t * S, S) for t in range(T)]
+                rows[~live] = 0.0
+        return self._table(best.reshape(T * S, n), strict), p, rows
 
 
 class OrdinalSweep(_DenseSweep):
@@ -693,12 +719,20 @@ class OrdinalSweep(_DenseSweep):
         plus the position of ``move(k)`` in ``R_{t+1}``; padding, row 0."""
         T = self.m.horizon
         reach = [np.array([self.grid.w0])]
+        hit = np.empty(self.n, dtype=bool)
         for _ in range(T):
-            reach.append(np.unique(self.grid.moves[:, reach[-1]]))
+            hit[:] = False
+            hit[self.grid.moves[:, reach[-1]]] = True
+            reach.append(np.flatnonzero(hit))
+        succ, move = np.divmod(self.idx, self.n)
         gathers = []
         for here, there in zip(reach, reach[1:]):
-            succ, k = np.divmod(self.idx[:, :, here], self.n)
-            gathers.append(succ * len(there) + np.searchsorted(there, k))
+            # fresh each layer: padding's class 0 may lie outside R_{t+1},
+            # and its zero-probability gather must still read a real row
+            pos = np.zeros(self.n, dtype=np.intp)
+            pos[there] = np.arange(len(there))
+            gathers.append(succ[:, :, here] * len(there)
+                           + pos[move[:, :, here]])
         return reach[T], gathers
 
     def exceedance(self, targets, strict):
@@ -923,6 +957,7 @@ def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
                                        *window), eps_conv, max_sweeps)
         # the rules of the converged sweep: the kernel again, on its input
         rules = _layer(m, space, V, 0, states)[1]
+        vf = ValueFunction([new_V], sweeps=sweeps)
     else:
         start = sweep._start(sweep.n, [sweep._split(target, strict)])
         V, new_V, sweeps = _iterate(sweep._step, sweep.residual, start,
@@ -930,9 +965,8 @@ def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
         rule = np.empty((m.n_states, sweep.n), dtype=np.intp)
         sweep._step(V, rule)
         rules = sweep._table(rule, strict)
-        new_V = _tol_merged(sweep._table(new_V.reshape(m.n_states, -1),
-                                         strict, sweep.grid.clip))
-    vf = ValueFunction([new_V], sweeps=sweeps)
+        vf = sweep._value_function(new_V.reshape(1, m.n_states, -1), strict,
+                                   [], sweeps, sweep.grid.clip)
     p = vf.slice(0, m.initial_state)(space.key(space.w0))
     return (WealthMarkovPolicy(rules, m.n_states, stationary=True), float(p),
             vf)

@@ -310,36 +310,44 @@ def validate(m):
     # (pair, check, message) of every per-pair violation; an empty row
     # reports nothing else
     found = []
+
+    def on_hit(check, hit, pair, what):
+        """The message ``what(i)`` of every distinct ``pair[hit]``, built
+        only when the mask ``hit`` has a hit."""
+        if hit.any():
+            found.extend((i, check, what(i)) for i in np.unique(pair[hit]))
+
     counts = np.diff(m.starts)
     filled = counts > 0
-    for i in np.flatnonzero(~filled):
-        found.append((i, 0, "empty transition row"))
-    for i in np.unique(m.pair[m.prob < 0]):
-        lo = np.nanmin(m.prob[m.starts[i]:m.starts[i + 1]])
-        found.append((i, 1, f"negative probability {lo:.3g}"))
+    pairs = np.arange(len(counts))
+
+    def row(i):
+        return m.prob[m.starts[i]:m.starts[i + 1]]
+
+    on_hit(0, ~filled, pairs, lambda i: "empty transition row")
+    on_hit(1, m.prob < 0, m.pair,
+           lambda i: f"negative probability {np.nanmin(row(i)):.3g}")
     # NaN fails every comparison, so neither the sign test above nor the
     # sum test below sees it
-    for i in np.unique(m.pair[np.isnan(m.prob)]):
-        found.append((i, 2, "probability is NaN"))
+    on_hit(2, np.isnan(m.prob), m.pair, lambda i: "probability is NaN")
     totals = np.bincount(m.pair, weights=m.prob, minlength=len(counts))
-    for i in np.flatnonzero(filled & (np.abs(totals - 1.0) > PROB_TOL)):
-        # the message reports the sum as the pair's own row gives it
-        total = float(m.prob[m.starts[i]:m.starts[i + 1]].sum())
-        found.append((i, 3, f"probabilities sum to {total!r}"))
-    for i in np.unique(m.pair[(m.succ < 0) | (m.succ >= m.n_states)]):
-        found.append((i, 4, "successor index out of range"))
+    # the message reports the sum as the pair's own row gives it
+    on_hit(3, filled & (np.abs(totals - 1.0) > PROB_TOL), pairs,
+           lambda i: f"probabilities sum to {float(row(i).sum())!r}")
+    on_hit(4, (m.succ < 0) | (m.succ >= m.n_states), m.pair,
+           lambda i: "successor index out of range")
     order = np.lexsort((m.succ, m.pair))
     pair, succ = m.pair[order], m.succ[order]
-    twice = (pair[1:] == pair[:-1]) & (succ[1:] == succ[:-1])
-    for i in np.unique(pair[1:][twice]):
-        found.append((i, 5, "duplicate successor state"))
+    on_hit(5, (pair[1:] == pair[:-1]) & (succ[1:] == succ[:-1]), pair[1:],
+           lambda i: "duplicate successor state")
     for i, _, what in sorted(found):
         s, a = divmod(int(i), m.n_actions)
         out.append(f"(s={s}, a={a}): {what}")
     if m.numeric_rewards:
-        bad = np.flatnonzero(~np.isfinite(m.rewards))
-        if len(bad):
-            out.append(f"non-finite reward {m.rewards[bad[0]].item()!r}")
+        finite = np.isfinite(m.rewards)
+        if not finite.all():
+            bad = m.rewards[finite.argmin()].item()
+            out.append(f"non-finite reward {bad!r}")
     return out
 
 

@@ -236,6 +236,10 @@ def _is_int(x):
 
 def _intervals_to_cuts(intervals, space):
     """``(base, keys, inclusive, actions)`` of one entry's intervals."""
+    if not isinstance(intervals, list):
+        # a string or a dict iterates too: "" and {} would read as action 0
+        raise ConfigurationError(
+            f"policy intervals {intervals!r} are not a list")
     base = 0
     keys, inclusive, actions = [], [], []
     for item in intervals:

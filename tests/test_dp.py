@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -1205,3 +1206,93 @@ def test_horizon_zero_is_a_configuration_error(engine, reachable_only):
     backward_induction(m, space, w, True, reachable_only)
     with pytest.raises(ConfigurationError, match="horizon of at least 1"):
         backward_induction(m.with_horizon(0), space, w, True, reachable_only)
+
+
+# -- a bit-identity pin for the dense sweep ------------------------------------
+
+def dense_case(case):
+    """``(m, solve)``: an instance the dense sweep takes, and
+    ``solve(strict, reachable_only)``, which solves it at its target."""
+    if case == "lattice":
+        m = random_lattice_mdp(0, horizon=4)
+        space, w = AdditiveWealth.for_mdp(m), -1.0
+    elif case == "datacenter":
+        m = generate_datacenter(DataCenterConfig(2), horizon=5)
+        space, w = AdditiveWealth.for_mdp(m), -8.0
+    elif case == "ordinal":
+        g = generate_garnet(GarnetConfig(6, 2, 3, seed=1), horizon=3)
+        labels = sorted(LABELS)
+        m = Mdp(6, 2, [[list(zip(g.successors(s, a).tolist(),
+                                 g.probabilities(s, a).tolist()))
+                        for a in range(2)] for s in range(6)],
+                {"kind": "sa", "values": [[labels[int(4 * g.reward(s, a))]
+                                           for a in range(2)]
+                                          for s in range(6)]}, 0, 3)
+        space, w = ordinal_space(5), "c2"
+    else:
+        m = random_lattice_mdp(0)
+        space, w = AdditiveWealth(-10.0, 0.0), -1.25
+        assert takes_the_lattice_sweep(m, space, w)
+        return m, lambda strict, _: value_iteration(m, space, w, strict)
+    assert dp._DenseSweep.fit(m, space, space.key(w)) is not None
+    return m, lambda strict, reach: backward_induction(m, space, w, strict,
+                                                       reach)
+
+
+# digests of the dense sweep's results, bit for bit, from when it tabled
+# every value row at once; keyed (case, strict, reachable_only)
+DENSE_DIGESTS = {
+    ('datacenter', False, False):
+        "a3eedc2664a78ad309152c0c340206315e6b0bca352894281faf417550dd5057",
+    ('datacenter', False, True):
+        "1338bb3cab13585653547249c41f68577c0fae87811215805152fe88dfcf7e74",
+    ('datacenter', True, False):
+        "c5609ed7ab55992c715012448e686bf4bab6e587d3b9c29fec9f497f5065fed8",
+    ('datacenter', True, True):
+        "db1917db75c9230a47657b79469603296a9e85db2be1fb63512c0f09652c851b",
+    ('lattice', False, False):
+        "86cd5a9e061afc962c24e9e8260e9e180f3c459ec8396834a099ad8c76588770",
+    ('lattice', False, True):
+        "a6a9819b8e5069ad04cd4617b822ac38a0f0ad6435efd33bbfbc295eeca08804",
+    ('lattice', True, False):
+        "228a5250ee79baa61ee388d32444d604e1eb3f09202884f4168ef3b39bbb2fb4",
+    ('lattice', True, True):
+        "4d1b9c935f0f58ca310b0d3c2691288d262bfbbb917274d310899eaf6310ad30",
+    ('ordinal', False, False):
+        "a0739fe3aef5201389b5fd41e356cbf197151fa9ed08287681d4cf0fa165b4fa",
+    ('ordinal', False, True):
+        "feeb2853c99cccac4ab6dfc959d862e4e6c00c918055661e5175d3dd1ee7c199",
+    ('ordinal', True, False):
+        "c55e9a7e1d63a1dbf839916b74fe4b642d0d9e504fb0f3328583135da3ab76ff",
+    ('ordinal', True, True):
+        "7c84c51ed5ea0f3397b88a11b1c575ff364e5710752b59a4298ce8338d9bf8e0",
+    ('value iteration', False, False):
+        "1f27b216945b6ac8f0d456d72e2cb2fd49f59d4a22c86eb3fc3c11688a41b5dd",
+    ('value iteration', True, False):
+        "3f65f5d09203c643827ac7cf600e9443354824ad596a7298f0e5f73231d341f9",
+}
+
+
+@pytest.mark.parametrize("case, strict, reachable_only", sorted(DENSE_DIGESTS))
+def test_dense_tables_keep_their_bits(case, strict, reachable_only):
+    m, solve = dense_case(case)
+    policy, p, vf = solve(strict, reachable_only)
+    assert cut_loop_digest(policy, p, vf) == DENSE_DIGESTS[
+        case, strict, reachable_only]
+
+
+@pytest.mark.parametrize("case", ["lattice", "datacenter", "ordinal",
+                                  "value iteration"])
+def test_a_dense_slice_read_first_is_its_tabled_segment(case):
+    m, solve = dense_case(case)
+    for strict, reachable_only in itertools.product((False, True), repeat=2):
+        vf = solve(strict, reachable_only)[2]
+        layers = 1 if m.horizon is None else m.horizon + 1
+        # every row alone first; a negative t reads the tabled layers
+        early = {(t, s): vf.slice(t, s)
+                 for t in [*range(layers), *range(-layers, 0)]
+                 for s in range(m.n_states)}
+        assert len(vf.tables) == layers
+        for (t, s), f in early.items():
+            assert same_bits(f, vf.slice(t, s))
+            assert same_bits(f, vf.slices[t][s])

@@ -173,6 +173,9 @@ def test_found_problem_tracebacks(tmp_path, name, path, value, code):
     ("sas-ordinal", [0, "intervals", 1, "from"], [1]),
     ("sa-additive", [0, "intervals", 1, "from"], "0.5"),
     ("sa-additive", [0, "intervals", 1, "from"], True),
+    # these two loaded as a constant action-0 rule
+    ("sa-additive", [0, "intervals"], ""),
+    ("sa-additive", [0, "intervals"], {}),
 ])
 def test_found_policy_tracebacks(tmp_path, name, path, value):
     policy = copy.deepcopy(POLICIES[name])

@@ -106,6 +106,82 @@ def test_validate_nan_probability():
     ]
 
 
+
+SA0 = {"kind": "sa", "values": [[0.0, 0.0], [0.0, 0.0]]}
+
+
+def two_by_two(row, rewards=SA0, initial_state=0, horizon=2):
+    """Two states, two actions; ``row`` is the successor list of (0, 0)."""
+    return Mdp(2, 2, [[row, [(1, 1.0)]], [[(0, 0.5), (1, 0.5)], [(1, 1.0)]]],
+               rewards, initial_state, horizon)
+
+
+NAN, INF = math.nan, math.inf
+# each violation alone, then all at once, with its messages pinned
+VALIDATE_CASES = {
+    "empty row": (lambda: two_by_two([]),
+                  ["(s=0, a=0): empty transition row"]),
+    "negative probability": (
+        lambda: two_by_two([(0, 1.25), (1, -0.25)]),
+        ["(s=0, a=0): negative probability -0.25"]),
+    "NaN probability": (lambda: two_by_two([(0, NAN), (1, 1.0)]),
+                        ["(s=0, a=0): probability is NaN"]),
+    "bad sum": (lambda: two_by_two([(0, 0.5), (1, 0.25)]),
+                ["(s=0, a=0): probabilities sum to 0.75"]),
+    "successor out of range": (
+        lambda: two_by_two([(0, 0.5), (2, 0.5)]),
+        ["(s=0, a=0): successor index out of range"]),
+    "negative successor": (
+        lambda: two_by_two([(-1, 0.5), (1, 0.5)]),
+        ["(s=0, a=0): successor index out of range"]),
+    "duplicate successor": (
+        lambda: two_by_two([(1, 0.5), (1, 0.5)]),
+        ["(s=0, a=0): duplicate successor state"]),
+    "non-finite reward": (
+        lambda: two_by_two([(1, 1.0)], {"kind": "sa",
+                                        "values": [[0.0, -INF], [NAN, 0.0]]}),
+        ["non-finite reward -inf"]),
+    "no states": (
+        lambda: Mdp(0, 1, [], {"kind": "sa", "values": []}, 0, 2),
+        ["n_states must be positive, got 0", "initial_state 0 out of range"]),
+    "no actions": (
+        lambda: Mdp(1, 0, [[]], {"kind": "sa", "values": [[]]}, 0, 2),
+        ["n_actions must be positive, got 0"]),
+    "initial state": (lambda: two_by_two([(1, 1.0)], initial_state=-1),
+                      ["initial_state -1 out of range"]),
+    "horizon": (lambda: two_by_two([(1, 1.0)], horizon=0),
+                ["horizon must be positive or None, got 0"]),
+    "all together": (
+        lambda: Mdp(3, 2,
+                    [[[], [(1, -0.5), (1, 0.5), (3, NAN)]],
+                     [[(2, 0.25), (0, 0.25)], [(0, 1.0), (-2, 0.5)]],
+                     [[(0, 1.5), (1, -0.5), (0, 0.0)], [(2, 1.0)]]],
+                    {"kind": "sas", "values": [[[], [0.0, 1.0, INF]],
+                                               [[0.0, 0.0], [NAN, 0.0]],
+                                               [[0.0, 0.0, 0.0], [0.0]]]},
+                    initial_state=3, horizon=-1),
+        ["initial_state 3 out of range",
+         "horizon must be positive or None, got -1",
+         "(s=0, a=0): empty transition row",
+         "(s=0, a=1): negative probability -0.5",
+         "(s=0, a=1): probability is NaN",
+         "(s=0, a=1): successor index out of range",
+         "(s=0, a=1): duplicate successor state",
+         "(s=1, a=0): probabilities sum to 0.5",
+         "(s=1, a=1): probabilities sum to 1.5",
+         "(s=1, a=1): successor index out of range",
+         "(s=2, a=0): negative probability -0.5",
+         "(s=2, a=0): duplicate successor state",
+         "non-finite reward inf"]),
+}
+
+
+@pytest.mark.parametrize("case", list(VALIDATE_CASES))
+def test_validate_messages_are_pinned(case):
+    make, want = VALIDATE_CASES[case]
+    assert validate(make()) == want
+
+
 @pytest.mark.parametrize("horizon", [MAX_HORIZON + 1, 10**8, 2**31, 2**63])
 def test_horizon_above_cap_is_rejected(horizon):
     rows = [[[(0, 1.0)]]]

@@ -123,7 +123,8 @@ def assert_lattice_grid(grid, anchors, rewards):
 @pytest.mark.parametrize("seed", range(3))
 def test_lattice_sweep_grid_keys_and_moves(seed, sign, strict):
     # the value-iteration grid: from just past the target to w0 and
-    # max|r| / δ cells on past w0, for either reward sign
+    # max|r| / δ cells on past w0, for either reward sign.  The grid does
+    # not depend on the criterion; the terminal split on it does
     lattice = (-0.25, -0.5, -0.75, -1.0) if sign < 0 else (0.25, 0.5, 1.0)
     m = random_lattice_mdp(seed, lattice=lattice)
     space = AdditiveWealth(*sorted((0.0, 10.0 * sign)))
@@ -139,6 +140,10 @@ def test_lattice_sweep_grid_keys_and_moves(seed, sign, strict):
         assert grid.w0 == (lo if sign > 0 else hi)
         assert len(grid.keys) == hi - lo + 1 + round(
             np.abs(m.rewards).max() / step)
+        # the terminal value turns 1 at the target's own cell, or at the
+        # next one up under the strict criterion
+        split = sweep._split(w, strict)
+        assert grid.keys[split] == w + (step if strict else 0.0)
 
 
 @settings(max_examples=100, deadline=None)

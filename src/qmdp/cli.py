@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from .dp import backward_induction, value_iteration
 from .errors import (ConfigurationError, ConvergenceError, QmdpError,
                      ResourceLimitError, ValidationError)
 from .evaluate import (WealthDistribution, brute_force_optimal_quantile,
@@ -26,7 +25,8 @@ from .mdp import (DataCenterConfig, GarnetConfig, default_branching,
 from .serialize import (atomic_write_text, load_policy, load_problem,
                         save_policy, save_problem, space_from_dict,
                         space_to_dict)
-from .solver import QuantileQuery, quantile_certificate, solve_quantile
+from .solver import (QuantileQuery, quantile_certificate, solve_quantile,
+                     value_function)
 from .wealth import AdditiveWealth
 
 
@@ -120,13 +120,9 @@ def cmd_solve(args):
         _write_csv(args.log, ["w", "p", "accepted"],
                    [(rec.w, rec.p, int(rec.accepted)) for rec in report.log])
     if args.dump_slices:
-        # the solve keeps no value function: run the DP at the policy's target
-        w, strict = report.log[0].w, report.criterion == "lower"
-        if m.horizon is None:
-            _, _, vf = value_iteration(m, space, w, strict, args.eps_conv,
-                                       args.max_sweeps)
-        else:
-            _, _, vf = backward_induction(m, space, w, strict)
+        # the solve keeps no value function: rerun its sweep on every state
+        vf = value_function(m, space, query, report, eps_conv=args.eps_conv,
+                            max_sweeps=args.max_sweeps)
         rows = []
         for t, layer in enumerate(vf.slices):
             for s, fn in enumerate(layer):
@@ -295,8 +291,9 @@ def build_parser():
                          "the policy targets")
     sv.add_argument("--dump-slices", default=None,
                     help="debug CSV of value-function pieces per (t, s) of "
-                         "a DP run at the threshold the policy targets; "
-                         "infinite horizons write the stationary slices as t=0")
+                         "the solve's sweep, moved to the threshold the "
+                         "policy targets; infinite horizons write the "
+                         "stationary slices as t=0")
     sv.set_defaults(func=cmd_solve)
 
     for name in ("eval", "dist"):

@@ -73,10 +73,19 @@ when a grid is admitted, over one of three grids:
 
 A finite dense run tables the greedy rows of all its layers at once; its
 value rows are tabled on first read (:class:`ValueFunction`), a single
-slice alone.  On a lattice the dense sweep gives the cut loop's rules and
-cuts, values within float rounding, and on an infinite run its sweep
-count, except where δ is within ``WEALTH_TOL``: there the infinite grid
-is exactly scale-free and the cut loop's absolute merge of cuts is not.
+slice alone and once.  On a lattice the dense sweep gives the cut loop's
+rules and cuts, values within float rounding, and on an infinite run its
+sweep count, except where δ is within ``WEALTH_TOL``: there the infinite
+grid is exactly scale-free and the cut loop's absolute merge of cuts is
+not.
+
+What a run works out from the problem alone is kept on the immutable
+:class:`~qmdp.mdp.Mdp` and reused by every later run on it: the reach
+mask of a finite horizon (:func:`_reachable`) and the last
+:meth:`_DenseSweep.fit`, a sweep with its grid and gather tables or the
+None that sends a run to the cut loop; an ordinal sweep also keeps the
+classes w0 reaches.  No value rows, rules or probabilities are kept:
+every run steps and tables afresh.
 """
 
 import functools
@@ -124,7 +133,8 @@ class ValueFunction:
     the layers after them.  The rows are tabled on the first read of
     ``tables`` or ``slices``; :meth:`slice` before that tables only its
     own row.  A row tables alone as it does among the others, so either
-    read gives the same bits.
+    read gives the same bits, and :meth:`slice` keeps each row it tabled,
+    so a second read of one slice tables nothing.
     """
 
     def __init__(self, tables, sweeps=None, rows=None, table=None):
@@ -133,6 +143,7 @@ class ValueFunction:
             self.tables = tables
         else:
             self._rows, self._table, self._tail = rows, table, tables
+            self._tabled = {}
 
     @functools.cached_property
     def tables(self):
@@ -147,7 +158,11 @@ class ValueFunction:
 
     def slice(self, t, s):
         if "tables" not in vars(self) and 0 <= t < len(self._rows):
-            return _segment(self._table(self._rows[t, s:s + 1]), 0)
+            f = self._tabled.get((t, s))
+            if f is None:
+                f = self._tabled[t, s] = _segment(
+                    self._table(self._rows[t, s:s + 1]), 0)
+            return f
         return _segment(self.tables[t], s)
 
 
@@ -250,6 +265,11 @@ def _target(target, strict, n):
     return _Cuts(np.zeros(n), np.arange(n + 1, dtype=np.intp),
                  np.full(n, target, dtype=np.float64),
                  np.full(n, strict, dtype=np.uint8), np.ones(n))
+
+
+def _signed(x):
+    """``x`` as part of a dict key that tells -0.0 from 0.0."""
+    return x, math.copysign(1.0, x)
 
 
 def _segment(c, i):
@@ -452,12 +472,17 @@ def _sort_rows(x, e, at, pos, shape):
 
 def _reachable(m):
     """The (T, S) mask of the states reachable from the initial state in
-    exactly t steps, for t = 0..T-1, over every edge of the kernel."""
-    live = np.zeros((m.horizon, m.n_states), dtype=bool)
-    live[0, m.initial_state] = True
-    for t in range(1, m.horizon):
-        live[t, m.succ[_edges(m, np.flatnonzero(live[t - 1]))]] = True
-    return live
+    exactly t steps, for t = 0..T-1, over every edge of the kernel.  Built
+    once per :class:`~qmdp.mdp.Mdp` and kept on it, read-only."""
+    def build():
+        live = np.zeros((m.horizon, m.n_states), dtype=bool)
+        live[0, m.initial_state] = True
+        for t in range(1, m.horizon):
+            live[t, m.succ[_edges(m, np.flatnonzero(live[t - 1]))]] = True
+        live.flags.writeable = False
+        return live
+
+    return m._kept("reachable", build)
 
 
 def _segments(c, i, n):
@@ -581,7 +606,28 @@ class _DenseSweep:
         the reachable side of w0, n = ⌊|w0 - t| / min nonzero |r|⌋ counts
         the cells from the target to w0, the budget is ``BLOCK_FLOATS``,
         and any δ is kept.
+
+        The result, a sweep or None, depends on m and on the key of
+        everything else the fit reads: the space (by identity), its w0
+        key, the target (but not for ordinal wealth, whose sweep serves
+        every target), which side ``window`` leaves open, and the two
+        budgets in force.  Keys keep the sign of a zero.  m keeps the last
+        fit and its key, and a fit under the same key returns it; a fit
+        under another key replaces it.
         """
+        ordinal = isinstance(space, OrdinalWealth)
+        key = (space, _signed(space.key(space.w0)),
+               None if ordinal else _signed(target),
+               None if window is None else window[0] is None,
+               DENSE_FLOATS, BLOCK_FLOATS)
+        kept = m._memo.get("dense")
+        if kept is None or kept[0] != key:
+            kept = m._memo["dense"] = key, cls._fit(m, space, target, window)
+        return kept[1]
+
+    @classmethod
+    def _fit(cls, m, space, target, window):
+        """:meth:`fit` without the memo."""
         if isinstance(space, OrdinalWealth):
             return OrdinalSweep(m, space)
         if not (isinstance(space, AdditiveWealth) and m.numeric_rewards):
@@ -597,7 +643,11 @@ class _DenseSweep:
         return None if grid is None else cls(m, grid)
 
     def __init__(self, m, grid):
-        self.m, self.grid = m, grid
+        # m's sizes, not m: m keeps its sweep, and a sweep holding m would
+        # make a cycle that only the cyclic collector frees
+        self.horizon, self.initial_state = m.horizon, m.initial_state
+        self.n_states, self.n_actions = m.n_states, m.n_actions
+        self.grid = grid
         self.n = n = len(grid.keys)
         counts = np.diff(m.starts)
         real = np.arange(counts.max()) < counts[:, None]
@@ -617,7 +667,7 @@ class _DenseSweep:
         """
         g = V.take(self.idx if idx is None else idx, axis=0)
         g *= self.prob
-        q = g.sum(axis=0).reshape(self.m.n_states, self.m.n_actions, -1, V.shape[1])
+        q = g.sum(axis=0).reshape(self.n_states, self.n_actions, -1, V.shape[1])
         top = q.max(axis=1)
         if rule is not None:
             rule[:] = _first_best(q[..., 0].swapaxes(0, 1), top[..., 0])
@@ -629,9 +679,9 @@ class _DenseSweep:
         or of all.  With ``best``, a (T, S, n) array for one column,
         ``best[t]`` gets layer t's rule, and with ``values``, a (T, S * n,
         J) array, its slices (all cells)."""
-        cells, gathers = reach or (range(self.n), [None] * self.m.horizon)
+        cells, gathers = reach or (range(self.n), [None] * self.horizon)
         V = self._start(len(cells), splits)
-        for t in range(self.m.horizon - 1, -1, -1):
+        for t in range(self.horizon - 1, -1, -1):
             V = self._step(V, None if best is None else best[t], gathers[t])
             if values is not None:
                 values[t] = V
@@ -641,7 +691,7 @@ class _DenseSweep:
         """The terminal slices over n cells per state: column j is 1 from
         cell ``splits[j]`` on."""
         hit = np.arange(n)[:, None] >= np.asarray(splits)
-        return np.tile(hit.astype(np.float64), (self.m.n_states, 1))
+        return np.tile(hit.astype(np.float64), (self.n_states, 1))
 
     def _split(self, target, strict):
         """The first cell above the ``target`` key (at or above it without
@@ -657,7 +707,7 @@ class _DenseSweep:
 
     def residual(self, new, old):
         """``max |new - old|`` over the clip range."""
-        gap = (new - old).reshape(self.m.n_states, -1)[:, self.grid.clip]
+        gap = (new - old).reshape(self.n_states, -1)[:, self.grid.clip]
         return float(np.abs(gap).max())
 
     def _value_function(self, rows, strict, tail, sweeps=None,
@@ -676,12 +726,12 @@ class _DenseSweep:
         rows of all layers at once, p at (s0, w0) and, with ``values``,
         the (T, S, n) value rows, untabled (else None).  The rows of the
         (t, s) where the (T, S) mask ``live`` is False are zeroed."""
-        T, S, n = self.m.horizon, self.m.n_states, self.n
+        T, S, n = self.horizon, self.n_states, self.n
         best = np.empty((T, S, n), dtype=np.intp)
         V = np.empty((T, S * n, 1)) if values else None
         top = self._sweep([self._split(target, strict)], best=best, values=V)
         # w0 below (above) the grid holds its first (last) cell's value
-        p = float(top[self.m.initial_state * n
+        p = float(top[self.initial_state * n
                       + min(max(self.grid.w0, 0), n - 1), 0])
         rows = None if V is None else V.reshape(T, S, n)
         if live is not None:
@@ -716,8 +766,13 @@ class OrdinalSweep(_DenseSweep):
         """``(R_T, gathers)``: ``R_0 = {w0}``, ``R_{t+1}`` every class a
         real edge moves a class of ``R_t`` to (in any state), and layer t's
         gather table over ``R_t``: row (s, k) reads row ``succ * |R_{t+1}|``
-        plus the position of ``move(k)`` in ``R_{t+1}``; padding, row 0."""
-        T = self.m.horizon
+        plus the position of ``move(k)`` in ``R_{t+1}``; padding, row 0.
+        Built on the first call and kept: it reads no target."""
+        return self._reached
+
+    @functools.cached_property
+    def _reached(self):
+        T = self.horizon
         reach = [np.array([self.grid.w0])]
         hit = np.empty(self.n, dtype=bool)
         for _ in range(T):
@@ -733,7 +788,7 @@ class OrdinalSweep(_DenseSweep):
             pos[there] = np.arange(len(there))
             gathers.append(succ[:, :, here] * len(there)
                            + pos[move[:, :, here]])
-        return reach[T], gathers
+        return reach[T], tuple(gathers)
 
     def exceedance(self, targets, strict):
         """Optimal exceedance probability from (s0, w0) at every class target.
@@ -754,7 +809,7 @@ class OrdinalSweep(_DenseSweep):
         for b in range(0, len(p), block):
             # layer 0 holds w0 alone, so the row of (s0, w0) is s0
             p[b:b + block] = self._sweep(splits[b:b + block], reach)[
-                self.m.initial_state]
+                self.initial_state]
         return p[col]
 
     def backward_induction(self, target, strict):
@@ -764,7 +819,7 @@ class OrdinalSweep(_DenseSweep):
         policy's table in one pass (:func:`_on_classes`).
         """
         rules, p, _ = self._tables(target, strict)
-        return WealthMarkovPolicy(rules, self.m.n_states), p
+        return WealthMarkovPolicy(rules, self.n_states), p
 
 
 def reachable_window(m, space):

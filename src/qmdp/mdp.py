@@ -94,11 +94,18 @@ class Mdp:
     Pair ``i = s * n_actions + a`` owns the edges ``starts[i]:starts[i + 1]``
     of ``succ`` (int64 successor states), ``prob`` (float64 probabilities)
     and ``rewards`` (float64 edge rewards, or an object array of labels);
-    ``pair[e]`` is the pair that edge e belongs to.  The three edge arrays
-    are read-only.  "sa" problems also keep their n_states x n_actions
-    ``reward_table`` (a float64 array when numeric, nested lists of labels
-    otherwise); "sas" problems have none.  The per-pair accessors slice
-    the edge arrays on demand.
+    ``pair[e]`` is the pair that edge e belongs to.  "sa" problems also
+    keep their n_states x n_actions ``reward_table`` (a float64 array when
+    numeric, nested lists of labels otherwise); "sas" problems have none.
+    The per-pair accessors slice the edge arrays on demand.
+
+    An ``Mdp`` is immutable once built: every array above is read-only and
+    setting or deleting an attribute raises ``AttributeError``.  So the
+    set-up that depends on the problem alone, never on a query, is worked
+    out on first use and kept on the object (:meth:`_kept`): the
+    :func:`validate` result, the reach mask of a finite horizon and the
+    dense sweep of the last fit (``qmdp.dp``).  :meth:`with_horizon` gives
+    its copy an empty memo of its own.
 
     Parameters
     ----------
@@ -115,6 +122,11 @@ class Mdp:
         Positive integer up to ``MAX_HORIZON``, or None for the
         infinite-horizon problem.
     """
+
+    # None until __init__ ends; a class attribute, so that no check reads
+    # the instance's __dict__, which would leave its attributes slower to
+    # read from then on
+    _memo = None
 
     def __init__(self, n_states, n_actions, transitions, rewards,
                  initial_state, horizon):
@@ -191,8 +203,21 @@ class Mdp:
             edge = np.repeat(edge, counts)
         self.rewards = edge
         # the per-pair accessors hand out views of these
-        for edges in (self.succ, self.prob, self.rewards):
+        for edges in (self.succ, self.prob, self.rewards, self.starts,
+                      self.pair):
             edges.flags.writeable = False
+        if self.numeric_rewards and self.reward_table is not None:
+            self.reward_table.flags.writeable = False
+        # set last: from here on the object is frozen (__setattr__)
+        self._memo = {}
+
+    def __setattr__(self, name, value):
+        if self._memo is not None:
+            raise AttributeError(f"an Mdp is immutable: cannot set {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"an Mdp is immutable: cannot delete {name!r}")
 
     @classmethod
     def from_rows(cls, n_states, n_actions, rows, rewards, initial_state,
@@ -280,10 +305,21 @@ class Mdp:
             return "nonnegative"
         return "mixed"
 
+    def _kept(self, name, build):
+        """``build()``, made on the first call for ``name`` and kept on the
+        object; it may depend on the problem alone, never on a query."""
+        memo = self._memo
+        if name not in memo:
+            memo[name] = build()
+        return memo[name]
+
     def with_horizon(self, horizon):
-        """Copy sharing the edge table, with a different horizon."""
+        """Copy sharing the edge table, with a different horizon and an
+        empty memo: nothing kept for this horizon holds for another."""
         clone = copy.copy(self)
-        clone.horizon = _horizon(horizon)
+        # the copy is frozen already: write past __setattr__
+        object.__setattr__(clone, "horizon", _horizon(horizon))
+        object.__setattr__(clone, "_memo", {})
         return clone
 
     def __repr__(self):
@@ -296,8 +332,13 @@ def validate(m):
     """Check every structural invariant; returns a list of violations.
 
     An empty list means the MDP is well formed.  Violations are data, not
-    errors: callers decide whether to raise.
+    errors: callers decide whether to raise.  The checks run once per
+    :class:`Mdp`, whose result is kept on it; each call returns a new list.
     """
+    return list(m._kept("violations", lambda: tuple(_violations(m))))
+
+
+def _violations(m):
     out = []
     if m.n_states < 1:
         out.append(f"n_states must be positive, got {m.n_states}")

@@ -32,8 +32,17 @@ its greedy rules), or at the bracket bottom when no j passes, and attains
 the optimum.
 
 A solve returns a policy and its quantile, and keeps no value function;
-``qmdp solve --dump-slices`` runs its own DP at ``report.log[0].w``, on
-ordinal wealth the same dense class sweep as the policy pass.
+:func:`value_function` reruns the sweep a solve ran and moves its tables
+to the policy's target, as ``qmdp solve --dump-slices`` writes them.
+
+A problem pays its set-up once.  An :class:`~qmdp.mdp.Mdp` is immutable,
+so what depends on it alone is kept on it for every later query: the
+:func:`~qmdp.mdp.validate` result, the reach mask of a finite horizon and
+the dense sweep of the last fit (its grid and gather tables, or the
+decision that the cut loop runs; on ordinal wealth the class sweep and
+the classes w0 reaches).  Nothing that depends on the query is kept: no
+value rows, rules, probabilities or reports.  Every query runs its full
+sweep and translation.
 """
 
 import math
@@ -42,9 +51,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dp import (OrdinalSweep, WealthMarkovPolicy, backward_induction,
-                 check_convergence, reachable_window, translate,
-                 value_iteration)
+from .dp import (OrdinalSweep, ValueFunction, WealthMarkovPolicy,
+                 backward_induction, check_convergence, reachable_window,
+                 translate, value_iteration)
 from .errors import ConfigurationError, ValidationError
 from .evaluate import QUANT_ATOL, exact_distribution
 from .mdp import validate
@@ -131,25 +140,37 @@ def solve_quantile(m, space, query, *, eps_conv=1e-6, max_sweeps=10000):
     if violations:
         raise ValidationError(violations)
 
-    infinite = m.horizon is None
-    ordinal = isinstance(space, OrdinalWealth)
-    if infinite:
+    if m.horizon is None:
         _check_infinite(m, space, query)
-    bounds = query.quantile_bounds or (space.w_min, space.w_max)
-    lo_k, hi_k = space.key(bounds[0]), space.key(bounds[1])
-    if not lo_k <= hi_k:
-        raise ConfigurationError(f"empty wealth bracket {bounds!r}")
-    if infinite and not (math.isfinite(lo_k) and math.isfinite(hi_k)):
-        raise ConfigurationError(
-            f"wealth bracket {bounds!r} is not finite; pass finite "
-            "quantile_bounds")
-
+    lo_k, hi_k = _bracket(m, space, query)
     strict = query.criterion == "lower"
     thr = 1.0 - query.tau
-    if ordinal:
+    if isinstance(space, OrdinalWealth):
         return _solve_ordinal(m, space, query, strict, thr, lo_k, hi_k)
     return _solve_by_one_sweep(m, space, query, strict, thr, lo_k, hi_k,
                                eps_conv, max_sweeps)
+
+
+def value_function(m, space, query, report, *, eps_conv=1e-6,
+                   max_sweeps=10000):
+    """The value function behind ``report``'s policy, on every state.
+
+    Numeric wealth reruns the sweep :func:`solve_quantile` ran, at the
+    same target (0 for a finite horizon, the bracket end for an infinite
+    one) on the same engine, with every state in every layer, and moves
+    each table to the policy's target ``report.log[0].w`` with
+    :func:`~qmdp.dp.translate`, as the solve moved the policy.  Ordinal
+    wealth runs :func:`~qmdp.dp.backward_induction` at that target, the
+    class sweep of the policy pass.
+    """
+    w, strict = report.log[0].w, query.criterion == "lower"
+    if isinstance(space, OrdinalWealth):
+        return backward_induction(m, space, w, strict)[2]
+    t, window, _, vf = _sweep(m, space, *_bracket(m, space, query), strict,
+                              False, eps_conv, max_sweeps)
+    c = space.key(w) - t
+    return ValueFunction([translate(table, c, *window) for table in vf.tables],
+                         vf.sweeps)
 
 
 def _check_infinite(m, space, query):
@@ -171,6 +192,38 @@ def _check_infinite(m, space, query):
             f"infinite-horizon solves cannot decide the {query.criterion} "
             f"{query.tau}-quantile: its test compares a limit probability "
             "against exactly 0 or 1; use tau in (0, 1)")
+
+
+def _bracket(m, space, query):
+    """The keys ``(lo_k, hi_k)`` of the query's bracket, which an infinite
+    horizon needs finite."""
+    bounds = query.quantile_bounds or (space.w_min, space.w_max)
+    lo_k, hi_k = space.key(bounds[0]), space.key(bounds[1])
+    if not lo_k <= hi_k:
+        raise ConfigurationError(f"empty wealth bracket {bounds!r}")
+    if m.horizon is None and not (math.isfinite(lo_k) and math.isfinite(hi_k)):
+        raise ConfigurationError(
+            f"wealth bracket {bounds!r} is not finite; pass finite "
+            "quantile_bounds")
+    return lo_k, hi_k
+
+
+def _sweep(m, space, lo_k, hi_k, strict, reachable_only, eps_conv,
+           max_sweeps):
+    """``(t, window, policy, vf)`` of a numeric solve's one sweep: its
+    target key t, the window its tables are clipped to (both ends None
+    when finite), its policy and its value function."""
+    if m.horizon is not None:
+        # reachable_only by position: wrappers of this name may take no
+        # keywords
+        policy, _, vf = backward_induction(m, space, 0.0, strict,
+                                           reachable_only)
+        return 0.0, (None, None), policy, vf
+    window = reachable_window(m, space)
+    t = lo_k if window[0] is None else hi_k
+    policy, _, vf = value_iteration(m, space, space.unkey(t), strict,
+                                    eps_conv=eps_conv, max_sweeps=max_sweeps)
+    return t, window, policy, vf
 
 
 def _passes(p, thr, strict):
@@ -201,17 +254,8 @@ def _solve_by_one_sweep(m, space, query, strict, thr, lo_k, hi_k,
     targets lo_k.
     """
     infinite = m.horizon is None
-    if infinite:
-        window = reachable_window(m, space)
-        t = lo_k if window[0] is None else hi_k
-        policy, _, vf = value_iteration(m, space, space.unkey(t), strict,
-                                        eps_conv=eps_conv,
-                                        max_sweeps=max_sweeps)
-    else:
-        window, t = (None, None), 0.0
-        # reachable_only by position: wrappers of this name may take no
-        # keywords
-        policy, _, vf = backward_induction(m, space, t, strict, True)
+    t, window, policy, vf = _sweep(m, space, lo_k, hi_k, strict, True,
+                                   eps_conv, max_sweeps)
     f = vf.slice(0, m.initial_state)
     x0 = space.key(space.w0)
     starts = np.concatenate(([-math.inf], f.x))   # piece k opens at starts[k]
@@ -266,7 +310,8 @@ def _solve_ordinal(m, space, query, strict, thr, lo_k, hi_k):
     (at lo_k when at_bottom), which attains q*.
     """
     lo, hi = int(lo_k), int(hi_k)
-    sweep = OrdinalSweep(m, space)
+    # the class sweep serves every target: the one m keeps
+    sweep = OrdinalSweep.fit(m, space, lo_k)
     js = np.arange(lo, hi) + (0 if strict else 1)
     hits = js[_passes(sweep.exceedance(js, strict), thr, strict)]
     at_bottom = not len(hits)

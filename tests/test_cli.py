@@ -11,6 +11,7 @@ import qmdp
 from qmdp import (QuantileQuery, backward_induction, load_problem,
                   save_problem, solve_quantile, validate, value_iteration)
 from qmdp.cli import main
+from qmdp.solver import value_function
 from conftest import two_policy_ordinal_instance
 
 
@@ -116,10 +117,21 @@ def test_solve_infinite_dumps_stationary_slices(tmp_path, capsys):
     assert {row[1] for row in rows[1:]} == {"0", "1"}
 
 
+def dump_rows(vf):
+    """The rows ``--dump-slices`` writes for the value function vf."""
+    return [[str(t), str(s), "", "", str(v)] if frm is None
+            else [str(t), str(s), str(frm), str(int(inclusive)), str(v)]
+            for t, layer in enumerate(vf.slices) for s, f in enumerate(layer)
+            for frm, inclusive, v in f.intervals()]
+
+
 @pytest.mark.parametrize("case", ["finite", "infinite", "ordinal"])
 def test_dump_slices_equal_the_dp_at_the_policy_threshold(tmp_path, case):
-    # the solve keeps no value function: the dump runs the DP itself, at
-    # the threshold the solve's policy targets
+    # the solve keeps no value function: the dump reruns the solve's own
+    # sweep on every state and moves each table to the threshold the
+    # policy targets, as the policy was moved.  That is the DP run at the
+    # threshold itself, but for rounding in the moved cuts; ordinal wealth
+    # runs the DP there
     problem, bounds = tmp_path / "p.json", None
     if case == "finite":
         run("generate", "garnet", "--states", 5, "--actions", 2, "--seed", 3,
@@ -134,17 +146,24 @@ def test_dump_slices_equal_the_dp_at_the_policy_threshold(tmp_path, case):
     assert run("solve", "--problem", problem, "--tau", 0.5, *extra,
                "--dump-slices", slices) == 0
     m, space = load_problem(problem)
-    report = solve_quantile(m, space, QuantileQuery(0.5, quantile_bounds=bounds))
+    query = QuantileQuery(0.5, quantile_bounds=bounds)
+    report = solve_quantile(m, space, query)
+    got = read_csv(slices)[1:]
+    assert got == dump_rows(value_function(m, space, query, report))
     w = report.log[0].w
     if m.horizon is None:
         _, _, vf = value_iteration(m, space, w, True)
     else:
         _, _, vf = backward_induction(m, space, w, True)
-    want = [[str(t), str(s), "", "", str(v)] if frm is None
-            else [str(t), str(s), str(frm), str(int(inclusive)), str(v)]
-            for t, layer in enumerate(vf.slices) for s, f in enumerate(layer)
-            for frm, inclusive, v in f.intervals()]
-    assert read_csv(slices)[1:] == want
+    want = dump_rows(vf)
+    assert [r[:2] + r[3:4] for r in got] == [r[:2] + r[3:4] for r in want]
+    for g, r in zip(got, want):
+        assert (g[2] == "") == (r[2] == "")
+        for a, b in zip(g[2::2], r[2::2]):    # threshold, value
+            if b:
+                assert abs(float(a) - float(b)) <= 1e-12, (g, r)
+    if case == "ordinal":
+        assert got == want
     layers = 1 if m.horizon is None else m.horizon + 1
     assert {(int(r[0]), int(r[1])) for r in want} == {
         (t, s) for t in range(layers) for s in range(m.n_states)}

@@ -1089,6 +1089,32 @@ def test_a_negative_zero_target_keeps_the_cut_loops_bits(monkeypatch):
         for strict in (True, False)])
 
 
+def test_a_kept_fit_is_keyed_on_every_input_it_reads():
+    # one problem asked in turn for fits that differ in one input each
+    # (target, its sign, the window, the space, its w0) gets from each the
+    # grid that a fit on a fresh copy gives
+    m = random_lattice_mdp(0, horizon=4)
+    space = AdditiveWealth(-10.0, 0.0)
+    shifted = AdditiveWealth(-10.0, 0.0)
+    shifted.w0 = -1.0
+    window = dp.reachable_window(m, space)
+    asks = [(space, -2.0), (space, -2.0, window), (space, -3.0),
+            (space, 0.0), (space, -0.0), (shifted, 0.0), (space, 0.0, window),
+            (shifted, -2.0, window)]
+
+    def grid(m, space, *args):
+        sweep = dp._DenseSweep.fit(m, space, *args)
+        return None if sweep is None else (sweep.grid.keys.tolist(),
+                                           int(sweep.grid.w0))
+
+    want = [grid(m.with_horizon(m.horizon), *ask) for ask in asks]
+    assert None in want and len({repr(k) for k in want}) == len(asks)
+    assert [grid(m, *ask) for ask in asks * 2] == want * 2
+    assert grid(m, space, 0.0) == want[asks.index((space, 0.0))]
+    space.w0 = -1.0      # the same space object, started elsewhere
+    assert grid(m, space, 0.0) == want[asks.index((shifted, 0.0))]
+
+
 # -- a bit-identity pin for the cut loop ---------------------------------------
 
 import hashlib  # noqa: E402
@@ -1296,3 +1322,22 @@ def test_a_dense_slice_read_first_is_its_tabled_segment(case):
         for (t, s), f in early.items():
             assert same_bits(f, vf.slice(t, s))
             assert same_bits(f, vf.slices[t][s])
+
+
+@pytest.mark.parametrize("case", ["lattice", "datacenter", "ordinal",
+                                  "value iteration"])
+def test_a_dense_slice_is_tabled_once(case):
+    # a value-iteration solve reads the initial-state slice for p and the
+    # solver reads it again: the second read tables nothing, same bits
+    m, solve = dense_case(case)
+    s0 = m.initial_state
+    for strict in (False, True):
+        vf = solve(strict, True)[2]
+        rows, table = [], vf._table
+        vf._table = lambda run: rows.append(len(run)) or table(run)
+        f = vf.slice(0, s0)
+        assert vf.slice(0, s0) is f
+        assert rows == ([] if m.horizon is None else [1])
+        assert same_bits(f, vf.slices[0][s0])
+        assert rows[-1] == m.n_states * (1 if m.horizon is None
+                                         else m.horizon)

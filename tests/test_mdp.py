@@ -454,6 +454,56 @@ def test_with_horizon_shares_kernel():
     assert m2.succ is m.succ and m2.rewards is m.rewards
 
 
+# -- immutability ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [
+    generate_garnet(GarnetConfig(6, 3, 2, seed=1)),
+    generate_datacenter(DataCenterConfig(2), horizon=None),
+    two_state_discounted_mdp(),
+    labelled_mdp("sa"),
+    labelled_mdp("sas"),
+], ids=["garnet", "datacenter-inf", "sas", "sa-labels", "sas-labels"])
+def test_an_mdp_is_immutable(m):
+    # what a problem keeps across queries is sound only if nothing moves
+    for name in ("succ", "prob", "rewards", "starts", "pair"):
+        edges = getattr(m, name)
+        assert not edges.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            edges[:1] = edges[:1]
+    if isinstance(m.reward_table, np.ndarray):
+        assert not m.reward_table.flags.writeable
+    before = dict(vars(m))
+    for name in [*before, "fresh"]:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(m, name, before.get(name))
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(m, name)
+    assert vars(m) == before
+    clone = m.with_horizon(7)
+    with pytest.raises(AttributeError, match="immutable"):
+        clone.horizon = 3
+    assert (clone.horizon, m.horizon) == (7, before["horizon"])
+
+
+def test_a_horizon_copy_starts_with_an_empty_memo():
+    m = generate_garnet(GarnetConfig(5, 2, 2, seed=0), horizon=5)
+    validate(m)
+    clone = m.with_horizon(None)
+    assert "violations" in m._memo and clone._memo == {}
+    validate(clone)
+    assert clone._memo is not m._memo
+
+
+def test_an_invalid_mdp_reports_on_every_call():
+    m = Mdp(2, 1, [[[(0, 0.5), (1, 0.6)]], [[(1, 1.0)]]],
+            {"kind": "sa", "values": [[0.0], [0.0]]}, 0, 2)
+    want = ["(s=0, a=0): probabilities sum to 1.1"]
+    assert validate(m) == want
+    validate(m).append("a caller's own list")
+    assert validate(m) == want
+
+
 @pytest.mark.parametrize("horizon", [0, -1])
 def test_generators_reject_a_horizon_below_one(horizon):
     # Mdp itself keeps such a horizon, for validate to report

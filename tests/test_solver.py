@@ -882,3 +882,161 @@ def test_zero_convergence_tolerance_is_valid_at_every_horizon():
         report = solve_quantile(m.with_horizon(horizon), AdditiveWealth(-10.0, 0.0),
                                 query, eps_conv=0.0, max_sweeps=1000)
         assert report.stationary == (horizon is None)
+
+
+# -- a problem keeps its set-up across queries ---------------------------------
+
+import hashlib  # noqa: E402
+import importlib.util  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from qmdp import ValidationError, dp, load_problem, save_problem  # noqa: E402
+from qmdp.serialize import save_policy  # noqa: E402
+
+TAUS_BY_CRITERION = [(tau, criterion) for tau in (0.1, 0.5, 0.9)
+                     for criterion in ("lower", "upper")]
+
+
+def answer(m, space, query, path):
+    """A solve's quantile, bracket, at_bottom flag and log, and the sha256
+    of its policy file."""
+    report = solve_quantile(m, space, query)
+    save_policy(path, report.policy, space)
+    return (report.quantile, report.bracket, report.at_bottom,
+            [(r.w, r.p, r.accepted) for r in report.log],
+            hashlib.sha256(path.read_bytes()).hexdigest())
+
+
+def fresh(m, space, path):
+    """A freshly loaded copy of the problem (m, space)."""
+    save_problem(path, m, space)
+    return load_problem(path)
+
+
+def assert_answers_as_fresh_loads(m, space, queries, tmp_path, rounds=2):
+    """Every query, asked ``rounds`` times of m, answers as it does on a
+    fresh load of the problem."""
+    problem = tmp_path / "problem.json"
+    save_problem(problem, m, space)
+    for _ in range(rounds):
+        for query in queries:
+            assert (answer(m, space, query, tmp_path / "kept.json")
+                    == answer(*load_problem(problem), query,
+                              tmp_path / "fresh.json")), query
+
+
+def benchmark_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def test_the_benchmark_queries_answer_on_a_kept_problem_as_on_fresh_loads(
+        tmp_path):
+    engines = {}
+    for name, workload in benchmark_workloads().items():
+        m, space = fresh(*workload.build(1), tmp_path / f"{name}.json")
+        assert_answers_as_fresh_loads(
+            m, space, [q.to_query() for q in workload.queries], tmp_path)
+        engines[name] = type(m._memo.get("dense", (None, None))[1]).__name__
+    assert engines == {"garnet": "NoneType", "datacenter": "_DenseSweep",
+                       "ordinal": "OrdinalSweep", "lattice-inf": "_DenseSweep"}
+
+
+def engine_instance(engine, seed):
+    """(m, space, bounds) of a random problem that ``engine`` solves."""
+    if engine == "cut loop":
+        m, space = small_instance(seed)
+        return m, space, None
+    if engine == "dense finite":
+        m = random_lattice_mdp(seed, horizon=4)
+        return m, AdditiveWealth.for_mdp(m), None
+    if engine == "ordinal":
+        return (*restricted_sweep_instance(seed), None)
+    return random_lattice_mdp(seed), AdditiveWealth(-10.0, 0.0), (-10.0, 0.0)
+
+
+@pytest.mark.parametrize("engine", ["cut loop", "dense finite", "ordinal",
+                                    "dense lattice"])
+def test_repeated_queries_answer_as_fresh_loads_on_every_engine(tmp_path,
+                                                                 engine):
+    for seed in range(3):
+        m, space, bounds = engine_instance(engine, seed)
+        queries = [QuantileQuery(tau, criterion, quantile_bounds=bounds)
+                   for tau, criterion in TAUS_BY_CRITERION]
+        assert_answers_as_fresh_loads(m, space, queries, tmp_path)
+        sweep = m._memo["dense"][1]
+        assert {"cut loop": sweep is None,
+                "dense finite": type(sweep) is dp._DenseSweep,
+                "ordinal": type(sweep) is OrdinalSweep,
+                "dense lattice": type(sweep) is dp._DenseSweep
+                }[engine], (engine, seed)
+        assert ("reachable" in m._memo) == (m.horizon is not None
+                                            and engine != "ordinal")
+
+
+def test_a_horizon_copy_neither_sees_nor_fills_the_memo_of_its_source(
+        tmp_path):
+    m = random_lattice_mdp(2, horizon=4)
+    space = AdditiveWealth(-10.0, 0.0)
+    query = QuantileQuery(0.5, quantile_bounds=(-10.0, 0.0))
+    for h in (4, 6, None):
+        clone = m.with_horizon(h)
+        want = answer(*fresh(clone, space, tmp_path / "p.json"), query,
+                      tmp_path / "b.json")
+        assert answer(clone, space, query, tmp_path / "a.json") == want, h
+        assert answer(m, space, query, tmp_path / "a.json") == answer(
+            *fresh(m, space, tmp_path / "p.json"), query, tmp_path / "b.json")
+        assert clone._memo["dense"][1] is not m._memo["dense"][1]
+
+
+@pytest.mark.parametrize("budget", ["DENSE_FLOATS", "BLOCK_FLOATS"])
+def test_a_budget_set_after_a_solve_takes_effect(monkeypatch, tmp_path,
+                                                 budget):
+    m, space, bounds = engine_instance(
+        "dense finite" if budget == "DENSE_FLOATS" else "dense lattice", 0)
+    query = QuantileQuery(0.5, quantile_bounds=bounds)
+    target = 0.0 if bounds is None else bounds[0]
+    window = None if bounds is None else dp.reachable_window(m, space)
+    answer(m, space, query, tmp_path / "a.json")
+    assert dp._DenseSweep.fit(m, space, target, window) is not None
+    monkeypatch.setattr(dp, budget, 1)
+    assert dp._DenseSweep.fit(m, space, target, window) is None
+    layers = []
+    kernel = dp._layer
+    monkeypatch.setattr(dp, "_layer", lambda *a, **kw: layers.append(1)
+                        or kernel(*a, **kw))
+    assert answer(m, space, query, tmp_path / "a.json") == answer(
+        *fresh(m, space, tmp_path / "p.json"), query, tmp_path / "b.json")
+    assert layers
+
+
+def test_two_ordinal_spaces_on_one_mdp_get_their_own_sweeps(tmp_path):
+    # another start class, and another class table from the same start
+    m, space = restricted_sweep_instance(0)
+    classes = space.classes
+    moved = OrdinalWealth(classes, space.transition_table,
+                          w0=classes[-1 - space.index(space.w0)])
+    flipped = OrdinalWealth(classes, {c: {r: classes[-1 - space.index(x)]
+                                          for r, x in row.items()}
+                                      for c, row in space.transition_table.items()},
+                            w0=space.w0)
+    assert moved.w0 != space.w0
+    queries = [QuantileQuery(tau, criterion)
+               for tau, criterion in TAUS_BY_CRITERION]
+    for _ in range(2):
+        for sp in (space, moved, flipped):
+            assert_answers_as_fresh_loads(m, sp, queries, tmp_path, rounds=1)
+    moves = [OrdinalSweep.fit(m, sp, 0.0).grid.moves.tolist()
+             for sp in (space, moved, flipped)]
+    assert moves[0] == moves[1] != moves[2]
+
+
+def test_an_invalid_problem_raises_on_every_call():
+    m = Mdp(2, 1, [[[(0, 0.5), (1, 0.6)]], [[(1, 1.0)]]],
+            {"kind": "sa", "values": [[0.0], [0.0]]}, 0, 2)
+    for _ in range(3):
+        with pytest.raises(ValidationError, match="sum to 1.1"):
+            solve_quantile(m, AdditiveWealth.for_mdp(m), QuantileQuery(0.5))

@@ -555,13 +555,15 @@ class _DenseSweep:
     stack into one (S * n, J) array.  Each step gathers the successor
     values through the cell every edge moves wealth to, mixes them per
     (s, a) and takes the max over actions.  The gather tables are built
-    once, from every edge of m and its row of the grid's moves (edge j
-    moves cell k to ``grid.moves[grid.row[j], k]``): ``idx[i, sa, k]`` is
-    the flat (state, cell) row that edge i of pair sa reaches from cell
-    k, and ``prob[i, sa]`` its probability.  Pairs with fewer edges than
-    the widest one are padded with zero-probability edges, so a plain sum
-    over edge slots mixes the successors.  The slot is the outer axis, so
-    the sum adds edges in slot order whatever the other axes hold.
+    once, from m's kept slot layout (:meth:`~qmdp.mdp.Mdp.slots`, which
+    exact evaluation's chain steps through too) and each slot's row of
+    the grid's moves (edge j moves cell k to ``grid.moves[grid.row[j],
+    k]``): ``idx[i, sa, k]`` is the flat (state, cell) row that slot i of
+    pair sa reaches from cell k, and ``prob[i, sa]`` its probability.
+    Pairs with fewer edges than the widest one are padded with
+    zero-probability slots, so a plain sum over slots mixes the
+    successors.  The slot is the outer axis, so the sum adds edges in
+    slot order whatever the other axes hold.
 
     Cell c stands for the wealth ``keys[c]``; a table cuts where a row
     changes, on the criterion's side (:func:`_on_classes`), as the cut
@@ -649,12 +651,10 @@ class _DenseSweep:
         self.n_states, self.n_actions = m.n_states, m.n_actions
         self.grid = grid
         self.n = n = len(grid.keys)
-        counts = np.diff(m.starts)
-        real = np.arange(counts.max()) < counts[:, None]
-        self.idx = np.zeros(real.shape[::-1] + (n,), dtype=np.intp)
-        self.idx.swapaxes(0, 1)[real] = m.succ[:, None] * n + grid.moves[grid.row]
-        self.prob = np.zeros(real.shape[::-1] + (1, 1))
-        self.prob.swapaxes(0, 1)[real, 0, 0] = m.prob
+        slots = m.slots()
+        self.idx = (slots.succ.T[:, :, None] * n
+                    + grid.moves[grid.row[slots.edge.T]])
+        self.prob = np.ascontiguousarray(slots.prob.T)[:, :, None, None]
 
     def _step(self, V, rule=None, idx=None):
         """One backward step of the slices V; the greedy rule (the lowest

@@ -13,19 +13,28 @@ too) is a Markov chain on (state, wealth cell), and exact evaluation
 pushes a mass vector through it instead (:class:`_WealthChain`), over the
 rows that hold mass unless the policy is stationary; discounted wealth and
 rewards off any lattice keep the atom path.
-The forward step, the chain and :func:`simulate` read the kernel's edge
-table (``succ``, ``prob``, ``starts``), one per-edge wealth move and the
-policy's cut table; none of them uses the functional DP of ``qmdp.dp``,
-so they check it.
+The forward step and the chain read the kernel's edges through its kept
+slot layout (:meth:`~qmdp.mdp.Mdp.slots`: each pair's edges padded to the
+widest pair with zero-probability slots, the layout the dense sweep of
+``qmdp.dp`` reads too), and :func:`simulate` reads the edge table
+(``succ``, ``prob``, ``starts``); all three read one per-edge wealth move
+and the policy's cut table.  None of them uses the functional DP of
+``qmdp.dp``, so they check it.
+
+What depends on the problem alone is kept on the immutable
+:class:`~qmdp.mdp.Mdp` and reused by every later evaluation on it: the
+slot layout and the chain's last grid fit (:meth:`_WealthChain.fit`).
+Nothing of a policy is ever kept: its cut positions, actions and mass
+entries are worked out on every call.
 """
 
 import itertools
 
 import numpy as np
 
-from .dp import WealthMarkovPolicy
+from .dp import WealthMarkovPolicy, _signed
 from .errors import ConfigurationError, ResourceLimitError, ValidationError
-from .stepfun import _ranks, _threshold_runs
+from .stepfun import _threshold_runs
 from .wealth import BLOCK_FLOATS, WEALTH_TOL, Grid
 
 QUANT_ATOL = 1e-12   # slack when comparing partial sums against tau
@@ -50,6 +59,12 @@ def merge_atoms(states, keys, masses):
     return states[first], keys[first], np.add.reduceat(masses, first)
 
 
+def _nonnegative(probs):
+    if np.any(probs < 0):
+        raise ValueError(f"negative probability {probs.min()!r}")
+    return probs
+
+
 class WealthDistribution:
     """Finite terminal-wealth distribution of a policy.
 
@@ -58,17 +73,27 @@ class WealthDistribution:
     """
 
     def __init__(self, space, keys, probs):
-        probs = np.asarray(probs, dtype=np.float64).ravel()
-        if np.any(probs < 0):
-            raise ValueError(f"negative probability {probs.min()!r}")
-        _, self.keys, self.probs = merge_atoms(
-            np.zeros(len(probs), dtype=np.int64),
-            np.asarray(keys, dtype=np.float64).ravel(), probs)
-        total = float(self.probs.sum())
+        probs = _nonnegative(np.asarray(probs, dtype=np.float64).ravel())
+        _, keys, probs = merge_atoms(np.zeros(len(probs), dtype=np.int64),
+                                     np.asarray(keys, dtype=np.float64).ravel(),
+                                     probs)
+        self._fill(space, keys, probs)
+
+    @classmethod
+    def _of_merged(cls, space, keys, probs):
+        """From atoms that :func:`merge_atoms` keeps as they are: keys
+        increasing, more than ``WEALTH_TOL`` apart, and positive
+        probabilities."""
+        dist = cls.__new__(cls)
+        dist._fill(space, keys, probs)
+        return dist
+
+    def _fill(self, space, keys, probs):
+        total = float(probs.sum())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        self.space = space
-        self._prefix = np.cumsum(self.probs)
+        self.space, self.keys, self.probs = space, keys, probs
+        self._prefix = np.cumsum(probs)
 
     @classmethod
     def from_atoms(cls, space, atoms):
@@ -184,18 +209,21 @@ def _empty_row_error(m, pair, t):
 def _step(m, move, t, states, keys, masses, actions):
     """Advance atoms one timestep under per-atom actions; returns merged atoms.
 
-    Every atom takes each edge of its (state, action) pair; the entries, in
-    (pair, edge, atom) order, carry the edge's successor, the atom's key
-    moved by the edge and the edge's probability times the atom's mass."""
+    Every atom takes each slot of its (state, action) pair
+    (:meth:`~qmdp.mdp.Mdp.slots`); the entries, in (edge, atom) order,
+    carry the edge's successor, the atom's key moved by the edge and the
+    slot's probability times the atom's mass.  A pad's entry (edge 0,
+    probability 0.0) has no mass, and :func:`merge_atoms` drops it."""
+    slots = m.slots()
     pair = states * m.n_actions + actions
-    degree = m.starts[pair + 1] - m.starts[pair]
+    degree = slots.degree[pair]
     if not degree.all():
         raise _empty_row_error(m, pair[degree.argmin()], t)
-    edge = np.repeat(m.starts[pair], degree) + _ranks(degree)
+    edge = slots.edge[pair].ravel()
     order = np.argsort(edge, kind="stable")
-    atom, edge = np.repeat(np.arange(len(pair)), degree)[order], edge[order]
+    atom, edge = order // slots.edge.shape[1], edge[order]
     return merge_atoms(m.succ[edge], move(keys[atom], edge, t),
-                       m.prob[edge] * masses[atom])
+                       slots.prob[pair].ravel()[order] * masses[atom])
 
 
 def _initial_atoms(m, space):
@@ -240,10 +268,15 @@ def exact_distribution(m, space, policy, atom_cap=10_000_000):
     steps (:meth:`~qmdp.wealth.Grid.over_horizon`, the tests finite
     backward induction makes too).  What one step holds must fit
     ``BLOCK_FLOATS``: a stationary policy's operator, a non-stationary
-    one's mass vector.  Then each step
-    is one ``np.bincount`` of the mass vector, with the same keys, the same
-    errors at the same step and probabilities within float rounding of the
-    atom path.  Discounted wealth and rewards off any lattice do not fit.
+    one's mass vector.  Then each step is one gather of the live rows'
+    slots and one ``np.bincount`` of the mass vector, and the terminal law
+    is summed per cell, with the same keys, the same errors at the same
+    step and probabilities within float rounding of the atom path.
+    Discounted wealth and rewards off any lattice do not fit.
+
+    m keeps its slot layout and the chain's last grid fit, so a second
+    evaluation on m, of any policy, starts from them; the result is bit
+    for bit that of a fresh m.  Nothing of the policy is kept.
     """
     _check_policy_fits(m, policy)
     if m.horizon is None:
@@ -277,21 +310,48 @@ class _WealthChain:
     """A policy as a Markov chain on (state, wealth cell).
 
     Row ``s * C + c`` of the mass vector is the mass at state s in cell c
-    of C.  A step sends row ``src[i]`` the share ``prob[i]`` of its mass
-    to row ``dest[i]``, for every edge of the pair of its action
-    (:meth:`actions`), and one ``np.bincount`` adds the entries up: a
-    stationary policy builds them once for every row, a non-stationary
-    one at each step for the live rows, those that hold mass.  The atom
-    path adds them in another order, so probabilities agree within
-    rounding."""
+    of C.  A step sends each row's mass along the slots of the pair of its
+    action (:meth:`actions`): slot k of pair i takes the share
+    ``slots.prob[i, k]`` to row ``succ * C + moves[row, c]`` of its
+    successor and grid move row, and one ``np.bincount`` adds the entries
+    up in (row, slot) order.  A stationary policy builds the entries of
+    every row once; a non-stationary one gathers those of the live rows,
+    the ones that hold mass, at each step.  The atom path adds the same
+    masses in another order, so probabilities agree within rounding.
+
+    What depends on the problem alone is kept on m: the slot layout
+    (:meth:`~qmdp.mdp.Mdp.slots`) and the last fit's grid and slot tables
+    (:meth:`_layout`).  Nothing of the policy is kept: its cut positions,
+    actions and entries are worked out on every call."""
 
     @classmethod
     def fit(cls, m, space, policy):
         """The chain of ``policy`` on m, or None where the atom path runs
-        (see :func:`exact_distribution`)."""
-        # a step holds the operator (every edge of every row) or the masses
-        size = m.n_states * (int(np.diff(m.starts).max(initial=0))
-                             if policy.stationary else 1)
+        (see :func:`exact_distribution`).
+
+        The layout, or None, depends on m and on the key of everything
+        else the fit reads: the space (by identity), its w0 key (a zero
+        with its sign), whether the policy is stationary (which sets the
+        budget) and ``BLOCK_FLOATS``.  m keeps the last fit and its key,
+        and a fit under the same key reuses it; a fit under another key
+        replaces it."""
+        key = (space, _signed(space.key(space.w0)), policy.stationary,
+               BLOCK_FLOATS)
+        kept = m._memo.get("chain")
+        if kept is None or kept[0] != key:
+            kept = m._memo["chain"] = key, cls._layout(m, space,
+                                                       policy.stationary)
+        return None if kept[1] is None else cls(m, policy, kept[1])
+
+    @staticmethod
+    def _layout(m, space, stationary):
+        """:meth:`fit`'s layout, without the memo: the ``grid`` of C cells
+        and, for each slot of m's :meth:`~qmdp.mdp.Mdp.slots`, the first
+        row ``succ * C`` of its successor and the offset ``row * C`` of its
+        grid move row in ``moves``, the grid's moves laid flat."""
+        slots = m.slots()
+        # a step holds the operator (every slot of every row) or the masses
+        size = m.n_states * (slots.edge.shape[1] if stationary else 1)
         if space.kind == "ordinal":
             fits = size * len(space.classes) <= BLOCK_FLOATS
             grid = Grid.of_classes(space, m.rewards) if fits else None
@@ -302,10 +362,15 @@ class _WealthChain:
                                      m.horizon, BLOCK_FLOATS // max(size, 1))
         else:
             return None
-        return None if grid is None else cls(m, policy, grid)
+        if grid is None:
+            return None
+        C = len(grid.keys)
+        return grid, slots.succ * C, grid.row[slots.edge] * C, grid.moves.ravel()
 
-    def __init__(self, m, policy, grid):
-        self.m, self.policy, self.grid = m, policy, grid
+    def __init__(self, m, policy, layout):
+        self.m, self.policy = m, policy
+        self.grid, self.succ, self.move, self.moves = layout
+        grid = self.grid
         S, C = m.n_states, len(grid.keys)
         self.start = m.initial_state * C + grid.w0
         # a cut's grid position is the first cell it covers: an inclusive
@@ -315,39 +380,40 @@ class _WealthChain:
                       np.searchsorted(grid.keys, c.x, "right"))
         self.cuts = c.seg() * (C + 1) + at
         if policy.stationary:
-            rows = np.arange(S * C)
-            self.pair = rows // C * m.n_actions + self.actions(0, rows)
-            degree = m.starts[self.pair + 1] - m.starts[self.pair]
-            self.empty = np.flatnonzero(degree == 0)
-            self.operator = self._entries(rows, self.pair, degree)
+            states, cells = np.divmod(np.arange(S * C), C)
+            self.pair = states * m.n_actions + self.actions(0, states, cells)
+            self.empty = np.flatnonzero(m.slots().degree[self.pair] == 0)
+            self.operator = self._entries(self.pair, cells)
 
-    def actions(self, t, rows):
-        """Each row's action at step t: the last cut at or below
-        ``rule * (C + 1) + cell`` among the cuts' ``rule * (C + 1) +
-        position``, unless it is another rule's, or else the base."""
+    def actions(self, t, states, cells):
+        """The action at step t in each of the rows of ``states`` and
+        ``cells``: the last cut at or below ``rule * (C + 1) + cell``
+        among the cuts' ``rule * (C + 1) + position``, unless it is
+        another rule's, or else the base."""
         c, C = self.policy.table, len(self.grid.keys)
-        states, cells = np.divmod(rows, C)
         rule = states if self.policy.stationary else t * self.m.n_states + states
         if not len(self.cuts):
             return c.base[rule]
         at = np.searchsorted(self.cuts, rule * (C + 1) + cells, "right") - 1
         return np.where(at >= c.off[rule], c.v[at], c.base[rule])
 
-    def _entries(self, rows, pair, degree):
-        """``(src, dest, prob)`` of every edge of the rows' pairs."""
-        m, grid, C = self.m, self.grid, len(self.grid.keys)
-        edge = np.repeat(m.starts[pair], degree) + _ranks(degree)
-        src = np.repeat(rows, degree)
+    def _entries(self, pair, cells):
+        """``(dest, prob)`` of every slot of the pairs taken from the
+        cells, flat in (row, slot) order: the row each slot sends mass to
+        and its share."""
         # a move clips only from a cell of an additive grid that w0 does not
         # reach in T - 1 steps; such a cell first gets mass at step T, which
         # no step moves on, so a clipped entry carries none
-        return (src, m.succ[edge] * C + grid.moves[grid.row[edge], src % C],
-                m.prob[edge])
+        dest = self.succ.take(pair, 0) + self.moves.take(
+            self.move.take(pair, 0) + cells[:, None])
+        return dest.ravel(), self.m.slots().prob.take(pair, 0).ravel()
 
     def distribution(self, space, atom_cap):
         """The terminal-wealth distribution after T steps from (s0, w0),
         with the atom path's errors at the same step."""
         m, C = self.m, len(self.grid.keys)
+        slots = m.slots()
+        K = slots.edge.shape[1]
         mass = np.zeros(m.n_states * C)
         mass[self.start] = 1.0
         for t in range(m.horizon):
@@ -355,20 +421,37 @@ class _WealthChain:
                 if len(self.empty) and mass[self.empty].any():
                     row = self.empty[np.flatnonzero(mass[self.empty])[0]]
                     raise _empty_row_error(m, self.pair[row], t)
-                src, dest, prob = self.operator
+                dest, prob = self.operator
+                weight = prob * mass.repeat(K)
             else:
                 live = np.flatnonzero(mass)
-                pair = live // C * m.n_actions + self.actions(t, live)
-                degree = m.starts[pair + 1] - m.starts[pair]
+                states, cells = np.divmod(live, C)
+                pair = states * m.n_actions + self.actions(t, states, cells)
+                degree = slots.degree.take(pair)
                 if not degree.all():
                     raise _empty_row_error(m, pair[degree.argmin()], t)
-                src, dest, prob = self._entries(live, pair, degree)
-            mass = np.bincount(dest, weights=prob * mass[src], minlength=len(mass))
+                dest, prob = self._entries(pair, cells)
+                weight = prob * mass.take(live).repeat(K)
+            mass = np.bincount(dest, weight, len(mass))
             count = np.count_nonzero(mass)
             if count > atom_cap:
                 raise _atom_cap_error(count, t, atom_cap)
-        rows = np.flatnonzero(mass)
-        return WealthDistribution(space, self.grid.keys[rows % C], mass[rows])
+        return self._law(space, mass)
+
+    def _law(self, space, mass):
+        """The distribution of the mass vector's cells: per cell, one
+        ``np.add.reduceat`` of its nonzero masses in state order, read
+        from the cell-major transpose.  That is what :func:`merge_atoms`
+        adds, in its order, since cells lie more than ``WEALTH_TOL``
+        apart; so no merge runs."""
+        S = self.m.n_states
+        by_cell = mass.reshape(S, -1).T.ravel()
+        hit = np.flatnonzero(by_cell)
+        cell = hit // S
+        first = np.flatnonzero(np.diff(cell, prepend=-1))
+        return WealthDistribution._of_merged(
+            space, self.grid.keys[cell[first]],
+            np.add.reduceat(_nonnegative(by_cell[hit]), first))
 
 
 def _pick_edges(m, pair, u):

@@ -23,10 +23,10 @@ Generators:
   :func:`math.lgamma`, so it does not underflow at large rates.
 """
 
-import copy
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,6 +88,45 @@ def _horizon(horizon):
     return horizon
 
 
+class EdgeSlots(NamedTuple):
+    """The edge table laid out one row per pair, padded to the widest.
+
+    Row i of the (pairs, K) tables ``succ``, ``prob`` and ``edge`` holds
+    the successor, probability and index of each edge of pair i, in edge
+    order, then successor 0, edge 0 and probability 0.0 in the slots past
+    its ``degree[i]`` edges, up to K, the widest pair's degree.  A pad
+    weighs exactly 0.0, so a sum over a pair's slots adds its edges'
+    terms in edge order and then zeros, which change no sum of
+    nonnegative terms.
+    """
+
+    succ: np.ndarray
+    prob: np.ndarray
+    edge: np.ndarray
+    degree: np.ndarray
+
+    @classmethod
+    def of(cls, m):
+        degree = np.diff(m.starts)
+        real = np.arange(degree.max(initial=0)) < degree[:, None]
+        edge = np.zeros(real.shape, dtype=np.intp)
+        edge[real] = np.arange(len(m.succ))
+        succ = np.zeros(real.shape, dtype=np.int64)
+        succ[real] = m.succ
+        prob = np.zeros(real.shape)
+        prob[real] = m.prob
+        slots = cls(succ, prob, edge, degree)
+        for table in slots:
+            table.flags.writeable = False
+        return slots
+
+
+# Every instance attribute of an Mdp, in the order __init__ sets them
+_FIELDS = ("n_states", "n_actions", "initial_state", "horizon", "succ", "prob",
+           "starts", "pair", "reward_kind", "reward_table", "numeric_rewards",
+           "rewards", "_memo")
+
+
 class Mdp:
     """Finite state/action MDP whose kernel is one flat edge table.
 
@@ -103,9 +142,13 @@ class Mdp:
     setting or deleting an attribute raises ``AttributeError``.  So the
     set-up that depends on the problem alone, never on a query, is worked
     out on first use and kept on the object (:meth:`_kept`): the
-    :func:`validate` result, the reach mask of a finite horizon and the
-    dense sweep of the last fit (``qmdp.dp``).  :meth:`with_horizon` gives
-    its copy an empty memo of its own.
+    :func:`validate` result, the padded edge layout (:meth:`slots`) that
+    the dense sweep and exact evaluation both read, the reach mask of a
+    finite horizon, the dense sweep of the last fit (``qmdp.dp``) and the
+    wealth grid of the last evaluation fit (``qmdp.evaluate``).  Nothing
+    of a query is kept: no target's values, no policy and nothing read
+    from one.  :meth:`with_horizon` gives its copy an empty memo of its
+    own.
 
     Parameters
     ----------
@@ -313,11 +356,22 @@ class Mdp:
             memo[name] = build()
         return memo[name]
 
+    def slots(self):
+        """The :class:`EdgeSlots` of the edge table, read-only; built on
+        the first call and kept."""
+        return self._kept("slots", lambda: EdgeSlots.of(self))
+
     def with_horizon(self, horizon):
         """Copy sharing the edge table, with a different horizon and an
-        empty memo: nothing kept for this horizon holds for another."""
-        clone = copy.copy(self)
-        # the copy is frozen already: write past __setattr__
+        empty memo: nothing kept for this horizon holds for another.
+
+        The fields are set one by one, in the order of ``__init__``, past
+        ``__setattr__``: a copy that read the source's ``__dict__``
+        (``copy.copy``) would leave attribute reads on both about three
+        times slower from then on."""
+        clone = object.__new__(type(self))
+        for name in _FIELDS:
+            object.__setattr__(clone, name, getattr(self, name))
         object.__setattr__(clone, "horizon", _horizon(horizon))
         object.__setattr__(clone, "_memo", {})
         return clone

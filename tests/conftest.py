@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -104,3 +107,12 @@ def paper_space(paper_mdp):
 @pytest.fixture
 def prec_instance():
     return two_policy_ordinal_instance()
+
+
+def benchmark_workloads():
+    """The benchmark's workloads (``perfbench/workloads.py``) by name."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS

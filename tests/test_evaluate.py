@@ -107,11 +107,12 @@ def relabelled_garnet(seed, reward_kind, ordinal):
     return m, DiscountedWealth.for_mdp(m, 0.9)
 
 
-def random_wealth_policy(m, space, rng):
-    """Decision rules with random cuts, some exactly on reachable keys."""
+def random_wealth_policy(m, space, rng, stationary=False):
+    """Decision rules with random cuts, some exactly on reachable keys: one
+    per (t, s), or one per state when ``stationary``."""
     lo, hi = (0, 4) if space.kind == "ordinal" else (-2, 2)
     rules = []
-    for _ in range(m.horizon):
+    for _ in range(1 if stationary else m.horizon):
         row = []
         for _ in range(m.n_states):
             n = int(rng.integers(0, 4))
@@ -121,7 +122,37 @@ def random_wealth_policy(m, space, rng):
                                     rng.integers(0, m.n_actions, n)))
         rules.append(row)
     return WealthMarkovPolicy(pack([f for row in rules for f in row], np.int64),
-                              m.n_states)
+                              m.n_states, stationary)
+
+
+def reshaped(m, seed, ragged_rows, quarters):
+    """m with "sas" rewards, rebuilt.  ``ragged_rows`` cuts each pair to
+    its first 1 to 3 edges, renormalized, and gives about a third of the
+    pairs left with two or more a zero-probability first edge: rows of
+    every degree up to the widest, padded in the slot layout, and edges
+    that carry no mass.  ``quarters`` rounds numeric rewards to multiples
+    of 0.25, a lattice that additive wealth evaluates as a chain."""
+    rng = np.random.default_rng(seed)
+    transitions, values = [], []
+    for s in range(m.n_states):
+        rows, labels = [], []
+        for a in range(m.n_actions):
+            succ, prob = m.successors(s, a), m.probabilities(s, a)
+            rewards = m.edge_rewards(s, a)
+            if ragged_rows:
+                n = int(rng.integers(1, len(succ) + 1))
+                succ, prob, rewards = succ[:n], prob[:n] / prob[:n].sum(), rewards[:n]
+                if n > 1 and rng.random() < 1 / 3:
+                    prob[1] += prob[0]
+                    prob[0] = 0.0
+            if quarters:
+                rewards = [round(4 * r) / 4 for r in rewards]
+            rows.append((succ, prob))
+            labels.append(rewards)
+        transitions.append(rows)
+        values.append(labels)
+    return Mdp(m.n_states, m.n_actions, transitions,
+               {"kind": "sas", "values": values}, m.initial_state, m.horizon)
 
 
 def enumerated_distribution(m, space, policy):
@@ -178,14 +209,67 @@ def exact_by_pairs(m, space, policy):
     return WealthDistribution(space, keys, masses)
 
 
-@pytest.mark.parametrize("reward_kind, ordinal", [
-    ("sa", False), ("sas", False), ("sas", True), ("sa", True)],
-    ids=["sa-additive", "sas-discounted", "sas-ordinal", "sa-ordinal"])
-def test_exact_distribution_matches_pair_loop_bit_for_bit(reward_kind, ordinal):
-    # the forward step adds the same masses in the same order
-    m, space = relabelled_garnet(6, reward_kind, ordinal)
-    policy = random_wealth_policy(m, space, np.random.default_rng(6))
-    d, ref = exact_distribution(m, space, policy), exact_by_pairs(m, space, policy)
+def chain_by_rows(m, space, policy, grid):
+    """Reference chain on ``grid``: each step visits the (state, cell) rows
+    that hold mass in row order, and each edge of a row's pair in edge
+    order, adding its share to the destination row's mass in turn; the
+    terminal rows become atoms, merged as the atom path merges them."""
+    C = len(grid.keys)
+    mass = np.zeros(m.n_states * C)
+    mass[m.initial_state * C + grid.w0] = 1.0
+    for t in range(m.horizon):
+        nxt = np.zeros_like(mass)
+        for row in np.flatnonzero(mass).tolist():
+            s, c = divmod(row, C)
+            a = policy.action(t, s, grid.keys[c])
+            for sp, q, r in zip(m.successors(s, a), m.probabilities(s, a),
+                                m.edge_rewards(s, a)):
+                k = space.key(space.accumulate(space.unkey(grid.keys[c]), r, t))
+                cell = int(np.searchsorted(grid.keys, k))
+                assert grid.keys[cell] == k
+                nxt[sp * C + cell] += q * mass[row]
+        mass = nxt
+    rows = np.flatnonzero(mass)
+    return WealthDistribution(space, grid.keys[rows % C], mass[rows])
+
+
+PAIR_LOOP_CASES = [(reward_kind, kind, stationary, ragged_rows)
+                   for reward_kind, kind in [
+                       ("sa", "additive"), ("sas", "discounted"),
+                       ("sas", "lattice"), ("sas", "ordinal"), ("sa", "ordinal")]
+                   for stationary in (False, True)
+                   for ragged_rows in (False, True)]
+
+
+@pytest.mark.parametrize(
+    "reward_kind, kind, stationary, ragged_rows", PAIR_LOOP_CASES,
+    ids=["-".join([f"{r}-{k}"] + ["stationary"] * s + ["ragged"] * g)
+         for r, k, s, g in PAIR_LOOP_CASES])
+def test_exact_distribution_matches_pair_loop_bit_for_bit(
+        reward_kind, kind, stationary, ragged_rows):
+    # each path adds the same masses in the same order as its reference,
+    # whatever each pair's degree, and the pads of the slot layout and the
+    # zero-probability edges add none: the atom path as the loop over
+    # pairs, the chain as the loop over its rows
+    from qmdp.evaluate import _atom_distribution, _WealthChain
+    m, space = relabelled_garnet(6, reward_kind, kind == "ordinal")
+    if ragged_rows or kind == "lattice":
+        m = reshaped(m, 6, ragged_rows, kind == "lattice")
+    if kind == "lattice":
+        space = AdditiveWealth.for_mdp(m)
+    if ragged_rows:
+        assert len(set(np.diff(m.starts).tolist())) == 3 and (m.prob == 0).any()
+    policy = random_wealth_policy(m, space, np.random.default_rng(6),
+                                  stationary)
+    ref = exact_by_pairs(m, space, policy)
+    atoms = _atom_distribution(m, space, policy, 10_000_000)
+    assert atoms.keys.tobytes() == ref.keys.tobytes()
+    assert atoms.probs.tobytes() == ref.probs.tobytes()
+    chain = _WealthChain.fit(m, space, policy)
+    assert (chain is None) == (kind in ("additive", "discounted"))
+    if chain is not None:
+        ref = chain_by_rows(m, space, policy, chain.grid)
+    d = exact_distribution(m, space, policy)
     assert d.keys.tobytes() == ref.keys.tobytes()
     assert d.probs.tobytes() == ref.probs.tobytes()
 
@@ -722,7 +806,8 @@ def test_cell_actions_equal_per_rule_lookup(kind, ordinal):
     rows = np.arange(m.n_states * C)
     for t in range(m.horizon):
         want = actions_per_state(policy, t, rows // C, keys[rows % C])
-        assert chain.actions(t, rows).tolist() == want.tolist()
+        got = chain.actions(t, *np.divmod(rows, C))
+        assert got.tolist() == want.tolist()
 
 
 def outcome(evaluate):
@@ -902,6 +987,142 @@ def test_these_inputs_keep_the_atom_path(monkeypatch, case):
                         lambda *a: calls.append(1) or atoms(*a))
     exact_distribution(m, space, policy)
     assert calls == [1]
+
+
+# -- what a problem keeps across evaluations ----------------------------------
+
+import hashlib  # noqa: E402
+
+from qmdp import load_policy, load_problem, save_policy, save_problem  # noqa: E402
+from conftest import benchmark_workloads  # noqa: E402
+
+
+def digest(dist):
+    """sha256 of a distribution's keys and probabilities, bit for bit."""
+    return hashlib.sha256(dist.keys.tobytes() + dist.probs.tobytes()).hexdigest()
+
+
+# digests of the exact distribution of each benchmark query's policy, as
+# the chain and the atom path gave them before they stepped through the
+# kept slot layout; keyed (workload, query)
+BENCHMARK_DIGESTS = {
+    ("garnet", "0.1/lower/0.001"):
+        "e7245c706ff1e370cb09762b86f7eef1fa325edb36d4227c64d48cee2cb1130f",
+    ("garnet", "0.5/upper/0.001"):
+        "aa0df0cc8f3139ce0d8bd8d77fb33c6dac996b0a82f18de286343868e6b2a2ef",
+    ("datacenter", "0.1/lower/0.001"):
+        "ce7f670251170833cbf42da972362199dea4ac155dd44c0b6d770ca952a923a2",
+    ("datacenter", "0.9/upper/0.001"):
+        "c933c739e6845dd0205508402717f4d9684b32ce0f1b4577b6b88987885a2bd0",
+    ("ordinal", "0.25/lower/0.001"):
+        "d991886f5bfbbd6ef16113483ea3a1870120aab86791e763141c4318ab79e6f7",
+    ("ordinal", "0.75/upper/0.001"):
+        "7a92693321db9088fafbf8be886544a0455c0e4044db2fd86ebbe0552fb6ebda",
+    ("lattice-inf", "0.25/upper/0.001"):
+        "014fc3de89b49271b77ecf1028c6f35669cc9b1cd3f5508741419794abd3b69e",
+    ("lattice-inf", "0.5/lower/0.001"):
+        "014fc3de89b49271b77ecf1028c6f35669cc9b1cd3f5508741419794abd3b69e",
+}
+
+
+def test_the_benchmark_policies_evaluate_on_a_kept_problem_as_on_fresh_loads(
+        tmp_path):
+    # each query's policy file, evaluated twice on one loaded problem (a
+    # stationary one on one 20-step copy of it), gives the distribution of
+    # a fresh load bit for bit
+    def loaded(path, horizon):
+        m, space = load_problem(path)
+        return (m if m.horizon is not None else m.with_horizon(horizon)), space
+
+    chains = {}
+    for name, workload in benchmark_workloads().items():
+        problem, policy_file = tmp_path / f"{name}.json", tmp_path / "policy.json"
+        save_problem(problem, *workload.build(1))
+        m, space = load_problem(problem)
+        kept, _ = loaded(problem, workload.eval_horizon)
+        for q in workload.queries:
+            save_policy(policy_file, solve_quantile(m, space, q.to_query()).policy,
+                        space)
+            policy = load_policy(policy_file, space, m.n_states)
+            want = digest(exact_distribution(
+                *loaded(problem, workload.eval_horizon), policy))
+            assert want == BENCHMARK_DIGESTS[name, q.key]
+            for _ in range(2):
+                assert digest(exact_distribution(kept, space, policy)) == want
+        chains[name] = kept._memo["chain"][1] is not None
+        assert "chain" not in m._memo or m is kept
+    assert chains == {"garnet": False, "datacenter": True, "ordinal": True,
+                      "lattice-inf": True}
+
+
+def test_a_kept_chain_fit_is_keyed_on_every_input_it_reads(monkeypatch):
+    # one problem asked in turn for fits that differ in one input each
+    # (the space, its w0 and the sign of a zero w0, the policy's kind, the
+    # budget) gets from each the grid that a fit on a fresh copy gives,
+    # and reuses the kept layout for a repeated ask
+    from qmdp import evaluate
+    m = random_lattice_mdp(0, horizon=6)
+    space, other, shifted, signed = (AdditiveWealth(-10.0, 0.0)
+                                     for _ in range(4))
+    shifted.w0, signed.w0 = -0.5, -0.0
+    per_step = WealthMarkovPolicy.from_markov([[0] * m.n_states] * 6)
+    stationary = WealthMarkovPolicy.from_markov([0] * m.n_states, True)
+    asks = [(space, per_step), (space, stationary), (other, per_step),
+            (shifted, per_step), (signed, per_step)]
+
+    def grid(m, space, policy):
+        chain = evaluate._WealthChain.fit(m, space, policy)
+        return None if chain is None else (chain.grid.keys.tolist(),
+                                           int(chain.grid.w0))
+
+    want = [grid(m.with_horizon(m.horizon), *ask) for ask in asks]
+    assert want[3] != want[0] and None not in want
+    for ask, grid_ in zip(asks * 2, want * 2):
+        assert grid(m, *ask) == grid_
+        kept = m._memo["chain"]
+        assert grid(m, *ask) == grid_ and m._memo["chain"][1] is kept[1]
+    # the 5 x 2 x 19 operator of a stationary policy no longer fits, the
+    # 5 x 19 mass vector of a per-step one still does
+    monkeypatch.setattr(evaluate, "BLOCK_FLOATS", 189)
+    assert grid(m, space, stationary) is None
+    assert grid(m, space, per_step) == want[0]
+    monkeypatch.undo()
+    assert grid(m, space, stationary) == want[1]
+    clone = m.with_horizon(m.horizon)
+    assert clone._memo == {}
+    assert grid(clone, space, stationary) == want[1]
+    assert clone._memo["chain"][1] is not m._memo["chain"][1]
+    assert clone._memo["slots"] is not m._memo["slots"]
+
+
+@pytest.mark.parametrize("stationary", [False, True],
+                         ids=["per step", "stationary"])
+def test_an_empty_row_and_the_atom_cap_raise_at_the_same_step(stationary):
+    # s0 -> s1 -> s2 or back to s0, and action 1 of s2 has no edges: the
+    # chain and the atom path name that row at the step it is first taken,
+    # t = 2, and an atom cap at the step the count first passes it
+    from qmdp.evaluate import _atom_distribution, _WealthChain
+    m = Mdp(3, 2, [[[(1, 1.0)], [(1, 1.0)]], [[(0, 0.5), (2, 0.5)], [(2, 1.0)]],
+                   [[(2, 1.0)], []]],
+            {"kind": "sas", "values": [[[-1.0], [-1.0]], [[0.0, -1.0], [-1.0]],
+                                       [[-0.5], []]]}, 0, 6)
+    space = AdditiveWealth.for_mdp(m)
+    rules = [0, 0, 1]
+    policy = WealthMarkovPolicy.from_markov(
+        rules if stationary else [rules] * m.horizon, stationary)
+    chain = _WealthChain.fit(m, space, policy)
+    assert chain is not None
+    for evaluate_ in (lambda cap: chain.distribution(space, cap),
+                      lambda cap: _atom_distribution(m, space, policy, cap),
+                      lambda cap: exact_distribution(m, space, policy, cap)):
+        with pytest.raises(ValidationError,
+                           match=r"^\(s=2, a=1\): empty transition row, "
+                                 r"taken at t=2$"):
+            evaluate_(10)
+        # two atoms (s0 at -1, s2 at -2) after step 2
+        with pytest.raises(ResourceLimitError,
+                           match=r"^2 reachable atoms at step 2 exceed the cap 1;"):
+            evaluate_(1)
 
 
 # -- a policy that does not fit its problem -----------------------------------

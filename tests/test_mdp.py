@@ -495,6 +495,48 @@ def test_a_horizon_copy_starts_with_an_empty_memo():
     assert clone._memo is not m._memo
 
 
+@pytest.mark.parametrize("m", [
+    generate_garnet(GarnetConfig(6, 3, 2, seed=1)),
+    generate_datacenter(DataCenterConfig(2), horizon=None),
+    labelled_mdp("sas"),
+], ids=["garnet", "datacenter-inf", "sas-labels"])
+def test_a_horizon_copy_is_built_field_by_field(m):
+    # every field of the source, the read-only edge arrays shared, the new
+    # horizon, an empty memo of its own, frozen, and the source unchanged
+    validate(m)
+    before = dict(vars(m))
+    clone = m.with_horizon(3)
+    fields = vars(clone)
+    assert list(fields) == list(before)
+    for name, value in before.items():
+        if name == "horizon":
+            assert fields[name] == 3
+        elif name == "_memo":
+            assert fields[name] == {} and fields[name] is not value
+        else:
+            assert fields[name] is value, name
+    for name in ("succ", "prob", "rewards", "starts", "pair"):
+        assert not getattr(clone, name).flags.writeable
+    with pytest.raises(AttributeError, match="immutable"):
+        clone.n_states = 1
+    assert type(clone) is type(m) and vars(m) == before
+    assert "violations" in m._memo and "violations" not in clone._memo
+
+
+def test_the_slot_layout_pads_each_pair_to_the_widest():
+    m = Mdp(2, 2, [[[(1, 0.25), (0, 0.75)], [(1, 1.0)]],
+                   [[(0, 0.5), (1, 0.0), (0, 0.5)], []]],
+            {"kind": "sa", "values": [[1.0, 2.0], [3.0, 4.0]]}, 0, 2)
+    slots = m.slots()
+    assert slots.succ.tolist() == [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 0]]
+    assert slots.prob.tolist() == [[0.25, 0.75, 0.0], [1.0, 0.0, 0.0],
+                                   [0.5, 0.0, 0.5], [0.0, 0.0, 0.0]]
+    assert slots.edge.tolist() == [[0, 1, 0], [2, 0, 0], [3, 4, 5], [0, 0, 0]]
+    assert slots.degree.tolist() == [2, 1, 3, 0]
+    assert all(not table.flags.writeable for table in slots)
+    assert m.slots() is slots and m._memo["slots"] is slots
+
+
 def test_an_invalid_mdp_reports_on_every_call():
     m = Mdp(2, 1, [[[(0, 0.5), (1, 0.6)]], [[(1, 1.0)]]],
             {"kind": "sa", "values": [[0.0], [0.0]]}, 0, 2)

@@ -887,11 +887,10 @@ def test_zero_convergence_tolerance_is_valid_at_every_horizon():
 # -- a problem keeps its set-up across queries ---------------------------------
 
 import hashlib  # noqa: E402
-import importlib.util  # noqa: E402
-from pathlib import Path  # noqa: E402
 
 from qmdp import ValidationError, dp, load_problem, save_problem  # noqa: E402
 from qmdp.serialize import save_policy  # noqa: E402
+from conftest import benchmark_workloads  # noqa: E402
 
 TAUS_BY_CRITERION = [(tau, criterion) for tau in (0.1, 0.5, 0.9)
                      for criterion in ("lower", "upper")]
@@ -923,14 +922,6 @@ def assert_answers_as_fresh_loads(m, space, queries, tmp_path, rounds=2):
             assert (answer(m, space, query, tmp_path / "kept.json")
                     == answer(*load_problem(problem), query,
                               tmp_path / "fresh.json")), query
-
-
-def benchmark_workloads():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
 
 
 def test_the_benchmark_queries_answer_on_a_kept_problem_as_on_fresh_loads(

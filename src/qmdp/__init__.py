@@ -12,8 +12,7 @@ tau-quantile criterion.
 
 __version__ = "0.1.0"
 
-from .dp import (ValueFunction, WealthMarkovPolicy, backward_induction,
-                 value_iteration)
+from .dp import ValueFunction, backward_induction, value_iteration
 from .errors import (ConfigurationError, ConvergenceError, QmdpError,
                      ResourceLimitError, ValidationError)
 from .evaluate import (WealthDistribution, brute_force_distributions,
@@ -26,8 +25,8 @@ from .serialize import (load_policy, load_problem, policy_from_payload,
                         save_policy, save_problem)
 from .solver import (IterationRecord, QuantileQuery, SolveReport,
                      quantile_certificate, solve_quantile)
-from .stepfun import (StepFunction, combine, pointwise_max, shift,
-                      sup_distance, target_utility)
+from .stepfun import (StepFunction, WealthMarkovPolicy, combine,
+                      pointwise_max, shift, sup_distance, target_utility)
 from .wealth import (AdditiveWealth, DiscountedWealth, OrdinalWealth,
                      WealthSpace, WEALTH_TOL)
 

@@ -9,22 +9,18 @@ envelope (pointwise_max); the envelope's argmax, an integer-valued step
 function of wealth, is exactly the greedy wealth-Markovian decision rule.
 
 One layer kernel (:func:`_layer`) makes that update for every state at
-once, on flat arrays rather than per (state, action) pair.  A layer's
-slices are laid end to end in one cut table (:class:`_Cuts`).  Every edge
-of the kernel's edge table gathers its successor's cuts, shifted by its
-wealth move; one sort per state by (threshold, side) merges the cut
-partitions of all actions, and one cumulative sum per action along the
-sorted cuts gives every action's value on every merged piece.  The max and
-argmax over actions are the slice and the rule, and segmented versions of
-the canonical merges of :mod:`qmdp.stepfun` put them in canonical form,
-so the result equals the per-slice composition of
-:func:`~qmdp.stepfun.shift`, :func:`~qmdp.stepfun.combine` and
-:func:`~qmdp.stepfun.pointwise_max` (identical cuts, values within float
-rounding).  The tables are what the sweeps hand out: a policy is one
-integer cut table of every (t, s) rule (:class:`WealthMarkovPolicy`) and
-a value function one float table per layer (:class:`ValueFunction`).  A
-single rule or slice is a :class:`~qmdp.stepfun.StepFunction` view of
-its segment, made on demand.
+once, on flat arrays rather than per (state, action) pair, in the cut-table
+format of :mod:`qmdp.stepfun`.  Every edge of the kernel's edge table
+gathers its successor's cuts, shifted by its wealth move; one sort per
+state by (threshold, side) merges the cut partitions of all actions, and
+one cumulative sum per action along the sorted cuts gives every action's
+value on every merged piece.  The max and argmax over actions, after the
+format's segmented merges, are the slice and the rule: the per-slice
+composition of :func:`~qmdp.stepfun.shift`, :func:`~qmdp.stepfun.combine`
+and :func:`~qmdp.stepfun.pointwise_max` (identical cuts, values within
+float rounding).  A run hands out a policy
+(:class:`~qmdp.stepfun.WealthMarkovPolicy`) and one value table per layer
+(:class:`ValueFunction`).
 
 Each layer is computed on a sorted set of states; a state reads only
 its own edges, so its slice and rule do not depend on the set.  One
@@ -36,8 +32,8 @@ from the initial state in exactly t steps (one frontier step gathers
 ``succ`` over the ``starts`` spans of the frontier's pairs): they read
 only reachable successors, and the initial-state slice and their rules
 are all a quantile solve reads.  The other (t, s) are not computed.
-:func:`translate` moves a table of rules or slices to another target, as
-the solver does with its policy.
+:func:`~qmdp.stepfun.translate` moves a table of rules or slices to another
+target, as the solver does with its policy.
 
 Infinite horizons with uniformly signed rewards and undiscounted additive
 wealth iterate the same kernel to convergence (:func:`value_iteration`)
@@ -91,18 +87,18 @@ every run steps and tables afresh.
 import functools
 import math
 import numbers
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
-# shift, combine, pointwise_max, restrict and sup_distance are the per-slice
-# form of the layer kernel; they stay bound here for the callers (and the
-# benchmark's tracer) that reach them through this module
-from .stepfun import (VALUE_TOL, StepFunction, _merge_values, _ranks,
-                      _threshold_runs, combine, pointwise_max, restrict, shift,
-                      sup_distance)
-from .wealth import BLOCK_FLOATS, AdditiveWealth, Grid, OrdinalWealth
+from .stepfun import (VALUE_TOL, WealthMarkovPolicy, _join, _on_classes,
+                      _ranks, _restrict, _segment, _segments, _target,
+                      _threshold_runs, _tol_merged, _unpack, _value_merged)
+# bound here for the callers that reach them through this module: the
+# benchmark's tracer (the per-slice algebra) and the tests (_Cuts, translate)
+from .stepfun import (_Cuts, combine, pointwise_max, restrict, shift,
+                      sup_distance, translate)
+from .wealth import BLOCK_FLOATS, AdditiveWealth, Grid, OrdinalWealth, _signed
 
 # What one entry of the layer kernel holds besides its value for every
 # action: keys, indices, sort order and sorted copies.
@@ -122,10 +118,10 @@ DENSE_FLOATS = 1 << 15
 class ValueFunction:
     """Per-timestep, per-state wealth slices, one table per layer.
 
-    ``tables[t]`` (a :class:`_Cuts` table, float values) holds the slice
-    of every state at timestep t, for t in 0..T; layer T is the terminal
-    target utility.  A value-iteration result holds one stationary layer,
-    ``tables[0]``, and the number of sweeps that produced it.
+    ``tables[t]`` (a :class:`~qmdp.stepfun._Cuts` table, float values)
+    holds the slice of every state at timestep t, for t in 0..T; layer T
+    is the terminal target utility.  A value-iteration result holds one
+    stationary layer, ``tables[0]``, and the number of sweeps that made it.
 
     A dense sweep hands over its first L layers untabled: ``rows`` is an
     (L, S, n) array of their value rows over the cells of its grid,
@@ -164,164 +160,6 @@ class ValueFunction:
                     self._table(self._rows[t, s:s + 1]), 0)
             return f
         return _segment(self.tables[t], s)
-
-
-class WealthMarkovPolicy:
-    """Deterministic policy whose decision rules map (state, wealth) to actions.
-
-    The rules are integer-valued step functions over wealth keys, laid end
-    to end in one cut table (:class:`_Cuts`, int64 values): the rule of
-    (t, s) is segment ``t * n_states + s`` of ``table``.  A stationary
-    policy holds one segment per state and ignores t.  :meth:`rule` hands
-    out one rule as a :class:`StepFunction` view of its segment.
-    """
-
-    def __init__(self, table, n_states, stationary=False):
-        self.table = table
-        self.n_states = n_states
-        self.stationary = stationary
-
-    @classmethod
-    def from_markov(cls, actions, stationary=False):
-        """Wrap a plain (wealth-independent) Markov policy.
-
-        ``actions`` is a per-timestep list of per-state action indices, or
-        a single per-state list when stationary.
-        """
-        actions = np.asarray(actions, dtype=np.int64)
-        base = actions.ravel()
-        return cls(_Cuts(base, np.zeros(len(base) + 1, dtype=np.intp),
-                         np.empty(0), np.empty(0, dtype=np.uint8),
-                         np.empty(0, dtype=np.int64)),
-                   actions.shape[-1], stationary)
-
-    @classmethod
-    def from_cuts(cls, base, seg, x, inclusive, actions, n_states,
-                  stationary=False):
-        """The policy whose rule i is ``base[i]`` below the cuts ``seg == i``.
-
-        The cuts (thresholds ``x``, ``inclusive`` flags, ``actions``) come
-        in any order; :func:`_canonical` gives every rule the encoding the
-        :class:`StepFunction` constructor would.
-        """
-        e = np.where(inclusive, 0, 1).astype(np.uint8)
-        return cls(_canonical(base, seg, x, e, actions, 0), n_states,
-                   stationary)
-
-    @property
-    def steps(self):
-        """The number of timesteps the rules cover (1 when stationary)."""
-        return len(self.table.base) // self.n_states
-
-    def rule(self, t, s):
-        return _segment(self.table,
-                        s if self.stationary else t * self.n_states + s)
-
-    def action(self, t, s, w_key):
-        return self.rule(t, s)(w_key)
-
-    def __repr__(self):
-        if self.stationary:
-            return f"WealthMarkovPolicy(stationary, {self.n_states} states)"
-        return (f"WealthMarkovPolicy({self.steps} steps x "
-                f"{self.n_states} states)")
-
-
-class _Cuts(NamedTuple):
-    """One step function per state, laid end to end.
-
-    Slice s is ``base[s]`` below its cuts ``off[s]:off[s + 1]`` of ``x``
-    (thresholds), ``e`` (sides: 0 inclusive, 1 exclusive) and ``v``
-    (values), in the canonical form of :class:`StepFunction`.
-    """
-    base: np.ndarray
-    off: np.ndarray
-    x: np.ndarray
-    e: np.ndarray
-    v: np.ndarray
-
-    def seg(self):
-        """The state of every cut."""
-        return np.repeat(np.arange(len(self.base)), np.diff(self.off))
-
-    def steps(self):
-        """The value change at every cut."""
-        prev = np.empty_like(self.v)
-        prev[1:] = self.v[:-1]
-        opened = self.off[:-1] < self.off[1:]
-        prev[self.off[:-1][opened]] = self.base[opened]
-        return self.v - prev
-
-
-def _offsets(seg, n):
-    """Offsets of n segments from the segment id of every element."""
-    off = np.zeros(n + 1, dtype=np.intp)
-    np.bincount(seg, minlength=n).cumsum(out=off[1:])
-    return off
-
-
-def _target(target, strict, n):
-    """The table of n copies of :func:`~qmdp.stepfun.target_utility`."""
-    return _Cuts(np.zeros(n), np.arange(n + 1, dtype=np.intp),
-                 np.full(n, target, dtype=np.float64),
-                 np.full(n, strict, dtype=np.uint8), np.ones(n))
-
-
-def _signed(x):
-    """``x`` as part of a dict key that tells -0.0 from 0.0."""
-    return x, math.copysign(1.0, x)
-
-
-def _segment(c, i):
-    """Step function i of the table c, sharing its arrays."""
-    j, k = c.off[i], c.off[i + 1]
-    return StepFunction._trusted(c.base[i].item(), c.x[j:k], c.e[j:k],
-                                 c.v[j:k])
-
-
-def _unpack(c):
-    """The step functions of the table c; they share its arrays."""
-    cuts = c.off.tolist()
-    return [StepFunction._trusted(b, c.x[i:j], c.e[i:j], c.v[i:j])
-            for b, i, j in zip(c.base.tolist(), cuts, cuts[1:])]
-
-
-def _join(tables):
-    """One table from consecutive tables."""
-    if len(tables) == 1:
-        return tables[0]
-    base, x, e, v = (np.concatenate(f) for f in zip(
-        *((c.base, c.x, c.e, c.v) for c in tables)))
-    off = np.zeros(len(base) + 1, dtype=np.intp)
-    np.concatenate([c.off[1:] - c.off[:-1] for c in tables]).cumsum(
-        out=off[1:])
-    return _Cuts(base, off, x, e, v)
-
-
-def _on_classes(rows, keys=None, strict=False):
-    """The table of the rows of ``rows``: row i takes ``rows[i, k]`` at
-    the key ``keys[k]`` (the class key k by default).
-
-    A value change between columns k - 1 and k is an inclusive cut at
-    ``keys[k]``, so that column k holds the value on
-    ``[keys[k], keys[k + 1])``; with ``strict`` it is an exclusive cut at
-    ``keys[k - 1]``, and column k holds the value on
-    ``(keys[k - 1], keys[k]]``.  Integer rows are canonical as built, and
-    with the default keys each row's function is then
-    :meth:`StepFunction.on_classes` of it.  Ordinal
-    :func:`backward_induction` tables its dense class sweep's rows so.
-    """
-    seg, k = np.nonzero(rows[:, 1:] != rows[:, :-1])
-    at = k if strict else k + 1
-    return _Cuts(rows[:, 0], _offsets(seg, len(rows)),
-                 at.astype(np.float64) if keys is None else keys[at],
-                 np.full(len(k), strict, dtype=np.uint8), rows[seg, k + 1])
-
-
-def _tol_merged(c):
-    """The float table c in canonical form: every cut whose value change
-    is within ``VALUE_TOL`` merged into the piece before it."""
-    return _value_merged(c.base, c.x, c.e, c.v, c.seg(), VALUE_TOL)
 
 
 def _edges(m, states):
@@ -422,25 +260,6 @@ def _layer(m, space, nxt, t, states, greedy=True):
     return values, _value_merged(rule, x, e, arg, seg, 0)
 
 
-def _canonical(base, seg, x, e, v, tol):
-    """The table of the cuts of the segments ``seg``, in canonical form.
-
-    The cuts come in any order: one sort by (segment, threshold, side)
-    precedes the segmented threshold and value merges.
-    """
-    order = np.lexsort((e, x, seg))
-    seg, x, e, v = seg[order], x[order], e[order], v[order]
-    first, last = _threshold_runs(x, e, seg)
-    return _value_merged(base, x[first], e[first], v[last], seg[first], tol)
-
-
-def _value_merged(base, x, e, v, seg, tol):
-    """The table of sorted cuts whose threshold runs are merged already
-    (:func:`_canonical` without its threshold merge)."""
-    x, e, v, seg = _merge_values(base, x, e, v, tol, seg)
-    return _Cuts(base, _offsets(seg, len(base)), x, e, v)
-
-
 def _first_best(q, best):
     """The lowest index along axis 0 whose value is within VALUE_TOL of best.
 
@@ -483,13 +302,6 @@ def _reachable(m):
         return live
 
     return m._kept("reachable", build)
-
-
-def _segments(c, i, n):
-    """The table of segments i to i + n of c, sharing its arrays."""
-    j, k = c.off[i], c.off[i + n]
-    return _Cuts(c.base[i:i + n], c.off[i:i + n + 1] - j, c.x[j:k], c.e[j:k],
-                 c.v[j:k])
 
 
 def backward_induction(m, space, w, strict, reachable_only=False):
@@ -614,18 +426,15 @@ class _DenseSweep:
         key, the target (but not for ordinal wealth, whose sweep serves
         every target), which side ``window`` leaves open, and the two
         budgets in force.  Keys keep the sign of a zero.  m keeps the last
-        fit and its key, and a fit under the same key returns it; a fit
-        under another key replaces it.
+        fit and its key (:meth:`~qmdp.mdp.Mdp._kept_last`).
         """
         ordinal = isinstance(space, OrdinalWealth)
         key = (space, _signed(space.key(space.w0)),
                None if ordinal else _signed(target),
                None if window is None else window[0] is None,
                DENSE_FLOATS, BLOCK_FLOATS)
-        kept = m._memo.get("dense")
-        if kept is None or kept[0] != key:
-            kept = m._memo["dense"] = key, cls._fit(m, space, target, window)
-        return kept[1]
+        return m._kept_last("dense", key,
+                            lambda: cls._fit(m, space, target, window))
 
     @classmethod
     def _fit(cls, m, space, target, window):
@@ -837,48 +646,6 @@ def reachable_window(m, space):
             "(all <= 0 or all >= 0)")
     w0_key = space.key(space.w0)
     return (w0_key, None) if sign == "nonnegative" else (None, w0_key)
-
-
-def _restrict(c, lo, hi):
-    """:func:`~qmdp.stepfun.restrict` of every slice of c to [lo, hi].
-
-    The ``hi`` side trims a suffix of each slice's cuts; the ``lo`` side
-    makes the value at lo the new base and keeps the cuts above it.  A
-    canonical table stays canonical; the result is a plain :class:`_Cuts`.
-    """
-    seg = c.seg()
-    keep = np.ones(len(c.x), dtype=bool)
-    if hi is not None:
-        keep &= (c.x < hi) | ((c.x == hi) & (c.e == 0))
-    base = c.base
-    if lo is not None:
-        below = (c.x < lo) | ((c.x == lo) & (c.e == 0))
-        n_below = np.bincount(seg[below], minlength=len(base))
-        moved = n_below > 0
-        base = base.copy()
-        base[moved] = c.v[c.off[:-1][moved] + n_below[moved] - 1]
-        keep &= ~below
-    return _Cuts(base, _offsets(seg[keep], len(base)),
-                 c.x[keep], c.e[keep], c.v[keep])
-
-
-def translate(table, c, lo=None, hi=None):
-    """Every function of the table moved up by c, ``g(x) = f(x - c)``.
-
-    :func:`_canonical` sorts the moved cuts, whose order the shift can
-    break where a cut and one of the other side less than an ulp above it
-    round onto the same threshold, and merges them (exactly for an integer
-    table of rules, within ``VALUE_TOL`` for slices); :func:`_restrict` to
-    ``[lo, hi]`` follows.  Each function of the result equals
-    ``restrict(StepFunction(f.base, f.x + c, f.e == 0, f.v), lo, hi)``
-    (no restrict without a window) bit for bit.
-    """
-    exact = table.base.dtype.kind in "iu"
-    moved = _canonical(table.base, table.seg(), table.x + c, table.e, table.v,
-                       0 if exact else VALUE_TOL)
-    if lo is not None or hi is not None:
-        moved = _restrict(moved, lo, hi)
-    return moved
 
 
 def _layout(c, seg):

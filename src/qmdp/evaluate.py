@@ -18,8 +18,8 @@ slot layout (:meth:`~qmdp.mdp.Mdp.slots`: each pair's edges padded to the
 widest pair with zero-probability slots, the layout the dense sweep of
 ``qmdp.dp`` reads too), and :func:`simulate` reads the edge table
 (``succ``, ``prob``, ``starts``); all three read one per-edge wealth move
-and the policy's cut table.  None of them uses the functional DP of
-``qmdp.dp``, so they check it.
+and the policy's cut table (:mod:`qmdp.stepfun`).  This module imports
+nothing from the functional DP of ``qmdp.dp``, so it checks the DP.
 
 What depends on the problem alone is kept on the immutable
 :class:`~qmdp.mdp.Mdp` and reused by every later evaluation on it: the
@@ -32,10 +32,9 @@ import itertools
 
 import numpy as np
 
-from .dp import WealthMarkovPolicy, _signed
 from .errors import ConfigurationError, ResourceLimitError, ValidationError
-from .stepfun import _threshold_runs
-from .wealth import BLOCK_FLOATS, WEALTH_TOL, Grid
+from .stepfun import WealthMarkovPolicy, _threshold_runs
+from .wealth import BLOCK_FLOATS, WEALTH_TOL, Grid, _signed
 
 QUANT_ATOL = 1e-12   # slack when comparing partial sums against tau
 
@@ -206,6 +205,13 @@ def _empty_row_error(m, pair, t):
         f"(s={s}, a={a}): empty transition row, taken at t={t}")
 
 
+def _check_taken(m, pair, degree, t):
+    """Reject step t if a pair it takes has no edges (``degree`` of each
+    pair of ``pair``), naming the first such pair."""
+    if not degree.all():
+        raise _empty_row_error(m, pair[degree.argmin()], t)
+
+
 def _step(m, move, t, states, keys, masses, actions):
     """Advance atoms one timestep under per-atom actions; returns merged atoms.
 
@@ -216,9 +222,7 @@ def _step(m, move, t, states, keys, masses, actions):
     probability 0.0) has no mass, and :func:`merge_atoms` drops it."""
     slots = m.slots()
     pair = states * m.n_actions + actions
-    degree = slots.degree[pair]
-    if not degree.all():
-        raise _empty_row_error(m, pair[degree.argmin()], t)
+    _check_taken(m, pair, slots.degree[pair], t)
     edge = slots.edge[pair].ravel()
     order = np.argsort(edge, kind="stable")
     atom, edge = order // slots.edge.shape[1], edge[order]
@@ -332,16 +336,13 @@ class _WealthChain:
         The layout, or None, depends on m and on the key of everything
         else the fit reads: the space (by identity), its w0 key (a zero
         with its sign), whether the policy is stationary (which sets the
-        budget) and ``BLOCK_FLOATS``.  m keeps the last fit and its key,
-        and a fit under the same key reuses it; a fit under another key
-        replaces it."""
+        budget) and ``BLOCK_FLOATS``.  m keeps the last fit and its key
+        (:meth:`~qmdp.mdp.Mdp._kept_last`)."""
         key = (space, _signed(space.key(space.w0)), policy.stationary,
                BLOCK_FLOATS)
-        kept = m._memo.get("chain")
-        if kept is None or kept[0] != key:
-            kept = m._memo["chain"] = key, cls._layout(m, space,
-                                                       policy.stationary)
-        return None if kept[1] is None else cls(m, policy, kept[1])
+        layout = m._kept_last("chain", key, lambda: cls._layout(
+            m, space, policy.stationary))
+        return None if layout is None else cls(m, policy, layout)
 
     @staticmethod
     def _layout(m, space, stationary):
@@ -427,9 +428,7 @@ class _WealthChain:
                 live = np.flatnonzero(mass)
                 states, cells = np.divmod(live, C)
                 pair = states * m.n_actions + self.actions(t, states, cells)
-                degree = slots.degree.take(pair)
-                if not degree.all():
-                    raise _empty_row_error(m, pair[degree.argmin()], t)
+                _check_taken(m, pair, slots.degree.take(pair), t)
                 dest, prob = self._entries(pair, cells)
                 weight = prob * mass.take(live).repeat(K)
             mass = np.bincount(dest, weight, len(mass))
@@ -486,19 +485,20 @@ def simulate(m, space, policy, n, seed=0):
     episode, handed out in stable (state, action) pair order, and moves
     each episode along the edge its draw picks (:func:`_pick_edges`).
     Returns a float array of wealth keys (class indices for ordinal spaces).
+    A pair without edges fails only when an episode takes it, with the
+    error exact evaluation raises there.
     """
     _check_policy_fits(m, policy)
     if m.horizon is None:
         raise ConfigurationError("simulate needs a finite horizon")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not np.diff(m.starts).all():
-        raise ValidationError("a (state, action) pair has no transitions")
     move, rng = _edge_move(m, space), np.random.default_rng(seed)
     states = np.full(n, m.initial_state, dtype=np.int64)
     wk = np.full(n, space.key(space.w0), dtype=np.float64)
     for t in range(m.horizon):
         pair = states * m.n_actions + _actions(policy, t, states, wk)
+        _check_taken(m, pair, m.starts[pair + 1] - m.starts[pair], t)
         u = np.empty(n)
         u[np.argsort(pair, kind="stable")] = rng.random(n)
         edge = _pick_edges(m, pair, u)

@@ -356,6 +356,14 @@ class Mdp:
             memo[name] = build()
         return memo[name]
 
+    def _kept_last(self, name, key, build):
+        """``build()``, kept with ``key`` (what it reads besides the
+        problem) until a call for ``name`` under another key replaces it."""
+        kept = self._memo.get(name)
+        if kept is None or kept[0] != key:
+            kept = self._memo[name] = key, build()
+        return kept[1]
+
     def slots(self):
         """The :class:`EdgeSlots` of the edge table, read-only; built on
         the first call and kept."""

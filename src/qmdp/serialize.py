@@ -18,7 +18,7 @@ Policy files are a JSON list of ``{"t": ..., "s": ..., "intervals":
 [{"from": <wealth|null>, "inclusive_from": ..., "action": <int>}]}``;
 stationary policies omit "t".  A null "from" opens the bottom interval.
 A policy moves between a file and its one cut table
-(:class:`~qmdp.dp.WealthMarkovPolicy`) without a step function per rule.
+(:class:`~qmdp.stepfun.WealthMarkovPolicy`) without a step function per rule.
 Writing is one text pass over the table's arrays, one ``tolist()`` each:
 every distinct cut key is formatted once and every interval is one string
 format, with no dict per interval, and the text is what ``json.dumps``
@@ -41,9 +41,9 @@ import tempfile
 
 import numpy as np
 
-from .dp import WealthMarkovPolicy
 from .errors import ConfigurationError, ValidationError
 from .mdp import Mdp
+from .stepfun import WealthMarkovPolicy
 from .wealth import AdditiveWealth, DiscountedWealth, OrdinalWealth
 
 

@@ -51,12 +51,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dp import (OrdinalSweep, ValueFunction, WealthMarkovPolicy,
-                 backward_induction, check_convergence, reachable_window,
-                 translate, value_iteration)
+from .dp import (OrdinalSweep, ValueFunction, backward_induction,
+                 check_convergence, reachable_window, value_iteration)
 from .errors import ConfigurationError, ValidationError
 from .evaluate import QUANT_ATOL, exact_distribution
 from .mdp import validate
+from .stepfun import WealthMarkovPolicy, translate
 from .wealth import DiscountedWealth, OrdinalWealth
 
 
@@ -159,7 +159,7 @@ def value_function(m, space, query, report, *, eps_conv=1e-6,
     same target (0 for a finite horizon, the bracket end for an infinite
     one) on the same engine, with every state in every layer, and moves
     each table to the policy's target ``report.log[0].w`` with
-    :func:`~qmdp.dp.translate`, as the solve moved the policy.  Ordinal
+    :func:`~qmdp.stepfun.translate`, as the solve moved the policy.  Ordinal
     wealth runs :func:`~qmdp.dp.backward_induction` at that target, the
     class sweep of the policy pass.
     """
@@ -243,7 +243,7 @@ def _solve_by_one_sweep(m, space, query, strict, thr, lo_k, hi_k,
     [lo_k, hi_k].  The policy targets w_pol = q* - min(piece width,
     epsilon) / 2, strictly inside the passing piece, where float noise in
     a cut cannot flip the test.  The policy's table of rules moves to
-    w_pol in one :func:`~qmdp.dp.translate`.
+    w_pol in one :func:`~qmdp.stepfun.translate`.
 
     A finite sweep computes only the states reachable from the initial
     state, all that the solve reads.  Infinite horizons sweep at the

@@ -1,4 +1,5 @@
-"""Piecewise-constant functions of wealth and the algebra the functional DP needs.
+"""Piecewise-constant functions of wealth: the one encoding, its cut table,
+and the per-slice algebra.
 
 A :class:`StepFunction` maps wealth keys (floats; class indices for ordinal
 spaces) to values.  It is encoded as a base value plus an ordered list of
@@ -6,23 +7,34 @@ cuts ``(threshold, inclusive, value)``: the function takes ``value`` from
 the threshold (at it when inclusive, strictly after it otherwise) up to the
 next cut.  Cuts are ordered by the composite key ``(threshold, side)`` with
 the inclusive side sorting first, so an atom — a distinct value at a single
-wealth — is two cuts at the same threshold.
-
-Value slices hold probabilities (float values); decision rules hold action
-indices (integer values).  The value dtype follows the inputs: integer base
-and values give an integer function, anything else a float one.
-
-All target utilities are indicators, and none of the operations below
-(shift, convex combination, upper envelope) introduce slopes, so the
-piecewise-constant subclass of piecewise-linear functions is closed under
-the whole backward-induction update.
+wealth — is two cuts at the same threshold.  Value slices hold
+probabilities (float values), decision rules action indices (integer
+values): integer base and values give an integer function, anything else
+a float one.
 
 Canonical form: thresholds within ``WEALTH_TOL`` of the same side merge
 (first position, last value wins), then cuts whose value matches the
 preceding piece are dropped — within ``VALUE_TOL`` for float values,
 exactly for integer ones.  Two functions that are pointwise equal have
 identical encodings.
+
+A cut table (:class:`_Cuts`) lays many functions end to end: function i is
+``base[i]`` below its cuts ``off[i]:off[i + 1]`` of ``x`` (float64
+thresholds), ``e`` (uint8 sides: 0 inclusive, 1 exclusive) and ``v``
+(values), each in canonical form.  One function, :func:`_canonical`, sorts
+any cuts by (function, threshold, side) and merges them segment-wise
+(:func:`_threshold_runs`, :func:`_merge_values`); a :class:`StepFunction`
+is its one-function case and a view of one segment (:func:`_segment`).
+The DP's value layers and a policy's rules (:class:`WealthMarkovPolicy`)
+are such tables, so exact evaluation and policy files need nothing else.
+
+Indicator targets, shift, convex combination and upper envelope add no
+slopes, so piecewise-constant functions are closed under the backward
+update; the per-slice operations below are the reference the DP's layer
+kernel is tested against.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,6 +103,164 @@ def _merge_values(base, x, e, v, tol, seg):
     return x, e, v, seg
 
 
+# -- the cut table ------------------------------------------------------------
+
+class _Cuts(NamedTuple):
+    """One step function per segment, laid end to end (see the module
+    docstring): segment s is ``base[s]`` below its cuts
+    ``off[s]:off[s + 1]`` of ``x``, ``e`` and ``v``."""
+    base: np.ndarray
+    off: np.ndarray
+    x: np.ndarray
+    e: np.ndarray
+    v: np.ndarray
+
+    def seg(self):
+        """The segment of every cut."""
+        return np.repeat(np.arange(len(self.base)), np.diff(self.off))
+
+    def steps(self):
+        """The value change at every cut."""
+        prev = np.empty_like(self.v)
+        prev[1:] = self.v[:-1]
+        opened = self.off[:-1] < self.off[1:]
+        prev[self.off[:-1][opened]] = self.base[opened]
+        return self.v - prev
+
+
+def _offsets(seg, n):
+    """Offsets of n segments from the segment id of every element."""
+    off = np.zeros(n + 1, dtype=np.intp)
+    np.bincount(seg, minlength=n).cumsum(out=off[1:])
+    return off
+
+
+def _canonical(base, seg, x, e, v, tol):
+    """The table of the cuts of the segments ``seg``, in canonical form.
+
+    The cuts come in any order: one sort by (segment, threshold, side)
+    precedes the segmented threshold and value merges.
+    """
+    order = np.lexsort((e, x, seg))
+    seg, x, e, v = seg[order], x[order], e[order], v[order]
+    first, last = _threshold_runs(x, e, seg)
+    return _value_merged(base, x[first], e[first], v[last], seg[first], tol)
+
+
+def _value_merged(base, x, e, v, seg, tol):
+    """The table of sorted cuts whose threshold runs are merged already
+    (:func:`_canonical` without its threshold merge)."""
+    x, e, v, seg = _merge_values(base, x, e, v, tol, seg)
+    return _Cuts(base, _offsets(seg, len(base)), x, e, v)
+
+
+def _segment(c, i):
+    """Step function i of the table c, sharing its arrays."""
+    j, k = c.off[i], c.off[i + 1]
+    return StepFunction._trusted(c.base[i].item(), c.x[j:k], c.e[j:k],
+                                 c.v[j:k])
+
+
+def _segments(c, i, n):
+    """The table of segments i to i + n of c, sharing its arrays."""
+    j, k = c.off[i], c.off[i + n]
+    return _Cuts(c.base[i:i + n], c.off[i:i + n + 1] - j, c.x[j:k], c.e[j:k],
+                 c.v[j:k])
+
+
+def _unpack(c):
+    """The step functions of the table c; they share its arrays."""
+    cuts = c.off.tolist()
+    return [StepFunction._trusted(b, c.x[i:j], c.e[i:j], c.v[i:j])
+            for b, i, j in zip(c.base.tolist(), cuts, cuts[1:])]
+
+
+def _join(tables):
+    """One table from consecutive tables."""
+    if len(tables) == 1:
+        return tables[0]
+    base, x, e, v = (np.concatenate(f) for f in zip(
+        *((c.base, c.x, c.e, c.v) for c in tables)))
+    off = np.zeros(len(base) + 1, dtype=np.intp)
+    np.concatenate([c.off[1:] - c.off[:-1] for c in tables]).cumsum(
+        out=off[1:])
+    return _Cuts(base, off, x, e, v)
+
+
+def _on_classes(rows, keys=None, strict=False):
+    """The table of the rows of ``rows``: row i takes ``rows[i, k]`` at
+    the key ``keys[k]`` (the class key k by default).
+
+    A value change between columns k - 1 and k is an inclusive cut at
+    ``keys[k]``, so that column k holds the value on
+    ``[keys[k], keys[k + 1])``; with ``strict`` it is an exclusive cut at
+    ``keys[k - 1]``, and column k holds the value on
+    ``(keys[k - 1], keys[k]]``.  Integer rows are canonical as built;
+    float rows are after :func:`_tol_merged`.
+    """
+    seg, k = np.nonzero(rows[:, 1:] != rows[:, :-1])
+    at = k if strict else k + 1
+    return _Cuts(rows[:, 0], _offsets(seg, len(rows)),
+                 at.astype(np.float64) if keys is None else keys[at],
+                 np.full(len(k), strict, dtype=np.uint8), rows[seg, k + 1])
+
+
+def _tol_merged(c):
+    """The float table c in canonical form: every cut whose value change
+    is within ``VALUE_TOL`` merged into the piece before it."""
+    return _value_merged(c.base, c.x, c.e, c.v, c.seg(), VALUE_TOL)
+
+
+def _target(target, strict, n):
+    """The table of n copies of :func:`target_utility`."""
+    return _Cuts(np.zeros(n), np.arange(n + 1, dtype=np.intp),
+                 np.full(n, target, dtype=np.float64),
+                 np.full(n, strict, dtype=np.uint8), np.ones(n))
+
+
+def _restrict(c, lo, hi):
+    """:func:`restrict` of every function of c to [lo, hi].
+
+    The ``hi`` side trims a suffix of each function's cuts; the ``lo``
+    side makes the value at lo the new base and keeps the cuts above it.
+    A canonical table stays canonical; the result is a plain
+    :class:`_Cuts`.
+    """
+    seg = c.seg()
+    keep = np.ones(len(c.x), dtype=bool)
+    if hi is not None:
+        keep &= (c.x < hi) | ((c.x == hi) & (c.e == 0))
+    base = c.base
+    if lo is not None:
+        below = (c.x < lo) | ((c.x == lo) & (c.e == 0))
+        n_below = np.bincount(seg[below], minlength=len(base))
+        moved = n_below > 0
+        base = base.copy()
+        base[moved] = c.v[c.off[:-1][moved] + n_below[moved] - 1]
+        keep &= ~below
+    return _Cuts(base, _offsets(seg[keep], len(base)),
+                 c.x[keep], c.e[keep], c.v[keep])
+
+
+def translate(table, c, lo=None, hi=None):
+    """Every function of the table moved up by c, ``g(x) = f(x - c)``.
+
+    :func:`_canonical` sorts the moved cuts, whose order the shift can
+    break where a cut and one of the other side less than an ulp above it
+    round onto the same threshold, and merges them (exactly for an integer
+    table of rules, within ``VALUE_TOL`` for slices); :func:`_restrict` to
+    ``[lo, hi]`` follows.  Each function of the result equals
+    ``restrict(StepFunction(f.base, f.x + c, f.e == 0, f.v), lo, hi)``
+    (no restrict without a window) bit for bit.
+    """
+    exact = table.base.dtype.kind in "iu"
+    moved = _canonical(table.base, table.seg(), table.x + c, table.e, table.v,
+                       0 if exact else VALUE_TOL)
+    if lo is not None or hi is not None:
+        moved = _restrict(moved, lo, hi)
+    return moved
+
+
 class StepFunction:
     """Canonical piecewise-constant map from wealth keys to values."""
 
@@ -105,20 +275,10 @@ class StepFunction:
         exact = (isinstance(base, (int, np.integer))
                  and (len(v) == 0 or v.dtype.kind in "iu"))
         dtype = np.int64 if exact else np.float64
-        v = v.astype(dtype, copy=False)
-        base = dtype(base).item()
-        if len(x):
-            order = np.lexsort((e, x))
-            x, e, v = x[order], e[order], v[order]
-        seg = np.zeros(len(x), dtype=np.intp)
-        first, last = _threshold_runs(x, e, seg)
-        x, e, v, seg = x[first], e[first], v[last], seg[first]
-        x, e, v, _ = _merge_values(np.array([base], dtype=dtype), x, e, v,
-                                   0 if exact else VALUE_TOL, seg)
-        self.base = base
-        self.x = x
-        self.e = e
-        self.v = v
+        c = _canonical(np.array([base], dtype=dtype),
+                       np.zeros(len(x), dtype=np.intp), x, e,
+                       v.astype(dtype, copy=False), 0 if exact else VALUE_TOL)
+        self.base, self.x, self.e, self.v = c.base[0].item(), c.x, c.e, c.v
 
     @classmethod
     def _trusted(cls, base, x, e, v):
@@ -128,10 +288,7 @@ class StepFunction:
         ``v`` int64 (integer base) or float64 (float base).
         """
         f = cls.__new__(cls)
-        f.base = base
-        f.x = x
-        f.e = e
-        f.v = v
+        f.base, f.x, f.e, f.v = base, x, e, v
         return f
 
     @classmethod
@@ -139,17 +296,13 @@ class StepFunction:
         """The function taking ``values[k]`` at class key k, k = 0..n-1.
 
         Cuts are inclusive, at the keys where the value changes; the base
-        piece holds ``values[0]``.  Integer rows are canonical as built;
-        float rows still merge values within ``VALUE_TOL``.
+        piece holds ``values[0]`` (:func:`_on_classes` of the one row).
         """
-        values = np.asarray(values)
-        change = np.flatnonzero(values[1:] != values[:-1]) + 1
-        x = change.astype(np.float64)
-        if values.dtype.kind in "iu":
-            return cls._trusted(int(values[0]), x,
-                                np.zeros(len(change), dtype=np.uint8),
-                                values[change].astype(np.int64, copy=False))
-        return cls(values[0], x, np.ones(len(change), dtype=bool), values[change])
+        row = np.asarray(values)
+        exact = row.dtype.kind in "iu"
+        c = _on_classes(row.astype(np.int64 if exact else np.float64,
+                                   copy=False)[None])
+        return _segment(c if exact else _tol_merged(c), 0)
 
     # -- introspection --------------------------------------------------
 
@@ -208,8 +361,71 @@ def target_utility(w, strict):
     strictly above w); ``strict=False`` the upper-quantile target (1 on
     wealths at or above w).
     """
-    return StepFunction(0.0, [w], [not strict], [1.0])
+    return _segment(_target(w, strict, 1), 0)
 
+
+class WealthMarkovPolicy:
+    """Deterministic policy whose decision rules map (state, wealth) to actions.
+
+    The rules are integer-valued step functions over wealth keys, laid end
+    to end in one cut table (:class:`_Cuts`, int64 values): the rule of
+    (t, s) is segment ``t * n_states + s`` of ``table``.  A stationary
+    policy holds one segment per state and ignores t.  :meth:`rule` hands
+    out one rule as a :class:`StepFunction` view of its segment.
+    """
+
+    def __init__(self, table, n_states, stationary=False):
+        self.table = table
+        self.n_states = n_states
+        self.stationary = stationary
+
+    @classmethod
+    def from_markov(cls, actions, stationary=False):
+        """Wrap a plain (wealth-independent) Markov policy.
+
+        ``actions`` is a per-timestep list of per-state action indices, or
+        a single per-state list when stationary.
+        """
+        actions = np.asarray(actions, dtype=np.int64)
+        base = actions.ravel()
+        return cls(_Cuts(base, np.zeros(len(base) + 1, dtype=np.intp),
+                         np.empty(0), np.empty(0, dtype=np.uint8),
+                         np.empty(0, dtype=np.int64)),
+                   actions.shape[-1], stationary)
+
+    @classmethod
+    def from_cuts(cls, base, seg, x, inclusive, actions, n_states,
+                  stationary=False):
+        """The policy whose rule i is ``base[i]`` below the cuts ``seg == i``.
+
+        The cuts (thresholds ``x``, ``inclusive`` flags, ``actions``) come
+        in any order; :func:`_canonical` gives every rule the encoding the
+        :class:`StepFunction` constructor would.
+        """
+        e = np.where(inclusive, 0, 1).astype(np.uint8)
+        return cls(_canonical(base, seg, x, e, actions, 0), n_states,
+                   stationary)
+
+    @property
+    def steps(self):
+        """The number of timesteps the rules cover (1 when stationary)."""
+        return len(self.table.base) // self.n_states
+
+    def rule(self, t, s):
+        return _segment(self.table,
+                        s if self.stationary else t * self.n_states + s)
+
+    def action(self, t, s, w_key):
+        return self.rule(t, s)(w_key)
+
+    def __repr__(self):
+        if self.stationary:
+            return f"WealthMarkovPolicy(stationary, {self.n_states} states)"
+        return (f"WealthMarkovPolicy({self.steps} steps x "
+                f"{self.n_states} states)")
+
+
+# -- the per-slice algebra ----------------------------------------------------
 
 def _sweep(fs):
     """Merged cut partition of several step functions.

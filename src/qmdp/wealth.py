@@ -61,6 +61,11 @@ def numeric_key(w):
     return w
 
 
+def _signed(x):
+    """``x`` as part of a dict key that tells -0.0 from 0.0."""
+    return x, math.copysign(1.0, x)
+
+
 class Lattice(NamedTuple):
     """Anchor keys and rewards as integer multiples of one step δ.
 

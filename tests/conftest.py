@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qmdp import Mdp, DiscountedWealth, OrdinalWealth
-from qmdp.dp import _Cuts
+from qmdp.stepfun import _Cuts
 
 
 def two_state_discounted_mdp(horizon=2):

@@ -448,6 +448,25 @@ def test_simulate_rejects_a_pair_without_transitions():
         simulate(m, AdditiveWealth(-5, 5), policy, 10)
 
 
+def test_simulate_rejects_only_an_empty_row_it_takes():
+    # pair (s=0, a=1) has no edges; pair (s=1, a=1) has no edges either
+    m = Mdp(2, 2, [[[(1, 1.0)], []], [[(1, 1.0)], []]],
+            {"kind": "sas", "values": [[[1.0], []], [[0.0], []]]}, 0, 2)
+    space = AdditiveWealth(-5, 5)
+    # a policy that never takes an empty pair samples, as it evaluates
+    never = WealthMarkovPolicy.from_markov([[0, 1], [0, 0]])
+    assert exact_distribution(m, space, never).support == [(1.0, 1.0)]
+    assert simulate(m, space, never, 10).tolist() == [1.0] * 10
+    # one that takes one gets exact evaluation's error, at the same step
+    for acts, message in (([[1, 0], [0, 0]], r"\(s=0, a=1\): .* at t=0"),
+                          ([[0, 0], [0, 1]], r"\(s=1, a=1\): .* at t=1")):
+        policy = WealthMarkovPolicy.from_markov(acts)
+        for run in (exact_distribution, lambda *a: simulate(*a, 10)):
+            with pytest.raises(ValidationError, match=f"^{message}$") as err:
+                run(m, space, policy)
+            assert "empty transition row, taken" in str(err.value)
+
+
 def test_exact_distribution_names_a_pair_without_transitions():
     # the atom taking the empty row used to vanish, and the lost mass
     # failed later as a bare "probabilities sum to 0.0"
@@ -1145,3 +1164,91 @@ def test_a_policy_that_does_not_fit_raises(case):
         exact_distribution(m, space, policy)
     with pytest.raises(ConfigurationError):
         simulate(m, space, policy, 10)
+
+
+# -- exact evaluation and policy files stand apart from the DP ------------------
+
+import ast  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from qmdp import (DataCenterConfig, dp, generate_datacenter,  # noqa: E402
+                  load_policy, save_policy)
+from qmdp.evaluate import _atom_distribution, _WealthChain  # noqa: E402
+from conftest import two_policy_ordinal_instance  # noqa: E402
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qmdp"
+
+
+def dp_imports(text):
+    """The imports of ``qmdp.dp`` in a module of the package, in any
+    spelling: ``from .dp import``, ``from . import dp``, ``from qmdp import
+    dp``, ``import qmdp.dp`` and ``__import__`` or ``import_module`` of it."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["qmdp" if node.level else None,
+                                            node.module]))
+            names = [module] + [f"{module}.{a.name}" for a in node.names]
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              in ("__import__", "import_module")):
+            names = [a.value.lstrip(".") for a in node.args
+                     if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+            names += [f"qmdp.{n}" for n in names]
+        else:
+            continue
+        found += [n for n in names if n == "qmdp.dp" or n.startswith("qmdp.dp.")]
+    return found
+
+
+@pytest.mark.parametrize("spelling", [
+    "from .dp import backward_induction", "from . import dp",
+    "from .dp import (_layer,\n    value_iteration)", "from qmdp import dp",
+    "from qmdp.dp import _DenseSweep", "import qmdp.dp",
+    "import qmdp.dp as engine", "importlib.import_module('qmdp.dp')",
+    "importlib.import_module('.dp', 'qmdp')", "__import__('qmdp.dp')",
+    "def f():\n    from .dp import translate"])
+def test_the_import_check_sees_every_spelling(spelling):
+    assert dp_imports(spelling)
+    assert not dp_imports(spelling.replace("dp", "stepfun"))
+
+
+@pytest.mark.parametrize("module", ["evaluate.py", "serialize.py"])
+def test_the_referee_and_the_policy_files_import_nothing_from_the_dp(module):
+    assert dp_imports((SRC / module).read_text()) == []
+    # the solver does import it
+    assert dp_imports((SRC / "solver.py").read_text())
+
+
+def test_the_referee_runs_with_every_dp_engine_broken(monkeypatch, tmp_path):
+    garnet = generate_garnet(GarnetConfig(3, 2, 2, seed=0), horizon=2)
+    center = generate_datacenter(DataCenterConfig(2, beta=2.0), horizon=2)
+    problems = {"garnet": (garnet, AdditiveWealth.for_mdp(garnet)),
+                "datacenter": (center, AdditiveWealth.for_mdp(center)),
+                "ordinal": two_policy_ordinal_instance()}
+    # the policies come from the solver, before the engines break
+    solved = {name: solve_quantile(m, space, QuantileQuery(0.5)).policy
+              for name, (m, space) in problems.items()}
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the referee reached qmdp.dp")
+
+    monkeypatch.setattr(dp, "_layer", broken)
+    monkeypatch.setattr(dp._DenseSweep, "fit", classmethod(broken))
+    monkeypatch.setattr(dp, "backward_induction", broken)
+    monkeypatch.setattr(dp, "value_iteration", broken)
+    for name, (m, space) in problems.items():
+        policy = solved[name]
+        path = str(tmp_path / f"{name}.json")
+        save_policy(path, policy, space)
+        loaded = load_policy(path, space, m.n_states)
+        assert (_WealthChain.fit(m, space, loaded) is None) == (name == "garnet")
+        d = exact_distribution(m, space, loaded)
+        atoms = _atom_distribution(m, space, loaded, 10**6)
+        assert d.keys.tolist() == atoms.keys.tolist()
+        assert set(simulate(m, space, loaded, 50).tolist()) <= set(d.keys.tolist())
+        best, witness = brute_force_optimal_quantile(m, space, 0.5, "lower")
+        assert space.key(exact_distribution(m, space, witness).quantile(
+            0.5, "lower")) == space.key(best)

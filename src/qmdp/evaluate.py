@@ -18,13 +18,15 @@ slot layout (:meth:`~qmdp.mdp.Mdp.slots`: each pair's edges padded to the
 widest pair with zero-probability slots, the layout the dense sweep of
 ``qmdp.dp`` reads too), and :func:`simulate` reads the edge table
 (``succ``, ``prob``, ``starts``); all three read one per-edge wealth move
-and the policy's cut table (:mod:`qmdp.stepfun`).  This module imports
-nothing from the functional DP of ``qmdp.dp``, so it checks the DP.
+and the policy's cut table (:mod:`qmdp.stepfun`), whose one index
+(:class:`_RuleIndex`, built once per evaluation) gives every action.
+This module imports nothing from the functional DP of ``qmdp.dp``, so it
+checks the DP.
 
 What depends on the problem alone is kept on the immutable
 :class:`~qmdp.mdp.Mdp` and reused by every later evaluation on it: the
 slot layout and the chain's last grid fit (:meth:`_WealthChain.fit`).
-Nothing of a policy is ever kept: its cut positions, actions and mass
+Nothing of a policy is ever kept: its rule index, actions and mass
 entries are worked out on every call.
 """
 
@@ -160,34 +162,44 @@ class WealthDistribution:
         return float(self.keys @ self.probs)
 
 
-def _actions(policy, t, states, keys):
-    """Each atom's action under the policy, from one merged sort.
+class _RuleIndex:
+    """Which cut of its rule covers a wealth key, for every forward path.
 
-    The cuts of the step-t rules and the atoms are sorted together by
-    (rule, key, side), where an inclusive cut sorts before an atom at its
-    key and an exclusive cut after it.  The cuts of the table are already
-    in that order, so a running max of their positions gives every atom
-    the last cut at or below it; a cut of another rule, or none, leaves
-    the atom on its own rule's base.
+    Sorted ``keys`` are laid out in slots: key i is slot 2i + 1, the gap
+    above it slot 2i + 2, everything below key 0 slot 0; equal keys act
+    as the first of them.  A cut takes the slot of the first key at or
+    above its threshold, plus one when it is exclusive and sits on that
+    key; its code ``rule * width + slot`` keeps the table's order.  A
+    lookup at slot q of rule r takes the last code at or below
+    ``r * width + q``: its value when the cut is r's own, else r's base.
+    That is exact when every threshold is a key (the atom path and
+    :func:`simulate`: the default ``keys``, the sorted thresholds) or
+    every key looked up is one (the chain's cell c, slot 2c + 1).
     """
-    c, S = policy.table, policy.n_states
-    first = 0 if policy.stationary else t * S
-    lo, hi = c.off[first], c.off[first + S]
-    seg = first + states
-    if lo == hi:
-        return c.base[seg]
-    n_cut = hi - lo
-    order = np.lexsort((
-        np.concatenate((2 * c.e[lo:hi], np.ones(len(keys), dtype=np.uint8))),
-        np.concatenate((c.x[lo:hi], keys)),
-        np.concatenate((np.repeat(np.arange(first, first + S),
-                                  np.diff(c.off[first:first + S + 1])), seg))))
-    last = np.maximum.accumulate(np.where(order < n_cut, order, -1))
-    atom = order >= n_cut
-    at = np.empty(len(keys), dtype=np.intp)
-    at[order[atom] - n_cut] = last[atom]
-    own = at >= c.off[seg] - lo
-    return np.where(own, c.v[lo + np.maximum(at, 0)], c.base[seg])
+
+    def __init__(self, policy, keys=None):
+        c = policy.table
+        keys = np.sort(c.x) if keys is None else keys   # np.unique loads numpy.ma
+        self.policy, self.keys, self.width = policy, keys, 2 * len(keys) + 2
+        left = np.searchsorted(keys, c.x, "left")
+        on = np.searchsorted(keys, c.x, "right") > left
+        self.codes = c.seg() * self.width + 2 * left + 1 + on * c.e
+
+    def actions(self, t, states, slots):
+        """The action at step t in each of ``states`` at its slot."""
+        c, policy = self.policy.table, self.policy
+        rule = states if policy.stationary else t * policy.n_states + states
+        if not len(self.codes):
+            return c.base[rule]
+        at = np.searchsorted(self.codes, rule * self.width + slots, "right") - 1
+        return np.where(at >= c.off[rule], c.v[at], c.base[rule])
+
+    def at_keys(self, t, states, keys):
+        """The action at step t of each atom, at slot 2i of the i keys
+        below it, plus one when it sits on key i."""
+        i = np.searchsorted(self.keys, keys, "left")
+        on = self.keys.take(i, mode="clip") == keys if len(self.keys) else 0
+        return self.actions(t, states, 2 * i + on)
 
 
 def _edge_move(m, space):
@@ -300,10 +312,10 @@ def _atom_cap_error(count, t, atom_cap):
 def _atom_distribution(m, space, policy, atom_cap):
     """:func:`exact_distribution` on the atom path: T forward steps of the
     reachable atoms."""
-    move = _edge_move(m, space)
+    move, rules = _edge_move(m, space), _RuleIndex(policy)
     states, keys, masses = _initial_atoms(m, space)
     for t in range(m.horizon):
-        actions = _actions(policy, t, states, keys)
+        actions = rules.at_keys(t, states, keys)
         states, keys, masses = _step(m, move, t, states, keys, masses, actions)
         if len(keys) > atom_cap:
             raise _atom_cap_error(len(keys), t, atom_cap)
@@ -315,7 +327,8 @@ class _WealthChain:
 
     Row ``s * C + c`` of the mass vector is the mass at state s in cell c
     of C.  A step sends each row's mass along the slots of the pair of its
-    action (:meth:`actions`): slot k of pair i takes the share
+    action (the policy's :class:`_RuleIndex` on the grid's keys, where
+    cell c is slot 2c + 1): slot k of pair i takes the share
     ``slots.prob[i, k]`` to row ``succ * C + moves[row, c]`` of its
     successor and grid move row, and one ``np.bincount`` adds the entries
     up in (row, slot) order.  A stationary policy builds the entries of
@@ -325,7 +338,7 @@ class _WealthChain:
 
     What depends on the problem alone is kept on m: the slot layout
     (:meth:`~qmdp.mdp.Mdp.slots`) and the last fit's grid and slot tables
-    (:meth:`_layout`).  Nothing of the policy is kept: its cut positions,
+    (:meth:`_layout`).  Nothing of the policy is kept: its rule index,
     actions and entries are worked out on every call."""
 
     @classmethod
@@ -371,32 +384,15 @@ class _WealthChain:
     def __init__(self, m, policy, layout):
         self.m, self.policy = m, policy
         self.grid, self.succ, self.move, self.moves = layout
-        grid = self.grid
-        S, C = m.n_states, len(grid.keys)
-        self.start = m.initial_state * C + grid.w0
-        # a cut's grid position is the first cell it covers: an inclusive
-        # cut covers a cell at its threshold, an exclusive one does not
-        c = policy.table
-        at = np.where(c.e == 0, np.searchsorted(grid.keys, c.x, "left"),
-                      np.searchsorted(grid.keys, c.x, "right"))
-        self.cuts = c.seg() * (C + 1) + at
+        C = len(self.grid.keys)
+        self.start = m.initial_state * C + self.grid.w0
+        self.rules = _RuleIndex(policy, self.grid.keys)
         if policy.stationary:
-            states, cells = np.divmod(np.arange(S * C), C)
-            self.pair = states * m.n_actions + self.actions(0, states, cells)
+            states, cells = np.divmod(np.arange(m.n_states * C), C)
+            self.pair = states * m.n_actions + self.rules.actions(
+                0, states, 2 * cells + 1)
             self.empty = np.flatnonzero(m.slots().degree[self.pair] == 0)
             self.operator = self._entries(self.pair, cells)
-
-    def actions(self, t, states, cells):
-        """The action at step t in each of the rows of ``states`` and
-        ``cells``: the last cut at or below ``rule * (C + 1) + cell``
-        among the cuts' ``rule * (C + 1) + position``, unless it is
-        another rule's, or else the base."""
-        c, C = self.policy.table, len(self.grid.keys)
-        rule = states if self.policy.stationary else t * self.m.n_states + states
-        if not len(self.cuts):
-            return c.base[rule]
-        at = np.searchsorted(self.cuts, rule * (C + 1) + cells, "right") - 1
-        return np.where(at >= c.off[rule], c.v[at], c.base[rule])
 
     def _entries(self, pair, cells):
         """``(dest, prob)`` of every slot of the pairs taken from the
@@ -427,7 +423,8 @@ class _WealthChain:
             else:
                 live = np.flatnonzero(mass)
                 states, cells = np.divmod(live, C)
-                pair = states * m.n_actions + self.actions(t, states, cells)
+                pair = states * m.n_actions + self.rules.actions(
+                    t, states, 2 * cells + 1)
                 _check_taken(m, pair, slots.degree.take(pair), t)
                 dest, prob = self._entries(pair, cells)
                 weight = prob * mass.take(live).repeat(K)
@@ -494,10 +491,11 @@ def simulate(m, space, policy, n, seed=0):
     if n < 1:
         raise ValueError("n must be >= 1")
     move, rng = _edge_move(m, space), np.random.default_rng(seed)
+    rules = _RuleIndex(policy)
     states = np.full(n, m.initial_state, dtype=np.int64)
     wk = np.full(n, space.key(space.w0), dtype=np.float64)
     for t in range(m.horizon):
-        pair = states * m.n_actions + _actions(policy, t, states, wk)
+        pair = states * m.n_actions + rules.at_keys(t, states, wk)
         _check_taken(m, pair, m.starts[pair + 1] - m.starts[pair], t)
         u = np.empty(n)
         u[np.argsort(pair, kind="stable")] = rng.random(n)

@@ -285,6 +285,8 @@ def _entry_index(entry, name, stop):
 
 def _policy_from_entries(payload, space, n_states):
     stationary = "t" not in payload[0]
+    if stationary and any("t" in entry for entry in payload):
+        raise ConfigurationError("policy entries mix rules with and without 't'")
     # a policy lists every step it covers, so no step lies past its
     # entry count
     steps = [0 if stationary else _entry_index(entry, "t", len(payload))

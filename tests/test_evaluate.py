@@ -701,10 +701,15 @@ def actions_per_state(policy, t, states, keys):
     return actions
 
 
+def per_state_at_keys(rules, t, states, keys):
+    """:meth:`_RuleIndex.at_keys` by the per-state reference."""
+    return actions_per_state(rules.policy, t, states, keys)
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("stationary", [False, True])
 def test_table_actions_equal_per_rule_lookup(seed, stationary):
-    from qmdp.evaluate import _actions
+    from qmdp.evaluate import _RuleIndex
     rng = np.random.default_rng(seed)
     S, T = 5, 1 if stationary else 3
     grid = np.array([-1.0, 0.0, 0.5, 2.0])
@@ -730,9 +735,11 @@ def test_table_actions_equal_per_rule_lookup(seed, stationary):
     keys = np.tile(keys, S)
     order = rng.permutation(len(keys))
     states, keys = states[order], keys[order]
+    rules = _RuleIndex(policy)
+    assert (np.diff(rules.codes) >= 0).all()
     for t in range(T + 1 if stationary else T):
         want = actions_per_state(policy, t, states, keys)
-        assert _actions(policy, t, states, keys).tolist() == want.tolist()
+        assert rules.at_keys(t, states, keys).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("reward_kind, ordinal", [
@@ -744,9 +751,9 @@ def test_simulate_matches_the_per_state_lookup(monkeypatch, reward_kind, ordinal
     policy = random_wealth_policy(m, space, np.random.default_rng(4))
     got = simulate(m, space, policy, 20_000, seed=9)
     # the ordinal policy takes the chain in exact_distribution; the atom
-    # path is the one that reads _actions
+    # path is the one that reads the index at atom keys
     exact = evaluate._atom_distribution(m, space, policy, 10_000_000)
-    monkeypatch.setattr(evaluate, "_actions", actions_per_state)
+    monkeypatch.setattr(evaluate._RuleIndex, "at_keys", per_state_at_keys)
     assert got.tobytes() == simulate(m, space, policy, 20_000, seed=9).tobytes()
     want = evaluate._atom_distribution(m, space, policy, 10_000_000)
     assert exact.keys.tobytes() == want.keys.tobytes()
@@ -823,10 +830,62 @@ def test_cell_actions_equal_per_rule_lookup(kind, ordinal):
     chain = _WealthChain.fit(m, space, policy)
     C = len(keys)
     rows = np.arange(m.n_states * C)
+    assert (np.diff(chain.rules.codes) >= 0).all()
     for t in range(m.horizon):
         want = actions_per_state(policy, t, rows // C, keys[rows % C])
-        got = chain.actions(t, *np.divmod(rows, C))
+        states, cells = np.divmod(rows, C)
+        got = chain.rules.actions(t, states, 2 * cells + 1)
         assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("stationary", [False, True])
+def test_a_table_without_cuts_takes_every_forward_path(monkeypatch, stationary):
+    # no cut, so the atom path's index has no key at all
+    from qmdp import evaluate
+    m = random_lattice_mdp(2, horizon=4)
+    space = AdditiveWealth.for_mdp(m)
+    shape = m.n_states if stationary else (m.horizon, m.n_states)
+    policy = WealthMarkovPolicy.from_markov(
+        np.random.default_rng(2).integers(0, m.n_actions, shape).tolist(),
+        stationary)
+    assert not len(evaluate._RuleIndex(policy).keys)
+    # the chain and the atom path agree (and the chain fits)
+    assert_same_outcome(m, space, policy, 10_000_000)
+    got = simulate(m, space, policy, 5_000, seed=4)
+    monkeypatch.setattr(evaluate._RuleIndex, "at_keys", per_state_at_keys)
+    assert got.tobytes() == simulate(m, space, policy, 5_000, seed=4).tobytes()
+
+
+@pytest.mark.parametrize("cut, atom", [(-0.0, 0.0), (0.0, -0.0)])
+def test_a_signed_zero_cut_covers_the_other_zero(cut, atom):
+    # -0.0 == 0.0: an inclusive cut covers an atom at the other zero, an
+    # exclusive one does not
+    from qmdp.evaluate import _RuleIndex
+    f = StepFunction(0, [cut, cut, 1.0], [True, False, True], [1, 2, 3])
+    policy = WealthMarkovPolicy(pack([f], np.int64), 1, True)
+    keys = np.array([-1.0, atom, 0.5, 1.0, 2.0])
+    states = np.zeros(len(keys), dtype=np.int64)
+    got = _RuleIndex(policy).at_keys(0, states, keys)
+    assert got.tolist() == [0, 1, 2, 3, 3]
+    assert got.tolist() == actions_per_state(policy, 0, states, keys).tolist()
+
+
+def test_cuts_on_both_sides_in_one_grid_gap_keep_their_order():
+    # an inclusive cut, then an exclusive one, both between cells 0 and 1:
+    # both take cell 1's slot, so the codes stay sorted and cell 1 reads
+    # the later cut
+    from qmdp.evaluate import _RuleIndex
+    grid = np.array([0.0, 1.0, 2.0])
+    f = StepFunction(0, [0.25, 0.5, 2.0], [True, False, False], [1, 2, 3])
+    policy = WealthMarkovPolicy(pack([f, f], np.int64), 2, True)
+    rules = _RuleIndex(policy, grid)
+    assert (np.diff(rules.codes) >= 0).all()
+    states = np.repeat([0, 1], 3)
+    cells = np.tile(np.arange(3), 2)
+    got = rules.actions(0, states, 2 * cells + 1)
+    assert got.tolist() == [0, 2, 2] * 2
+    want = actions_per_state(policy, 0, states, grid[cells])
+    assert got.tolist() == want.tolist()
 
 
 def outcome(evaluate):

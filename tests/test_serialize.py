@@ -104,6 +104,19 @@ def test_stationary_policy_payload_omits_t():
     assert loaded.action(7, 0, 0.0) == 1    # t is ignored
 
 
+@pytest.mark.parametrize("first_stationary", [True, False])
+def test_policy_entries_agree_with_the_first_on_t(first_stationary):
+    # a stationary entry before per-step ones, or after them: either way
+    # the file mixes two kinds of policy and loads as neither
+    space = AdditiveWealth(-5, 5)
+    stationary = {"s": 0, "intervals": [
+        {"from": None, "inclusive_from": True, "action": 0}]}
+    steps = [_entry(2, 0, 1), _entry(0, 1, 1)]
+    payload = [stationary] + steps if first_stationary else steps + [stationary]
+    with pytest.raises(ConfigurationError, match="'t'"):
+        policy_from_payload(payload, space, 2)
+
+
 def test_policy_payload_state_mismatch():
     space = AdditiveWealth(-1, 1)
     payload = [{"t": 0, "s": 5, "intervals": [

@@ -54,13 +54,14 @@ when a grid is admitted, over one of three grids:
 
 * the n classes of ordinal wealth (:class:`OrdinalSweep`).  The slices of
   many targets stack into one array, so one batched backward induction
-  gives the optimal exceedance probability of every class threshold, and
-  one at a single threshold the policy; ordinal
-  :func:`backward_induction` runs it too, so :func:`_layer` is
-  numeric-only.  The batched sweep reads only (s0, w0) at t = 0, so layer
-  t computes only the classes w0 reaches in t steps, and targets that
-  split those terminal classes alike share one column: the same sums of
-  the same products;
+  gives the optimal exceedance probability of every class threshold;
+  ordinal :func:`backward_induction` runs it too, at one threshold over
+  every class, so :func:`_layer` is numeric-only.  The batched sweep
+  reads only (s0, w0) at t = 0, so layer t computes only the classes w0
+  reaches in t steps, and targets that split those terminal classes alike
+  share one column: the same sums of the same products.  It keeps each
+  layer's input slices, so a solve's policy is one rule pass over them at
+  the column it picks, the full sweep's rules on every reached class;
 * the multiples of a lattice step δ of the rewards and the target from
   which T steps can reach the target, for a finite run on additive
   wealth;
@@ -80,7 +81,8 @@ What a run works out from the problem alone is kept on the immutable
 mask of a finite horizon (:func:`_reachable`) and the last
 :meth:`_DenseSweep.fit`, a sweep with its grid and gather tables or the
 None that sends a run to the cut loop; an ordinal sweep also keeps the
-classes w0 reaches.  No value rows, rules or probabilities are kept:
+classes w0 reaches and their gather tables, laid end to end for the rule
+pass too.  No value rows, rules or probabilities are kept:
 every run steps and tables afresh.
 """
 
@@ -91,9 +93,10 @@ import numbers
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
-from .stepfun import (VALUE_TOL, WealthMarkovPolicy, _join, _on_classes,
-                      _ranks, _restrict, _segment, _segments, _target,
-                      _threshold_runs, _tol_merged, _unpack, _value_merged)
+from .stepfun import (VALUE_TOL, WealthMarkovPolicy, _join, _offsets,
+                      _on_classes, _ranks, _restrict, _segment, _segments,
+                      _target, _threshold_runs, _tol_merged, _unpack,
+                      _value_merged)
 # bound here for the callers that reach them through this module: the
 # benchmark's tracer (the per-slice algebra) and the tests (_Cuts, translate)
 from .stepfun import (_Cuts, combine, pointwise_max, restrict, shift,
@@ -482,15 +485,19 @@ class _DenseSweep:
             rule[:] = _first_best(q[..., 0].swapaxes(0, 1), top[..., 0])
         return top.reshape(-1, V.shape[1])
 
-    def _sweep(self, splits, reach=None, best=None, values=None):
+    def _sweep(self, splits, reach=None, best=None, values=None, inputs=None):
         """The layer-0 slices of the terminal columns 1 from position
         ``splits[j]`` of the cells of ``reach`` (:meth:`OrdinalSweep._reach`)
         or of all.  With ``best``, a (T, S, n) array for one column,
         ``best[t]`` gets layer t's rule, and with ``values``, a (T, S * n,
-        J) array, its slices (all cells)."""
+        J) array, its slices (all cells).  With ``inputs``, a list, each
+        layer's input slices are appended to it, layer T - 1's first: the
+        arrays the steps read, kept as they are."""
         cells, gathers = reach or (range(self.n), [None] * self.horizon)
         V = self._start(len(cells), splits)
         for t in range(self.horizon - 1, -1, -1):
+            if inputs is not None:
+                inputs.append(V)
             V = self._step(V, None if best is None else best[t], gathers[t])
             if values is not None:
                 values[t] = V
@@ -555,11 +562,12 @@ class OrdinalSweep(_DenseSweep):
 
     The cells are the classes, moved through the class-transition table
     (:meth:`~qmdp.wealth.Grid.of_classes`).  One loop
-    (:meth:`_DenseSweep._sweep`) serves the batched exceedance curve, the
-    single-target policy and ordinal :func:`backward_induction`; only the
-    curve's sweep skips the classes w0 cannot reach (:meth:`_reach`).
-    Strict at class j is non-strict at j + 1, so every table cuts
-    inclusively at class keys.
+    (:meth:`_DenseSweep._sweep`) serves the batched exceedance curve and
+    ordinal :func:`backward_induction`.  The curve's sweep skips the
+    classes w0 cannot reach (:meth:`_reach`); a solve's sweep
+    (:meth:`policy`) also keeps each layer's input slices and reads the
+    greedy rules of one column off them in one pass.  Strict at class j is
+    non-strict at j + 1, so every table cuts inclusively at class keys.
     """
 
     strict_cuts = False
@@ -577,10 +585,12 @@ class OrdinalSweep(_DenseSweep):
         gather table over ``R_t``: row (s, k) reads row ``succ * |R_{t+1}|``
         plus the position of ``move(k)`` in ``R_{t+1}``; padding, row 0.
         Built on the first call and kept: it reads no target."""
-        return self._reached
+        reach, gathers = self._reached
+        return reach[-1], gathers
 
     @functools.cached_property
     def _reached(self):
+        """``(R_0..R_T, gathers)`` of :meth:`_reach`."""
         T = self.horizon
         reach = [np.array([self.grid.w0])]
         hit = np.empty(self.n, dtype=bool)
@@ -597,7 +607,34 @@ class OrdinalSweep(_DenseSweep):
             pos[there] = np.arange(len(there))
             gathers.append(succ[:, :, here] * len(there)
                            + pos[move[:, :, here]])
-        return reach[T], tuple(gathers)
+        return reach, tuple(gathers)
+
+    @functools.cached_property
+    def _rule_layout(self):
+        """The entries (t, s, k), k in R_t, of a rule pass, in table order
+        (t, then s, then k): ``(gather, prob, rule, key, first)``.
+
+        ``gather[i, a, e]`` is the row that slot i of action a of entry e
+        reads among the inputs a sweep keeps (:meth:`_sweep`), laid end to
+        end, and ``prob[i, a, e]`` its probability; ``rule`` is each
+        entry's rule t * S + s, ``key`` its class key, ``first`` the first
+        entry of every rule.  Built on the first call and kept: it reads no
+        target."""
+        reach, gathers = self._reached
+        T, S, A = self.horizon, self.n_states, self.n_actions
+        # layer t reads V_{t+1}, kept after the inputs of the T - 1 - t
+        # layers above it
+        at = np.cumsum([0] + [S * len(r) for r in reach[:0:-1]])[::-1]
+        prob = self.prob.reshape(-1, S, A).swapaxes(1, 2)
+        parts = [(gathers[t].reshape(-1, S, A, len(reach[t])).swapaxes(1, 2)
+                  .reshape(-1, A, S * len(reach[t])) + at[t + 1],
+                  prob.repeat(len(reach[t]), axis=2),
+                  np.arange(S).repeat(len(reach[t])) + t * S,
+                  np.tile(self.grid.keys[reach[t]], S)) for t in range(T)]
+        gather, prob, rule, key = (np.concatenate(x, axis=-1)
+                                   for x in zip(*parts))
+        first = np.flatnonzero(np.diff(rule, prepend=-1))
+        return gather, prob, rule, key, first
 
     def exceedance(self, targets, strict):
         """Optimal exceedance probability from (s0, w0) at every class target.
@@ -608,6 +645,23 @@ class OrdinalSweep(_DenseSweep):
         column per distinct ``np.searchsorted`` split of them, in blocks
         whose largest gather holds about ``BLOCK_FLOATS`` floats.
         """
+        return self.policy(targets, strict)[0]
+
+    def policy(self, targets, strict, passes=None):
+        """``(p, i, policy)``: p as :meth:`exceedance` gives it, from the
+        same sweep, and with ``passes`` (a test on an array of
+        probabilities) the greedy policy at the last target i whose p
+        passes, or at i = 0 when none does; without it i and the policy
+        are None.  With ``passes`` the targets must ascend.
+
+        Every layer's input slices are the sweep's own, kept as it made
+        them, for at most two column blocks at once: the last one holding
+        a passing column and, until a column passes, the first, which
+        holds target 0's.  Ascending targets put target i's column in the
+        block kept, and one rule pass reads it off them (:meth:`_rules`).
+        """
+        if passes is not None and np.any(np.diff(targets) < 0):
+            raise ValueError("the targets of a policy sweep must ascend")
         reach = self._reach()
         splits, col = np.unique(np.searchsorted(
             reach[0], targets, side="right" if strict else "left"),
@@ -615,17 +669,51 @@ class OrdinalSweep(_DenseSweep):
         block = max(1, BLOCK_FLOATS // max((g.size for g in reach[1]),
                                            default=1))
         p = np.empty(len(splits))
+        kept, kept_at = None, 0
         for b in range(0, len(p), block):
+            inputs = None if passes is None else []
             # layer 0 holds w0 alone, so the row of (s0, w0) is s0
-            p[b:b + block] = self._sweep(splits[b:b + block], reach)[
-                self.initial_state]
-        return p[col]
+            p[b:b + block] = self._sweep(splits[b:b + block], reach,
+                                         inputs=inputs)[self.initial_state]
+            if passes is not None and (b == 0 or passes(p[b:b + block]).any()):
+                kept, kept_at = inputs, b
+        p = p[col]
+        if passes is None:
+            return p, None, None
+        hit = np.flatnonzero(passes(p))
+        i = hit[-1] if len(hit) else 0
+        rules = self._rules(kept, col[i] - kept_at)
+        return p, i, WealthMarkovPolicy(rules, self.n_states)
+
+    def _rules(self, inputs, j):
+        """The table of column j's greedy rules for all T layers, from the
+        ``inputs`` a restricted sweep kept.
+
+        One gather through the entries of :meth:`_rule_layout`, one
+        multiply and one sum over slots, one max and one
+        :func:`_first_best`: on (t, s, k) with k in R_t the same sums of
+        the same products as a full sweep's, so the same rule.  A rule cuts
+        inclusively at each class of R_t whose action differs from the
+        reached class before it, so every other class takes the action of
+        the largest class of R_t below it, or of R_t's smallest when none
+        is, as :func:`_on_classes` tables such filled rows.
+        """
+        gather, prob, rule, key, first = self._rule_layout
+        g = np.concatenate([V[:, j] for V in inputs]).take(gather)
+        g *= prob
+        q = g.sum(axis=0)
+        best = _first_best(q, q.max(axis=0))
+        cut = 1 + np.flatnonzero((best[1:] != best[:-1])
+                                 & (rule[1:] == rule[:-1]))
+        return _Cuts(best[first], _offsets(rule[cut], len(first)), key[cut],
+                     np.zeros(len(cut), dtype=np.uint8), best[cut])
 
     def backward_induction(self, target, strict):
         """:func:`backward_induction`'s policy and p at one class target.
 
-        Returns ``(policy, p)``: the (T, S, n) greedy rows become the
-        policy's table in one pass (:func:`_on_classes`).
+        Returns ``(policy, p)``: the (T, S, n) greedy rows of a sweep over
+        every class become the policy's table in one pass
+        (:func:`_on_classes`).
         """
         rules, p, _ = self._tables(target, strict)
         return WealthMarkovPolicy(rules, self.n_states), p
@@ -648,32 +736,18 @@ def reachable_window(m, space):
     return (w0_key, None) if sign == "nonnegative" else (None, w0_key)
 
 
-def _layout(c, seg):
-    """Each slice of c as [base, values...], end to end.
-
-    Returns the values and the positions of each base and of each cut's
-    value; both only grow along a slice's cuts and from slice to slice.
-    """
-    head = c.off[:-1] + np.arange(len(c.base))
-    spot = np.arange(len(c.x)) + seg + 1
-    ext = np.empty(len(c.x) + len(c.base))
-    ext[head] = c.base
-    ext[spot] = c.v
-    return ext, head, spot
-
-
 def _residual(f, g):
     """``max_s sup_distance(f[s], g[s])`` over two tables, in one pass.
 
-    Each table is laid out here (:func:`_layout`) from its own segment
-    ids, and the cuts of both are sorted together by (state, threshold,
-    side).  A cut of one table leaves the other's value where it was, so a
-    running max of each table's positions gives its value on every merged
-    piece; as in :func:`~qmdp.stepfun.sup_distance`, a run of identical
-    keys keeps its last cut.
+    Each table is laid out (:meth:`~qmdp.stepfun._Cuts.laid_out`) from
+    its own segment ids, and the cuts of both are sorted together by
+    (state, threshold, side).  A cut of one table leaves the other's value
+    where it was, so a running max of each table's positions gives its
+    value on every merged piece; as in :func:`~qmdp.stepfun.sup_distance`,
+    a run of identical keys keeps its last cut.
     """
     sf, sg = f.seg(), g.seg()
-    (ef, hf, pf), (eg, hg, pg) = _layout(f, sf), _layout(g, sg)
+    (ef, hf, pf), (eg, hg, pg) = f.laid_out(sf), g.laid_out(sg)
     state = np.concatenate((sf, sg))
     x = np.concatenate((f.x, g.x))
     e = np.concatenate((f.e, g.e))

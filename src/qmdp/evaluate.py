@@ -169,12 +169,13 @@ class _RuleIndex:
     above it slot 2i + 2, everything below key 0 slot 0; equal keys act
     as the first of them.  A cut takes the slot of the first key at or
     above its threshold, plus one when it is exclusive and sits on that
-    key; its code ``rule * width + slot`` keeps the table's order.  A
-    lookup at slot q of rule r takes the last code at or below
-    ``r * width + q``: its value when the cut is r's own, else r's base.
-    That is exact when every threshold is a key (the atom path and
-    :func:`simulate`: the default ``keys``, the sorted thresholds) or
-    every key looked up is one (the chain's cell c, slot 2c + 1).
+    key, and rule r's base takes slot 0; the code ``r * width + slot``
+    keeps the table's order, each base before its rule's cuts.  A lookup
+    at slot q of rule r takes the action of the last code at or below
+    ``r * width + q`` (:meth:`find`).  That is exact when every threshold
+    is a key (the atom path and :func:`simulate`: the default ``keys``,
+    the sorted thresholds) or every key looked up is one (the chain's
+    cell c, slot 2c + 1).
     """
 
     def __init__(self, policy, keys=None):
@@ -183,16 +184,22 @@ class _RuleIndex:
         self.policy, self.keys, self.width = policy, keys, 2 * len(keys) + 2
         left = np.searchsorted(keys, c.x, "left")
         on = np.searchsorted(keys, c.x, "right") > left
-        self.codes = c.seg() * self.width + 2 * left + 1 + on * c.e
+        seg = c.seg()
+        # rule r's base, then its cuts
+        self.values, head, spot = c.laid_out(seg)
+        self.codes = np.empty(len(self.values), dtype=np.intp)
+        self.codes[head] = np.arange(len(c.base)) * self.width
+        self.codes[spot] = seg * self.width + 2 * left + 1 + on * c.e
+
+    def find(self, codes):
+        """The action at each lookup code ``rule * width + slot``."""
+        return self.values[np.searchsorted(self.codes, codes, "right") - 1]
 
     def actions(self, t, states, slots):
         """The action at step t in each of ``states`` at its slot."""
-        c, policy = self.policy.table, self.policy
+        policy = self.policy
         rule = states if policy.stationary else t * policy.n_states + states
-        if not len(self.codes):
-            return c.base[rule]
-        at = np.searchsorted(self.codes, rule * self.width + slots, "right") - 1
-        return np.where(at >= c.off[rule], c.v[at], c.base[rule])
+        return self.find(rule * self.width + slots)
 
     def at_keys(self, t, states, keys):
         """The action at step t of each atom, at slot 2i of the i keys
@@ -328,7 +335,8 @@ class _WealthChain:
     Row ``s * C + c`` of the mass vector is the mass at state s in cell c
     of C.  A step sends each row's mass along the slots of the pair of its
     action (the policy's :class:`_RuleIndex` on the grid's keys, where
-    cell c is slot 2c + 1): slot k of pair i takes the share
+    cell c is slot 2c + 1, so that step t looks row r up at code
+    ``t * S * width`` plus r's kept offset): slot k of pair i takes the share
     ``slots.prob[i, k]`` to row ``succ * C + moves[row, c]`` of its
     successor and grid move row, and one ``np.bincount`` adds the entries
     up in (row, slot) order.  A stationary policy builds the entries of
@@ -337,7 +345,7 @@ class _WealthChain:
     masses in another order, so probabilities agree within rounding.
 
     What depends on the problem alone is kept on m: the slot layout
-    (:meth:`~qmdp.mdp.Mdp.slots`) and the last fit's grid and slot tables
+    (:meth:`~qmdp.mdp.Mdp.slots`) and the last fit's grid, slot and row tables
     (:meth:`_layout`).  Nothing of the policy is kept: its rule index,
     actions and entries are worked out on every call."""
 
@@ -359,10 +367,13 @@ class _WealthChain:
 
     @staticmethod
     def _layout(m, space, stationary):
-        """:meth:`fit`'s layout, without the memo: the ``grid`` of C cells
-        and, for each slot of m's :meth:`~qmdp.mdp.Mdp.slots`, the first
-        row ``succ * C`` of its successor and the offset ``row * C`` of its
-        grid move row in ``moves``, the grid's moves laid flat."""
+        """:meth:`fit`'s layout, without the memo: the ``grid`` of C cells;
+        for each slot of m's :meth:`~qmdp.mdp.Mdp.slots`, the first row
+        ``succ * C`` of its successor and the offset ``row * C`` of its
+        grid move row in ``moves``, the grid's moves laid flat; and for
+        each row ``s * C + c`` of the mass vector, its first pair ``s * A``,
+        its cell c and its rule offset ``s * width + 2c + 1``, where a
+        :class:`_RuleIndex` on the grid's keys has ``width = 2C + 2``."""
         slots = m.slots()
         # a step holds the operator (every slot of every row) or the masses
         size = m.n_states * (slots.edge.shape[1] if stationary else 1)
@@ -379,20 +390,23 @@ class _WealthChain:
         if grid is None:
             return None
         C = len(grid.keys)
-        return grid, slots.succ * C, grid.row[slots.edge] * C, grid.moves.ravel()
+        states, cells = np.divmod(np.arange(m.n_states * C), C)
+        return (grid, slots.succ * C, grid.row[slots.edge] * C,
+                grid.moves.ravel(), states * m.n_actions, cells,
+                states * (2 * C + 2) + 2 * cells + 1)
 
     def __init__(self, m, policy, layout):
         self.m, self.policy = m, policy
-        self.grid, self.succ, self.move, self.moves = layout
+        (self.grid, self.succ, self.move, self.moves, self.first, self.cell,
+         self.offset) = layout
         C = len(self.grid.keys)
         self.start = m.initial_state * C + self.grid.w0
+        # on the grid's keys the index's width is the layout's 2C + 2
         self.rules = _RuleIndex(policy, self.grid.keys)
         if policy.stationary:
-            states, cells = np.divmod(np.arange(m.n_states * C), C)
-            self.pair = states * m.n_actions + self.rules.actions(
-                0, states, 2 * cells + 1)
+            self.pair = self.first + self.rules.find(self.offset)
             self.empty = np.flatnonzero(m.slots().degree[self.pair] == 0)
-            self.operator = self._entries(self.pair, cells)
+            self.operator = self._entries(self.pair, self.cell)
 
     def _entries(self, pair, cells):
         """``(dest, prob)`` of every slot of the pairs taken from the
@@ -411,6 +425,8 @@ class _WealthChain:
         m, C = self.m, len(self.grid.keys)
         slots = m.slots()
         K = slots.edge.shape[1]
+        # rule t * S + s at cell c: code t * stride + offset[s * C + c]
+        stride = m.n_states * self.rules.width
         mass = np.zeros(m.n_states * C)
         mass[self.start] = 1.0
         for t in range(m.horizon):
@@ -422,11 +438,10 @@ class _WealthChain:
                 weight = prob * mass.repeat(K)
             else:
                 live = np.flatnonzero(mass)
-                states, cells = np.divmod(live, C)
-                pair = states * m.n_actions + self.rules.actions(
-                    t, states, 2 * cells + 1)
+                pair = self.first.take(live) + self.rules.find(
+                    t * stride + self.offset.take(live))
                 _check_taken(m, pair, slots.degree.take(pair), t)
-                dest, prob = self._entries(pair, cells)
+                dest, prob = self._entries(pair, self.cell.take(live))
                 weight = prob * mass.take(live).repeat(K)
             mass = np.bincount(dest, weight, len(mass))
             count = np.count_nonzero(mass)

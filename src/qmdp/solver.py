@@ -25,11 +25,14 @@ threshold j of the bracket gives the exceedance curve p(j) directly
 (:meth:`~qmdp.dp.OrdinalSweep.exceedance`), on only the classes w0 reaches
 and one column per distinct split of them.  The lower quantile is one
 above the largest passing j below the bracket top, the upper quantile the
-largest passing j above the bracket bottom; both are exact.  The policy
-comes from a second, single-threshold pass at the largest passing j
-(:meth:`~qmdp.dp.OrdinalSweep.backward_induction`, the same loop keeping
-its greedy rules), or at the bracket bottom when no j passes, and attains
-the optimum.
+largest passing j above the bracket bottom; both are exact.  That sweep
+is the solve's only one (:meth:`~qmdp.dp.OrdinalSweep.policy`): it keeps
+each layer's input slices, and one rule pass reads the greedy rules of
+the largest passing j, or of the bracket bottom when no j passes, off
+them.  On the classes w0 reaches in t steps they are the rules of a sweep
+over every class, so the policy attains the optimum; every other class
+takes the rule of the nearest reached class below it (above it when none
+is below), which no evaluation from (s0, w0) reads.
 
 A solve returns a policy and its quantile, and keeps no value function;
 :func:`value_function` reruns the sweep a solve ran and moves its tables
@@ -39,10 +42,10 @@ A problem pays its set-up once.  An :class:`~qmdp.mdp.Mdp` is immutable,
 so what depends on it alone is kept on it for every later query: the
 :func:`~qmdp.mdp.validate` result, the reach mask of a finite horizon and
 the dense sweep of the last fit (its grid and gather tables, or the
-decision that the cut loop runs; on ordinal wealth the class sweep and
-the classes w0 reaches).  Nothing that depends on the query is kept: no
-value rows, rules, probabilities or reports.  Every query runs its full
-sweep and translation.
+decision that the cut loop runs; on ordinal wealth the class sweep, the
+classes w0 reaches and their gather tables).  Nothing that depends on the
+query is kept: no value rows, rules, probabilities or reports.  Every
+query runs its full sweep and translation.
 """
 
 import math
@@ -131,8 +134,8 @@ def solve_quantile(m, space, query, *, eps_conv=1e-6, max_sweeps=10000):
     far end of ``quantile_bounds`` for infinite ones (uniformly signed
     rewards, undiscounted additive wealth), which return a stationary
     policy.  Ordinal problems make one batched dense backward induction
-    over every class threshold of the bracket, and one more at the
-    threshold the policy targets.
+    over every class threshold of the bracket, whose kept layers give the
+    policy's rules.
     """
     query.check()
     check_convergence(eps_conv, max_sweeps)
@@ -160,8 +163,9 @@ def value_function(m, space, query, report, *, eps_conv=1e-6,
     one) on the same engine, with every state in every layer, and moves
     each table to the policy's target ``report.log[0].w`` with
     :func:`~qmdp.stepfun.translate`, as the solve moved the policy.  Ordinal
-    wealth runs :func:`~qmdp.dp.backward_induction` at that target, the
-    class sweep of the policy pass.
+    wealth runs :func:`~qmdp.dp.backward_induction` at that target: the
+    class sweep over every class, whose rules on the classes w0 reaches
+    are the policy's.
     """
     w, strict = report.log[0].w, query.criterion == "lower"
     if isinstance(space, OrdinalWealth):
@@ -307,21 +311,20 @@ def _solve_ordinal(m, space, query, strict, thr, lo_k, hi_k):
     reaches the bottom one), and what clamps q* into narrower
     quantile_bounds.  Without a passing j the report is at_bottom at
     lo_k.  The policy is the greedy one at the largest passing threshold
-    (at lo_k when at_bottom), which attains q*.
+    (at lo_k when at_bottom), which attains q*: the same sweep tables it
+    from the layers it kept, with lo_k as target 0, the one it falls back
+    to (for upper queries an extra column).
     """
     lo, hi = int(lo_k), int(hi_k)
     # the class sweep serves every target: the one m keeps
     sweep = OrdinalSweep.fit(m, space, lo_k)
-    js = np.arange(lo, hi) + (0 if strict else 1)
-    hits = js[_passes(sweep.exceedance(js, strict), thr, strict)]
-    at_bottom = not len(hits)
-    if at_bottom:
-        q = target = lo
-    else:
-        target = int(hits[-1])
-        q = target + 1 if strict else target
+    # target 0 is lo, the policy's target when no threshold passes
+    targets = np.r_[lo, np.arange(lo, hi) + (0 if strict else 1)]
+    p, i, policy = sweep.policy(targets, strict,
+                                lambda p: _passes(p, thr, strict))
+    at_bottom, target, p = i == 0, int(targets[i]), float(p[i])
+    q = target + 1 if strict and not at_bottom else target
     bracket = (q - 1, q) if strict else (q, q + 1)
-    policy, p = sweep.backward_induction(target, strict)
     return SolveReport(
         policy=policy,
         quantile=space.unkey(q),

@@ -119,6 +119,22 @@ class _Cuts(NamedTuple):
         """The segment of every cut."""
         return np.repeat(np.arange(len(self.base)), np.diff(self.off))
 
+    def laid_out(self, seg):
+        """Each function as [base, values...], end to end, from the
+        segment of every cut (:meth:`seg`).
+
+        Returns the values and the positions of each base and of each
+        cut's value; both only grow along a function's cuts and from
+        function to function.
+        """
+        head = self.off[:-1] + np.arange(len(self.base))
+        spot = np.arange(len(self.x)) + seg + 1
+        ext = np.empty(len(self.x) + len(self.base),
+                       np.result_type(self.base, self.v))
+        ext[head] = self.base
+        ext[spot] = self.v
+        return ext, head, spot
+
     def steps(self):
         """The value change at every cut."""
         prev = np.empty_like(self.v)

@@ -161,6 +161,11 @@ def test_found_problem_tracebacks(tmp_path, name, path, value, code):
     assert main(["solve", "--problem", str(problem_path), "--tau", "0.5"]) == code
 
 
+# A path that starts here indexes the first policy entry whose rule has a
+# cut: which (t, s) that is depends on the solve.
+FIRST_CUT = "first entry with a cut"
+
+
 @pytest.mark.parametrize("name,path,value", [
     ("sa-additive", [0], 3),
     ("sa-additive", [0, "t"], 10**9),
@@ -170,7 +175,7 @@ def test_found_problem_tracebacks(tmp_path, name, path, value, code):
     ("sa-additive", [0, "intervals", 1, "from"], 10**400),
     ("sa-additive", [0, "intervals", 1, "from"], float("nan")),
     ("sa-additive", [0, "intervals", 0, "action"], 2**63),
-    ("sas-ordinal", [0, "intervals", 1, "from"], [1]),
+    ("sas-ordinal", [FIRST_CUT, "intervals", 1, "from"], [1]),
     ("sa-additive", [0, "intervals", 1, "from"], "0.5"),
     ("sa-additive", [0, "intervals", 1, "from"], True),
     # these two loaded as a constant action-0 rule
@@ -179,6 +184,9 @@ def test_found_problem_tracebacks(tmp_path, name, path, value, code):
 ])
 def test_found_policy_tracebacks(tmp_path, name, path, value):
     policy = copy.deepcopy(POLICIES[name])
+    if path[0] == FIRST_CUT:
+        path = [next(i for i, entry in enumerate(policy)
+                     if len(entry["intervals"]) > 1), *path[1:]]
     _set(policy, path, value)
     problem_path = tmp_path / "problem.json"
     policy_path = tmp_path / "policy.json"

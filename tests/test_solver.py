@@ -365,6 +365,43 @@ def test_ordinal_at_bottom():
         assert quantile_certificate(stuck, space, report, query)
 
 
+def class_rules(policy, m, n):
+    """The (T, S, n) actions of every rule of ``policy`` at every class."""
+    keys = np.arange(n, dtype=np.float64)
+    return np.array([[policy.rule(t, s).eval_many(keys)
+                      for s in range(m.n_states)] for t in range(m.horizon)])
+
+
+def reached_classes(m, space):
+    """R_0..R_{T-1}: the classes w0 reaches in exactly t steps, over every
+    edge of m."""
+    moves = np.array([space.move_table(r) for r in set(m.rewards.tolist())])
+    reach = [np.array([space.index(space.w0)])]
+    for _ in range(m.horizon - 1):
+        reach.append(np.unique(moves[:, reach[-1]]))
+    return reach
+
+
+def assert_policy_is_the_full_pass(m, space, report, strict):
+    """The solve's policy against backward_induction's at the logged
+    threshold: the same rule on every (t, s, class of R_t), the rule of the
+    largest class of R_t below (else R_t's smallest) on every other class,
+    the same exact distribution and the same p, bit for bit."""
+    full, p, _ = backward_induction(m, space, report.log[0].w, strict)
+    assert report.log[0].p.hex() == p.hex()
+    n = len(space.classes)
+    got, want = class_rules(report.policy, m, n), class_rules(full, m, n)
+    for t, reach in enumerate(reached_classes(m, space)):
+        assert np.array_equal(got[t][:, reach], want[t][:, reach]), t
+        below = np.searchsorted(reach, np.arange(n), "right") - 1
+        fill = reach[np.maximum(below, 0)]
+        assert np.array_equal(got[t], got[t][:, fill]), t
+    a = exact_distribution(m, space, report.policy)
+    b = exact_distribution(m, space, full)
+    assert a.keys.tolist() == b.keys.tolist()
+    assert a.probs.tobytes() == b.probs.tobytes()
+
+
 def test_ordinal_policy_pass_matches_backward_induction():
     for seed in range(4):
         m, space = random_ordinal_instance(seed)
@@ -374,8 +411,43 @@ def test_ordinal_policy_pass_matches_backward_induction():
             policy, p, _ = backward_induction(m, space, report.log[0].w,
                                               criterion == "lower")
             assert report.log[0].p == pytest.approx(p, abs=1e-12)
-            assert all(np.array_equal(a, b)
-                       for a, b in zip(report.policy.table, policy.table))
+            assert_policy_is_the_full_pass(m, space, report,
+                                           criterion == "lower")
+
+
+@pytest.mark.parametrize("one_column_blocks", [False, True])
+def test_one_sweep_policy_is_the_full_pass_on_reached_classes(
+        monkeypatch, one_column_blocks):
+    # the solve's rules come from its exceedance sweep's own layers: on the
+    # classes w0 reaches they are the full single-target pass's, elsewhere
+    # the fill, and every forward path from (s0, w0) is unchanged; with one
+    # column per block the policy's column is often in a later block
+    from qmdp import dp
+    seen = set()
+    for seed in range(48):
+        m, space = restricted_sweep_instance(seed)
+        if one_column_blocks:
+            _, gathers = OrdinalSweep(m, space)._reach()
+            monkeypatch.setattr(dp, "BLOCK_FLOATS",
+                                max(g.size for g in gathers))
+        top = space.classes[-1]
+        for criterion, tau in ORDINAL_QUERIES:
+            for bounds in (None, (top, top)):
+                query = QuantileQuery(tau=tau, criterion=criterion,
+                                      epsilon=1.0, quantile_bounds=bounds)
+                report = solve_quantile(m, space, query)
+                assert_policy_is_the_full_pass(m, space, report,
+                                               criterion == "lower")
+                # a one-class bracket at the top holds no policy's quantile
+                if bounds is None:
+                    assert quantile_certificate(m, space, report, query)
+                seen.add((criterion, report.at_bottom, bounds is None))
+    assert seen == {(c, bottom, free) for c in ("lower", "upper")
+                    for bottom in (True, False) for free in (True, False)
+                    if bottom or free}
+    # the policy's column is in a kept block only for ascending targets
+    with pytest.raises(ValueError, match="ascend"):
+        OrdinalSweep(m, space).policy([1, 0], True, lambda p: p > 0.5)
 
 
 def many_class_instance(n_classes=300, seed=0):
@@ -538,29 +610,26 @@ def test_dense_policy_table_equals_backward_induction(strict):
 
 @pytest.mark.parametrize("criterion", ["lower", "upper"])
 def test_ordinal_solve_count(monkeypatch, criterion):
-    # one batched sweep over the bracket and one policy pass: no
-    # functional backward induction, no bisection
-    from qmdp import solver
+    # one batched sweep over the bracket, whose kept layers give the
+    # policy: no single-threshold pass, no functional backward induction,
+    # no bisection
+    from qmdp import dp, solver
     calls = []
-    real_bi = solver.backward_induction
-    real_sweep = OrdinalSweep.exceedance
-    real_policy = OrdinalSweep.backward_induction
 
-    def counting_bi(*args):
-        calls.append("backward_induction")
-        return real_bi(*args)
+    def counting(owner, name, label):
+        real = getattr(owner, name)
 
-    def counting_sweep(self, *args):
-        calls.append("exceedance")
-        return real_sweep(self, *args)
+        def count(*args, **kwargs):
+            calls.append(label)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, count)
 
-    def counting_policy(self, *args):
-        calls.append("policy")
-        return real_policy(self, *args)
-
-    monkeypatch.setattr(solver, "backward_induction", counting_bi)
-    monkeypatch.setattr(OrdinalSweep, "exceedance", counting_sweep)
-    monkeypatch.setattr(OrdinalSweep, "backward_induction", counting_policy)
+    counting(solver, "backward_induction", "backward_induction")
+    counting(OrdinalSweep, "policy", "policy")
+    counting(OrdinalSweep, "exceedance", "exceedance")
+    counting(OrdinalSweep, "backward_induction", "single-threshold pass")
+    counting(dp._DenseSweep, "_tables", "single-threshold pass")
+    counting(dp._DenseSweep, "_sweep", "sweep")
     instances = ([two_policy_ordinal_instance()]
                  + [random_ordinal_instance(seed) for seed in range(8)])
     for m, space in instances:
@@ -568,7 +637,7 @@ def test_ordinal_solve_count(monkeypatch, criterion):
             calls.clear()
             report = solve_quantile(m, space, QuantileQuery(
                 tau=tau, criterion=criterion, epsilon=1.0))
-            assert calls == ["exceedance", "policy"]
+            assert calls == ["policy", "sweep"]
             assert report.iterations == len(report.log) == 1
             assert report.extra_solves == 0
 

@@ -47,10 +47,18 @@ above t (nonpositive rewards) or below t (nonnegative rewards).
 
 So there are two loops: the cut loop, and one dense sweep
 (:class:`_DenseSweep`) where slices are vectors over the cells of a
-:class:`~qmdp.wealth.Grid`.  A dense step is one gather through an
-(edge, pair, cell) index table of the grid's moves, a sum over edges and
-a max over actions.  :meth:`_DenseSweep.fit` picks it, and states once
-when a grid is admitted, over one of three grids:
+:class:`~qmdp.wealth.Grid`.  States whose slot rows are bit-equal hold
+bit-equal values at every layer, so they form one class and share one
+value row.  A dense step mixes each distinct (successor class,
+probability) row once over every cell, in one gather and a sum over
+slots; each (class, action) reads its row at its own wealth move, in a
+second gather, and a max over actions ends the step.  Where that would
+gather more floats than one gather per edge, the move folds into the row
+gather and the second gather disappears: the per-edge step, which the
+ordinal sweep always takes.  Both add the same products in the same
+order, so they give the same bits.  :meth:`_DenseSweep.fit` picks the
+dense sweep, and states once when a grid is admitted, over one of three
+grids:
 
 * the n classes of ordinal wealth (:class:`OrdinalSweep`).  The slices of
   many targets stack into one array, so one batched backward induction
@@ -79,11 +87,11 @@ not.
 What a run works out from the problem alone is kept on the immutable
 :class:`~qmdp.mdp.Mdp` and reused by every later run on it: the reach
 mask of a finite horizon (:func:`_reachable`) and the last
-:meth:`_DenseSweep.fit`, a sweep with its grid and gather tables or the
-None that sends a run to the cut loop; an ordinal sweep also keeps the
-classes w0 reaches and their gather tables, laid end to end for the rule
-pass too.  No value rows, rules or probabilities are kept:
-every run steps and tables afresh.
+:meth:`_DenseSweep.fit`, a sweep with its grid, state classes, mix rows
+and gather tables or the None that sends a run to the cut loop; an
+ordinal sweep also keeps the classes w0 reaches and their gather tables,
+laid end to end for the rule pass too.  No value rows, rules or
+probabilities are kept: every run steps and tables afresh.
 """
 
 import functools
@@ -107,8 +115,8 @@ from .wealth import BLOCK_FLOATS, AdditiveWealth, Grid, OrdinalWealth, _signed
 # action: keys, indices, sort order and sorted copies.
 _ENTRY_FLOATS = 16
 
-# The largest gather (edge slots x pairs x cells) of one step of a finite
-# lattice sweep.  Its time grows with the gather, the cut loop's with the
+# The largest per-edge gather (edge slots x pairs x cells) of one step of a
+# finite lattice sweep, whatever the state classes and mix rows save.  Its time grows with the gather, the cut loop's with the
 # pieces per slice.  Measured in one process on a 2-core VM (Python 3.11,
 # numpy 2.4), one reachable-only backward induction on a dense grid against
 # the cut loop: data centers with 2 servers took 0.68x the cut loop's time
@@ -126,28 +134,29 @@ class ValueFunction:
     is the terminal target utility.  A value-iteration result holds one
     stationary layer, ``tables[0]``, and the number of sweeps that made it.
 
-    A dense sweep hands over its first L layers untabled: ``rows`` is an
-    (L, S, n) array of their value rows over the cells of its grid,
-    ``table`` tables any (k, n) run of rows, and the ``tables`` given are
-    the layers after them.  The rows are tabled on the first read of
-    ``tables`` or ``slices``; :meth:`slice` before that tables only its
-    own row.  A row tables alone as it does among the others, so either
-    read gives the same bits, and :meth:`slice` keeps each row it tabled,
-    so a second read of one slice tables nothing.
+    A dense sweep hands over its first L layers untabled: ``rows`` is a
+    (k, n) array of value rows over the cells of its grid, ``at`` the (L,
+    S) array of the row each (t, s) takes (states of one class share a
+    row), ``table`` tables any (j, n) run of rows, and the ``tables`` given
+    are the layers after them.  The rows are tabled on the first read of
+    ``tables`` or ``slices``, one per (t, s); :meth:`slice` before that
+    tables only its own row.  A row tables alone as it does among the
+    others, so either read gives the same bits, and :meth:`slice` keeps
+    each row it tabled, so a second read of one slice tables nothing.
     """
 
-    def __init__(self, tables, sweeps=None, rows=None, table=None):
+    def __init__(self, tables, sweeps=None, rows=None, at=None, table=None):
         self.sweeps = sweeps
         if rows is None:
             self.tables = tables
         else:
-            self._rows, self._table, self._tail = rows, table, tables
-            self._tabled = {}
+            self._rows, self._at, self._table = rows, at, table
+            self._tail, self._tabled = tables, {}
 
     @functools.cached_property
     def tables(self):
-        L, S, n = self._rows.shape
-        flat = self._table(self._rows.reshape(L * S, n))
+        L, S = self._at.shape
+        flat = self._table(self._rows.take(self._at.ravel(), axis=0))
         return [_segments(flat, t * S, S) for t in range(L)] + self._tail
 
     @functools.cached_property
@@ -156,11 +165,12 @@ class ValueFunction:
         return [_unpack(c) for c in self.tables]
 
     def slice(self, t, s):
-        if "tables" not in vars(self) and 0 <= t < len(self._rows):
+        if "tables" not in vars(self) and 0 <= t < len(self._at):
             f = self._tabled.get((t, s))
             if f is None:
+                i = self._at[t, s]
                 f = self._tabled[t, s] = _segment(
-                    self._table(self._rows[t, s:s + 1]), 0)
+                    self._table(self._rows[i:i + 1]), 0)
             return f
         return _segment(self.tables[t], s)
 
@@ -349,9 +359,9 @@ def backward_induction(m, space, w, strict, reachable_only=False):
     terminal = _target(target, strict, S)
     sweep = _DenseSweep.fit(m, space, target)
     if sweep is not None:
-        rules, p, rows = sweep._tables(target, strict, live, values=True)
+        rules, p, rows, at = sweep._tables(target, strict, live)
         return (WealthMarkovPolicy(rules, S), p,
-                sweep._value_function(rows, strict, [terminal]))
+                sweep._value_function(rows, at, strict, [terminal]))
     tables, rules, every = [terminal], [], np.arange(S)
     for t in range(T - 1, -1, -1):
         states = every if live is None else np.flatnonzero(live[t])
@@ -364,27 +374,45 @@ def backward_induction(m, space, w, strict, reachable_only=False):
 
 
 class _DenseSweep:
-    """Dense backward steps over the n cells of a wealth grid per state.
+    """Dense backward steps over the n cells of a wealth grid per state class.
 
     A slice over n cells is a length-n vector, so the slices of J targets
-    stack into one (S * n, J) array.  Each step gathers the successor
-    values through the cell every edge moves wealth to, mixes them per
-    (s, a) and takes the max over actions.  The gather tables are built
-    once, from m's kept slot layout (:meth:`~qmdp.mdp.Mdp.slots`, which
-    exact evaluation's chain steps through too) and each slot's row of
-    the grid's moves (edge j moves cell k to ``grid.moves[grid.row[j],
-    k]``): ``idx[i, sa, k]`` is the flat (state, cell) row that slot i of
-    pair sa reaches from cell k, and ``prob[i, sa]`` its probability.
-    Pairs with fewer edges than the widest one are padded with
+    stack into one (C * n, J) array: one row of n cells per class of
+    states.  States whose slot rows (the successor, probability and move
+    row of every slot of every action, read from m's kept slot layout,
+    :meth:`~qmdp.mdp.Mdp.slots`; a slot's move row is ``grid.row`` of its
+    edge) are bit-equal form one class (:meth:`_lump`).  The terminal
+    target is the same for every state, so the states of a class hold
+    bit-equal values at every layer, and one row serves them all:
+    ``cls[s]`` is the class of state s, and a class steps through the
+    pairs of its first state, its successors read as their classes.
+
+    A step mixes each pair's successor values in slot order and takes the
+    max over actions.  The (successor class, probability) rows of the
+    classes' pairs repeat, so a step mixes each distinct row r once, on
+    every cell: ``W[r, c] = Σ_i p_i V[class_i * n + c]``, in one gather
+    through ``idx[i, r, c]`` and a multiply by ``prob[i, r]``; each (class,
+    action) then reads its row at its own move, ``W[row, move(c)]``, in a
+    second gather through ``mix``.  A pair whose edges move wealth
+    differently keeps each slot's move in its row and reads it in place.
+    Pairs with fewer edges than the widest one (K) are padded with
     zero-probability slots, so a plain sum over slots mixes the
-    successors.  The slot is the outer axis, so the sum adds edges in
-    slot order whatever the other axes hold.
+    successors; the slot is the outer axis, so the sum adds edges in slot
+    order whatever the other axes hold.  The step takes the R distinct
+    rows only where that gathers fewer floats (R·K + C·A < C·A·K).
+    Otherwise ``mix`` is None and the move folds into the one gather:
+    ``idx[i, ca, c]`` is the flat (class, cell) row that slot i of class
+    pair ca reaches from cell c, the per-edge step.  Either way a value is
+    the same sum of the same products as over states and edges, bit for
+    bit.
 
     Cell c stands for the wealth ``keys[c]``; a table cuts where a row
     changes, on the criterion's side (:func:`_on_classes`), as the cut
     loop's tables do.  Backward induction runs T steps (:meth:`_sweep`);
     value iteration runs :meth:`_step` until the change on the grid's
     clip range (:meth:`residual`) passes, and tables the iterate there.
+    Class rows become state rows only where a table reads states: the
+    rules, and the value rows of a :class:`ValueFunction`.
     """
 
     # whether a strict table cuts on the exclusive side; class cuts are
@@ -460,36 +488,80 @@ class _DenseSweep:
         # m's sizes, not m: m keeps its sweep, and a sweep holding m would
         # make a cycle that only the cyclic collector frees
         self.horizon, self.initial_state = m.horizon, m.initial_state
-        self.n_states, self.n_actions = m.n_states, m.n_actions
+        self.n_states, self.n_actions = S, A = m.n_states, m.n_actions
         self.grid = grid
         self.n = n = len(grid.keys)
         slots = m.slots()
-        self.idx = (slots.succ.T[:, :, None] * n
-                    + grid.moves[grid.row[slots.edge.T]])
-        self.prob = np.ascontiguousarray(slots.prob.T)[:, :, None, None]
+        K = slots.succ.shape[1]
+        move = grid.row[slots.edge]
+        bits = slots.prob.view(np.int64)
+        self.cls, first = self._lump(np.hstack(
+            [t.reshape(S, A * K) for t in (slots.succ, bits, move)]))
+        self.n_classes = C = len(first)
+        pairs = (first[:, None] * A + np.arange(A)).ravel()
+        succ, prob, move = self.cls[slots.succ[pairs]], bits[pairs], move[pairs]
+        # a pair whose real slots share one move mixes on the cells in place
+        # (the identity row, past grid.moves) and reads its mix at that move
+        real = np.arange(K) < slots.degree[pairs, None]
+        one = ((move == move[:, :1]) | ~real).all(axis=1)
+        inner = np.where(one[:, None], len(grid.moves), move)
+        row, lead = self._lump(np.hstack((succ, prob, inner)))
+        if len(lead) * K + C * A < C * A * K:
+            moves = np.vstack((grid.moves, np.arange(n)))
+            self.mix = row[:, None] * n + moves[
+                np.where(one, move[:, 0], len(grid.moves))]
+            succ, prob, move = succ[lead], prob[lead], inner[lead]
+        else:
+            moves, self.mix = grid.moves, None
+        self.idx = succ.T[:, :, None] * n + moves[move.T]
+        self.prob = np.ascontiguousarray(
+            prob.view(np.float64).T)[:, :, None, None]
+
+    @staticmethod
+    def _lump(key):
+        """``(cls, first)``: row i of the (N, W) integer array ``key`` is
+        in class ``cls[i]`` with every row bit-equal to it; the classes are
+        numbered in the order of their first rows, ``first``."""
+        if key.shape[1] == 0:
+            return np.zeros(len(key), dtype=np.intp), np.zeros(1, dtype=np.intp)
+        order = np.lexsort(key.T[::-1])
+        ranked = key[order]
+        new = np.ones(len(key), dtype=bool)
+        new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        # a stable sort puts each class's first row at the head of its run
+        heads = order[new]
+        first = np.sort(heads)
+        cls = np.empty(len(key), dtype=np.intp)
+        cls[order] = np.searchsorted(first, heads)[np.cumsum(new) - 1]
+        return cls, first
 
     def _step(self, V, rule=None, idx=None):
-        """One backward step of the slices V; the greedy rule (the lowest
-        action within ``VALUE_TOL`` of the best, as in :func:`_layer`) goes
-        into ``rule`` unless it is None; ``idx`` replaces ``self.idx``.
+        """One backward step of the class slices V; the greedy rule (the
+        lowest action within ``VALUE_TOL`` of the best, as in
+        :func:`_layer`) goes into ``rule`` unless it is None; ``idx``
+        replaces ``self.idx``.
 
         No array of a step outlives it: with two steps' arrays alive at
         once, malloc returns the memory to the system after every step and
         faults it back in (about 500 page faults per ordinal solve).
         """
+        J = V.shape[1]
         g = V.take(self.idx if idx is None else idx, axis=0)
         g *= self.prob
-        q = g.sum(axis=0).reshape(self.n_states, self.n_actions, -1, V.shape[1])
+        q = g.sum(axis=0)
+        if self.mix is not None:
+            q = q.reshape(-1, J).take(self.mix, axis=0)
+        q = q.reshape(self.n_classes, self.n_actions, -1, J)
         top = q.max(axis=1)
         if rule is not None:
             rule[:] = _first_best(q[..., 0].swapaxes(0, 1), top[..., 0])
-        return top.reshape(-1, V.shape[1])
+        return top.reshape(-1, J)
 
     def _sweep(self, splits, reach=None, best=None, values=None, inputs=None):
-        """The layer-0 slices of the terminal columns 1 from position
+        """The layer-0 class slices of the terminal columns 1 from position
         ``splits[j]`` of the cells of ``reach`` (:meth:`OrdinalSweep._reach`)
-        or of all.  With ``best``, a (T, S, n) array for one column,
-        ``best[t]`` gets layer t's rule, and with ``values``, a (T, S * n,
+        or of all.  With ``best``, a (T, C, n) array for one column,
+        ``best[t]`` gets layer t's rule, and with ``values``, a (T, C * n,
         J) array, its slices (all cells).  With ``inputs``, a list, each
         layer's input slices are appended to it, layer T - 1's first: the
         arrays the steps read, kept as they are."""
@@ -504,10 +576,10 @@ class _DenseSweep:
         return V
 
     def _start(self, n, splits):
-        """The terminal slices over n cells per state: column j is 1 from
+        """The terminal slices over n cells per class: column j is 1 from
         cell ``splits[j]`` on."""
         hit = np.arange(n)[:, None] >= np.asarray(splits)
-        return np.tile(hit.astype(np.float64), (self.n_states, 1))
+        return np.tile(hit.astype(np.float64), (self.n_classes, 1))
 
     def _split(self, target, strict):
         """The first cell above the ``target`` key (at or above it without
@@ -522,39 +594,43 @@ class _DenseSweep:
                            strict and self.strict_cuts)
 
     def residual(self, new, old):
-        """``max |new - old|`` over the clip range."""
-        gap = (new - old).reshape(self.n_states, -1)[:, self.grid.clip]
+        """``max |new - old|`` over the clip range: over the classes, as
+        the states of a class change alike."""
+        gap = (new - old).reshape(self.n_classes, -1)[:, self.grid.clip]
         return float(np.abs(gap).max())
 
-    def _value_function(self, rows, strict, tail, sweeps=None,
+    def _value_function(self, rows, at, strict, tail, sweeps=None,
                         cells=slice(None)):
-        """The :class:`ValueFunction` of the value ``rows`` (L, S, n)
-        followed by the tables ``tail``: a run of rows tables over the
-        cells ``cells`` on first read, each value change within
-        ``VALUE_TOL`` merged."""
+        """The :class:`ValueFunction` of the value ``rows`` (k, n), the
+        row of layer t's state s at ``at[t, s]``, followed by the tables
+        ``tail``: a run of rows tables over the cells ``cells`` on first
+        read, each value change within ``VALUE_TOL`` merged."""
         return ValueFunction(
-            tail, sweeps, rows,
+            tail, sweeps, rows, at,
             lambda run: _tol_merged(self._table(run, strict, cells)))
 
-    def _tables(self, target, strict, live=None, values=False):
-        """``(rules, p, rows)`` of :func:`backward_induction` at the
+    def _tables(self, target, strict, live=None):
+        """``(rules, p, rows, at)`` of :func:`backward_induction` at the
         ``target`` key: the table of the T·S greedy rules, tabled over the
-        rows of all layers at once, p at (s0, w0) and, with ``values``,
-        the (T, S, n) value rows, untabled (else None).  The rows of the
-        (t, s) where the (T, S) mask ``live`` is False are zeroed."""
-        T, S, n = self.horizon, self.n_states, self.n
-        best = np.empty((T, S, n), dtype=np.intp)
-        V = np.empty((T, S * n, 1)) if values else None
-        top = self._sweep([self._split(target, strict)], best=best, values=V)
+        rows of all layers at once, p at (s0, w0), and the value rows,
+        untabled, with the (T, S) array ``at`` of the row of each (t, s).
+        Row t·C + c holds layer t's rule and value row of class c, and row
+        T·C zeros: the row of every (t, s) where the (T, S) mask ``live``
+        is False."""
+        T, C, n = self.horizon, self.n_classes, self.n
+        best = np.empty((T * C + 1, n), dtype=np.intp)
+        rows = np.empty((T * C + 1, n))
+        best[-1], rows[-1] = 0, 0.0
+        top = self._sweep([self._split(target, strict)],
+                          best=best[:-1].reshape(T, C, n),
+                          values=rows[:-1].reshape(T, C * n, 1))
         # w0 below (above) the grid holds its first (last) cell's value
-        p = float(top[self.initial_state * n
+        p = float(top[self.cls[self.initial_state] * n
                       + min(max(self.grid.w0, 0), n - 1), 0])
-        rows = None if V is None else V.reshape(T, S, n)
+        at = np.arange(0, T * C, C)[:, None] + self.cls
         if live is not None:
-            best[~live] = 0
-            if values:
-                rows[~live] = 0.0
-        return self._table(best.reshape(T * S, n), strict), p, rows
+            at[~live] = T * C
+        return self._table(best.take(at.ravel(), axis=0), strict), p, rows, at
 
 
 class OrdinalSweep(_DenseSweep):
@@ -578,6 +654,14 @@ class OrdinalSweep(_DenseSweep):
         if not isinstance(space, OrdinalWealth):
             raise ConfigurationError("the dense ordinal sweep needs ordinal wealth")
         super().__init__(m, Grid.of_classes(space, m.rewards))
+
+    @staticmethod
+    def _lump(key):
+        """Every row its own class: every state steps on its own row and
+        every pair mixes per edge, the layout that the reach-restricted
+        gathers (:meth:`_reach`) and the rule pass (:meth:`_rules`) read."""
+        every = np.arange(len(key))
+        return every, every
 
     def _reach(self):
         """``(R_T, gathers)``: ``R_0 = {w0}``, ``R_{t+1}`` every class a
@@ -663,9 +747,8 @@ class OrdinalSweep(_DenseSweep):
         if passes is not None and np.any(np.diff(targets) < 0):
             raise ValueError("the targets of a policy sweep must ascend")
         reach = self._reach()
-        splits, col = np.unique(np.searchsorted(
-            reach[0], targets, side="right" if strict else "left"),
-            return_inverse=True)
+        splits, col = _distinct(np.searchsorted(
+            reach[0], targets, side="right" if strict else "left"))
         block = max(1, BLOCK_FLOATS // max((g.size for g in reach[1]),
                                            default=1))
         p = np.empty(len(splits))
@@ -708,15 +791,18 @@ class OrdinalSweep(_DenseSweep):
         return _Cuts(best[first], _offsets(rule[cut], len(first)), key[cut],
                      np.zeros(len(cut), dtype=np.uint8), best[cut])
 
-    def backward_induction(self, target, strict):
-        """:func:`backward_induction`'s policy and p at one class target.
 
-        Returns ``(policy, p)``: the (T, S, n) greedy rows of a sweep over
-        every class become the policy's table in one pass
-        (:func:`_on_classes`).
-        """
-        rules, p, _ = self._tables(target, strict)
-        return WealthMarkovPolicy(rules, self.n_states), p
+def _distinct(a):
+    """``(values, inverse)`` of the integer array ``a``, as ``np.unique``
+    gives them: its distinct values ascending, and the position of each
+    entry's value among them."""
+    order = np.argsort(a, kind="stable")
+    ranked = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = ranked[1:] != ranked[:-1]
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ranked[new], inverse
 
 
 def reachable_window(m, space):
@@ -858,11 +944,12 @@ def value_iteration(m, space, w, strict, eps_conv=1e-6, max_sweeps=10000):
         start = sweep._start(sweep.n, [sweep._split(target, strict)])
         V, new_V, sweeps = _iterate(sweep._step, sweep.residual, start,
                                     eps_conv, max_sweeps)
-        rule = np.empty((m.n_states, sweep.n), dtype=np.intp)
+        rule = np.empty((sweep.n_classes, sweep.n), dtype=np.intp)
         sweep._step(V, rule)
-        rules = sweep._table(rule, strict)
-        vf = sweep._value_function(new_V.reshape(1, m.n_states, -1), strict,
-                                   [], sweeps, sweep.grid.clip)
+        rules = sweep._table(rule[sweep.cls], strict)
+        vf = sweep._value_function(new_V.reshape(sweep.n_classes, -1),
+                                   sweep.cls[None], strict, [], sweeps,
+                                   sweep.grid.clip)
     p = vf.slice(0, m.initial_state)(space.key(space.w0))
     return (WealthMarkovPolicy(rules, m.n_states, stationary=True), float(p),
             vf)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qmdp import (AdditiveWealth, ConfigurationError, ConvergenceError,
                   DataCenterConfig, DiscountedWealth, GarnetConfig, Mdp,
@@ -15,7 +15,8 @@ from qmdp import dp
 from qmdp.serialize import _policy_text
 from qmdp.stepfun import (VALUE_TOL, combine, pointwise_max, restrict, shift,
                           sup_distance, target_utility)
-from conftest import pack, random_lattice_mdp, two_state_discounted_mdp
+from conftest import (benchmark_workloads, pack, random_lattice_mdp,
+                      two_state_discounted_mdp)
 
 
 # -- backward induction on the two-state discounted example --------------------
@@ -1345,3 +1346,220 @@ def test_a_dense_slice_is_tabled_once(case):
         assert same_bits(f, vf.slices[0][s0])
         assert rows[-1] == m.n_states * (1 if m.horizon is None
                                          else m.horizon)
+
+
+# -- state classes and row mixes of the dense sweep ----------------------------
+
+def per_edge(key):
+    """Every row its own class: identity state classes and unshared mix
+    rows, the dense sweep's per-edge step."""
+    every = np.arange(len(key))
+    return every, every
+
+
+def by_both_layouts(m, space, solve):
+    """``solve(m)`` on the dense sweep's class rows and row mixes, then on
+    a fresh copy of m with the per-edge step.  Each outcome is the digest
+    of the rules, value tables, p and sweep count with the policy file's
+    text, or the sweeps and residual of a ConvergenceError."""
+    def outcome(m):
+        try:
+            policy, p, vf = solve(m)
+        except ConvergenceError as exc:
+            return exc.sweeps, exc.residual.hex()
+        return cut_loop_digest(policy, p, vf), _policy_text(policy, space)
+
+    lumped = outcome(m)
+    copy = m.with_horizon(m.horizon)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dp._DenseSweep, "_lump", staticmethod(per_edge))
+        edges = outcome(copy)
+    sweep = copy._memo["dense"][1]
+    assert sweep.n_classes == m.n_states and sweep.mix is None
+    return lumped, edges
+
+
+@st.composite
+def lumpy_lattice_cases(draw):
+    """(m, space, target): a lattice MDP whose states come in copies with
+    bit-equal rows, in any order, and whose pairs draw their (successor,
+    probability) rows from a small pool under their own rewards ("sa", or
+    "sas" with one reward per pair or one per edge).  Finite, with rewards
+    of either sign, or infinite, with nonpositive rewards; the target lies
+    on the lattice."""
+    infinite = draw(st.booleans())
+    base, A = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    copies = draw(st.lists(st.integers(1, 3), min_size=base, max_size=base))
+    S, k = sum(copies), draw(st.integers(0, 2))
+    reward = st.integers(-4 if infinite else -2, 0 if infinite else 2).map(
+        lambda g: math.ldexp(g, -k))
+    kind = draw(st.sampled_from(["sa", "sas"]))
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        succ = draw(st.lists(st.integers(0, S - 1), min_size=1, max_size=3,
+                             unique=True))
+        w = draw(st.lists(st.integers(1, 4), min_size=len(succ),
+                          max_size=len(succ)))
+        pool.append([(s, wi / sum(w)) for s, wi in zip(succ, w)])
+    states = []
+    for c in copies:
+        trow, rrow = [], []
+        for _ in range(A):
+            edges = draw(st.sampled_from(pool))
+            trow.append(edges)
+            if kind == "sa":
+                rrow.append(draw(reward))
+            elif draw(st.booleans()):
+                rrow.append([draw(reward)] * len(edges))
+            else:
+                rrow.append(draw(st.lists(reward, min_size=len(edges),
+                                          max_size=len(edges))))
+        states += [(trow, rrow)] * c
+    states = [states[i] for i in draw(st.permutations(range(S)))]
+    T = None if infinite else draw(st.integers(1, 6))
+    m = Mdp(S, A, [t for t, _ in states],
+            {"kind": kind, "values": [r for _, r in states]},
+            draw(st.integers(0, S - 1)), T)
+    if infinite:
+        space = AdditiveWealth(-math.inf, 0.0)
+        return m, space, -math.ldexp(draw(st.integers(1, 12)), -k)
+    target = math.ldexp(draw(st.integers(-3 * T, 3 * T)), -k)
+    return m, AdditiveWealth.for_mdp(m), target
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=lumpy_lattice_cases(), strict=st.booleans(),
+       reachable_only=st.booleans())
+def test_class_rows_and_row_mixes_give_the_per_edge_bits(case, strict,
+                                                         reachable_only):
+    # states with bit-equal slot rows share one value row, and each
+    # distinct (successor class, probability) row mixes once: the same
+    # sums of the same products as the per-edge step, so the same rules,
+    # value tables, p, sweep count and policy file
+    m, space, w = case
+    window = None if m.horizon is not None else dp.reachable_window(m, space)
+    assume(dp._DenseSweep.fit(m, space, space.key(w), window) is not None)
+    if m.horizon is None:
+        def solve(m):
+            return value_iteration(m, space, w, strict, max_sweeps=200)
+    else:
+        def solve(m):
+            return backward_induction(m, space, w, strict, reachable_only)
+    lumped, edges = by_both_layouts(m, space, solve)
+    assert lumped == edges
+
+
+@pytest.mark.parametrize("servers, horizon", [(2, 5), (2, 7), (2, 10), (3, 3),
+                                              (3, 6)])
+def test_data_center_class_rows_give_the_per_edge_bits(monkeypatch, servers,
+                                                       horizon):
+    # three servers take the grid only under a larger budget
+    monkeypatch.setattr(dp, "DENSE_FLOATS", 1 << 20)
+    m = generate_datacenter(DataCenterConfig(servers), horizon=horizon)
+    space = AdditiveWealth.for_mdp(m)
+    sweep = dp._DenseSweep.fit(m, space, 0.0)
+    assert sweep.n_classes < m.n_states and sweep.mix is not None
+    for strict, reachable_only in itertools.product((False, True), repeat=2):
+        for w in (0.0, -2.0 * horizon):
+            lumped, edges = by_both_layouts(m, space, lambda m: (
+                backward_induction(m, space, w, strict, reachable_only)))
+            assert lumped == edges, (strict, reachable_only, w)
+    # the stationary sweep over a window below w0
+    m = m.with_horizon(None)
+    space = AdditiveWealth.for_mdp(m)
+    for strict in (False, True):
+        for w in (-10.0, -40.0):
+            assert dp._DenseSweep.fit(
+                m, space, w, dp.reachable_window(m, space)).mix is not None
+            lumped, edges = by_both_layouts(m, space, lambda m: (
+                value_iteration(m, space, w, strict)))
+            assert lumped == edges, (strict, w)
+
+
+def test_the_benchmark_data_center_steps_five_classes_through_three_rows():
+    # 12 states in 5 classes of bit-equal slot rows; their 10 pairs use 3
+    # distinct (successor class, probability) rows over 71 cells, so a
+    # step gathers 6 x 3 x 71 + 10 x 71 floats, not 6 x 24 x 71
+    m, space = benchmark_workloads()["datacenter"].build(1)
+    sweep = dp._DenseSweep.fit(m, space, 0.0)
+    assert (m.n_states, sweep.n_classes) == (12, 5)
+    assert sweep.idx.shape == (6, 3, 71) and sweep.mix.shape == (10, 71)
+    slots = m.slots()
+    rows = np.hstack([t.reshape(12, -1) for t in (
+        slots.succ, slots.prob, sweep.grid.row[slots.edge])])
+    for s, t in itertools.combinations(range(12), 2):
+        assert (sweep.cls[s] == sweep.cls[t]) == (
+            rows[s].tobytes() == rows[t].tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_lump_groups_bit_equal_rows_in_order_of_first_row(data):
+    N, W = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 4))
+    key = np.array(data.draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=W, max_size=W),
+        min_size=N, max_size=N)), dtype=np.int64).reshape(N, W)
+    cls, first = dp._DenseSweep._lump(key)
+    seen = {}
+    for i, row in enumerate(map(tuple, key.tolist())):
+        seen.setdefault(row, len(seen))
+        assert cls[i] == seen[row]
+    assert first.tolist() == [cls.tolist().index(c) for c in range(len(seen))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(reach=st.lists(st.integers(0, 9), min_size=1, unique=True),
+       targets=st.lists(st.integers(-1, 10), max_size=12),
+       order=st.sampled_from(["drawn", "ascending", "reversed", "twice"]),
+       strict=st.booleans())
+def test_policy_splits_are_np_uniques(reach, targets, order, strict):
+    # the ordinal policy sweep dedupes its target splits without np.unique,
+    # whose float path loads numpy.ma
+    targets = {"drawn": targets, "ascending": sorted(targets),
+               "reversed": sorted(targets)[::-1], "twice": targets * 2}[order]
+    at = np.searchsorted(np.sort(reach), np.array(targets, dtype=np.int64),
+                         side="right" if strict else "left")
+    splits, col = dp._distinct(at)
+    want, inverse = np.unique(at, return_inverse=True)
+    assert splits.tolist() == want.tolist()
+    assert col.tolist() == inverse.ravel().tolist()
+
+
+# which problems take the dense grid, and on how many cells (None: the cut
+# loop): the fit reads no state class, so the class rows change no engine
+GRID_SELECTION = {
+    **{f"datacenter {n} {h}": None for n in range(2, 9) for h in (4, 8, 16)},
+    "datacenter 2 8": 171,
+    **{f"garnet {seed}": None for seed in range(4)},
+    **{f"lattice {seed} {h}": cells for seed in range(4)
+       for h, cells in ((2, 11), (4, 19), (8, 35))},
+    **{f"lattice-inf {seed} {t}": cells for seed in range(4)
+       for t, cells in ((-2.5, 16), (-10.0, 46), (-40.0, 166))},
+    **{f"benchmark datacenter {seed}": 71 for seed in (1,)},
+}
+
+
+def test_the_grid_selection_reads_no_class():
+    def cells(m, space, target, window=None):
+        sweep = dp._DenseSweep.fit(m, space, target, window)
+        return None if sweep is None else sweep.n
+
+    got = {}
+    for n in range(2, 9):
+        for h in (4, 8, 16):
+            m = generate_datacenter(DataCenterConfig(n), horizon=h)
+            got[f"datacenter {n} {h}"] = cells(m, AdditiveWealth.for_mdp(m), 0.0)
+    for seed in range(4):
+        m = generate_garnet(GarnetConfig(10, 2, 4, seed=seed), horizon=5)
+        got[f"garnet {seed}"] = cells(m, AdditiveWealth.for_mdp(m), 0.0)
+        for h in (2, 4, 8):
+            m = random_lattice_mdp(seed, n_states=8, n_actions=3, horizon=h)
+            got[f"lattice {seed} {h}"] = cells(m, AdditiveWealth.for_mdp(m), 0.0)
+        m = random_lattice_mdp(seed, n_states=8, n_actions=3)
+        space = AdditiveWealth(-10.0, 0.0)
+        for t in (-2.5, -10.0, -40.0):
+            got[f"lattice-inf {seed} {t}"] = cells(
+                m, space, t, dp.reachable_window(m, space))
+    got["benchmark datacenter 1"] = cells(
+        *benchmark_workloads()["datacenter"].build(1), 0.0)
+    assert got == GRID_SELECTION

@@ -11,6 +11,7 @@ from qmdp import (AdditiveWealth, ConfigurationError, DiscountedWealth,
                   quantile_certificate, solve_quantile,
                   validate, value_iteration)
 from qmdp.dp import OrdinalSweep
+from qmdp.stepfun import _on_classes
 from conftest import (pack, random_lattice_mdp, two_policy_ordinal_instance,
                       two_state_discounted_mdp)
 
@@ -529,7 +530,8 @@ def test_restricted_sweep_equals_backward_induction(monkeypatch):
                             2 * max(g.size for g in gathers))
         for strict in (True, False):
             sweep = OrdinalSweep(m, space)
-            full = [sweep.backward_induction(j, strict)[1] for j in classes]
+            full = [backward_induction(m, space, space.unkey(j), strict)[1]
+                    for j in classes]
             # targets in any order, repeats included
             twice = sweep.exceedance(np.r_[classes[::-1], classes], strict)
             assert twice.tolist() == full[::-1] + full, (seed, strict)
@@ -547,16 +549,27 @@ def test_restricted_sweep_equals_backward_induction(monkeypatch):
     assert seen == {"blocks", "below", "above", "gap"}
 
 
+def full_class_pass(m, space, target, strict):
+    """``(table, p)``: the greedy rules of one sweep over every class at
+    the class ``target``, tabled, and its value at (s0, w0), read off the
+    sweep's own arrays."""
+    sweep = OrdinalSweep(m, space)
+    T, S, n = sweep.horizon, sweep.n_states, sweep.n
+    best = np.empty((T, S, n), dtype=np.intp)
+    top = sweep._sweep([sweep._split(target, strict)], best=best)
+    return (_on_classes(best.reshape(T * S, n)),
+            float(top[m.initial_state * n + sweep.grid.w0, 0]))
+
+
 def test_ordinal_backward_induction_p_is_the_sweeps():
     # backward_induction reads p off its dense class sweep, not off the
     # merged slice table (where a class within VALUE_TOL of the one below
-    # it carries that class's value): the float OrdinalSweep hands out
+    # it carries that class's value): the float the sweep hands out
     for seed in range(200):
         m, space = restricted_sweep_instance(seed)
-        sweep = OrdinalSweep(m, space)
         for strict in (True, False):
             for j, c in enumerate(space.classes):
-                want = sweep.backward_induction(j, strict)[1]
+                want = full_class_pass(m, space, j, strict)[1]
                 got = backward_induction(m, space, c, strict)[1]
                 assert got.hex() == want.hex(), (seed, strict, j)
 
@@ -599,13 +612,12 @@ def test_dense_policy_table_equals_backward_induction(strict):
     # both take the lowest action within VALUE_TOL of the best, so a tie
     # at rounding level does not go to whichever action summed higher
     m, space = many_class_instance()
-    sweep = OrdinalSweep(m, space)
     for target in range(len(space.classes)):
-        dense, p_dense = sweep.backward_induction(target, strict)
+        dense, p_dense = full_class_pass(m, space, target, strict)
         policy, p, _ = backward_induction(m, space, space.unkey(target), strict)
         assert abs(p_dense - p) <= 1e-12
         assert all(np.array_equal(a, b)
-                   for a, b in zip(dense.table, policy.table)), target
+                   for a, b in zip(dense, policy.table)), target
 
 
 @pytest.mark.parametrize("criterion", ["lower", "upper"])
@@ -627,7 +639,6 @@ def test_ordinal_solve_count(monkeypatch, criterion):
     counting(solver, "backward_induction", "backward_induction")
     counting(OrdinalSweep, "policy", "policy")
     counting(OrdinalSweep, "exceedance", "exceedance")
-    counting(OrdinalSweep, "backward_induction", "single-threshold pass")
     counting(dp._DenseSweep, "_tables", "single-threshold pass")
     counting(dp._DenseSweep, "_sweep", "sweep")
     instances = ([two_policy_ordinal_instance()]
